@@ -21,7 +21,7 @@ from .interpolators import PARTIAL_VARIANTS, DesignPartition, fit_partial_varian
 from .linalg import RankTolerance, read_matrix_csv
 from .loo import PartialLooSolver, brute_force_refit
 from .simharness import ExperimentConfig, run_experiment, write_report
-from .variance import GaussMarkovTruth, sigma2_full, sigma2_partial, sigma2_w, sigma2_wc
+from .variance import ESTIMATOR_IDS, GaussMarkovTruth, residual_operator
 
 _MODEL_ALIASES = {
     "normal": "standard_normal",
@@ -125,17 +125,10 @@ def _cmd_variance(args) -> int:
         if args.sigma2 is None:
             raise InvalidInputError("--truth requires --sigma2")
         truth = GaussMarkovTruth(beta=_read_vector(args.truth), sigma2=args.sigma2)
-    runners = {
-        "full": lambda: sigma2_full(part.stacked(), y, truth),
-        "partial": lambda: sigma2_partial(part, y, truth),
-        "w": lambda: sigma2_w(part, y, truth),
-        "wc": lambda: sigma2_wc(part, y, truth),
-    }
-    if args.estimator == "all":
-        payload = [_report_payload(runners[e]()) for e in ("full", "partial", "w", "wc")]
-    else:
-        payload = _report_payload(runners[args.estimator]())
-    print(json.dumps(payload, indent=2))
+    mean = None if truth is None else truth.mean_response(part.stacked())
+    ests = ESTIMATOR_IDS if args.estimator == "all" else (args.estimator,)
+    payload = [_report_payload(residual_operator(e, part).report(y, mean)) for e in ests]
+    print(json.dumps(payload if args.estimator == "all" else payload[0], indent=2))
     return 0
 
 
@@ -210,7 +203,7 @@ def build_parser() -> _Parser:
     p.add_argument("--t", required=True)
     p.add_argument("--y", required=True)
     p.add_argument(
-        "--estimator", choices=("full", "partial", "w", "wc", "all"), default="all"
+        "--estimator", choices=(*ESTIMATOR_IDS, "all"), default="all"
     )
     p.add_argument("--truth", default=None, help="true coefficients, CSV")
     p.add_argument("--sigma2", type=float, default=None, help="true noise variance")

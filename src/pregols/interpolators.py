@@ -36,11 +36,10 @@ import numpy as np
 from .exceptions import InvalidInputError, RankAssumptionError
 from .linalg import (
     RankTolerance,
+    Svd,
     as_matrix,
     as_vector,
     complement_projector,
-    gram_inverse,
-    numeric_rank,
     pinv,
 )
 
@@ -70,12 +69,17 @@ class DesignPartition:
     every downstream closed form silently degrades if the rank structure
     fails.
 
+    The thin SVDs that validation computes are kept as ``w_svd`` and
+    ``t_svd`` (see :class:`~pregols.linalg.Svd`); the fits, the leave-one-out
+    closed forms and the variance operators derive ``W^+``, ``G_W``,
+    ``B = W^+ T`` and ``P_T`` from them instead of factoring ``W`` again.
+
     The degenerate case m = 0 (no unpenalized block) is permitted only via
     :meth:`penalized_only`; fitting such a partition reduces to the fully
     regularized solution on ``W``.
     """
 
-    __slots__ = ("w", "t")
+    __slots__ = ("w", "t", "w_svd", "t_svd")
 
     def __init__(self, w, t, *, tol: RankTolerance | None = None):
         w = as_matrix(w, "w")
@@ -85,52 +89,50 @@ class DesignPartition:
                 "unpenalized block t must have at least one column; "
                 "use DesignPartition.penalized_only for an empty t"
             )
-        self._validate(w, t, tol)
-        self.w = _readonly(w)
-        self.t = _readonly(t)
-
-    @staticmethod
-    def _validate(w: np.ndarray, t: np.ndarray, tol: RankTolerance | None) -> None:
-        n, q = w.shape
-        if t.shape[0] != n:
+        n, m = t.shape
+        if w.shape[0] != n:
             raise InvalidInputError(
-                f"w and t must have equal row counts, got {n} and {t.shape[0]}"
+                f"w and t must have equal row counts, got {w.shape[0]} and {n}"
             )
-        if q < n:
-            raise RankAssumptionError(
-                f"penalized block w must be wide (cols >= rows), got {n}x{q}"
-            )
-        rw = numeric_rank(w, tol)
-        if rw != n:
-            raise RankAssumptionError(
-                f"rank assumption violated: penalized block w must have full row "
-                f"rank {n}, numeric rank is {rw}"
-            )
-        m = t.shape[1]
+        self._set_w(w, tol)
         if m >= n:
             raise RankAssumptionError(
                 f"unpenalized block t must have fewer columns than rows, got {n}x{m}"
             )
-        rt = numeric_rank(t, tol)
+        self._set_t(t)
+        rt = self.t_svd.rank(tol)
         if rt != m:
             raise RankAssumptionError(
                 f"rank assumption violated: unpenalized block t must have full "
                 f"column rank {m}, numeric rank is {rt}"
             )
 
+    def _set_w(self, w: np.ndarray, tol: RankTolerance | None) -> None:
+        n, q = w.shape
+        if q < n:
+            raise RankAssumptionError(
+                f"penalized block w must be wide (cols >= rows), got {n}x{q}"
+            )
+        self.w = _readonly(w)
+        self.w_svd = Svd(self.w)
+        rw = self.w_svd.rank(tol)
+        if rw != n:
+            raise RankAssumptionError(
+                f"rank assumption violated: penalized block w must have full row "
+                f"rank {n}, numeric rank is {rw}"
+            )
+
+    def _set_t(self, t: np.ndarray) -> None:
+        self.t = _readonly(t)
+        self.t_svd = Svd(self.t)
+
     @classmethod
     def penalized_only(cls, w, *, tol: RankTolerance | None = None) -> "DesignPartition":
         """Partition with an empty unpenalized block (m = 0)."""
         w = as_matrix(w, "w")
-        n, q = w.shape
-        if q < n or numeric_rank(w, tol) != n:
-            raise RankAssumptionError(
-                f"rank assumption violated: penalized block w must have full row "
-                f"rank {n}"
-            )
         self = object.__new__(cls)
-        self.w = _readonly(w)
-        self.t = _readonly(np.zeros((n, 0)))
+        self._set_w(w, tol)
+        self._set_t(np.zeros((w.shape[0], 0)))
         return self
 
     @property
@@ -200,13 +202,14 @@ def fit_full(x, y, tol: RankTolerance | None = None) -> FullFit:
     n = x.shape[0]
     if y.size != n:
         raise InvalidInputError(f"y has length {y.size}, expected {n}")
-    r = numeric_rank(x, tol)
+    f = Svd(x)
+    r = f.rank(tol)
     if r != n:
         raise RankAssumptionError(
             f"rank assumption violated: design must have full row rank {n}, "
             f"numeric rank is {r}"
         )
-    beta = pinv(x, tol) @ y
+    beta = f.pinv(tol) @ y
     gap = _check_interpolation(y - x @ beta, y, "full fit")
     return FullFit(beta_hat=_readonly(beta), max_interp_residual=gap)
 
@@ -245,24 +248,25 @@ def fit_partial(d: DesignPartition, y, tol: RankTolerance | None = None) -> Part
 
 
 def _variant_rowspace(d, y, tol):
-    wp = pinv(d.w, tol)
+    wp = d.w_svd.pinv(tol)
     b = wp @ d.t
+    bp = pinv(b, tol)
     row_proj = wp @ d.w  # projection onto the row space of W
-    lam = row_proj @ ((np.eye(d.q) - b @ pinv(b, tol)) @ (wp @ y))
-    tau = pinv(b, tol) @ (wp @ y)
+    lam = row_proj @ ((np.eye(d.q) - b @ bp) @ (wp @ y))
+    tau = bp @ (wp @ y)
     return lam, tau
 
 
 def _variant_residual(d, y, tol):
-    wp = pinv(d.w, tol)
-    gw = gram_inverse(d.w, tol)
+    wp = d.w_svd.pinv(tol)
+    gw = d.w_svd.gram_inverse(tol)
     tau = pinv(wp @ d.t, tol) @ (wp @ y)
     lam = d.w.T @ (gw @ (y - d.t @ tau))
     return lam, tau
 
 
 def _variant_gls(d, y, tol):
-    gw = gram_inverse(d.w, tol)
+    gw = d.w_svd.gram_inverse(tol)
     tau = pinv(d.t.T @ gw @ d.t, tol) @ (d.t.T @ (gw @ y))
     lam = d.w.T @ (gw @ (y - d.t @ tau))
     return lam, tau

@@ -2,9 +2,9 @@
 
 Everything downstream (interpolators, leave-one-out closed forms, variance
 estimators, the simulation harness) funnels its rank decisions through the
-pseudoinverse and :func:`numeric_rank` defined here, governed by a single
-:class:`RankTolerance`.  Keeping one cutoff makes rank decisions reproducible
-across operations instead of depending on per-call epsilons.
+thin SVD held by :class:`Svd`, governed by a single :class:`RankTolerance`.
+Keeping one cutoff makes rank decisions reproducible across operations
+instead of depending on per-call epsilons.
 
 Matrices are plain two-dimensional float64 ``numpy`` arrays.  File exchange
 uses headerless CSV, one row per line, dimensions inferred from the file.
@@ -96,12 +96,54 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     return a
 
 
-def _svd(a: np.ndarray):
-    return np.linalg.svd(a, full_matrices=False)
+def _rank(s: np.ndarray, shape: tuple[int, int], tol: RankTolerance | None) -> int:
+    """Number of the descending singular values ``s`` above the cutoff."""
+    cut = _resolve(tol).cutoff(shape, float(s[0]) if s.size else 0.0)
+    return int(np.sum(s > cut))
+
+
+class Svd:
+    """Thin SVD ``a = u diag(s) vt`` of one matrix, kept so it is factored once.
+
+    Every quantity derived from it applies a :class:`RankTolerance` to the
+    same singular values, so the pseudoinverse, the numeric rank, the inverse
+    Gram matrix and the column-space projector of one matrix always agree on
+    its rank.  An empty matrix has empty factors.
+    """
+
+    __slots__ = ("shape", "u", "s", "vt")
+
+    def __init__(self, a: np.ndarray):
+        self.shape = a.shape
+        if a.size == 0:
+            self.u, self.s = np.zeros((a.shape[0], 0)), np.zeros(0)
+            self.vt = np.zeros((0, a.shape[1]))
+        else:
+            self.u, self.s, self.vt = np.linalg.svd(a, full_matrices=False)
+
+    def kept(self, tol: RankTolerance | None = None):
+        """The singular triplets above the cutoff, ``(u_r, s_r, vt_r)``."""
+        r = self.rank(tol)
+        return self.u[:, :r], self.s[:r], self.vt[:r]
+
+    def rank(self, tol: RankTolerance | None = None) -> int:
+        return _rank(self.s, self.shape, tol)
+
+    def pinv(self, tol: RankTolerance | None = None) -> np.ndarray:
+        u, s, vt = self.kept(tol)
+        return (vt.T / s) @ u.T
+
+    def gram_inverse(self, tol: RankTolerance | None = None) -> np.ndarray:
+        u, s, _ = self.kept(tol)
+        return (u / s**2) @ u.T
+
+    def projector(self, tol: RankTolerance | None = None) -> np.ndarray:
+        u = self.kept(tol)[0]
+        return u @ u.T
 
 
 def pinv(m, tol: RankTolerance | None = None) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via full SVD with a relative cutoff.
+    """Moore-Penrose pseudoinverse via thin SVD with a relative cutoff.
 
     Singular values at or below ``tol.cutoff(shape, smax)`` are treated as
     zero.  The result satisfies the four Penrose criteria to high accuracy
@@ -119,20 +161,12 @@ def pinv(m, tol: RankTolerance | None = None) -> np.ndarray:
     np.ndarray
         The pseudoinverse, with shape transposed relative to ``m``.
     """
-    a = as_matrix(m)
-    if a.size == 0:
-        return np.zeros((a.shape[1], a.shape[0]))
-    u, s, vt = _svd(a)
-    cut = _resolve(tol).cutoff(a.shape, float(s[0]) if s.size else 0.0)
-    inv = np.where(s > cut, 1.0, 0.0)
-    np.divide(inv, s, out=inv, where=s > cut)
-    return (vt.T * inv) @ u.T
+    return Svd(as_matrix(m)).pinv(tol)
 
 
 def projector(m, tol: RankTolerance | None = None) -> np.ndarray:
     """Orthogonal projection onto the column space of ``m`` (symmetric, idempotent)."""
-    a = as_matrix(m)
-    return a @ pinv(a, tol)
+    return Svd(as_matrix(m)).projector(tol)
 
 
 def complement_projector(m, tol: RankTolerance | None = None) -> np.ndarray:
@@ -142,23 +176,28 @@ def complement_projector(m, tol: RankTolerance | None = None) -> np.ndarray:
 
 
 def gram_inverse(m, tol: RankTolerance | None = None) -> np.ndarray:
-    """Pseudoinverse of the row Gram matrix, ``(M M^T)^+``.
+    """Pseudoinverse of the row Gram matrix, ``(M M^T)^+ = U diag(s^-2) U^T``.
 
+    Built from the SVD of ``M`` itself under the same cutoff as
+    :func:`numeric_rank` and :func:`pinv`, so it keeps every direction that
+    ``numeric_rank(M)`` counts.  Forming ``M M^T`` first would square the
+    condition number and drop directions of ``M`` that the cutoff accepts.
     For a full-row-rank ``M`` this is the true inverse of ``M M^T`` and is
     symmetric positive definite.
     """
-    a = as_matrix(m)
-    return pinv(a @ a.T, tol)
+    return Svd(as_matrix(m)).gram_inverse(tol)
 
 
 def numeric_rank(m, tol: RankTolerance | None = None) -> int:
-    """Number of singular values above the cutoff."""
+    """Number of singular values above the cutoff.
+
+    Computes the singular values alone, which costs about a third of the
+    thin SVD that :class:`Svd` keeps.
+    """
     a = as_matrix(m)
     if a.size == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    cut = _resolve(tol).cutoff(a.shape, float(s[0]) if s.size else 0.0)
-    return int(np.sum(s > cut))
+    return _rank(np.linalg.svd(a, compute_uv=False), a.shape, tol)
 
 
 def nullspace_component(m, v, tol: RankTolerance | None = None) -> np.ndarray:
@@ -176,9 +215,7 @@ def read_matrix_csv(path) -> np.ndarray:
     """Read a headerless CSV of decimal floats, one matrix row per line."""
     try:
         a = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
-    except OSError:
-        raise
-    except Exception as exc:  # malformed numeric content
+    except ValueError as exc:  # malformed numbers or text that is not UTF-8
         raise InvalidInputError(f"could not parse matrix CSV {path}: {exc}") from exc
     if a.size == 0:
         raise InvalidInputError(f"matrix CSV {path} is empty")

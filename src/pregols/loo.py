@@ -10,17 +10,29 @@ coefficients, and the prediction residual collapses to
     eps_i = e_i^T [diag(G_W)]^{-1} G_W (I - H_i) y,
     H_i   = T (Wt_i T)^+ Wt_i.
 
-``H_i`` is n x n per index and is only ever applied to vectors, so it is
-computed transiently and never stored.
+Every residual comes from one kernel.  With ``a_i = T^T G_W e_i`` and
+``M = T^T G_W T``, two identities hold:
+``(Wt_i T)^T (Wt_i T) = M - a_i a_i^T / g_ii`` and
+``(Wt_i T)^T Wt_i = T^T G_W - a_i g_i^T / g_ii``.  A Sherman-Morrison step on
+the m x m matrix ``M`` then gives every row of the residual map at once,
+
+    R = [diag(Q)]^{-1} Q,    Q = G_W - G_W T M^{-1} T^T G_W,
+
+where ``Q_ii = g_ii s_i`` and ``s_i = 1 - a_i^T M^{-1} a_i / g_ii`` is the
+Sherman-Morrison denominator.  No per-index factorization is needed, and
+``G_W`` and ``W^+`` come from the SVD the :class:`DesignPartition` keeps.
 
 All closed forms here are validated against :func:`brute_force_refit`, which
 physically deletes the row and refits; that oracle is part of the public
 surface so downstream users can run the same comparison on their own data.
 
-Rank preconditions: dropping a row of a full-row-rank ``W`` always leaves the
-remaining rows linearly independent, so only two things can fail and both are
+Rank precondition: dropping a row of a full-row-rank ``W`` always leaves the
+remaining rows linearly independent, so only one thing can fail, and it is
 checked per index: the unpenalized block may lose full column rank when the
-row is removed, and the reduced product ``Wt_i T`` may become rank-deficient.
+row is removed.  ``Wt_i`` annihilates ``e_i`` and is injective on its
+complement, so ``rank(Wt_i T) = rank(T_{-i})``, and both are full exactly
+when ``e_i`` is outside colsp(T), that is when ``s_i > 0``.  One check, of
+``s_i`` against the square root of the rank cutoff, covers both.
 """
 
 from __future__ import annotations
@@ -31,7 +43,7 @@ import numpy as np
 
 from .exceptions import InvalidInputError, RankAssumptionError
 from .interpolators import DesignPartition, fit_partial
-from .linalg import RankTolerance, as_matrix, as_vector, gram_inverse, numeric_rank, pinv
+from .linalg import RankTolerance, Svd, as_matrix, as_vector, get_default_tolerance, pinv
 
 __all__ = [
     "LooProjector",
@@ -42,7 +54,6 @@ __all__ = [
     "loo_record",
     "loo_residual_partial",
     "loo_residuals_partial",
-    "loo_residuals_full",
     "gram_downdate",
     "brute_force_refit",
 ]
@@ -91,17 +102,14 @@ def loo_projector(w, i: int, tol: RankTolerance | None = None) -> LooProjector:
     w = as_matrix(w, "w")
     n = w.shape[0]
     i = _check_index(i, n)
-    if numeric_rank(w, tol) != n:
+    f = Svd(w)
+    if f.rank(tol) != n:
         raise RankAssumptionError(
             f"rank assumption violated: w must have full row rank {n}"
         )
-    wp = pinv(w, tol)
-    gw = gram_inverse(w, tol)
-    gii = float(gw[i, i])
-    if gii <= 0.0:
-        raise RankAssumptionError(
-            f"inverse Gram diagonal is not positive at index {i}; w is rank-marginal"
-        )
+    wp = f.pinv(tol)
+    gw = f.gram_inverse(tol)
+    gii = float(gw[i, i])  # >= 1 / smax^2: U has orthonormal rows
     k = wp[:, i]
     p = np.outer(k, k) / gii
     q_companion = np.zeros((n, n))
@@ -112,48 +120,52 @@ def loo_projector(w, i: int, tol: RankTolerance | None = None) -> LooProjector:
     )
 
 
-def _loo_core(d: DesignPartition, i: int, tol):
-    """Shared per-index pieces: deflated pseudoinverse and reduced block, validated."""
-    wp = pinv(d.w, tol)
-    gw = gram_inverse(d.w, tol)
-    gii = float(gw[i, i])
-    if gii <= 0.0:
+def _loo_gram(d: DesignPartition, tol, rows: np.ndarray):
+    """``(G_W, Q)`` with ``Q = G_W - G_W T M^{-1} T^T G_W``, rank-checked at ``rows``.
+
+    Raises :class:`RankAssumptionError` naming the first index in ``rows``
+    whose Sherman-Morrison denominator ``s_i = Q_ii / g_ii`` is at the rank
+    cutoff.  ``s_i`` is a squared ratio, so rounding leaves it near eps, not
+    0, under exact rank loss; it is compared with the square root of the
+    cutoff.
+    """
+    if d.w_svd.rank(tol) != d.n:
         raise RankAssumptionError(
-            f"inverse Gram diagonal is not positive at index {i}; the penalized "
-            "block is rank-marginal"
+            f"rank assumption violated: penalized block w must have full row rank {d.n}"
         )
-    k = wp[:, i]
-    w_tilde = wp - np.outer(k, gw[i]) / gii
-    wt_t = w_tilde @ d.t
-    _validate_loo_ranks(d, wt_t, i, tol)
-    return wp, gw, gii, w_tilde, wt_t
-
-
-def _validate_loo_ranks(d: DesignPartition, wt_t: np.ndarray, i: int, tol) -> None:
+    gw = d.w_svd.gram_inverse(tol)
     if d.m == 0:
-        return
-    t_del = np.delete(np.asarray(d.t), i, axis=0)
-    if numeric_rank(t_del, tol) != d.m:
+        return gw, gw
+    a = d.t.T @ gw  # column i is a_i
+    q = gw - a.T @ np.linalg.solve(a @ d.t, a)
+    tol = get_default_tolerance() if tol is None else tol
+    s = np.diag(q)[rows] / np.diag(gw)[rows]
+    bad = rows[s <= np.sqrt(tol.cutoff((d.n, d.m), 1.0))]
+    if bad.size:
         raise RankAssumptionError(
-            f"leave-one-out rank violation at index {i}: unpenalized block t "
+            f"leave-one-out rank violation at index {bad[0]}: unpenalized block t "
             "loses full column rank when the row is removed"
         )
-    if numeric_rank(wt_t, tol) != d.m:
-        raise RankAssumptionError(
-            f"leave-one-out rank violation at index {i}: the deflated product "
-            "of the penalized-block pseudoinverse with t is rank-deficient"
-        )
+    return gw, q
+
+
+def _check_response(y, n: int) -> np.ndarray:
+    y = as_vector(y, "y")
+    if y.size != n:
+        raise InvalidInputError(f"y has length {y.size}, expected {n}")
+    return y
 
 
 def loo_fit(
     d: DesignPartition, y, i: int, tol: RankTolerance | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Leave-one-out coefficient pair ``(lambda_loo, tau_loo)`` without refitting."""
-    y = as_vector(y, "y")
-    if y.size != d.n:
-        raise InvalidInputError(f"y has length {y.size}, expected {d.n}")
+    y = _check_response(y, d.n)
     i = _check_index(i, d.n)
-    _, _, _, w_tilde, wt_t = _loo_core(d, i, tol)
+    gw, _ = _loo_gram(d, tol, np.array([i]))
+    wp = d.w_svd.pinv(tol)
+    w_tilde = wp - np.outer(wp[:, i], gw[i]) / gw[i, i]
+    wt_t = w_tilde @ d.t
     wty = w_tilde @ y
     tau_loo = pinv(wt_t, tol) @ wty
     lam_loo = d.w.T @ (w_tilde.T @ (wty - wt_t @ tau_loo))
@@ -166,20 +178,12 @@ def loo_residual_partial(
     """Leave-one-out prediction residual for index ``i`` via the closed form.
 
     Equals ``y_i`` minus the prediction of the model refit without row ``i``;
-    the unique extra term relative to the unsplit case enters through the
-    transient matrix ``H_i``.
+    it is row ``i`` of the residual map ``R`` applied to ``y``.
     """
-    y = as_vector(y, "y")
-    if y.size != d.n:
-        raise InvalidInputError(f"y has length {y.size}, expected {d.n}")
+    y = _check_response(y, d.n)
     i = _check_index(i, d.n)
-    _, gw, gii, w_tilde, wt_t = _loo_core(d, i, tol)
-    gi = gw[i]
-    if d.m == 0:
-        return float(gi @ y / gii)
-    tau_loo = pinv(wt_t, tol) @ (w_tilde @ y)
-    # g_i (I - H_i) y with H_i y = T tau_loo
-    return float((gi @ y - (gi @ d.t) @ tau_loo) / gii)
+    _, q = _loo_gram(d, tol, np.array([i]))
+    return float(q[i] @ y / q[i, i])
 
 
 def loo_record(
@@ -212,40 +216,15 @@ class PartialLooSolver:
 
     def __init__(self, d: DesignPartition, tol: RankTolerance | None = None):
         self.design = d
-        n = d.n
-        wp = pinv(d.w, tol)
-        gw = gram_inverse(d.w, tol)
-        diag = np.diag(gw).copy()
-        if np.any(diag <= 0.0):
-            raise RankAssumptionError(
-                "inverse Gram diagonal is not strictly positive; the penalized "
-                "block is rank-marginal"
-            )
-        rows = np.empty((n, n))
-        if d.m == 0:
-            rows[:] = gw / diag[:, None]
-        else:
-            t = np.asarray(d.t)
-            b = wp @ t
-            for i in range(n):
-                gi = gw[i]
-                gii = diag[i]
-                k = wp[:, i]
-                wt_t = b - np.outer(k, gi @ t) / gii
-                _validate_loo_ranks(d, wt_t, i, tol)
-                piv = pinv(wt_t, tol)
-                # (Wt_i T)^+ Wt_i without materializing Wt_i:
-                cw = piv @ wp - np.outer(piv @ k, gi) / gii
-                rows[i] = (gi - (gi @ t) @ cw) / gii
+        _, q = _loo_gram(d, tol, np.arange(d.n))
+        rows = q / np.diag(q)[:, None]
         rows.setflags(write=False)
         self.residual_matrix = rows
         self.denominator = float(np.sum(rows * rows))
 
     def residuals(self, y) -> np.ndarray:
         """All leave-one-out prediction residuals for one response vector."""
-        y = as_vector(y, "y")
-        if y.size != self.design.n:
-            raise InvalidInputError(f"y has length {y.size}, expected {self.design.n}")
+        y = _check_response(y, self.design.n)
         return self.residual_matrix @ y
 
 
@@ -254,32 +233,6 @@ def loo_residuals_partial(
 ) -> np.ndarray:
     """Leave-one-out residuals for every index of a split design."""
     return PartialLooSolver(d, tol).residuals(y)
-
-
-def loo_residuals_full(x, y, tol: RankTolerance | None = None) -> np.ndarray:
-    """Leave-one-out residuals of the fully regularized interpolator.
-
-    For a full-row-rank design the whole vector is
-    ``[diag(G_X)]^{-1} G_X y``; no per-index correction is needed because
-    there is no unpenalized block.
-    """
-    x = as_matrix(x, "x")
-    y = as_vector(y, "y")
-    n = x.shape[0]
-    if y.size != n:
-        raise InvalidInputError(f"y has length {y.size}, expected {n}")
-    if numeric_rank(x, tol) != n:
-        raise RankAssumptionError(
-            f"rank assumption violated: design must have full row rank {n}"
-        )
-    gx = gram_inverse(x, tol)
-    diag = np.diag(gx)
-    if np.any(diag <= 0.0):
-        raise RankAssumptionError(
-            "inverse Gram diagonal is not strictly positive; the design is "
-            "rank-marginal"
-        )
-    return (gx @ y) / diag
 
 
 def gram_downdate(x, i: int, tol: RankTolerance | None = None) -> np.ndarray:
@@ -297,17 +250,14 @@ def gram_downdate(x, i: int, tol: RankTolerance | None = None) -> np.ndarray:
     x = as_matrix(x, "x")
     n = x.shape[0]
     i = _check_index(i, n)
-    if numeric_rank(x, tol) != n:
+    f = Svd(x)
+    if f.rank(tol) != n:
         raise RankAssumptionError(
             f"rank assumption violated: design must have full row rank {n}"
         )
-    xp = pinv(x, tol)
-    gx = gram_inverse(x, tol)
+    xp = f.pinv(tol)
+    gx = f.gram_inverse(tol)
     gii = float(gx[i, i])
-    if gii <= 0.0:
-        raise RankAssumptionError(
-            f"inverse Gram diagonal is not positive at index {i}"
-        )
     gi = gx[i]
     mid = np.eye(n)
     mid[i, :] -= gi / gii
@@ -324,9 +274,7 @@ def brute_force_refit(
     Deterministic and independent of the closed forms above; the test suite
     holds the closed forms to this oracle.
     """
-    y = as_vector(y, "y")
-    if y.size != d.n:
-        raise InvalidInputError(f"y has length {y.size}, expected {d.n}")
+    y = _check_response(y, d.n)
     i = _check_index(i, d.n)
     w_del = np.delete(np.asarray(d.w), i, axis=0)
     y_del = np.delete(y, i)

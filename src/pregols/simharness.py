@@ -39,10 +39,11 @@ from .dgp import (
 from .exceptions import ExperimentAbortedError, InvalidInputError, RankAssumptionError
 from .interpolators import DesignPartition
 from .linalg import pinv, write_matrix_csv
-from .variance import (
+from .variance import (  # noqa: F401  perfbench/workloads.py traces these names
     ESTIMATOR_IDS,
     full_operator,
     partial_operator,
+    residual_operator,
     w_operator,
     wc_operator,
 )
@@ -256,13 +257,7 @@ def _sim_trial(cfg: ExperimentConfig, gi: int, ti: int, dump_dir=None):
     if dump_dir is not None:
         _dump(dump_dir, cfg, gi, ti, "w", w)
     part = DesignPartition(w, np.ones((n, 1)))
-    builders = {
-        "full": lambda: full_operator(part.stacked()),
-        "partial": lambda: partial_operator(part),
-        "w": lambda: w_operator(part),
-        "wc": lambda: wc_operator(part),
-    }
-    ops = {est: builders[est]() for est in cfg.estimators}
+    ops = {est: residual_operator(est, part) for est in cfg.estimators}
     beta1 = np.full(q, p**-0.5)
     mean_y = w @ beta1 + beta0
     sums = {est: 0.0 for est in cfg.estimators}
@@ -286,7 +281,7 @@ def _ate_trial(cfg: ExperimentConfig, gi: int, ti: int, dump_dir=None):
     part = DesignPartition(w, t)
     x = np.hstack([w, t])
     full_row = pinv(x)[q]  # functional extracting the treatment coefficient
-    wp = pinv(w)
+    wp = part.w_svd.pinv()
     partial_row = (pinv(wp @ t) @ wp)[0]
     alpha = np.full(q, (q + 2) ** -0.5)
     mean_y = w @ alpha + tau * dvec + 1.0

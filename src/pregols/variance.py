@@ -40,16 +40,7 @@ import numpy as np
 
 from .exceptions import InvalidInputError, RankAssumptionError
 from .interpolators import DesignPartition
-from .linalg import (
-    RankTolerance,
-    as_matrix,
-    as_vector,
-    complement_projector,
-    gram_inverse,
-    numeric_rank,
-    pinv,
-    projector,
-)
+from .linalg import RankTolerance, Svd, as_matrix, as_vector, complement_projector
 from .loo import PartialLooSolver
 
 __all__ = [
@@ -62,6 +53,8 @@ __all__ = [
     "w_operator",
     "wc_operator",
     "wc_normalizers",
+    "residual_operator",
+    "loo_residuals_full",
     "sigma2_full",
     "sigma2_partial",
     "sigma2_w",
@@ -143,19 +136,34 @@ class ResidualOperator:
 
 
 def full_operator(x, tol: RankTolerance | None = None) -> ResidualOperator:
-    """Leave-one-out residual map of the unsplit minimum-norm interpolator."""
-    x = as_matrix(x, "x")
-    n = x.shape[0]
-    if numeric_rank(x, tol) != n:
+    """Leave-one-out residual map of the unsplit minimum-norm interpolator.
+
+    For a full-row-rank ``X`` it is ``[diag(G_X)]^{-1} G_X``; the rank and
+    ``G_X`` come from one SVD of ``X``, and ``g_ii >= 1 / smax^2 > 0``.
+    """
+    f = Svd(as_matrix(x, "x"))
+    n = f.shape[0]
+    if f.rank(tol) != n:
         raise RankAssumptionError(
             f"rank assumption violated: design must have full row rank {n}"
         )
-    gx = gram_inverse(x, tol)
-    diag = np.diag(gx)
-    if np.any(diag <= 0.0):
-        raise RankAssumptionError("inverse Gram diagonal is not strictly positive")
-    r = gx / diag[:, None]
+    gx = f.gram_inverse(tol)
+    r = gx / np.diag(gx)[:, None]
     return ResidualOperator("full", r, float(np.sum(r * r)))
+
+
+def loo_residuals_full(x, y, tol: RankTolerance | None = None) -> np.ndarray:
+    """Leave-one-out residuals of the fully regularized interpolator.
+
+    For a full-row-rank design the whole vector is ``[diag(G_X)]^{-1} G_X y``,
+    the :func:`full_operator` map applied to ``y``; no per-index correction
+    is needed because there is no unpenalized block.
+    """
+    x = as_matrix(x, "x")
+    y = as_vector(y, "y")
+    if y.size != x.shape[0]:
+        raise InvalidInputError(f"y has length {y.size}, expected {x.shape[0]}")
+    return full_operator(x, tol).matrix @ y
 
 
 def partial_operator(d: DesignPartition, tol: RankTolerance | None = None) -> ResidualOperator:
@@ -173,8 +181,7 @@ def w_operator(d: DesignPartition, tol: RankTolerance | None = None) -> Residual
     """
     if d.m == 0:
         raise InvalidInputError("estimator 'w' requires a nonempty unpenalized block")
-    p_t = projector(d.t, tol)
-    return ResidualOperator("w", p_t, float(numeric_rank(d.t, tol)))
+    return ResidualOperator("w", d.t_svd.projector(tol), float(d.t_svd.rank(tol)))
 
 
 def wc_operator(d: DesignPartition, tol: RankTolerance | None = None) -> ResidualOperator:
@@ -186,9 +193,8 @@ def wc_operator(d: DesignPartition, tol: RankTolerance | None = None) -> Residua
     """
     if d.m == 0:
         raise InvalidInputError("estimator 'wc' requires a nonempty unpenalized block")
-    wp = pinv(d.w, tol)
-    b = wp @ d.t
-    r = complement_projector(b, tol) @ wp
+    wp = d.w_svd.pinv(tol)
+    r = complement_projector(wp @ d.t, tol) @ wp
     return ResidualOperator("wc", r, float(np.sum(r * r)))
 
 
@@ -198,10 +204,11 @@ def wc_normalizers(d: DesignPartition, tol: RankTolerance | None = None) -> tupl
     The first is ``tr(P_B^perp (W^T W)^+)`` and is what :func:`wc_operator`
     uses; the second is ``tr(P_T^perp G_W)``.  They differ in general.
     """
-    wp = pinv(d.w, tol)
-    b = wp @ d.t
-    projected = float(np.trace(complement_projector(b, tol) @ pinv(d.w.T @ d.w, tol)))
-    sample = float(np.trace(complement_projector(d.t, tol) @ gram_inverse(d.w, tol)))
+    wp = d.w_svd.pinv(tol)
+    # (W^T W)^+ = W^+ W^{+T}
+    projected = float(np.trace(complement_projector(wp @ d.t, tol) @ (wp @ wp.T)))
+    p_t_perp = np.eye(d.n) - d.t_svd.projector(tol)
+    sample = float(np.trace(p_t_perp @ d.w_svd.gram_inverse(tol)))
     return projected, sample
 
 
@@ -218,19 +225,14 @@ def sigma2_full(x, y, truth: GaussMarkovTruth | None = None,
 
 
 def sigma2_partial(d: DesignPartition, y, truth: GaussMarkovTruth | None = None,
-                   tol: RankTolerance | None = None,
-                   solver: PartialLooSolver | None = None) -> VarianceReport:
+                   tol: RankTolerance | None = None) -> VarianceReport:
     """Variance estimate from the split-design leave-one-out residuals.
 
-    The numerator is the squared l2 norm of the residual vector; pass a
-    prebuilt :class:`~pregols.loo.PartialLooSolver` to amortize the per-design
-    work across many responses.
+    The numerator is the squared l2 norm of the residual vector; build a
+    :func:`partial_operator` once to amortize the per-design work across
+    many responses.
     """
-    if solver is None:
-        op = partial_operator(d, tol)
-    else:
-        op = ResidualOperator("partial", solver.residual_matrix, solver.denominator)
-    return _report(op, d.stacked(), y, truth)
+    return _report(partial_operator(d, tol), d.stacked(), y, truth)
 
 
 def sigma2_w(d: DesignPartition, y, truth: GaussMarkovTruth | None = None,
@@ -250,12 +252,24 @@ def sigma2_wc(d: DesignPartition, y, truth: GaussMarkovTruth | None = None,
     return _report(wc_operator(d, tol), d.stacked(), y, truth)
 
 
-_OPERATORS = {
-    "full": None,  # handled separately, takes an unsplit design
-    "partial": partial_operator,
-    "w": w_operator,
-    "wc": wc_operator,
-}
+def residual_operator(estimator_id: str, d: DesignPartition,
+                      tol: RankTolerance | None = None) -> ResidualOperator:
+    """The residual operator of one estimator on a split design.
+
+    ``full`` is built from the stacked design ``[W | T]``; the other three
+    from the partition itself.
+    """
+    if estimator_id == "full":
+        return full_operator(d.stacked(), tol)
+    if estimator_id == "partial":
+        return partial_operator(d, tol)
+    if estimator_id == "w":
+        return w_operator(d, tol)
+    if estimator_id == "wc":
+        return wc_operator(d, tol)
+    raise InvalidInputError(
+        f"unknown estimator {estimator_id!r}; choose from {ESTIMATOR_IDS}"
+    )
 
 
 def expected_bias(estimator_id: str, design, truth: GaussMarkovTruth,
@@ -270,16 +284,12 @@ def expected_bias(estimator_id: str, design, truth: GaussMarkovTruth,
         raise InvalidInputError(
             f"unknown estimator {estimator_id!r}; choose from {ESTIMATOR_IDS}"
         )
-    if estimator_id == "full":
-        if isinstance(design, DesignPartition):
-            x = design.stacked()
-        else:
-            x = as_matrix(design, "design")
-        op = full_operator(x, tol)
-        return op.expected_bias(truth.mean_response(x))
+    if estimator_id == "full" and not isinstance(design, DesignPartition):
+        x = as_matrix(design, "design")
+        return full_operator(x, tol).expected_bias(truth.mean_response(x))
     if not isinstance(design, DesignPartition):
         raise InvalidInputError(
             f"estimator {estimator_id!r} requires a DesignPartition"
         )
-    op = _OPERATORS[estimator_id](design, tol)
+    op = residual_operator(estimator_id, design, tol)
     return op.expected_bias(truth.mean_response(design.stacked()))

@@ -65,3 +65,17 @@ def min_norm_refit_full(x, y, i):
     mask[i] = False
     beta, *_ = np.linalg.lstsq(x[mask], y[mask], rcond=None)
     return beta
+
+
+def min_norm_refit_partial(w, t, y, i):
+    """Leave-one-out residual of the split-design fit, refit via numpy lstsq.
+
+    ``tau = (W^+ T)^+ W^+ y`` and ``lambda = W^+ (y - T tau)`` on the design
+    with row ``i`` deleted, each a full-rank least-squares solve.
+    """
+    w, t, y = (np.asarray(a, dtype=float) for a in (w, t, y))
+    keep = np.arange(y.size) != i
+    wp_ty = np.linalg.lstsq(w[keep], np.column_stack([t[keep], y[keep]]), rcond=None)[0]
+    tau = np.linalg.lstsq(wp_ty[:, :-1], wp_ty[:, -1], rcond=None)[0]
+    lam = np.linalg.lstsq(w[keep], y[keep] - t[keep] @ tau, rcond=None)[0]
+    return float(y[i] - w[i] @ lam - t[i] @ tau)

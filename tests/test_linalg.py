@@ -186,6 +186,7 @@ def test_matrix_csv_missing_file(tmp_path):
 
 def test_matrix_csv_malformed(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("1.0,2.0\nthree,4.0\n")
-    with pytest.raises(InvalidInputError):
-        read_matrix_csv(path)
+    for content in (b"1.0,2.0\nthree,4.0\n", b"1.0,2.0\n\xff\xfe,4.0\n"):
+        path.write_bytes(content)
+        with pytest.raises(InvalidInputError):
+            read_matrix_csv(path)

@@ -20,7 +20,7 @@ from pregols import (
     predict,
 )
 
-from oracles import min_norm_refit_full
+from oracles import min_norm_refit_full, min_norm_refit_partial
 
 
 def random_partition(rng, n, q, m):
@@ -224,17 +224,73 @@ def test_projector_denominator_positive():
 # ------------------------------------------------------------------- errors
 
 
-def test_loo_rank_violation_identifies_t_block():
+def _e0_design(rng):
     # t = e_1: deleting row 0 zeroes the t column
-    rng = np.random.default_rng(13)
-    w = rng.standard_normal((5, 9))
     t = np.zeros((5, 1))
     t[0, 0] = 1.0
+    return rng.standard_normal((5, 9)), t, 0
+
+
+def _one_treated_unit_design(rng):
+    # T = [D, 1] with unit 3 the only treated one: deleting it zeroes D
+    d = np.zeros((6, 1))
+    d[3, 0] = 1.0
+    return rng.standard_normal((6, 10)), np.hstack([d, np.ones((6, 1))]), 3
+
+
+def _scaled_w_design(rng):
+    # W columns spread over four decades; the check is scale-free
+    w, t, bad = _e0_design(rng)
+    return w * np.geomspace(1.0, 1e4, w.shape[1]), t, bad
+
+
+_LOO_CALLS = {
+    "loo_fit": loo_fit,
+    "loo_residual_partial": loo_residual_partial,
+    "PartialLooSolver": lambda d, y, i: PartialLooSolver(d).residuals(y),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_LOO_CALLS))
+@pytest.mark.parametrize(
+    "make", [_e0_design, _one_treated_unit_design, _scaled_w_design],
+    ids=["t_is_e1", "one_treated_unit", "w_columns_scaled"],
+)
+def test_loo_rank_violation_identifies_t_block(call, make):
+    rng = np.random.default_rng(13)
+    w, t, bad = make(rng)
     d = DesignPartition(w, t)
-    with pytest.raises(RankAssumptionError, match="unpenalized block t"):
-        loo_fit(d, rng.standard_normal(5), 0)
-    # other indexes keep t intact and must work
-    loo_fit(d, rng.standard_normal(5), 1)
+    y = rng.standard_normal(d.n)
+    with pytest.raises(RankAssumptionError, match=f"index {bad}: unpenalized block t"):
+        _LOO_CALLS[call](d, y, bad)
+    if call != "PartialLooSolver":
+        # other indexes keep t intact and must work
+        _LOO_CALLS[call](d, y, (bad + 1) % d.n)
+
+
+def _geometric_design(cond, seed):
+    """10 x 20 ``W`` with singular values geometric from 1 to 1/cond; random t and y."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((10, 10)))
+    v, _ = np.linalg.qr(rng.standard_normal((20, 10)))
+    w = (u * np.geomspace(1.0, 1.0 / cond, 10)) @ v.T
+    return w, rng.standard_normal((10, 1)), rng.standard_normal(10)
+
+
+@pytest.mark.parametrize("cond", [1e6, 1e8])
+def test_ill_conditioned_loo_matches_refit_or_raises(cond):
+    w, t, y = _geometric_design(cond, seed=1)
+    d = DesignPartition(w, t)
+    expected = np.array([min_norm_refit_partial(w, t, y, i) for i in range(10)])
+    try:
+        got = PartialLooSolver(d).residuals(y)
+    except RankAssumptionError:
+        got = None  # refusing is allowed; a wrong number is not
+    if got is not None:
+        assert np.max(np.abs(got - expected)) <= 1e-6 * (1.0 + np.max(np.abs(expected)))
+    # G_W keeps the weakest direction of W, whose eigenvalue is smin^-2
+    smin = np.linalg.svd(w, compute_uv=False)[-1]
+    assert np.linalg.norm(gram_inverse(w), 2) == pytest.approx(smin**-2, rel=1e-6)
 
 
 def test_loo_index_out_of_range():

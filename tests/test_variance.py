@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 
 from pregols import (
+    ESTIMATOR_IDS,
+    CovariateConfig,
     DesignPartition,
     GaussMarkovTruth,
     InvalidInputError,
     Seed,
     expected_bias,
     full_operator,
+    gen_covariates,
     partial_operator,
+    residual_operator,
     sigma2_full,
     sigma2_partial,
     sigma2_w,
@@ -216,3 +220,20 @@ def test_estimates_nonnegative():
         y = rng.standard_normal(d.n) * rng.uniform(0.1, 10)
         for est, rep in all_reports(d, y).items():
             assert rep.estimate >= 0.0, est
+
+
+def test_one_design_is_factored_a_handful_of_times(monkeypatch):
+    # the SVDs of W, T, [W | T] and B = W^+ T; nothing per held-out row
+    w = gen_covariates(CovariateConfig(model="spiked", n=40, q=99), Seed(314).rng(0))
+    svd = np.linalg.svd
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    d = DesignPartition(w, np.ones((40, 1)))
+    for est in ESTIMATOR_IDS:
+        residual_operator(est, d)
+    assert len(calls) <= 4
