@@ -14,8 +14,13 @@ selected estimator; the treatment experiment records the error of the
 treatment coefficient for the unsplit and split fits.  A cell reports the
 mean of per-trial means and the standard error across trials.
 
-Determinism: trial (g, t) draws from stream ``g * 2^20 + t`` of the root
-seed, and aggregation runs in fixed (grid, trial) order after all workers
+Each trial draws its design and then all its responses from stream
+``g * 2^20 + t`` of the root seed; the responses come as one block (in
+chunks of at most 1024 rows), and each estimator is applied to the whole
+block with one matrix product.
+
+Determinism: the block holds exactly the sequential draws of that stream,
+and aggregation runs in fixed (grid, trial) order after all workers
 finish, so results are byte-identical for any worker count.  The
 ``PREGOLS_THREADS`` environment variable caps the worker pool.
 """
@@ -23,6 +28,7 @@ finish, so results are byte-identical for any worker count.  The
 from __future__ import annotations
 
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -74,6 +80,7 @@ _SIM2_RATIO = 0.8
 _ATE_N, _ATE_Q = 80, 98
 _STREAM_STRIDE = 1 << 20
 _MAX_FAILURE_FRACTION = 0.05
+_DRAW_BLOCK = 1024  # most response rows one trial holds at a time
 
 _ATE_ESTIMATORS = ("full", "partial")
 
@@ -247,6 +254,19 @@ def _dump(dump_dir, cfg, gi, ti, name, matrix) -> None:
     write_matrix_csv(path, matrix)
 
 
+def _response_blocks(rng, mean_y: np.ndarray, scale: float, draws: int):
+    """A trial's responses ``mean_y + scale * z`` as blocks of at most ``_DRAW_BLOCK`` rows.
+
+    Consecutive ``standard_normal(rng, (k, n))`` calls continue one stream,
+    so row ``j`` overall is the ``j``-th sequential draw whatever the block
+    size; memory stays O(_DRAW_BLOCK * n) for any ``draws``.
+    """
+    n = mean_y.size
+    for start in range(0, draws, _DRAW_BLOCK):
+        k = min(_DRAW_BLOCK, draws - start)
+        yield mean_y + scale * standard_normal(rng, (k, n))
+
+
 def _sim_trial(cfg: ExperimentConfig, gi: int, ti: int, dump_dir=None):
     """One design draw plus its response draws; returns per-estimator mean biases."""
     rng = Seed(cfg.seed).rng(gi * _STREAM_STRIDE + ti)
@@ -261,10 +281,9 @@ def _sim_trial(cfg: ExperimentConfig, gi: int, ti: int, dump_dir=None):
     beta1 = np.full(q, p**-0.5)
     mean_y = w @ beta1 + beta0
     sums = {est: 0.0 for est in cfg.estimators}
-    for _ in range(cfg.draws_per_trial):
-        y = mean_y + sigma * standard_normal(rng, n)
+    for ys in _response_blocks(rng, mean_y, sigma, cfg.draws_per_trial):
         for est, op in ops.items():
-            sums[est] += op.estimate(y) - sigma**2
+            sums[est] += float(np.sum(op.estimates(ys) - sigma**2))
     return {est: s / cfg.draws_per_trial for est, s in sums.items()}
 
 
@@ -279,17 +298,16 @@ def _ate_trial(cfg: ExperimentConfig, gi: int, ti: int, dump_dir=None):
         _dump(dump_dir, cfg, gi, ti, "d", dvec.reshape(-1, 1))
     t = np.column_stack([dvec, np.ones(n)])
     part = DesignPartition(w, t)
-    x = np.hstack([w, t])
-    full_row = pinv(x)[q]  # functional extracting the treatment coefficient
+    # row q of X^+ = X^T G_X for X = [W | T]: the treatment coefficient
+    full_row = dvec @ part.full_gram_inverse()
     wp = part.w_svd.pinv()
     partial_row = (pinv(wp @ t) @ wp)[0]
     alpha = np.full(q, (q + 2) ** -0.5)
     mean_y = w @ alpha + tau * dvec + 1.0
     sums = {"full": 0.0, "partial": 0.0}
-    for _ in range(cfg.draws_per_trial):
-        y = mean_y + standard_normal(rng, n)
-        sums["full"] += float(full_row @ y) - tau
-        sums["partial"] += float(partial_row @ y) - tau
+    for ys in _response_blocks(rng, mean_y, 1.0, cfg.draws_per_trial):
+        sums["full"] += float(np.sum(ys @ full_row - tau))
+        sums["partial"] += float(np.sum(ys @ partial_row - tau))
     return {est: s / cfg.draws_per_trial for est, s in sums.items()}
 
 
@@ -332,16 +350,22 @@ def _collect_trials(cfg: ExperimentConfig, trial_fn, dump_dir):
     return by_cell
 
 
+def _failure_summary(outcomes) -> str:
+    """Every distinct failure reason with its count, most frequent first."""
+    counts = Counter(o for o in outcomes if isinstance(o, str))
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    return "; ".join(f"{reason} (x{n})" for reason, n in ranked)
+
+
 def _aggregate(cfg: ExperimentConfig, by_cell, estimators) -> ExperimentReport:
     cells = []
     for gi, outcomes in enumerate(by_cell):
         means = [o for o in outcomes if isinstance(o, dict)]
         failures = len(outcomes) - len(means)
         if failures > _MAX_FAILURE_FRACTION * cfg.trials:
-            reasons = sorted({o for o in outcomes if isinstance(o, str)})
             raise ExperimentAbortedError(
                 f"{failures}/{cfg.trials} trials failed at grid value "
-                f"{cfg.grid[gi]} of {cfg.experiment}: {reasons[0]}"
+                f"{cfg.grid[gi]} of {cfg.experiment}: {_failure_summary(outcomes)}"
             )
         for est in estimators:
             vals = np.array([m[est] for m in means])

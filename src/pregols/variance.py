@@ -99,30 +99,37 @@ class VarianceReport:
 
 @dataclass(frozen=True)
 class ResidualOperator:
-    """Matrix ``R`` and normalizer defining one estimator ``||R y||^2 / denominator``."""
+    """Matrix ``R`` and normalizer defining one estimator ``||R y||^2 / denominator``.
+
+    :meth:`estimates` is the one implementation of the quadratic form: it
+    takes a block whose rows are responses and applies ``R`` to all of them
+    with one matrix product.  :meth:`estimate` and :meth:`expected_bias` are
+    its one-row cases, and the simulation harness calls it on each trial's
+    block of draws.
+    """
 
     estimator_id: str
     matrix: np.ndarray
     denominator: float
 
+    def estimates(self, ys) -> np.ndarray:
+        """``||R v||^2 / denominator`` for every row ``v`` of the block ``ys``."""
+        ys = as_matrix(ys, "ys")
+        n = self.matrix.shape[1]
+        if ys.shape[1] != n:
+            raise InvalidInputError(f"response has length {ys.shape[1]}, expected {n}")
+        r = ys @ self.matrix.T
+        return np.einsum("ij,ij->i", r, r) / self.denominator
+
+    def _one_row(self, v, name: str) -> float:
+        return float(self.estimates(as_vector(v, name)[None, :])[0])
+
     def estimate(self, y) -> float:
-        y = as_vector(y, "y")
-        if y.size != self.matrix.shape[1]:
-            raise InvalidInputError(
-                f"y has length {y.size}, expected {self.matrix.shape[1]}"
-            )
-        r = self.matrix @ y
-        return float(r @ r) / self.denominator
+        return self._one_row(y, "y")
 
     def expected_bias(self, mean_response) -> float:
         """Exact additive bias for a given ``E[y]``."""
-        mu = as_vector(mean_response, "mean_response")
-        if mu.size != self.matrix.shape[1]:
-            raise InvalidInputError(
-                f"mean_response has length {mu.size}, expected {self.matrix.shape[1]}"
-            )
-        r = self.matrix @ mu
-        return float(r @ r) / self.denominator
+        return self._one_row(mean_response, "mean_response")
 
     def report(self, y, mean_response=None) -> VarianceReport:
         return VarianceReport(
@@ -138,8 +145,11 @@ class ResidualOperator:
 def full_operator(x, tol: RankTolerance | None = None) -> ResidualOperator:
     """Leave-one-out residual map of the unsplit minimum-norm interpolator.
 
-    For a full-row-rank ``X`` it is ``[diag(G_X)]^{-1} G_X``; the rank and
-    ``G_X`` come from one SVD of ``X``, and ``g_ii >= 1 / smax^2 > 0``.
+    For a full-row-rank ``X`` it is ``[diag(G_X)]^{-1} G_X``; here the rank
+    and ``G_X`` come from one SVD of ``X``, and ``g_ii >= 1 / smax^2 > 0``.
+    A split design does not need this SVD: ``residual_operator("full", d)``
+    takes ``G_X`` from :meth:`DesignPartition.full_gram_inverse` and shares
+    the last step with this function.
     """
     f = Svd(as_matrix(x, "x"))
     n = f.shape[0]
@@ -147,7 +157,11 @@ def full_operator(x, tol: RankTolerance | None = None) -> ResidualOperator:
         raise RankAssumptionError(
             f"rank assumption violated: design must have full row rank {n}"
         )
-    gx = f.gram_inverse(tol)
+    return _full_from_gram(f.gram_inverse(tol))
+
+
+def _full_from_gram(gx: np.ndarray) -> ResidualOperator:
+    """The ``full`` operator ``[diag(G_X)]^{-1} G_X`` from the inverse Gram matrix."""
     r = gx / np.diag(gx)[:, None]
     return ResidualOperator("full", r, float(np.sum(r * r)))
 
@@ -256,11 +270,12 @@ def residual_operator(estimator_id: str, d: DesignPartition,
                       tol: RankTolerance | None = None) -> ResidualOperator:
     """The residual operator of one estimator on a split design.
 
-    ``full`` is built from the stacked design ``[W | T]``; the other three
-    from the partition itself.
+    All four are built from the factors the partition keeps; ``full`` takes
+    ``G_X`` of the stacked design ``[W | T]`` by a Woodbury update of ``G_W``
+    (:meth:`DesignPartition.full_gram_inverse`) instead of factoring it.
     """
     if estimator_id == "full":
-        return full_operator(d.stacked(), tol)
+        return _full_from_gram(d.full_gram_inverse(tol))
     if estimator_id == "partial":
         return partial_operator(d, tol)
     if estimator_id == "w":

@@ -44,6 +44,17 @@ def test_seed_validation():
         Seed(0).rng(-2)
 
 
+def test_standard_normal_block_continues_the_stream():
+    # one (k, n) block is k sequential length-n draws, bit for bit, and
+    # leaves the generator where the sequential calls leave it
+    block_rng, seq_rng = Seed(11).rng(5), Seed(11).rng(5)
+    block = standard_normal(block_rng, (7, 13))
+    rows = np.stack([standard_normal(seq_rng, 13) for _ in range(7)])
+    assert np.array_equal(block, rows)
+    assert block_rng.bit_generator.state == seq_rng.bit_generator.state
+    assert standard_normal(block_rng) == standard_normal(seq_rng)
+
+
 def test_standard_normal_moments():
     x = standard_normal(Seed(1).rng(0), 100_000)
     assert abs(x.mean()) < 0.02

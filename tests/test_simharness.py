@@ -4,11 +4,20 @@ import numpy as np
 import pytest
 
 from pregols import (
+    CovariateConfig,
+    DesignPartition,
     ExperimentAbortedError,
     ExperimentConfig,
     InvalidInputError,
+    Seed,
+    full_operator,
+    gen_ate_design,
+    gen_covariates,
+    pinv,
+    residual_operator,
     run_ate,
     run_experiment,
+    standard_normal,
     write_report,
 )
 from pregols import simharness
@@ -80,6 +89,64 @@ def test_aggregation_matches_streaming_recompute():
             assert abs(cell.std_error - se) <= 1e-12
 
 
+def _close(got, expected):
+    for key, v in expected.items():
+        assert abs(got[key] - v) <= 1e-12 * (1.0 + abs(v)), key
+
+
+def _sim_trial_per_draw(cfg, gi, ti):
+    """The trial as a loop of single draws and ``estimate`` calls on an SVD-built ``full``."""
+    rng = Seed(cfg.seed).rng(gi * simharness._STREAM_STRIDE + ti)
+    n, p, sigma, beta0 = simharness._sim_parameters(cfg.experiment, cfg.grid[gi])
+    w = gen_covariates(CovariateConfig(model=cfg.model, n=n, q=p - 1, **cfg.covariate), rng)
+    d = DesignPartition(w, np.ones((n, 1)))
+    ops = {
+        est: full_operator(d.stacked()) if est == "full" else residual_operator(est, d)
+        for est in cfg.estimators
+    }
+    mean_y = w @ np.full(p - 1, p**-0.5) + beta0
+    sums = dict.fromkeys(cfg.estimators, 0.0)
+    for _ in range(cfg.draws_per_trial):
+        y = mean_y + sigma * standard_normal(rng, n)
+        for est, op in ops.items():
+            sums[est] += op.estimate(y) - sigma**2
+    return {est: s / cfg.draws_per_trial for est, s in sums.items()}
+
+
+def _ate_trial_per_draw(cfg, gi, ti):
+    """The treatment trial with a full pseudoinverse of ``[W | T]`` and single draws."""
+    rng = Seed(cfg.seed).rng(gi * simharness._STREAM_STRIDE + ti)
+    tau, n, q = cfg.grid[gi], simharness._ATE_N, simharness._ATE_Q
+    w, dvec = gen_ate_design(n, q, rng)
+    t = np.column_stack([dvec, np.ones(n)])
+    full_row = pinv(np.hstack([w, t]))[q]
+    wp = pinv(w)
+    partial_row = (pinv(wp @ t) @ wp)[0]
+    mean_y = w @ np.full(q, (q + 2) ** -0.5) + tau * dvec + 1.0
+    sums = {"full": 0.0, "partial": 0.0}
+    for _ in range(cfg.draws_per_trial):
+        y = mean_y + standard_normal(rng, n)
+        sums["full"] += float(full_row @ y) - tau
+        sums["partial"] += float(partial_row @ y) - tau
+    return {est: s / cfg.draws_per_trial for est, s in sums.items()}
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_batched_trials_match_per_draw_loop(monkeypatch, block):
+    draws = 3
+    if block is not None:  # several chunks per trial, the last one short
+        monkeypatch.setattr(simharness, "_DRAW_BLOCK", block)
+        draws = 20
+    sim = tiny_config(experiment="sim1", grid=(20.0, 60.0), draws_per_trial=draws)
+    ate = ExperimentConfig(
+        experiment="ate", grid=(-2.0, 4.0), trials=2, draws_per_trial=draws, seed=5
+    )
+    for gi in range(2):
+        for ti in range(2):
+            _close(simharness._sim_trial(sim, gi, ti), _sim_trial_per_draw(sim, gi, ti))
+            _close(simharness._ate_trial(ate, gi, ti), _ate_trial_per_draw(ate, gi, ti))
+
+
 def test_ate_reports_full_and_partial():
     cfg = ExperimentConfig(experiment="ate", model="spiked", grid=(2.0,), **TINY)
     rep = run_ate(cfg)
@@ -126,13 +193,17 @@ def test_abort_on_excess_failures(monkeypatch):
     real_trial = simharness._sim_trial
 
     def failing(cfg_, gi, ti, dump_dir=None):
-        if ti < 2:  # 20% failure rate > 5%
-            raise RankAssumptionError("synthetic failure")
+        if ti < 3:  # 30% failure rate > 5%, from two distinct causes
+            raise RankAssumptionError("synthetic failure A" if ti else "synthetic failure B")
         return real_trial(cfg_, gi, ti, dump_dir)
 
     monkeypatch.setattr(simharness, "_sim_trial", failing)
-    with pytest.raises(ExperimentAbortedError, match="synthetic failure"):
+    with pytest.raises(ExperimentAbortedError) as info:
         run_experiment(cfg)
+    # every distinct reason with its count, the most frequent first
+    assert str(info.value).endswith(
+        "synthetic failure A (x2); synthetic failure B (x1)"
+    )
 
 
 def test_config_validation():
