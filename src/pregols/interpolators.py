@@ -151,29 +151,6 @@ class DesignPartition:
         """The full design ``[W | T]`` with W columns first."""
         return np.hstack([self.w, self.t])
 
-    def w_gram_inverse(self, tol: RankTolerance | None = None) -> np.ndarray:
-        """``G_W = (W W^T)^{-1}`` from the kept SVD, once ``rank W = n`` holds under ``tol``."""
-        if self.w_svd.rank(tol) != self.n:
-            raise RankAssumptionError(
-                f"rank assumption violated: penalized block w must have full row "
-                f"rank {self.n}"
-            )
-        return self.w_svd.gram_inverse(tol)
-
-    def full_gram_inverse(self, tol: RankTolerance | None = None) -> np.ndarray:
-        """Inverse row Gram matrix of the stacked design, ``G_X = (W W^T + T T^T)^{-1}``.
-
-        A Woodbury update of the kept ``G_W`` instead of an SVD of ``[W | T]``:
-        ``G_X = G_W - G_W T (I + M)^{-1} T^T G_W`` with ``M = T^T G_W T``.
-        ``I + M`` is symmetric positive definite with eigenvalues >= 1, and
-        ``rank [W | T] = n`` follows from ``rank W = n``.
-        """
-        gw = self.w_gram_inverse(tol)
-        if self.m == 0:
-            return gw
-        a = self.t.T @ gw  # T^T G_W, m x n
-        return gw - a.T @ np.linalg.solve(np.eye(self.m) + a @ self.t, a)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DesignPartition(n={self.n}, q={self.q}, m={self.m})"
 

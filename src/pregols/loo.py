@@ -129,7 +129,11 @@ def _loo_gram(d: DesignPartition, tol, rows: np.ndarray):
     0, under exact rank loss; it is compared with the square root of the
     cutoff.
     """
-    gw = d.w_gram_inverse(tol)
+    if d.w_svd.rank(tol) != d.n:
+        raise RankAssumptionError(
+            f"rank assumption violated: penalized block w must have full row rank {d.n}"
+        )
+    gw = d.w_svd.gram_inverse(tol)
     if d.m == 0:
         return gw, gw
     a = d.t.T @ gw  # column i is a_i

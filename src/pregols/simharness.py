@@ -298,8 +298,8 @@ def _ate_trial(cfg: ExperimentConfig, gi: int, ti: int, dump_dir=None):
         _dump(dump_dir, cfg, gi, ti, "d", dvec.reshape(-1, 1))
     t = np.column_stack([dvec, np.ones(n)])
     part = DesignPartition(w, t)
-    # row q of X^+ = X^T G_X for X = [W | T]: the treatment coefficient
-    full_row = dvec @ part.full_gram_inverse()
+    x = np.hstack([w, t])
+    full_row = pinv(x)[q]  # functional extracting the treatment coefficient
     wp = part.w_svd.pinv()
     partial_row = (pinv(wp @ t) @ wp)[0]
     alpha = np.full(q, (q + 2) ** -0.5)

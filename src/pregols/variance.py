@@ -117,12 +117,17 @@ class ResidualOperator:
         ys = as_matrix(ys, "ys")
         n = self.matrix.shape[1]
         if ys.shape[1] != n:
-            raise InvalidInputError(f"response has length {ys.shape[1]}, expected {n}")
+            raise InvalidInputError(f"rows of ys have length {ys.shape[1]}, expected {n}")
         r = ys @ self.matrix.T
         return np.einsum("ij,ij->i", r, r) / self.denominator
 
     def _one_row(self, v, name: str) -> float:
-        return float(self.estimates(as_vector(v, name)[None, :])[0])
+        v = as_vector(v, name)
+        if v.size != self.matrix.shape[1]:
+            raise InvalidInputError(
+                f"{name} has length {v.size}, expected {self.matrix.shape[1]}"
+            )
+        return float(self.estimates(v[None, :])[0])
 
     def estimate(self, y) -> float:
         return self._one_row(y, "y")
@@ -145,11 +150,8 @@ class ResidualOperator:
 def full_operator(x, tol: RankTolerance | None = None) -> ResidualOperator:
     """Leave-one-out residual map of the unsplit minimum-norm interpolator.
 
-    For a full-row-rank ``X`` it is ``[diag(G_X)]^{-1} G_X``; here the rank
-    and ``G_X`` come from one SVD of ``X``, and ``g_ii >= 1 / smax^2 > 0``.
-    A split design does not need this SVD: ``residual_operator("full", d)``
-    takes ``G_X`` from :meth:`DesignPartition.full_gram_inverse` and shares
-    the last step with this function.
+    For a full-row-rank ``X`` it is ``[diag(G_X)]^{-1} G_X``; the rank and
+    ``G_X`` come from one SVD of ``X``, and ``g_ii >= 1 / smax^2 > 0``.
     """
     f = Svd(as_matrix(x, "x"))
     n = f.shape[0]
@@ -157,11 +159,7 @@ def full_operator(x, tol: RankTolerance | None = None) -> ResidualOperator:
         raise RankAssumptionError(
             f"rank assumption violated: design must have full row rank {n}"
         )
-    return _full_from_gram(f.gram_inverse(tol))
-
-
-def _full_from_gram(gx: np.ndarray) -> ResidualOperator:
-    """The ``full`` operator ``[diag(G_X)]^{-1} G_X`` from the inverse Gram matrix."""
+    gx = f.gram_inverse(tol)
     r = gx / np.diag(gx)[:, None]
     return ResidualOperator("full", r, float(np.sum(r * r)))
 
@@ -270,12 +268,11 @@ def residual_operator(estimator_id: str, d: DesignPartition,
                       tol: RankTolerance | None = None) -> ResidualOperator:
     """The residual operator of one estimator on a split design.
 
-    All four are built from the factors the partition keeps; ``full`` takes
-    ``G_X`` of the stacked design ``[W | T]`` by a Woodbury update of ``G_W``
-    (:meth:`DesignPartition.full_gram_inverse`) instead of factoring it.
+    ``full`` is built from the stacked design ``[W | T]``; the other three
+    from the partition itself.
     """
     if estimator_id == "full":
-        return _full_from_gram(d.full_gram_inverse(tol))
+        return full_operator(d.stacked(), tol)
     if estimator_id == "partial":
         return partial_operator(d, tol)
     if estimator_id == "w":

@@ -10,7 +10,6 @@ from pregols import (
     ExperimentConfig,
     InvalidInputError,
     Seed,
-    full_operator,
     gen_ate_design,
     gen_covariates,
     pinv,
@@ -95,15 +94,12 @@ def _close(got, expected):
 
 
 def _sim_trial_per_draw(cfg, gi, ti):
-    """The trial as a loop of single draws and ``estimate`` calls on an SVD-built ``full``."""
+    """The trial as a loop of single draws and ``estimate`` calls."""
     rng = Seed(cfg.seed).rng(gi * simharness._STREAM_STRIDE + ti)
     n, p, sigma, beta0 = simharness._sim_parameters(cfg.experiment, cfg.grid[gi])
     w = gen_covariates(CovariateConfig(model=cfg.model, n=n, q=p - 1, **cfg.covariate), rng)
     d = DesignPartition(w, np.ones((n, 1)))
-    ops = {
-        est: full_operator(d.stacked()) if est == "full" else residual_operator(est, d)
-        for est in cfg.estimators
-    }
+    ops = {est: residual_operator(est, d) for est in cfg.estimators}
     mean_y = w @ np.full(p - 1, p**-0.5) + beta0
     sums = dict.fromkeys(cfg.estimators, 0.0)
     for _ in range(cfg.draws_per_trial):
@@ -114,7 +110,7 @@ def _sim_trial_per_draw(cfg, gi, ti):
 
 
 def _ate_trial_per_draw(cfg, gi, ti):
-    """The treatment trial with a full pseudoinverse of ``[W | T]`` and single draws."""
+    """The treatment trial as a loop of single draws."""
     rng = Seed(cfg.seed).rng(gi * simharness._STREAM_STRIDE + ti)
     tau, n, q = cfg.grid[gi], simharness._ATE_N, simharness._ATE_Q
     w, dvec = gen_ate_design(n, q, rng)
