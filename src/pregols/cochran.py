@@ -179,7 +179,7 @@ def fit_aux(z, t, u, tol: RankTolerance | None = None) -> AuxFit:
     u = as_matrix(u, "u")
     if u.shape[0] != part.n:
         raise InvalidInputError("u must have the same row count as z and t")
-    dz, dt = _partial_blocks(part.w, part.t, u, tol)
+    dz, dt = _partial_blocks(part, u, tol)
     resid = u - part.w @ dz - part.t @ dt
     gap = _check_interpolation(resid, u.reshape(-1), "auxiliary fit")
     return AuxFit(delta_z=_readonly(dz), delta_t=_readonly(dt), max_interp_residual=gap)

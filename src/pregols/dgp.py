@@ -13,7 +13,8 @@ Three covariate models, all n x q with q >= n and full row rank:
 * ``standard_normal`` — i.i.d. unit Gaussians;
 * ``spiked`` — ``W = U Sigma^{1/2}`` with Haar-like orthonormal rows ``U`` and
   ``Sigma = sigma_x^2 (I + sum_l lambda_l v_l v_l^T)``: isotropic plus a few
-  large random spikes;
+  large random spikes.  The symmetric root ``Sigma^{1/2}`` is built from the
+  r x r spike block (r = min(q, k)), never from a q x q eigendecomposition;
 * ``geometric`` — a random matrix whose singular values are exactly
   ``lambda * rho^{l/2}``, synthesized as an SVD with Haar-like factors.
 """
@@ -21,6 +22,7 @@ Three covariate models, all n x q with q >= n and full row rank:
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,8 +146,8 @@ class CovariateConfig:
             )
         if not self.sigma_x > 0.0:
             raise InvalidInputError("sigma_x must be positive")
-        if self.k_spikes < 0:
-            raise InvalidInputError("k_spikes must be nonnegative")
+        if not isinstance(self.k_spikes, numbers.Integral) or self.k_spikes < 0:
+            raise InvalidInputError("k_spikes must be a nonnegative integer")
         lo, hi = self.lambda_range
         if not (0.0 <= lo <= hi):
             raise InvalidInputError("lambda_range must be ordered and nonnegative")
@@ -156,20 +158,27 @@ class CovariateConfig:
 
 
 def _spiked_covariance_root(cfg: CovariateConfig, rng: np.random.Generator) -> np.ndarray:
-    """Symmetric square root of the spiked covariance, via eigendecomposition."""
-    q = cfg.q
+    """Symmetric square root of the spiked covariance, from its r x r spike block.
+
+    With the thin QR ``V = B R`` (``B`` q x r orthonormal, r = min(q, k)),
+    ``I + V Lambda V^T = (I - B B^T) + B A B^T`` for ``A = I_r + R Lambda R^T``,
+    so the unique symmetric root is ``sigma_x (I + B (A^{1/2} - I_r) B^T)``:
+    an r x r eigenproblem and O(q k^2 + q^2 k) work, no q x q factorization.
+    """
     lo, hi = cfg.lambda_range
     k = cfg.k_spikes
-    sigma = cfg.sigma_x**2 * np.eye(q)
+    root = np.eye(cfg.q)
     if k > 0:
         lams = lo + (hi - lo) * rng.random(k)
-        v = standard_normal(rng, (q, k))
+        v = standard_normal(rng, (cfg.q, k))
         v = v / np.linalg.norm(v, axis=0)
-        sigma += cfg.sigma_x**2 * (v * lams) @ v.T
-    evals, evecs = np.linalg.eigh(sigma)
-    if np.any(evals <= 0.0):
-        raise RankAssumptionError("spiked covariance is not positive definite")
-    return (evecs * np.sqrt(evals)) @ evecs.T
+        b, r = np.linalg.qr(v)
+        evals, evecs = np.linalg.eigh(np.eye(b.shape[1]) + (r * lams) @ r.T)
+        if np.any(evals <= 0.0):
+            raise RankAssumptionError("spiked covariance is not positive definite")
+        c = b @ evecs
+        root += (c * (np.sqrt(evals) - 1.0)) @ c.T
+    return cfg.sigma_x * root
 
 
 def _draw_covariates(cfg: CovariateConfig, rng: np.random.Generator) -> np.ndarray:

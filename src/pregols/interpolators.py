@@ -39,7 +39,6 @@ from .linalg import (
     Svd,
     as_matrix,
     as_vector,
-    complement_projector,
     pinv,
 )
 
@@ -214,12 +213,21 @@ def fit_full(x, y, tol: RankTolerance | None = None) -> FullFit:
     return FullFit(beta_hat=_readonly(beta), max_interp_residual=gap)
 
 
-def _partial_blocks(w, t, rhs, tol):
-    """Core solver for the partial decomposition; rhs may be a vector or matrix."""
-    pt_perp = complement_projector(t, tol)
-    lam = pinv(pt_perp @ w, tol) @ (pt_perp @ rhs)
-    wp = pinv(w, tol)
-    tau = pinv(wp @ t, tol) @ (wp @ rhs)
+def _partial_blocks(d: DesignPartition, rhs, tol):
+    """Core solver for the partial decomposition; rhs may be a vector or matrix.
+
+    ``P W`` has rank exactly n - m: ``W`` has full row rank, so the nonzero
+    singular values of ``P W`` are at least ``s_min(W)``, which passed the
+    partition's rank check.  Its pseudoinverse keeps those n - m triplets; a
+    cutoff relative to ``||P W||`` would count the rounding noise of ``P W``,
+    of order ``eps ||W||``, as rank when ``||P W||`` is well below ``||W||``.
+    """
+    pt_perp = np.eye(d.n) - d.t_svd.projector(tol)
+    pw = Svd(pt_perp @ d.w)
+    r = d.n - d.m
+    lam = ((pw.vt[:r].T / pw.s[:r]) @ pw.u[:, :r].T) @ (pt_perp @ rhs)
+    wp = d.w_svd.pinv(tol)
+    tau = pinv(wp @ d.t, tol) @ (wp @ rhs)
     return lam, tau
 
 
@@ -240,7 +248,7 @@ def fit_partial(d: DesignPartition, y, tol: RankTolerance | None = None) -> Part
             tau_hat=_readonly(np.zeros(0)),
             max_interp_residual=full.max_interp_residual,
         )
-    lam, tau = _partial_blocks(d.w, d.t, y, tol)
+    lam, tau = _partial_blocks(d, y, tol)
     gap = _check_interpolation(y - d.w @ lam - d.t @ tau, y, "partial fit")
     return PartialFit(
         lambda_hat=_readonly(lam), tau_hat=_readonly(tau), max_interp_residual=gap

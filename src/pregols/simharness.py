@@ -30,7 +30,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -85,13 +85,42 @@ _DRAW_BLOCK = 1024  # most response rows one trial holds at a time
 _ATE_ESTIMATORS = ("full", "partial")
 
 
+_COVARIATE_KEYS = tuple(
+    f.name for f in fields(CovariateConfig) if f.name not in ("model", "n", "q")
+)
+
+
+def _covariate_settings(model: str, cov: dict) -> dict:
+    """A copy of ``cov`` checked once as the parameters of a :class:`CovariateConfig`."""
+    fixed = sorted(set(cov) & {"model", "n", "q"})
+    if fixed:
+        raise InvalidInputError(
+            f"covariate may not set {fixed}: the experiment and its grid choose them"
+        )
+    unknown = sorted(set(cov) - set(_COVARIATE_KEYS))
+    if unknown:
+        raise InvalidInputError(
+            f"unknown covariate keys {unknown}; choose from {list(_COVARIATE_KEYS)}"
+        )
+    cov = dict(cov)
+    try:
+        if "lambda_range" in cov:
+            cov["lambda_range"] = tuple(cov["lambda_range"])
+        CovariateConfig(model=model, n=1, q=1, **cov)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"invalid covariate settings {cov}: {exc}") from None
+    return cov
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment run: which study, which covariate model, and repeat counts.
 
     The desk-scale defaults (25 x 25) keep a full run under a few minutes;
     ``paper_scale=True`` in :meth:`default` switches to the 100 x 100 repeat
-    structure of the original studies.
+    structure of the original studies.  ``covariate`` holds
+    :class:`CovariateConfig` parameters for ``sim1``-``sim4``, validated here
+    once; ``ate`` always draws default spiked covariates and takes none.
     """
 
     experiment: str
@@ -114,6 +143,14 @@ class ExperimentConfig:
             )
         if self.experiment == "ate" and self.model != "spiked":
             raise InvalidInputError("the ate experiment uses the spiked model only")
+        if not isinstance(self.covariate, dict):
+            raise InvalidInputError("covariate must be an object")
+        if self.experiment == "ate" and self.covariate:
+            raise InvalidInputError(
+                "the ate experiment uses the default spiked covariates; "
+                f"it takes no covariate settings, got {sorted(self.covariate)}"
+            )
+        object.__setattr__(self, "covariate", _covariate_settings(self.model, self.covariate))
         raw = DEFAULT_GRIDS[self.experiment] if self.grid is None else self.grid
         grid = tuple(float(v) for v in raw)
         if not grid:
@@ -188,13 +225,6 @@ class ExperimentConfig:
             kwargs["grid"] = tuple(kwargs["grid"])
         if "estimators" in kwargs:
             kwargs["estimators"] = tuple(kwargs["estimators"])
-        if "covariate" in kwargs:
-            cov = kwargs["covariate"]
-            if not isinstance(cov, dict):
-                raise InvalidInputError("covariate must be an object")
-            if "lambda_range" in cov:
-                cov = dict(cov, lambda_range=tuple(cov["lambda_range"]))
-            kwargs["covariate"] = cov
         return cls(**kwargs)
 
 

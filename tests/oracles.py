@@ -79,3 +79,25 @@ def min_norm_refit_partial(w, t, y, i):
     tau = np.linalg.lstsq(wp_ty[:, :-1], wp_ty[:, -1], rcond=None)[0]
     lam = np.linalg.lstsq(w[keep], y[keep] - t[keep] @ tau, rcond=None)[0]
     return float(y[i] - w[i] @ lam - t[i] @ tau)
+
+
+def spiked_root_eigh(cfg, rng):
+    """Spiked-covariance root by a full q x q eigendecomposition.
+
+    Draws the spike strengths and directions from ``rng`` in the library's
+    order (``pregols.dgp.standard_normal`` is looked up at call time, so a
+    patched generator reaches both), forms the dense covariance
+    ``sigma_x^2 (I + V Lambda V^T)`` and returns ``E diag(sqrt(d)) E^T``.
+    """
+    from pregols import dgp
+
+    q, k = cfg.q, cfg.k_spikes
+    lo, hi = cfg.lambda_range
+    sigma = cfg.sigma_x**2 * np.eye(q)
+    if k > 0:
+        lams = lo + (hi - lo) * rng.random(k)
+        v = dgp.standard_normal(rng, (q, k))
+        v = v / np.linalg.norm(v, axis=0)
+        sigma += cfg.sigma_x**2 * (v * lams) @ v.T
+    evals, evecs = np.linalg.eigh(sigma)
+    return (evecs * np.sqrt(evals)) @ evecs.T

@@ -268,6 +268,24 @@ def test_simulate_conflicting_selection(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "experiment, covariate",
+    [("sim3", {"bogus": 1}), ("sim3", {"sigma_x": 0}), ("ate", {"sigma_x": 5})],
+)
+def test_simulate_bad_covariate_exits_1(tmp_path, capsys, experiment, covariate):
+    cfg = {"experiment": experiment, "grid": [1.0], "trials": 2,
+           "draws_per_trial": 2, "covariate": covariate}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(
+        capsys, "simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("pregols: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_dump_dir(tmp_path, capsys):
     cfg = {
         "experiment": "sim3",

@@ -16,6 +16,8 @@ from pregols import (
 )
 from pregols import dgp as dgp_module
 
+from oracles import spiked_root_eigh
+
 
 def test_splitmix64_is_stable():
     # frozen reference values of the documented mixing function
@@ -93,6 +95,62 @@ def test_spiked_no_spikes_is_isotropic():
     cfg = CovariateConfig(model="spiked", n=6, q=12, k_spikes=0, sigma_x=1.5)
     w = gen_covariates(cfg, Seed(6).rng(0))
     assert np.max(np.abs(w @ w.T - 1.5**2 * np.eye(6))) <= 1e-8
+
+
+_ROOT_CASES = {
+    "paper-sim": dict(n=80, q=99),
+    "paper-ate": dict(n=80, q=98, sigma_x=0.7),
+    "no-spikes": dict(n=6, q=12, k_spikes=0, sigma_x=1.5),
+    "k-above-q": dict(n=4, q=10, k_spikes=12, sigma_x=2.0),
+    "zero-strength": dict(n=9, q=30, k_spikes=3, lambda_range=(0.0, 0.0)),
+}
+
+
+def _assert_root_matches_oracle(cfg, seed):
+    got = dgp_module._spiked_covariance_root(cfg, Seed(seed).rng(0))
+    want = spiked_root_eigh(cfg, Seed(seed).rng(0))
+    scale = np.linalg.norm(want, 2)
+    assert np.linalg.norm(got - want, 2) <= 10 * cfg.q * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("case", sorted(_ROOT_CASES))
+def test_spiked_root_matches_eigh_oracle(case):
+    cfg = CovariateConfig(model="spiked", **_ROOT_CASES[case])
+    for seed in range(5):
+        _assert_root_matches_oracle(cfg, seed)
+
+
+def test_spiked_root_with_repeated_spike_direction(monkeypatch):
+    # two equal columns of V make R singular; A = I + R Lambda R^T stays
+    # positive definite and the root still matches the dense one
+    real = dgp_module.standard_normal
+    repeats = []
+
+    def repeated(rng, size=None):
+        out = real(rng, size)
+        if size == (40, 4):
+            out[:, 2] = out[:, 0]
+            repeats.append(size)
+        return out
+
+    monkeypatch.setattr(dgp_module, "standard_normal", repeated)
+    cfg = CovariateConfig(model="spiked", n=20, q=40, k_spikes=4)
+    _assert_root_matches_oracle(cfg, 3)
+    assert len(repeats) == 2  # the library's draw and the oracle's
+
+
+@pytest.mark.parametrize("case", sorted(_ROOT_CASES))
+def test_spiked_draw_consumes_the_stream_like_the_dense_root(case):
+    # the spikes, then the orthonormal rows: the generator ends where the
+    # dense construction leaves it, so every later draw is unchanged
+    cfg = CovariateConfig(model="spiked", **_ROOT_CASES[case])
+    lib_rng, ref_rng = Seed(21).rng(2), Seed(21).rng(2)
+    w = dgp_module._draw_covariates(cfg, lib_rng)
+    root = spiked_root_eigh(cfg, ref_rng)
+    want = orthonormal_rows(cfg.n, cfg.q, ref_rng) @ root
+    assert lib_rng.bit_generator.state == ref_rng.bit_generator.state
+    scale = np.linalg.norm(root, 2)
+    assert np.linalg.norm(w - want, 2) <= 10 * cfg.q * np.finfo(float).eps * scale
 
 
 def test_geometric_singular_values_exact():

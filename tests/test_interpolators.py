@@ -89,6 +89,27 @@ def test_fit_partial_matches_ridge_limit():
     assert np.max(np.abs(fit.tau_hat - tau_r)) <= 1e-4
 
 
+def test_fit_partial_when_t_spans_the_strong_directions_of_w():
+    # P W = u3 v3^T has norm 1 while ||W|| = 100: the rounding noise of P W
+    # (about eps ||W||) lies above a cutoff relative to ||P W|| alone, so the
+    # direct form must not take the rank of P W from its own singular values
+    rng = np.random.default_rng(0)
+    u = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    v = np.linalg.qr(rng.standard_normal((4, 4)))[0][:, :3]
+    w = (u * [100.0, 100.0, 1.0]) @ v.T
+    t = u[:, :2] @ np.array([[1.0, 2.0], [0.5, -1.0]])
+    y = np.array([1.0, -2.0, 0.5])
+    d = DesignPartition(w, t)
+    fit = fit_partial(d, y)
+    assert fit.max_interp_residual <= 1e-10
+    for name, other in fit_partial_variants(d, y).items():
+        assert np.max(np.abs(fit.lambda_hat - other.lambda_hat)) <= 1e-10, name
+        assert np.max(np.abs(fit.tau_hat - other.tau_hat)) <= 1e-10, name
+    lam_r, tau_r = ridge_solve(w, t, y, 1e-6)
+    assert np.max(np.abs(fit.lambda_hat - lam_r)) <= 1e-3
+    assert np.max(np.abs(fit.tau_hat - tau_r)) <= 1e-3
+
+
 def test_fit_partial_interpolates():
     rng = np.random.default_rng(3)
     for n, q, m in [(6, 10, 1), (12, 20, 3), (20, 40, 2)]:

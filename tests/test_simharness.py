@@ -217,6 +217,32 @@ def test_config_validation():
         ExperimentConfig(experiment="ate", model="geometric")
 
 
+@pytest.mark.parametrize(
+    "experiment, covariate, message",
+    [
+        ("sim3", {"bogus": 1}, r"unknown covariate keys \['bogus'\]"),
+        ("sim1", {"n": 5, "q": 9}, r"may not set \['n', 'q'\]"),
+        ("sim2", {"model": "geometric"}, r"may not set \['model'\]"),
+        ("sim3", {"sigma_x": 0}, "sigma_x must be positive"),
+        ("sim4", {"k_spikes": 2.5}, "k_spikes must be a nonnegative integer"),
+        ("sim3", {"lambda_range": [3.0]}, "invalid covariate settings"),
+        ("sim3", {"rho": "high"}, "invalid covariate settings"),
+        ("ate", {"k_spikes": 0, "sigma_x": 5}, "takes no covariate settings"),
+    ],
+)
+def test_config_rejects_bad_covariate_settings(experiment, covariate, message):
+    # checked once when the config is built, before any trial runs
+    with pytest.raises(InvalidInputError, match=message):
+        ExperimentConfig(experiment=experiment, covariate=covariate)
+    with pytest.raises(InvalidInputError, match=message):
+        ExperimentConfig.from_dict({"experiment": experiment, "covariate": covariate})
+
+
+def test_config_rejects_non_object_covariate():
+    with pytest.raises(InvalidInputError, match="covariate must be an object"):
+        ExperimentConfig.from_dict({"experiment": "sim3", "covariate": [1.0]})
+
+
 def test_default_grids():
     cfg = ExperimentConfig.default("sim1", model="geometric", seed=1)
     assert cfg.grid == (20.0, 40.0, 60.0, 80.0, 99.0)
