@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .exceptions import InvalidInputError, RankAssumptionError
-from .linalg import RankTolerance, as_matrix, as_vector, numeric_rank
+from .linalg import RankTolerance, Svd, as_matrix, as_vector
 
 __all__ = [
     "Seed",
@@ -39,8 +39,10 @@ __all__ = [
     "CovariateConfig",
     "COVARIATE_MODELS",
     "gen_covariates",
+    "gen_covariates_svd",
     "gen_response",
     "gen_ate_design",
+    "gen_ate_design_svd",
     "gen_ate_dataset",
 ]
 
@@ -196,22 +198,35 @@ def _draw_covariates(cfg: CovariateConfig, rng: np.random.Generator) -> np.ndarr
     return (left * svals) @ right
 
 
-def gen_covariates(
+def gen_covariates_svd(
     cfg: CovariateConfig, rng: np.random.Generator, tol: RankTolerance | None = None
-) -> np.ndarray:
-    """Draw one covariate matrix, resampling on (vanishingly rare) rank failure."""
+) -> Svd:
+    """Draw one covariate matrix as its thin SVD, resampling on (vanishingly rare) rank failure.
+
+    The rank check factors ``W`` once; the returned :class:`~pregols.linalg.Svd`
+    keeps ``W`` as ``.a`` and can be handed to
+    :class:`~pregols.interpolators.DesignPartition`, which then does not
+    factor ``W`` again.
+    """
     for attempt in range(_MAX_REJECTIONS):
-        w = _draw_covariates(cfg, rng)
-        if numeric_rank(w, tol) == cfg.n:
+        f = Svd(_draw_covariates(cfg, rng))
+        if f.rank(tol) == cfg.n:
             if attempt:
                 logger.warning(
                     "resampled covariates %d time(s) after rank failures", attempt
                 )
-            return w
+            return f
     raise RankAssumptionError(
         f"covariate model {cfg.model!r} failed the full-row-rank check "
         f"{_MAX_REJECTIONS} times in a row"
     )
+
+
+def gen_covariates(
+    cfg: CovariateConfig, rng: np.random.Generator, tol: RankTolerance | None = None
+) -> np.ndarray:
+    """Draw one covariate matrix, resampling on (vanishingly rare) rank failure."""
+    return gen_covariates_svd(cfg, rng, tol).a
 
 
 def gen_response(
@@ -233,6 +248,23 @@ def gen_response(
     return y
 
 
+def gen_ate_design_svd(
+    n: int, q: int, rng: np.random.Generator, tol: RankTolerance | None = None
+) -> tuple[Svd, np.ndarray]:
+    """:func:`gen_ate_design` with the covariates as their kept thin SVD."""
+    if not 1 <= n < q:
+        raise InvalidInputError(f"need 1 <= n < q, got n={n}, q={q}")
+    cfg = CovariateConfig(model="spiked", n=n, q=q)
+    w = gen_covariates_svd(cfg, rng, tol)
+    for _ in range(_MAX_REJECTIONS):
+        d = (rng.random(n) < 0.5).astype(np.float64)
+        if 0.0 < d.mean() < 1.0:
+            return w, d
+    raise RankAssumptionError(
+        f"treatment vector was constant {_MAX_REJECTIONS} times in a row"
+    )
+
+
 def gen_ate_design(
     n: int, q: int, rng: np.random.Generator, tol: RankTolerance | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -241,17 +273,8 @@ def gen_ate_design(
     A constant treatment would make ``[D, 1]`` rank one, so constant draws
     are rejected and redrawn.
     """
-    if not 1 <= n < q:
-        raise InvalidInputError(f"need 1 <= n < q, got n={n}, q={q}")
-    cfg = CovariateConfig(model="spiked", n=n, q=q)
-    w = gen_covariates(cfg, rng, tol)
-    for _ in range(_MAX_REJECTIONS):
-        d = (rng.random(n) < 0.5).astype(np.float64)
-        if 0.0 < d.mean() < 1.0:
-            return w, d
-    raise RankAssumptionError(
-        f"treatment vector was constant {_MAX_REJECTIONS} times in a row"
-    )
+    w, d = gen_ate_design_svd(n, q, rng, tol)
+    return w.a, d
 
 
 def gen_ate_dataset(

@@ -39,6 +39,8 @@ from .linalg import (
     Svd,
     as_matrix,
     as_vector,
+    full_row_rank_svd,
+    get_default_tolerance,
     pinv,
 )
 
@@ -71,7 +73,10 @@ class DesignPartition:
     The thin SVDs that validation computes are kept as ``w_svd`` and
     ``t_svd`` (see :class:`~pregols.linalg.Svd`); the fits, the leave-one-out
     closed forms and the variance operators derive ``W^+``, ``G_W``,
-    ``B = W^+ T`` and ``P_T`` from them instead of factoring ``W`` again.
+    ``B = W^+ T``, ``P_T`` and the inverse Gram of ``[W | T]``
+    (:meth:`full_gram_factors`) from them instead of factoring again.  ``w``
+    may be given as an ``Svd`` of ``W`` (the one a rank check has already
+    computed), which is kept as it is.
 
     The degenerate case m = 0 (no unpenalized block) is permitted only via
     :meth:`penalized_only`; fitting such a partition reduces to the fully
@@ -81,7 +86,7 @@ class DesignPartition:
     __slots__ = ("w", "t", "w_svd", "t_svd")
 
     def __init__(self, w, t, *, tol: RankTolerance | None = None):
-        w = as_matrix(w, "w")
+        w, w_svd = _penalized_block(w)
         t = as_matrix(t, "t")
         if t.shape[1] == 0:
             raise InvalidInputError(
@@ -93,7 +98,7 @@ class DesignPartition:
             raise InvalidInputError(
                 f"w and t must have equal row counts, got {w.shape[0]} and {n}"
             )
-        self._set_w(w, tol)
+        self._set_w(w, w_svd, tol)
         if m >= n:
             raise RankAssumptionError(
                 f"unpenalized block t must have fewer columns than rows, got {n}x{m}"
@@ -106,14 +111,14 @@ class DesignPartition:
                 f"column rank {m}, numeric rank is {rt}"
             )
 
-    def _set_w(self, w: np.ndarray, tol: RankTolerance | None) -> None:
+    def _set_w(self, w: np.ndarray, w_svd: Svd | None, tol: RankTolerance | None) -> None:
         n, q = w.shape
         if q < n:
             raise RankAssumptionError(
                 f"penalized block w must be wide (cols >= rows), got {n}x{q}"
             )
         self.w = _readonly(w)
-        self.w_svd = Svd(self.w)
+        self.w_svd = Svd(self.w) if w_svd is None else w_svd
         rw = self.w_svd.rank(tol)
         if rw != n:
             raise RankAssumptionError(
@@ -128,9 +133,9 @@ class DesignPartition:
     @classmethod
     def penalized_only(cls, w, *, tol: RankTolerance | None = None) -> "DesignPartition":
         """Partition with an empty unpenalized block (m = 0)."""
-        w = as_matrix(w, "w")
+        w, w_svd = _penalized_block(w)
         self = object.__new__(cls)
-        self._set_w(w, tol)
+        self._set_w(w, w_svd, tol)
         self._set_t(np.zeros((w.shape[0], 0)))
         return self
 
@@ -150,8 +155,43 @@ class DesignPartition:
         """The full design ``[W | T]`` with W columns first."""
         return np.hstack([self.w, self.t])
 
+    def full_gram_factors(
+        self, tol: RankTolerance | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(U, R)`` with ``G_X = U R^{-1} R^{-T} U^T``, the inverse row Gram of ``X = [W | T]``.
+
+        ``U`` is n x n orthogonal and ``R`` n x n upper triangular.  With
+        ``W = U S V^T`` kept and ``C = U^T T``, ``X X^T = U (S^2 + C C^T) U^T``,
+        and the R factor of the (n + m) x n matrix ``[S; C^T]`` has
+        ``R^T R = S^2 + C C^T``: one small QR, no factorization of ``X``.
+        ``R`` has the singular values of ``X``, and no Woodbury subtraction
+        from ``G_W`` is made, so nothing of size ``cond(W)^2`` cancels.
+
+        Full row rank of ``X`` is certified by
+        ``s_min(W) > cutoff((n, q + m), hypot(s_max(W), s_max(T)))``: every
+        singular value of ``X`` is at least the matching one of ``W``, and
+        ``||X|| <= hypot(||W||, ||T||)``.  When the certificate fails, ``X``
+        is factored, its rank decided from its own SVD as for an unsplit
+        design, and ``(U_X, diag(s_X))`` returned.
+        """
+        f, n = self.w_svd, self.n
+        tol = get_default_tolerance() if tol is None else tol
+        t_max = float(self.t_svd.s[0]) if self.m else 0.0
+        cut = tol.cutoff((n, self.q + self.m), float(np.hypot(f.s[0], t_max)))
+        if f.s[-1] > cut:
+            return f.u, np.linalg.qr(np.vstack([np.diag(f.s), self.t.T @ f.u]), mode="r")
+        x = full_row_rank_svd(self.stacked(), tol)
+        return x.u, np.diag(x.s)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DesignPartition(n={self.n}, q={self.q}, m={self.m})"
+
+
+def _penalized_block(w) -> tuple[np.ndarray, Svd | None]:
+    """``w`` as a checked array, with its kept SVD when ``w`` is an :class:`Svd`."""
+    if isinstance(w, Svd):
+        return as_matrix(w.a, "w"), w
+    return as_matrix(w, "w"), None
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -201,14 +241,7 @@ def fit_full(x, y, tol: RankTolerance | None = None) -> FullFit:
     n = x.shape[0]
     if y.size != n:
         raise InvalidInputError(f"y has length {y.size}, expected {n}")
-    f = Svd(x)
-    r = f.rank(tol)
-    if r != n:
-        raise RankAssumptionError(
-            f"rank assumption violated: design must have full row rank {n}, "
-            f"numeric rank is {r}"
-        )
-    beta = f.pinv(tol) @ y
+    beta = full_row_rank_svd(x, tol).pinv(tol) @ y
     gap = _check_interpolation(y - x @ beta, y, "full fit")
     return FullFit(beta_hat=_readonly(beta), max_interp_residual=gap)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InvalidInputError
+from .exceptions import InvalidInputError, RankAssumptionError
 
 __all__ = [
     "RankTolerance",
@@ -108,12 +108,15 @@ class Svd:
     Every quantity derived from it applies a :class:`RankTolerance` to the
     same singular values, so the pseudoinverse, the numeric rank, the inverse
     Gram matrix and the column-space projector of one matrix always agree on
-    its rank.  An empty matrix has empty factors.
+    its rank.  The factored matrix is kept as ``a``, so a rank check can hand
+    the whole factorization on (a :class:`~pregols.interpolators.DesignPartition`
+    accepts an ``Svd`` of ``W``).  An empty matrix has empty factors.
     """
 
-    __slots__ = ("shape", "u", "s", "vt")
+    __slots__ = ("a", "shape", "u", "s", "vt")
 
     def __init__(self, a: np.ndarray):
+        self.a = a
         self.shape = a.shape
         if a.size == 0:
             self.u, self.s = np.zeros((a.shape[0], 0)), np.zeros(0)
@@ -140,6 +143,19 @@ class Svd:
     def projector(self, tol: RankTolerance | None = None) -> np.ndarray:
         u = self.kept(tol)[0]
         return u @ u.T
+
+
+def full_row_rank_svd(a: np.ndarray, tol: RankTolerance | None = None,
+                      name: str = "design") -> Svd:
+    """The thin SVD of ``a``, raising :class:`RankAssumptionError` unless it has full row rank."""
+    f = Svd(a)
+    r = f.rank(tol)
+    if r != a.shape[0]:
+        raise RankAssumptionError(
+            f"rank assumption violated: {name} must have full row rank "
+            f"{a.shape[0]}, numeric rank is {r}"
+        )
+    return f
 
 
 def pinv(m, tol: RankTolerance | None = None) -> np.ndarray:

@@ -16,11 +16,14 @@ Every residual comes from one kernel.  With ``a_i = T^T G_W e_i`` and
 ``(Wt_i T)^T Wt_i = T^T G_W - a_i g_i^T / g_ii``.  A Sherman-Morrison step on
 the m x m matrix ``M`` then gives every row of the residual map at once,
 
-    R = [diag(Q)]^{-1} Q,    Q = G_W - G_W T M^{-1} T^T G_W,
+    R = [diag(Q)]^{-1} Q,    Q = G_W - G_W T M^{-1} T^T G_W.
 
-where ``Q_ii = g_ii s_i`` and ``s_i = 1 - a_i^T M^{-1} a_i / g_ii`` is the
-Sherman-Morrison denominator.  No per-index factorization is needed, and
-``G_W`` and ``W^+`` come from the SVD the :class:`DesignPartition` keeps.
+``Q`` is not formed by that subtraction, which loses about
+``cond(W)^2 * eps`` when ``T`` lies along the weakest directions of ``W``.
+With ``L = U S^{-1}`` from the SVD the :class:`DesignPartition` keeps (so
+``G_W = L L^T``) and ``N`` an orthonormal basis of the complement of
+colsp(L^T T), it is the projection ``Q = (L N)(L N)^T``.  No per-index
+factorization is needed.
 
 All closed forms here are validated against :func:`brute_force_refit`, which
 physically deletes the row and refits; that oracle is part of the public
@@ -31,8 +34,9 @@ remaining rows linearly independent, so only one thing can fail, and it is
 checked per index: the unpenalized block may lose full column rank when the
 row is removed.  ``Wt_i`` annihilates ``e_i`` and is injective on its
 complement, so ``rank(Wt_i T) = rank(T_{-i})``, and both are full exactly
-when ``e_i`` is outside colsp(T), that is when ``s_i > 0``.  One check, of
-``s_i`` against the square root of the rank cutoff, covers both.
+when ``e_i`` is outside colsp(T), that is when the leverage
+``h_i = ||U_T[i]||^2`` of ``T`` is below 1.  One check, of ``1 - h_i``
+against the square root of the rank cutoff, covers both.
 """
 
 from __future__ import annotations
@@ -43,7 +47,14 @@ import numpy as np
 
 from .exceptions import InvalidInputError, RankAssumptionError
 from .interpolators import DesignPartition, fit_partial
-from .linalg import RankTolerance, Svd, as_matrix, as_vector, get_default_tolerance, pinv
+from .linalg import (
+    RankTolerance,
+    as_matrix,
+    as_vector,
+    full_row_rank_svd,
+    get_default_tolerance,
+    pinv,
+)
 
 __all__ = [
     "LooProjector",
@@ -102,11 +113,7 @@ def loo_projector(w, i: int, tol: RankTolerance | None = None) -> LooProjector:
     w = as_matrix(w, "w")
     n = w.shape[0]
     i = _check_index(i, n)
-    f = Svd(w)
-    if f.rank(tol) != n:
-        raise RankAssumptionError(
-            f"rank assumption violated: w must have full row rank {n}"
-        )
+    f = full_row_rank_svd(w, tol, "w")
     wp = f.pinv(tol)
     gw = f.gram_inverse(tol)
     gii = float(gw[i, i])  # >= 1 / smax^2: U has orthonormal rows
@@ -120,33 +127,48 @@ def loo_projector(w, i: int, tol: RankTolerance | None = None) -> LooProjector:
     )
 
 
-def _loo_gram(d: DesignPartition, tol, rows: np.ndarray):
-    """``(G_W, Q)`` with ``Q = G_W - G_W T M^{-1} T^T G_W``, rank-checked at ``rows``.
+def _check_loo_rows(d: DesignPartition, tol, rows: np.ndarray) -> None:
+    """Raise :class:`RankAssumptionError` unless every index in ``rows`` can be left out.
 
-    Raises :class:`RankAssumptionError` naming the first index in ``rows``
-    whose Sherman-Morrison denominator ``s_i = Q_ii / g_ii`` is at the rank
-    cutoff.  ``s_i`` is a squared ratio, so rounding leaves it near eps, not
-    0, under exact rank loss; it is compared with the square root of the
-    cutoff.
+    Deleting row ``i`` keeps ``T`` at full column rank exactly when ``e_i``
+    is outside colsp(T), that is when its leverage ``h_i = ||U_T[i]||^2``
+    is below 1.  ``1 - h_i`` is a squared distance, computed with rounding
+    of order eps, so it is compared with the square root of the cutoff.
     """
     if d.w_svd.rank(tol) != d.n:
         raise RankAssumptionError(
             f"rank assumption violated: penalized block w must have full row rank {d.n}"
         )
-    gw = d.w_svd.gram_inverse(tol)
-    if d.m == 0:
-        return gw, gw
-    a = d.t.T @ gw  # column i is a_i
-    q = gw - a.T @ np.linalg.solve(a @ d.t, a)
     tol = get_default_tolerance() if tol is None else tol
-    s = np.diag(q)[rows] / np.diag(gw)[rows]
-    bad = rows[s <= np.sqrt(tol.cutoff((d.n, d.m), 1.0))]
+    ut = d.t_svd.u[rows]
+    lev = np.einsum("ij,ij->i", ut, ut)
+    bad = rows[1.0 - lev <= np.sqrt(tol.cutoff((d.n, d.m), 1.0))]
     if bad.size:
         raise RankAssumptionError(
             f"leave-one-out rank violation at index {bad[0]}: unpenalized block t "
             "loses full column rank when the row is removed"
         )
-    return gw, q
+
+
+def _loo_gram(d: DesignPartition) -> np.ndarray:
+    """``Q = G_W - G_W T M^{-1} T^T G_W``, built as a projection.
+
+    With ``L = U S^{-1}`` (so ``G_W = L L^T``) and ``N`` the last n - m
+    columns of the complete QR of ``K = L^T T``, an orthonormal basis of
+    the complement of colsp(K), ``Q = L (I - K K^+) L^T = (L N)(L N)^T``.
+    Nothing is subtracted, so no ``cond(W)^2`` cancellation occurs when
+    ``T`` lies along the weakest directions of ``W``.
+    """
+    f = d.w_svd
+    ln = f.u / f.s  # L; W has full row rank, so U is n x n
+    # L times the complete Q factor of K, one Householder reflector
+    # H_j = I - tau_j v_j v_j^T at a time; the last n - m columns of Q are N
+    h, tau = np.linalg.qr(ln.T @ d.t, mode="raw")
+    for j in range(d.m):
+        v = np.concatenate([np.zeros(j), [1.0], h[j, j + 1:]])
+        ln -= np.outer(ln @ v, tau[j] * v)
+    ln = ln[:, d.m:]
+    return ln @ ln.T
 
 
 def _check_response(y, n: int) -> np.ndarray:
@@ -162,7 +184,8 @@ def loo_fit(
     """Leave-one-out coefficient pair ``(lambda_loo, tau_loo)`` without refitting."""
     y = _check_response(y, d.n)
     i = _check_index(i, d.n)
-    gw, _ = _loo_gram(d, tol, np.array([i]))
+    _check_loo_rows(d, tol, np.array([i]))
+    gw = d.w_svd.gram_inverse(tol)
     wp = d.w_svd.pinv(tol)
     w_tilde = wp - np.outer(wp[:, i], gw[i]) / gw[i, i]
     wt_t = w_tilde @ d.t
@@ -182,7 +205,8 @@ def loo_residual_partial(
     """
     y = _check_response(y, d.n)
     i = _check_index(i, d.n)
-    _, q = _loo_gram(d, tol, np.array([i]))
+    _check_loo_rows(d, tol, np.array([i]))
+    q = _loo_gram(d)
     return float(q[i] @ y / q[i, i])
 
 
@@ -216,7 +240,8 @@ class PartialLooSolver:
 
     def __init__(self, d: DesignPartition, tol: RankTolerance | None = None):
         self.design = d
-        _, q = _loo_gram(d, tol, np.arange(d.n))
+        _check_loo_rows(d, tol, np.arange(d.n))
+        q = _loo_gram(d)
         rows = q / np.diag(q)[:, None]
         rows.setflags(write=False)
         self.residual_matrix = rows
@@ -250,11 +275,7 @@ def gram_downdate(x, i: int, tol: RankTolerance | None = None) -> np.ndarray:
     x = as_matrix(x, "x")
     n = x.shape[0]
     i = _check_index(i, n)
-    f = Svd(x)
-    if f.rank(tol) != n:
-        raise RankAssumptionError(
-            f"rank assumption violated: design must have full row rank {n}"
-        )
+    f = full_row_rank_svd(x, tol)
     xp = f.pinv(tol)
     gx = f.gram_inverse(tol)
     gii = float(gx[i, i])

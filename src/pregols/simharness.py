@@ -34,12 +34,14 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .dgp import (
+from .dgp import (  # noqa: F401  perfbench/workloads.py traces gen_ate_design, gen_covariates
     COVARIATE_MODELS,
     CovariateConfig,
     Seed,
     gen_ate_design,
+    gen_ate_design_svd,
     gen_covariates,
+    gen_covariates_svd,
     standard_normal,
 )
 from .exceptions import ExperimentAbortedError, InvalidInputError, RankAssumptionError
@@ -303,10 +305,11 @@ def _sim_trial(cfg: ExperimentConfig, gi: int, ti: int, dump_dir=None):
     n, p, sigma, beta0 = _sim_parameters(cfg.experiment, cfg.grid[gi])
     q = p - 1
     cov = CovariateConfig(model=cfg.model, n=n, q=q, **cfg.covariate)
-    w = gen_covariates(cov, rng)
+    w_svd = gen_covariates_svd(cov, rng)
+    w = w_svd.a
     if dump_dir is not None:
         _dump(dump_dir, cfg, gi, ti, "w", w)
-    part = DesignPartition(w, np.ones((n, 1)))
+    part = DesignPartition(w_svd, np.ones((n, 1)))
     ops = {est: residual_operator(est, part) for est in cfg.estimators}
     beta1 = np.full(q, p**-0.5)
     mean_y = w @ beta1 + beta0
@@ -317,21 +320,33 @@ def _sim_trial(cfg: ExperimentConfig, gi: int, ti: int, dump_dir=None):
     return {est: s / cfg.draws_per_trial for est, s in sums.items()}
 
 
+def _treatment_rows(part: DesignPartition) -> tuple[np.ndarray, np.ndarray]:
+    """Rows mapping ``y`` to the treatment coefficient of the full and the split fit.
+
+    ``T = [d, 1]``.  The full fit's is row q of ``X^+ = X^T G_X``, that is
+    ``G_X d = U R^{-1} R^{-T} U^T d`` from
+    :meth:`DesignPartition.full_gram_factors`, two triangular solves; the
+    split fit's is the first row of ``(W^+ T)^+ W^+``.
+    """
+    u, r = part.full_gram_factors()
+    full_row = u @ np.linalg.solve(r, np.linalg.solve(r.T, u.T @ part.t[:, 0]))
+    wp = part.w_svd.pinv()
+    partial_row = (pinv(wp @ part.t) @ wp)[0]
+    return full_row, partial_row
+
+
 def _ate_trial(cfg: ExperimentConfig, gi: int, ti: int, dump_dir=None):
     """One (covariates, treatment) draw; mean treatment-coefficient error per fit."""
     rng = Seed(cfg.seed).rng(gi * _STREAM_STRIDE + ti)
     tau = cfg.grid[gi]
     n, q = _ATE_N, _ATE_Q
-    w, dvec = gen_ate_design(n, q, rng)
+    w_svd, dvec = gen_ate_design_svd(n, q, rng)
+    w = w_svd.a
     if dump_dir is not None:
         _dump(dump_dir, cfg, gi, ti, "w", w)
         _dump(dump_dir, cfg, gi, ti, "d", dvec.reshape(-1, 1))
-    t = np.column_stack([dvec, np.ones(n)])
-    part = DesignPartition(w, t)
-    x = np.hstack([w, t])
-    full_row = pinv(x)[q]  # functional extracting the treatment coefficient
-    wp = part.w_svd.pinv()
-    partial_row = (pinv(wp @ t) @ wp)[0]
+    part = DesignPartition(w_svd, np.column_stack([dvec, np.ones(n)]))
+    full_row, partial_row = _treatment_rows(part)
     alpha = np.full(q, (q + 2) ** -0.5)
     mean_y = w @ alpha + tau * dvec + 1.0
     sums = {"full": 0.0, "partial": 0.0}

@@ -38,9 +38,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InvalidInputError, RankAssumptionError
+from .exceptions import InvalidInputError
 from .interpolators import DesignPartition
-from .linalg import RankTolerance, Svd, as_matrix, as_vector, complement_projector
+from .linalg import (
+    RankTolerance,
+    as_matrix,
+    as_vector,
+    complement_projector,
+    full_row_rank_svd,
+)
 from .loo import PartialLooSolver
 
 __all__ = [
@@ -150,16 +156,18 @@ class ResidualOperator:
 def full_operator(x, tol: RankTolerance | None = None) -> ResidualOperator:
     """Leave-one-out residual map of the unsplit minimum-norm interpolator.
 
-    For a full-row-rank ``X`` it is ``[diag(G_X)]^{-1} G_X``; the rank and
-    ``G_X`` come from one SVD of ``X``, and ``g_ii >= 1 / smax^2 > 0``.
+    For a full-row-rank ``X`` it is ``[diag(G_X)]^{-1} G_X``, and
+    ``g_ii >= 1 / smax^2 > 0``.  For an array ``x`` the rank and ``G_X``
+    come from one SVD of ``X``; for a :class:`DesignPartition` they come
+    from its kept factors (:meth:`DesignPartition.full_gram_factors`), with
+    ``X = [W | T]`` never factored unless its rank certificate fails.
     """
-    f = Svd(as_matrix(x, "x"))
-    n = f.shape[0]
-    if f.rank(tol) != n:
-        raise RankAssumptionError(
-            f"rank assumption violated: design must have full row rank {n}"
-        )
-    gx = f.gram_inverse(tol)
+    if isinstance(x, DesignPartition):
+        u, r = x.full_gram_factors(tol)
+        ell = u @ np.linalg.inv(r)  # G_X = L L^T; LU of a triangular r swaps no rows
+        gx = ell @ ell.T
+    else:
+        gx = full_row_rank_svd(as_matrix(x, "x"), tol).gram_inverse(tol)
     r = gx / np.diag(gx)[:, None]
     return ResidualOperator("full", r, float(np.sum(r * r)))
 
@@ -268,11 +276,11 @@ def residual_operator(estimator_id: str, d: DesignPartition,
                       tol: RankTolerance | None = None) -> ResidualOperator:
     """The residual operator of one estimator on a split design.
 
-    ``full`` is built from the stacked design ``[W | T]``; the other three
-    from the partition itself.
+    ``full`` is the map of the stacked design ``[W | T]``; it and the other
+    three are built from the partition's kept factors.
     """
     if estimator_id == "full":
-        return full_operator(d.stacked(), tol)
+        return full_operator(d, tol)
     if estimator_id == "partial":
         return partial_operator(d, tol)
     if estimator_id == "w":

@@ -81,6 +81,22 @@ def min_norm_refit_partial(w, t, y, i):
     return float(y[i] - w[i] @ lam - t[i] @ tau)
 
 
+def weak_constant_direction_w(cond, rng, n=10, q=20):
+    """``(W, U)``: ``W = U diag(1, ..., 1, 1/cond) V^T`` (n x q) whose weakest
+    left singular vector ``U[:, -1]`` is the constant vector +-1/sqrt(n).
+
+    An intercept ``T`` then lies along the weakest direction of ``W`` while
+    ``[W | T]`` stays well conditioned: the case where an update of ``G_W``
+    cancels terms of size ``cond^2``.
+    """
+    u, _ = np.linalg.qr(np.column_stack([np.ones(n), rng.standard_normal((n, n - 1))]))
+    u = u[:, ::-1]
+    v, _ = np.linalg.qr(rng.standard_normal((q, n)))
+    s = np.ones(n)
+    s[-1] = 1.0 / cond
+    return (u * s) @ v.T, u
+
+
 def spiked_root_eigh(cfg, rng):
     """Spiked-covariance root by a full q x q eigendecomposition.
 

@@ -181,19 +181,24 @@ def test_standard_normal_model_full_rank():
         assert numeric_rank(gen_covariates(cfg, rng)) == 10
 
 
-def test_gen_covariates_resamples_on_rank_failure(monkeypatch):
+def test_gen_covariates_resamples_on_rank_failure(monkeypatch, caplog):
+    # the rank check is the rank of the thin SVD that the design keeps
     cfg = CovariateConfig(model="standard_normal", n=4, q=6)
     calls = {"n": 0}
-    real = dgp_module.numeric_rank
 
-    def flaky(m, tol=None):
-        calls["n"] += 1
-        return 0 if calls["n"] == 1 else real(m, tol)
+    class FlakySvd(dgp_module.Svd):
+        __slots__ = ()
 
-    monkeypatch.setattr(dgp_module, "numeric_rank", flaky)
-    w = dgp_module.gen_covariates(cfg, Seed(10).rng(0))
+        def rank(self, tol=None):
+            calls["n"] += 1
+            return 0 if calls["n"] == 1 else super().rank(tol)
+
+    monkeypatch.setattr(dgp_module, "Svd", FlakySvd)
+    with caplog.at_level("WARNING", logger="pregols.dgp"):
+        w = dgp_module.gen_covariates(cfg, Seed(10).rng(0))
     assert w.shape == (4, 6)
     assert calls["n"] == 2
+    assert caplog.messages == ["resampled covariates 1 time(s) after rank failures"]
 
 
 def test_covariate_config_validation():

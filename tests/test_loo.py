@@ -20,7 +20,7 @@ from pregols import (
     predict,
 )
 
-from oracles import min_norm_refit_full, min_norm_refit_partial
+from oracles import min_norm_refit_full, min_norm_refit_partial, weak_constant_direction_w
 
 
 def random_partition(rng, n, q, m):
@@ -277,17 +277,42 @@ def _geometric_design(cond, seed):
     return w, rng.standard_normal((10, 1)), rng.standard_normal(10)
 
 
-@pytest.mark.parametrize("cond", [1e6, 1e8])
-def test_ill_conditioned_loo_matches_refit_or_raises(cond):
-    w, t, y = _geometric_design(cond, seed=1)
+def _intercept_design(cond, seed):
+    """10 x 20 ``W`` whose weakest direction, of singular value 1/cond, is the
+    constant vector; ``T = ones`` and a random y."""
+    rng = np.random.default_rng(seed)
+    w, _ = weak_constant_direction_w(cond, rng)
+    return w, np.ones((10, 1)), rng.standard_normal(10)
+
+
+@pytest.mark.parametrize(
+    "make, cond",
+    [
+        pytest.param(_geometric_design, 1e6, id="1000000.0"),
+        pytest.param(_geometric_design, 1e8, id="100000000.0"),
+        pytest.param(_intercept_design, 1e4, id="intercept-10000.0"),
+        pytest.param(_intercept_design, 1e6, id="intercept-1000000.0"),
+        pytest.param(_intercept_design, 1e8, id="intercept-100000000.0"),
+    ],
+)
+def test_ill_conditioned_loo_matches_refit_or_raises(make, cond):
+    w, t, y = make(cond, seed=1)
     d = DesignPartition(w, t)
     expected = np.array([min_norm_refit_partial(w, t, y, i) for i in range(10)])
+    scale = 1.0 + np.max(np.abs(expected))
     try:
         got = PartialLooSolver(d).residuals(y)
     except RankAssumptionError:
-        got = None  # refusing is allowed; a wrong number is not
+        # refusing is allowed where deleting a row may cost t its rank; an
+        # intercept never loses rank, so there a refusal is a false alarm
+        assert make is not _intercept_design
+        got = None
     if got is not None:
-        assert np.max(np.abs(got - expected)) <= 1e-6 * (1.0 + np.max(np.abs(expected)))
+        assert np.max(np.abs(got - expected)) <= 1e-6 * scale
+    if make is _intercept_design:
+        # the split kernel loses at most about cond(W) * eps here, not cond(W)^2 * eps
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(got - expected)) <= 100 * cond * eps * scale
     # G_W keeps the weakest direction of W, whose eigenvalue is smin^-2
     smin = np.linalg.svd(w, compute_uv=False)[-1]
     assert np.linalg.norm(gram_inverse(w), 2) == pytest.approx(smin**-2, rel=1e-6)

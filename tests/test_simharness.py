@@ -143,6 +143,31 @@ def test_batched_trials_match_per_draw_loop(monkeypatch, block):
             _close(simharness._ate_trial(ate, gi, ti), _ate_trial_per_draw(ate, gi, ti))
 
 
+def test_each_trial_factors_its_design_three_times(monkeypatch):
+    # W once (the rank check's SVD is kept), T and B = W^+ T; never [W | T]
+    svd = np.linalg.svd
+    shapes = []
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    sim = tiny_config(experiment="sim1", grid=(20.0, 60.0), draws_per_trial=2)
+    ate = ExperimentConfig(
+        experiment="ate", grid=(-2.0, 4.0), trials=2, draws_per_trial=2, seed=5
+    )
+    n, q = simharness._ATE_N, simharness._ATE_Q
+    for gi in range(2):
+        shapes.clear()
+        simharness._sim_trial(sim, gi, 0)
+        n_sim = int(sim.grid[gi])
+        assert shapes == [(n_sim, 99), (n_sim, 1), (99, 1)]
+        shapes.clear()
+        simharness._ate_trial(ate, gi, 0)
+        assert shapes == [(n, q), (n, 2), (q, 2)]
+
+
 def test_ate_reports_full_and_partial():
     cfg = ExperimentConfig(experiment="ate", model="spiked", grid=(2.0,), **TINY)
     rep = run_ate(cfg)

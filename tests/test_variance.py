@@ -7,6 +7,7 @@ from pregols import (
     DesignPartition,
     GaussMarkovTruth,
     InvalidInputError,
+    RankAssumptionError,
     Seed,
     expected_bias,
     full_operator,
@@ -22,6 +23,8 @@ from pregols import (
     wc_normalizers,
     wc_operator,
 )
+
+from oracles import weak_constant_direction_w
 
 
 def fixture_partition(seed=0, n=12, q=18, m=1):
@@ -222,9 +225,7 @@ def test_estimates_nonnegative():
             assert rep.estimate >= 0.0, est
 
 
-def test_one_design_is_factored_a_handful_of_times(monkeypatch):
-    # the SVDs of W, T, [W | T] and B = W^+ T; nothing per held-out row
-    w = gen_covariates(CovariateConfig(model="spiked", n=40, q=99), Seed(314).rng(0))
+def _count_svds(monkeypatch):
     svd = np.linalg.svd
     calls = []
 
@@ -233,10 +234,17 @@ def test_one_design_is_factored_a_handful_of_times(monkeypatch):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def test_one_design_is_factored_a_handful_of_times(monkeypatch):
+    # the SVDs of W, T and B = W^+ T; not [W | T], nothing per held-out row
+    w = gen_covariates(CovariateConfig(model="spiked", n=40, q=99), Seed(314).rng(0))
+    calls = _count_svds(monkeypatch)
     d = DesignPartition(w, np.ones((40, 1)))
     for est in ESTIMATOR_IDS:
         residual_operator(est, d)
-    assert len(calls) <= 4
+    assert len(calls) <= 3
 
 
 def test_estimate_names_the_argument_of_wrong_length():
@@ -247,3 +255,59 @@ def test_estimate_names_the_argument_of_wrong_length():
         op.expected_bias(np.ones(13))
     with pytest.raises(InvalidInputError, match="^rows of ys have length 11"):
         op.estimates(np.ones((3, 11)))
+
+
+# ------------------------------------------------ full map from kept factors
+
+
+def _weak_direction_design(cond, t="treatment", t_scale=1.0, seed=3):
+    """10 x 20 ``W`` whose weakest direction ``u_10``, of singular value
+    1/cond, is the constant vector, and a ``T`` scaled by ``t_scale``:
+    ``[d, 1]`` (``"treatment"``), ``u_10`` (``"weakest"``) or ``u_1``
+    (``"strongest"``)."""
+    w, u = weak_constant_direction_w(cond, np.random.default_rng(seed))
+    if t == "treatment":
+        block = np.column_stack([np.arange(10) % 3 == 0, np.ones(10)]).astype(float)
+    else:
+        block = u[:, -1:] if t == "weakest" else u[:, :1]
+    return w, t_scale * block
+
+
+@pytest.mark.parametrize("cond", [1e4, 1e6, 1e8])
+def test_full_map_from_kept_factors_when_t_lies_along_the_weakest_direction(
+    monkeypatch, cond
+):
+    from pregols.simharness import _treatment_rows
+
+    d = DesignPartition(*_weak_direction_design(cond))
+    x = d.stacked()
+    bound = 10 * d.n * np.linalg.cond(x) * np.finfo(float).eps
+    ref_op = full_operator(x).matrix
+    ref_row = np.linalg.pinv(x)[d.q]
+    calls = _count_svds(monkeypatch)
+    op = residual_operator("full", d)
+    row, _ = _treatment_rows(d)
+    monkeypatch.undo()
+    assert len(calls) == 1  # B = W^+ T for the split row; [W | T] is not factored
+    assert np.max(np.abs(op.matrix - ref_op)) <= bound * np.max(np.abs(ref_op))
+    assert np.max(np.abs(row - ref_row)) <= bound * np.max(np.abs(ref_row))
+
+
+@pytest.mark.parametrize("t, full_rank", [("weakest", True), ("strongest", False)])
+def test_full_map_falls_back_when_the_rank_certificate_fails(monkeypatch, t, full_rank):
+    # cond(W) = 1e3 against ||T|| = 1e12: s_min(W) is below the cutoff of
+    # hypot(||W||, ||T||), so [W | T] is factored to decide its rank
+    d = DesignPartition(*_weak_direction_design(1e3, t, t_scale=1e12))
+    calls = _count_svds(monkeypatch)
+    if full_rank:
+        expected = full_operator(d.stacked()).matrix
+        got = full_operator(d).matrix
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+    else:
+        with pytest.raises(RankAssumptionError) as stacked:
+            full_operator(d.stacked())
+        with pytest.raises(RankAssumptionError, match="full row rank 10") as split:
+            full_operator(d)
+        assert str(split.value) == str(stacked.value)
+    monkeypatch.undo()
+    assert len(calls) == 2  # one SVD of [W | T] per call
