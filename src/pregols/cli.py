@@ -8,6 +8,7 @@ preconditions (the message names the failed condition).
 from __future__ import annotations
 
 import argparse
+import contextvars
 import json
 import sys
 
@@ -235,21 +236,23 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"pregols: error: {exc}", file=sys.stderr)
         return 1
-    saved_tol = linalg.get_default_tolerance()
     try:
-        if args.rank_tol is not None:
-            linalg.set_default_tolerance(RankTolerance(relative_cutoff=args.rank_tol))
-        if getattr(args, "seed", None) is not None:
-            Seed(args.seed)  # validate range before running anything
-        return args.func(args)
+        # the command's --rank-tol stays in a context of its own
+        return contextvars.copy_context().run(_run, args)
     except RankAssumptionError as exc:
         print(f"pregols: {exc}", file=sys.stderr)
         return 2
     except (PregolsError, OSError, ValueError) as exc:
         print(f"pregols: {exc}", file=sys.stderr)
         return 1
-    finally:
-        linalg.set_default_tolerance(saved_tol)
+
+
+def _run(args) -> int:
+    if args.rank_tol is not None:
+        linalg.set_default_tolerance(RankTolerance(relative_cutoff=args.rank_tol))
+    if getattr(args, "seed", None) is not None:
+        Seed(args.seed)  # validate range before running anything
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -17,6 +17,16 @@ Three covariate models, all n x q with q >= n and full row rank:
   r x r spike block (r = min(q, k)), never from a q x q eigendecomposition;
 * ``geometric`` — a random matrix whose singular values are exactly
   ``lambda * rho^{l/2}``, synthesized as an SVD with Haar-like factors.
+
+:func:`gen_covariates_svd` returns each draw as its thin
+:class:`~pregols.linalg.Svd`.  The spiked and geometric draws are born
+factored: the geometric synthesis is its SVD, and a spiked ``W`` has
+``W W^T = sigma_x^2 (I_n + K E K^T)`` with ``K = U_h C`` (n x r, ``U_h``
+the Haar-like rows, ``C`` the orthonormal spike directions) and ``E >= 0``,
+so a complete QR of ``K`` and an r x r eigenproblem give the left factor
+and the singular values, and ``V^T = S^{-1} U^T W`` is one product.  No
+SVD of ``W`` is taken for them; the standard normal model, which has no
+such structure, factors ``W`` once.
 """
 
 from __future__ import annotations
@@ -159,17 +169,21 @@ class CovariateConfig:
             raise InvalidInputError("lambda_geo must be positive")
 
 
-def _spiked_covariance_root(cfg: CovariateConfig, rng: np.random.Generator) -> np.ndarray:
-    """Symmetric square root of the spiked covariance, from its r x r spike block.
+def _spiked_covariance(cfg: CovariateConfig, rng: np.random.Generator):
+    """``(root, C, A)``: the root of the spiked covariance and its r x r spike block.
 
     With the thin QR ``V = B R`` (``B`` q x r orthonormal, r = min(q, k)),
-    ``I + V Lambda V^T = (I - B B^T) + B A B^T`` for ``A = I_r + R Lambda R^T``,
-    so the unique symmetric root is ``sigma_x (I + B (A^{1/2} - I_r) B^T)``:
-    an r x r eigenproblem and O(q k^2 + q^2 k) work, no q x q factorization.
+    ``I + V Lambda V^T = (I - B B^T) + B (I_r + R Lambda R^T) B^T``.  ``A``
+    holds the eigenvalues of ``I_r + R Lambda R^T`` (all >= 1) and
+    ``C = B Z`` its eigenvectors, so ``C`` has orthonormal columns,
+    ``Sigma = sigma_x^2 (I + C (diag(A) - I) C^T)`` and its unique symmetric
+    root is ``sigma_x (I + C (diag(A)^{1/2} - I) C^T)``: an r x r
+    eigenproblem and O(q k^2 + q^2 k) work, no q x q factorization.
     """
     lo, hi = cfg.lambda_range
     k = cfg.k_spikes
     root = np.eye(cfg.q)
+    c, evals = np.zeros((cfg.q, 0)), np.zeros(0)
     if k > 0:
         lams = lo + (hi - lo) * rng.random(k)
         v = standard_normal(rng, (cfg.q, k))
@@ -180,22 +194,54 @@ def _spiked_covariance_root(cfg: CovariateConfig, rng: np.random.Generator) -> n
             raise RankAssumptionError("spiked covariance is not positive definite")
         c = b @ evecs
         root += (c * (np.sqrt(evals) - 1.0)) @ c.T
-    return cfg.sigma_x * root
+    return cfg.sigma_x * root, c, evals
 
 
-def _draw_covariates(cfg: CovariateConfig, rng: np.random.Generator) -> np.ndarray:
+def _spiked_covariance_root(cfg: CovariateConfig, rng: np.random.Generator) -> np.ndarray:
+    """Symmetric square root of the spiked covariance, from its r x r spike block."""
+    return _spiked_covariance(cfg, rng)[0]
+
+
+def _spiked_left_factors(k: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(U, d)`` with ``I_n + K diag(e) K^T = U diag(d) U^T``, ``d`` descending.
+
+    For r < n columns of ``K``, the complete QR ``K = Q R`` and the r x r
+    ``eigh`` of ``R_1 diag(e) R_1^T = Z Lambda Z^T`` give
+    the block-diagonal product ``U = Q diag(Z, I_{n-r})`` and
+    ``d = (1 + Lambda, 1, ..., 1)``; for r >= n the n x n matrix is
+    factored directly.
+    """
+    n, r = k.shape
+    if r >= n:
+        d, u = np.linalg.eigh(np.eye(n) + (k * e) @ k.T)
+        return u[:, ::-1], d[::-1]
+    u, rk = np.linalg.qr(k, mode="complete")
+    lam, z = np.linalg.eigh((rk[:r] * e) @ rk[:r].T)
+    u[:, :r] = u[:, :r] @ z
+    d = np.concatenate([1.0 + lam, np.ones(n - r)])
+    order = np.argsort(-d, kind="stable")
+    return u[:, order], d[order]
+
+
+def _draw_covariates(cfg: CovariateConfig, rng: np.random.Generator) -> Svd:
+    """One covariate draw as its thin SVD; built, not computed, for spiked and geometric."""
     if cfg.model == "standard_normal":
-        return standard_normal(rng, (cfg.n, cfg.q))
+        return Svd(standard_normal(rng, (cfg.n, cfg.q)))
     if cfg.model == "spiked":
-        root = _spiked_covariance_root(cfg, rng)
-        u = orthonormal_rows(cfg.n, cfg.q, rng)
-        return u @ root
+        # W = U_h Sigma^{1/2} and W W^T = sigma_x^2 (I_n + K E K^T) with
+        # K = U_h C and E = diag(A) - I >= 0; then V^T = S^{-1} U^T W
+        root, c, evals = _spiked_covariance(cfg, rng)
+        uh = orthonormal_rows(cfg.n, cfg.q, rng)
+        w = uh @ root
+        u, d = _spiked_left_factors(uh @ c, evals - 1.0)
+        s = cfg.sigma_x * np.sqrt(d)
+        return Svd.from_factors(w, u, s, (u.T @ w) / s[:, None])
     # geometric: exact SVD synthesis, so the top-n singular values are
     # lambda * rho^{l/2} by construction rather than approximately.
     svals = cfg.lambda_geo * cfg.rho ** (np.arange(1, cfg.n + 1) / 2.0)
     left = orthonormal_rows(cfg.n, cfg.n, rng)
     right = orthonormal_rows(cfg.n, cfg.q, rng)
-    return (left * svals) @ right
+    return Svd.from_factors((left * svals) @ right, left, svals, right)
 
 
 def gen_covariates_svd(
@@ -203,13 +249,15 @@ def gen_covariates_svd(
 ) -> Svd:
     """Draw one covariate matrix as its thin SVD, resampling on (vanishingly rare) rank failure.
 
-    The rank check factors ``W`` once; the returned :class:`~pregols.linalg.Svd`
-    keeps ``W`` as ``.a`` and can be handed to
+    The spiked and geometric models build the factors with the draw and
+    the standard normal model factors ``W`` once; the rank check reads the
+    singular values.  The returned :class:`~pregols.linalg.Svd` keeps ``W``
+    as ``.a`` and can be handed to
     :class:`~pregols.interpolators.DesignPartition`, which then does not
     factor ``W`` again.
     """
     for attempt in range(_MAX_REJECTIONS):
-        f = Svd(_draw_covariates(cfg, rng))
+        f = _draw_covariates(cfg, rng)
         if f.rank(tol) == cfg.n:
             if attempt:
                 logger.warning(

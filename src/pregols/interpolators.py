@@ -73,17 +73,19 @@ class DesignPartition:
     The thin SVDs that validation computes are kept as ``w_svd`` and
     ``t_svd`` (see :class:`~pregols.linalg.Svd`); the fits, the leave-one-out
     closed forms and the variance operators derive ``W^+``, ``G_W``,
-    ``B = W^+ T``, ``P_T`` and the inverse Gram of ``[W | T]``
-    (:meth:`full_gram_factors`) from them instead of factoring again.  ``w``
-    may be given as an ``Svd`` of ``W`` (the one a rank check has already
-    computed), which is kept as it is.
+    ``B = W^+ T``, ``P_T``, the inverse Gram of ``[W | T]``
+    (:meth:`full_gram_factors`) and the n-space factor of the split
+    estimators (:meth:`split_factor`, kept once built) from them instead of
+    factoring again.  ``w`` may be given as an ``Svd`` of ``W`` (the one a
+    rank check has already computed, or factors known by construction),
+    which is kept as it is.
 
     The degenerate case m = 0 (no unpenalized block) is permitted only via
     :meth:`penalized_only`; fitting such a partition reduces to the fully
     regularized solution on ``W``.
     """
 
-    __slots__ = ("w", "t", "w_svd", "t_svd")
+    __slots__ = ("w", "t", "w_svd", "t_svd", "_split_factor")
 
     def __init__(self, w, t, *, tol: RankTolerance | None = None):
         w, w_svd = _penalized_block(w)
@@ -119,6 +121,7 @@ class DesignPartition:
             )
         self.w = _readonly(w)
         self.w_svd = Svd(self.w) if w_svd is None else w_svd
+        self._split_factor = None
         rw = self.w_svd.rank(tol)
         if rw != n:
             raise RankAssumptionError(
@@ -182,6 +185,32 @@ class DesignPartition:
             return f.u, np.linalg.qr(np.vstack([np.diag(f.s), self.t.T @ f.u]), mode="r")
         x = full_row_rank_svd(self.stacked(), tol)
         return x.u, np.diag(x.s)
+
+    def split_factor(self) -> np.ndarray:
+        """``F = L N`` (n x (n - m)), built once: the factor of the split estimators.
+
+        With ``W = U S V^T`` kept, ``L = U S^{-1}`` (so ``G_W = L L^T`` and
+        ``W^+ = V L^T``) and ``N`` the last n - m columns of the complete QR
+        of ``K = L^T T``, an orthonormal basis of the complement of
+        colsp(K).  Then ``F F^T = G_W - G_W T M^{-1} T^T G_W`` with
+        ``M = T^T G_W T`` (the leave-one-out kernel), and
+        ``P_B^perp W^+ = (V N) F^T`` for ``B = W^+ T``, where ``V N`` has
+        orthonormal columns.  Nothing is subtracted, so no ``cond(W)^2``
+        cancellation occurs when ``T`` lies along the weakest directions of
+        ``W``.  The factor takes every singular value of ``W``, so it needs
+        no tolerance.
+        """
+        if self._split_factor is None:
+            f = self.w_svd
+            ln = f.u / f.s  # L; W has full row rank, so U is n x n
+            # L times the complete Q factor of K, one Householder reflector
+            # H_j = I - tau_j v_j v_j^T at a time; the last n - m columns of Q are N
+            h, tau = np.linalg.qr(ln.T @ self.t, mode="raw")
+            for j in range(self.m):
+                v = np.concatenate([np.zeros(j), [1.0], h[j, j + 1:]])
+                ln -= np.outer(ln @ v, tau[j] * v)
+            self._split_factor = _readonly(ln[:, self.m:])
+        return self._split_factor
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DesignPartition(n={self.n}, q={self.q}, m={self.m})"

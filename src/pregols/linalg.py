@@ -12,6 +12,7 @@ uses headerless CSV, one row per line, dimensions inferred from the file.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,24 +57,30 @@ class RankTolerance:
         return rel * smax
 
 
-_default_tolerance = RankTolerance()
+_default_tolerance: ContextVar[RankTolerance] = ContextVar(
+    "pregols_default_tolerance", default=RankTolerance()
+)
 
 
 def get_default_tolerance() -> RankTolerance:
     """Tolerance used whenever an operation receives ``tol=None``."""
-    return _default_tolerance
+    return _default_tolerance.get()
 
 
 def set_default_tolerance(tol: RankTolerance) -> None:
-    """Replace the shared default tolerance (e.g. from the CLI ``--rank-tol``)."""
-    global _default_tolerance
+    """Replace the default tolerance in the current context (e.g. from the CLI ``--rank-tol``).
+
+    The default is a :class:`~contextvars.ContextVar`: a change made in one
+    thread, or inside :meth:`contextvars.Context.run`, is not seen by
+    another thread or outside that context.
+    """
     if not isinstance(tol, RankTolerance):
         raise InvalidInputError("tol must be a RankTolerance")
-    _default_tolerance = tol
+    _default_tolerance.set(tol)
 
 
 def _resolve(tol: RankTolerance | None) -> RankTolerance:
-    return _default_tolerance if tol is None else tol
+    return _default_tolerance.get() if tol is None else tol
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -123,6 +130,21 @@ class Svd:
             self.vt = np.zeros((0, a.shape[1]))
         else:
             self.u, self.s, self.vt = np.linalg.svd(a, full_matrices=False)
+
+    @classmethod
+    def from_factors(cls, a: np.ndarray, u: np.ndarray, s: np.ndarray,
+                     vt: np.ndarray) -> "Svd":
+        """An ``Svd`` of ``a`` from factors known by construction, with ``s`` descending.
+
+        Nothing is factored or checked: the caller guarantees
+        ``a = u diag(s) vt`` with orthonormal columns in ``u``, orthonormal
+        rows in ``vt`` and ``s`` in descending order, as :meth:`rank` reads
+        ``s[0]`` as the largest singular value.
+        """
+        self = object.__new__(cls)
+        self.a, self.shape = a, a.shape
+        self.u, self.s, self.vt = u, s, vt
+        return self
 
     def kept(self, tol: RankTolerance | None = None):
         """The singular triplets above the cutoff, ``(u_r, s_r, vt_r)``."""

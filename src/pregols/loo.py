@@ -22,8 +22,9 @@ the m x m matrix ``M`` then gives every row of the residual map at once,
 ``cond(W)^2 * eps`` when ``T`` lies along the weakest directions of ``W``.
 With ``L = U S^{-1}`` from the SVD the :class:`DesignPartition` keeps (so
 ``G_W = L L^T``) and ``N`` an orthonormal basis of the complement of
-colsp(L^T T), it is the projection ``Q = (L N)(L N)^T``.  No per-index
-factorization is needed.
+colsp(L^T T), it is the projection ``Q = (L N)(L N)^T``; the partition
+keeps ``F = L N`` (:meth:`DesignPartition.split_factor`), which the ``wc``
+variance estimator shares.  No per-index factorization is needed.
 
 All closed forms here are validated against :func:`brute_force_refit`, which
 physically deletes the row and refits; that oracle is part of the public
@@ -151,24 +152,9 @@ def _check_loo_rows(d: DesignPartition, tol, rows: np.ndarray) -> None:
 
 
 def _loo_gram(d: DesignPartition) -> np.ndarray:
-    """``Q = G_W - G_W T M^{-1} T^T G_W``, built as a projection.
-
-    With ``L = U S^{-1}`` (so ``G_W = L L^T``) and ``N`` the last n - m
-    columns of the complete QR of ``K = L^T T``, an orthonormal basis of
-    the complement of colsp(K), ``Q = L (I - K K^+) L^T = (L N)(L N)^T``.
-    Nothing is subtracted, so no ``cond(W)^2`` cancellation occurs when
-    ``T`` lies along the weakest directions of ``W``.
-    """
-    f = d.w_svd
-    ln = f.u / f.s  # L; W has full row rank, so U is n x n
-    # L times the complete Q factor of K, one Householder reflector
-    # H_j = I - tau_j v_j v_j^T at a time; the last n - m columns of Q are N
-    h, tau = np.linalg.qr(ln.T @ d.t, mode="raw")
-    for j in range(d.m):
-        v = np.concatenate([np.zeros(j), [1.0], h[j, j + 1:]])
-        ln -= np.outer(ln @ v, tau[j] * v)
-    ln = ln[:, d.m:]
-    return ln @ ln.T
+    """``Q = G_W - G_W T M^{-1} T^T G_W = F F^T`` for ``F = d.split_factor()``."""
+    f = d.split_factor()
+    return f @ f.T
 
 
 def _check_response(y, n: int) -> np.ndarray:

@@ -27,6 +27,7 @@ finish, so results are byte-identical for any worker count.  The
 
 from __future__ import annotations
 
+import contextvars
 import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -46,7 +47,8 @@ from .dgp import (  # noqa: F401  perfbench/workloads.py traces gen_ate_design, 
 )
 from .exceptions import ExperimentAbortedError, InvalidInputError, RankAssumptionError
 from .interpolators import DesignPartition
-from .linalg import pinv, write_matrix_csv
+from .linalg import Svd, write_matrix_csv
+from .linalg import pinv  # noqa: F401  perfbench/workloads.py traces this name
 from .variance import (  # noqa: F401  perfbench/workloads.py traces these names
     ESTIMATOR_IDS,
     full_operator,
@@ -326,12 +328,15 @@ def _treatment_rows(part: DesignPartition) -> tuple[np.ndarray, np.ndarray]:
     ``T = [d, 1]``.  The full fit's is row q of ``X^+ = X^T G_X``, that is
     ``G_X d = U R^{-1} R^{-T} U^T d`` from
     :meth:`DesignPartition.full_gram_factors`, two triangular solves; the
-    split fit's is the first row of ``(W^+ T)^+ W^+``.
+    split fit's is the first row of ``(W^+ T)^+ W^+ = (L^T T)^+ L^T``, where
+    ``L = U S^{-1}`` from the kept ``W = U S V^T``: ``W^+ = V L^T`` and ``V``
+    has orthonormal columns.  Only the n x m ``L^T T`` is factored, under
+    the shared tolerance; the q x n ``W^+`` is never formed.
     """
     u, r = part.full_gram_factors()
     full_row = u @ np.linalg.solve(r, np.linalg.solve(r.T, u.T @ part.t[:, 0]))
-    wp = part.w_svd.pinv()
-    partial_row = (pinv(wp @ part.t) @ wp)[0]
+    ln = part.w_svd.u / part.w_svd.s
+    partial_row = Svd(ln.T @ part.t).pinv()[0] @ ln.T
     return full_row, partial_row
 
 
@@ -387,8 +392,11 @@ def _collect_trials(cfg: ExperimentConfig, trial_fn, dump_dir):
     if workers == 1:
         outcomes = [run_one(key) for key in tasks]
     else:
+        # a pool thread does not inherit the caller's context, so each task
+        # runs in a copy of it and sees the caller's default rank tolerance
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_one, tasks))
+            futures = [pool.submit(contextvars.copy_context().run, run_one, key) for key in tasks]
+            outcomes = [f.result() for f in futures]
     by_cell: list[list] = [[] for _ in cfg.grid]
     for (gi, _ti), outcome in zip(tasks, outcomes):
         by_cell[gi].append(outcome)

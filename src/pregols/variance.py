@@ -20,16 +20,23 @@ estimator    R
 ``full``     ``[diag(G_X)]^{-1} G_X`` (leave-one-out residual map, X unsplit)
 ``partial``  rows ``e_i^T [diag(G_W)]^{-1} G_W (I - H_i)`` (split LOO map)
 ``w``        ``P_T``, projection onto colsp(T); normalizer rank(T)
-``wc``       ``P_B^perp W^+`` with ``B = W^+ T``
+``wc``       ``F^T``, equal to ``P_B^perp W^+`` (``B = W^+ T``) up to a
+             left isometry
 ===========  ==========================================================
+
+``F = L N`` is the n x (n - m) factor the partition keeps
+(:meth:`~pregols.interpolators.DesignPartition.split_factor`), the same one
+the ``partial`` map is built from.  ``P_B^perp W^+ = (V N) F^T`` and ``V N``
+has orthonormal columns, so ``F^T`` gives every ``wc`` estimate and its
+normalizer without forming the q x n ``W^+`` or a q x q projector.
 
 Normalizer note for ``wc``: two superficially similar normalizers exist,
 ``tr(P_B^perp (W^T W)^+)`` over the projected coefficient space and
 ``tr(P_T^perp G_W)`` over the sample space.  They are NOT equal in general
 (numerically they differ by factors on random designs).  This module uses the
-projected-space trace, which equals ``||P_B^perp W^+||_F^2`` and is the one
-that makes the exact-bias identity hold; the Monte-Carlo suite verifies this.
-:func:`wc_normalizers` exposes both for diagnostics.
+projected-space trace, which equals ``||P_B^perp W^+||_F^2 = ||F||_F^2`` and
+is the one that makes the exact-bias identity hold; the Monte-Carlo suite
+verifies this.  :func:`wc_normalizers` exposes both for diagnostics.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InvalidInputError
+from .exceptions import InvalidInputError, RankAssumptionError
 from .interpolators import DesignPartition
 from .linalg import (
     RankTolerance,
@@ -208,13 +215,16 @@ def wc_operator(d: DesignPartition, tol: RankTolerance | None = None) -> Residua
     """In-sample residual map from the unpenalized-block formulation.
 
     The residual of regressing ``W^+ y`` on ``W^+ T`` is
-    ``P_B^perp W^+ y`` with ``B = W^+ T``; the normalizer is the
-    projected-space trace (see module docstring).
+    ``P_B^perp W^+ y = (V N) F^T y`` with ``B = W^+ T``; ``V N`` is an
+    isometry, so the map is the (n - m) x n ``F^T`` (see module docstring).
     """
     if d.m == 0:
         raise InvalidInputError("estimator 'wc' requires a nonempty unpenalized block")
-    wp = d.w_svd.pinv(tol)
-    r = complement_projector(wp @ d.t, tol) @ wp
+    if d.w_svd.rank(tol) != d.n:
+        raise RankAssumptionError(
+            f"rank assumption violated: penalized block w must have full row rank {d.n}"
+        )
+    r = d.split_factor().T
     return ResidualOperator("wc", r, float(np.sum(r * r)))
 
 

@@ -6,6 +6,8 @@ runs Gaussian elimination with partial pivoting.  Agreement between these and
 the package is evidence, not circularity.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 
@@ -117,3 +119,61 @@ def spiked_root_eigh(cfg, rng):
         sigma += cfg.sigma_x**2 * (v * lams) @ v.T
     evals, evecs = np.linalg.eigh(sigma)
     return (evecs * np.sqrt(evals)) @ evecs.T
+
+
+def dense_svd(w):
+    """The factored route: ``pregols.linalg.Svd`` of ``w``, one LAPACK thin SVD.
+
+    The oracle for covariates whose factors are built with the draw.
+    """
+    from pregols.linalg import Svd
+
+    return Svd(np.asarray(w, dtype=float))
+
+
+def _rational(a):
+    return [[Fraction(float(x)) for x in row] for row in np.asarray(a, dtype=float)]
+
+
+def _mul(a, b):
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def _transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def _inverse(a):
+    """Exact inverse of a nonsingular rational matrix by Gauss-Jordan elimination."""
+    k = len(a)
+    aug = [row[:] + [Fraction(int(i == j)) for j in range(k)] for i, row in enumerate(a)]
+    for col in range(k):
+        piv = next(r for r in range(col, k) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(k):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[k:] for row in aug]
+
+
+def split_qspace(w, t):
+    """``(P_B^perp W^+, (W^+ T)^+ W^+)`` with ``B = W^+ T``: the q-space forms.
+
+    The first is the ``wc`` residual map, the second the map from ``y`` to
+    the split fit's ``tau``.  Both are evaluated exactly in rational
+    arithmetic from the float64 entries of a full-row-rank ``w`` and a
+    full-column-rank ``t`` (``W^+ = W^T (W W^T)^{-1}``,
+    ``B^+ = (B^T B)^{-1} B^T``) and rounded once, so they carry no
+    ``cond(W)`` loss of their own.
+    """
+    wr, tr = _rational(w), _rational(t)
+    wp = _mul(_transpose(wr), _inverse(_mul(wr, _transpose(wr))))
+    b = _mul(wp, tr)
+    bt = _transpose(b)
+    rows = _mul(_mul(_inverse(_mul(bt, b)), bt), wp)
+    wc = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(wp, _mul(b, rows))]
+    return np.array(wc, dtype=float), np.array(rows, dtype=float)

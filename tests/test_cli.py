@@ -331,3 +331,39 @@ def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+def test_rank_tol_flag_stays_in_its_own_thread(hand_files, monkeypatch, capsys):
+    # the CLI's --rank-tol is a context-local default: another thread keeps
+    # its own while the command runs, and the command's thread is restored
+    import threading
+
+    from pregols import RankTolerance, cli, get_default_tolerance
+
+    inside, release, seen = threading.Event(), threading.Event(), []
+    real_read = cli.read_matrix_csv
+
+    def blocking_read(path):
+        seen.append(get_default_tolerance())
+        inside.set()
+        release.wait(timeout=10)
+        return real_read(path)
+
+    monkeypatch.setattr(cli, "read_matrix_csv", blocking_read)
+    codes = []
+
+    def command():
+        codes.append(main(["--rank-tol", "1e-3", "fit", "--w", str(hand_files / "w.csv"),
+                           "--t", str(hand_files / "t.csv"), "--y", str(hand_files / "y.csv")]))
+        seen.append(get_default_tolerance())
+
+    worker = threading.Thread(target=command)
+    worker.start()
+    assert inside.wait(timeout=10)
+    assert get_default_tolerance() == RankTolerance()
+    release.set()
+    worker.join(timeout=10)
+    assert codes == [0]
+    assert seen[0] == RankTolerance(relative_cutoff=1e-3)
+    assert seen[-1] == RankTolerance()
+    assert get_default_tolerance() == RankTolerance()

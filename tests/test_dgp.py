@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from pregols import (
+    ESTIMATOR_IDS,
     CovariateConfig,
+    DesignPartition,
     InvalidInputError,
     Seed,
     gen_ate_dataset,
@@ -11,12 +13,13 @@ from pregols import (
     gen_response,
     numeric_rank,
     orthonormal_rows,
+    residual_operator,
     splitmix64,
     standard_normal,
 )
 from pregols import dgp as dgp_module
 
-from oracles import spiked_root_eigh
+from oracles import dense_svd, spiked_root_eigh
 
 
 def test_splitmix64_is_stable():
@@ -145,12 +148,61 @@ def test_spiked_draw_consumes_the_stream_like_the_dense_root(case):
     # dense construction leaves it, so every later draw is unchanged
     cfg = CovariateConfig(model="spiked", **_ROOT_CASES[case])
     lib_rng, ref_rng = Seed(21).rng(2), Seed(21).rng(2)
-    w = dgp_module._draw_covariates(cfg, lib_rng)
+    w = dgp_module._draw_covariates(cfg, lib_rng).a
     root = spiked_root_eigh(cfg, ref_rng)
     want = orthonormal_rows(cfg.n, cfg.q, ref_rng) @ root
     assert lib_rng.bit_generator.state == ref_rng.bit_generator.state
     scale = np.linalg.norm(root, 2)
     assert np.linalg.norm(w - want, 2) <= 10 * cfg.q * np.finfo(float).eps * scale
+
+
+_FACTOR_CASES = {
+    **{f"spiked-{name}": dict(model="spiked", **kw) for name, kw in _ROOT_CASES.items()},
+    "spiked-k-above-n": dict(model="spiked", n=5, q=30, k_spikes=7),
+    "geometric": dict(model="geometric", n=60, q=99),
+    "geometric-square": dict(model="geometric", n=7, q=7, lambda_geo=1.3, rho=0.9),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FACTOR_CASES))
+def test_covariates_are_born_factored(case):
+    # the spiked and geometric draws build their thin SVD; it reconstructs
+    # W, has orthonormal factors and the singular values of a dense SVD
+    cfg = CovariateConfig(**_FACTOR_CASES[case])
+    eps = np.finfo(float).eps
+    for seed in range(5):
+        f = dgp_module.gen_covariates_svd(cfg, Seed(seed).rng(0))
+        bound = 10 * cfg.q * eps * np.linalg.norm(f.a, 2)
+        assert f.u.shape == (cfg.n, cfg.n) and f.vt.shape == (cfg.n, cfg.q)
+        assert np.linalg.norm((f.u * f.s) @ f.vt - f.a, 2) <= bound
+        assert np.linalg.norm(f.u.T @ f.u - np.eye(cfg.n), 2) <= bound
+        assert np.linalg.norm(f.vt @ f.vt.T - np.eye(cfg.n), 2) <= bound
+        assert np.all(np.diff(f.s) <= 0.0)
+        assert np.max(np.abs(f.s - dense_svd(f.a).s)) <= bound
+
+
+@pytest.mark.parametrize("model", ["spiked", "geometric"])
+@pytest.mark.parametrize("n", [20, 60, 80, 99])
+def test_factored_partition_matches_the_dense_svd_partition(model, n):
+    # every operator and W^+ from the built factors equal those from an SVD
+    # of W; the wc map is compared through R^T R, since F^T is defined up to
+    # a left isometry (the spiked model repeats sigma_x n - k times)
+    cfg = CovariateConfig(model=model, n=n, q=99)
+    for seed in range(3):
+        rng = Seed(seed).rng(n)
+        f = dgp_module.gen_covariates_svd(cfg, rng)
+        t = np.column_stack([rng.random(n) < 0.5, np.ones(n)]).astype(float)
+        built = DesignPartition(f, t)
+        dense = DesignPartition(dense_svd(f.a), t)
+        pairs = [(built.w_svd.pinv(), dense.w_svd.pinv())]
+        for est in ESTIMATOR_IDS:
+            got, want = residual_operator(est, built), residual_operator(est, dense)
+            pairs.append((got.matrix.T @ got.matrix, want.matrix.T @ want.matrix))
+            pairs.append((np.array(got.denominator), np.array(want.denominator)))
+            if est != "wc":
+                pairs.append((got.matrix, want.matrix))
+        for got, want in pairs:
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_geometric_singular_values_exact():

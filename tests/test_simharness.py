@@ -143,8 +143,7 @@ def test_batched_trials_match_per_draw_loop(monkeypatch, block):
             _close(simharness._ate_trial(ate, gi, ti), _ate_trial_per_draw(ate, gi, ti))
 
 
-def test_each_trial_factors_its_design_three_times(monkeypatch):
-    # W once (the rank check's SVD is kept), T and B = W^+ T; never [W | T]
+def _record_svd_shapes(monkeypatch):
     svd = np.linalg.svd
     shapes = []
 
@@ -153,19 +152,40 @@ def test_each_trial_factors_its_design_three_times(monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
-    sim = tiny_config(experiment="sim1", grid=(20.0, 60.0), draws_per_trial=2)
+    return shapes
+
+
+def test_each_trial_factors_only_its_small_blocks(monkeypatch):
+    # spiked and geometric W are born factored, and wc, partial and the
+    # split row share one n-space factor: the sim trial factors T alone,
+    # the ATE trial T and L^T T; never W, [W | T] or B = W^+ T
+    shapes = _record_svd_shapes(monkeypatch)
     ate = ExperimentConfig(
         experiment="ate", grid=(-2.0, 4.0), trials=2, draws_per_trial=2, seed=5
     )
-    n, q = simharness._ATE_N, simharness._ATE_Q
+    n = simharness._ATE_N
+    for model in ("spiked", "geometric"):
+        sim = tiny_config(experiment="sim1", model=model, grid=(20.0, 60.0), draws_per_trial=2)
+        for gi in range(2):
+            shapes.clear()
+            simharness._sim_trial(sim, gi, 0)
+            assert shapes == [(int(sim.grid[gi]), 1)]
+    for gi in range(2):
+        shapes.clear()
+        simharness._ate_trial(ate, gi, 0)
+        assert shapes == [(n, 2), (n, 2)]
+
+
+def test_standard_normal_trial_factors_w_once(monkeypatch):
+    shapes = _record_svd_shapes(monkeypatch)
+    sim = tiny_config(
+        experiment="sim1", model="standard_normal", grid=(20.0, 60.0), draws_per_trial=2
+    )
     for gi in range(2):
         shapes.clear()
         simharness._sim_trial(sim, gi, 0)
-        n_sim = int(sim.grid[gi])
-        assert shapes == [(n_sim, 99), (n_sim, 1), (99, 1)]
-        shapes.clear()
-        simharness._ate_trial(ate, gi, 0)
-        assert shapes == [(n, q), (n, 2), (q, 2)]
+        n = int(sim.grid[gi])
+        assert shapes == [(n, 99), (n, 1)]
 
 
 def test_ate_reports_full_and_partial():
@@ -358,3 +378,31 @@ def test_dump_dir_writes_covariates(tmp_path):
         "sim3_spiked_g00_t0000_w.csv",
         "sim3_spiked_g00_t0001_w.csv",
     ]
+
+
+def test_pool_workers_see_the_callers_rank_tolerance(monkeypatch):
+    # pool threads start from an empty context; each task runs in a copy of
+    # the caller's, so simulate --rank-tol reaches every trial
+    import contextvars
+    import threading
+
+    from pregols import RankTolerance, get_default_tolerance, set_default_tolerance
+
+    monkeypatch.setenv("PREGOLS_THREADS", "2")
+    seen = []
+
+    def trial(cfg, gi, ti, dump_dir):
+        seen.append((threading.get_ident(), get_default_tolerance()))
+        return {}
+
+    loose = RankTolerance(relative_cutoff=1e-3)
+
+    def caller():
+        set_default_tolerance(loose)
+        simharness._collect_trials(tiny_config(trials=8), trial, None)
+
+    contextvars.copy_context().run(caller)
+    assert len(seen) == 16
+    assert {tol for _, tol in seen} == {loose}
+    assert threading.get_ident() not in {ident for ident, _ in seen}
+    assert get_default_tolerance() == RankTolerance()

@@ -8,6 +8,7 @@ from pregols import (
     GaussMarkovTruth,
     InvalidInputError,
     RankAssumptionError,
+    RankTolerance,
     Seed,
     expected_bias,
     full_operator,
@@ -24,7 +25,7 @@ from pregols import (
     wc_operator,
 )
 
-from oracles import weak_constant_direction_w
+from oracles import split_qspace, weak_constant_direction_w
 
 
 def fixture_partition(seed=0, n=12, q=18, m=1):
@@ -226,25 +227,26 @@ def test_estimates_nonnegative():
 
 
 def _count_svds(monkeypatch):
+    """Record the shape of every matrix ``np.linalg.svd`` factors."""
     svd = np.linalg.svd
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
     return calls
 
 
 def test_one_design_is_factored_a_handful_of_times(monkeypatch):
-    # the SVDs of W, T and B = W^+ T; not [W | T], nothing per held-out row
+    # the SVDs of W and T; not [W | T] or B = W^+ T, nothing per held-out row
     w = gen_covariates(CovariateConfig(model="spiked", n=40, q=99), Seed(314).rng(0))
-    calls = _count_svds(monkeypatch)
+    shapes = _count_svds(monkeypatch)
     d = DesignPartition(w, np.ones((40, 1)))
     for est in ESTIMATOR_IDS:
         residual_operator(est, d)
-    assert len(calls) <= 3
+    assert shapes == [(40, 99), (40, 1)]
 
 
 def test_estimate_names_the_argument_of_wrong_length():
@@ -288,7 +290,7 @@ def test_full_map_from_kept_factors_when_t_lies_along_the_weakest_direction(
     op = residual_operator("full", d)
     row, _ = _treatment_rows(d)
     monkeypatch.undo()
-    assert len(calls) == 1  # B = W^+ T for the split row; [W | T] is not factored
+    assert calls == [(d.n, 2)]  # L^T T for the split row; [W | T] is not factored
     assert np.max(np.abs(op.matrix - ref_op)) <= bound * np.max(np.abs(ref_op))
     assert np.max(np.abs(row - ref_row)) <= bound * np.max(np.abs(ref_row))
 
@@ -311,3 +313,50 @@ def test_full_map_falls_back_when_the_rank_certificate_fails(monkeypatch, t, ful
         assert str(split.value) == str(stacked.value)
     monkeypatch.undo()
     assert len(calls) == 2  # one SVD of [W | T] per call
+
+
+# ------------------------------------------- wc and the split row in n-space
+
+
+def _assert_n_space_matches_q_space(d, bound):
+    from pregols.simharness import _treatment_rows
+
+    ys = np.random.default_rng(7).standard_normal((20, d.n))
+    wc_map, split_rows = split_qspace(d.w, d.t)
+    op = residual_operator("wc", d)
+    assert op.matrix.shape == (d.n - d.m, d.n)
+    r = ys @ wc_map.T
+    want = np.einsum("ij,ij->i", r, r) / np.sum(wc_map * wc_map)
+    assert np.max(np.abs(op.estimates(ys) - want)) <= bound * np.max(want)
+    want_row = split_rows[0]
+    row = _treatment_rows(d)[1]
+    assert np.max(np.abs(row - want_row)) <= bound * np.max(np.abs(want_row))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_wc_and_split_row_match_the_q_space_forms(seed, m):
+    d = fixture_partition(seed=seed, n=10, q=17, m=m)
+    cond = np.linalg.cond(d.w)
+    _assert_n_space_matches_q_space(d, 10 * d.n * cond * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("t", ["ones", "treatment"])
+@pytest.mark.parametrize("cond", [1e4, 1e6, 1e8])
+def test_wc_and_split_row_when_t_lies_along_the_weakest_direction(t, cond):
+    w, _ = weak_constant_direction_w(cond, np.random.default_rng(3))
+    block = np.ones((10, 1))
+    if t == "treatment":
+        block = np.column_stack([np.arange(10) % 3 == 0, np.ones(10)]).astype(float)
+    d = DesignPartition(w, block)
+    _assert_n_space_matches_q_space(d, d.n * cond * np.finfo(float).eps)
+
+
+def test_wc_refuses_a_tolerance_under_which_w_loses_rank():
+    # built under the default cutoff; at 1e-3 the 1e-4 direction of W is
+    # rank noise, and wc, like partial, says so instead of truncating W^+
+    w, _ = weak_constant_direction_w(1e4, np.random.default_rng(3))
+    d = DesignPartition(w, np.ones((10, 1)))
+    for est in ("partial", "wc"):
+        with pytest.raises(RankAssumptionError, match="w must have full row rank 10"):
+            residual_operator(est, d, RankTolerance(relative_cutoff=1e-3))
