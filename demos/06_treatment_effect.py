@@ -7,7 +7,7 @@ intercept unpenalized removes most of that distortion.  This runs a reduced
 version of the bias experiment across true effects.
 """
 
-from pregols import ExperimentConfig, run_ate
+from pregols import ExperimentConfig, run_experiment
 
 cfg = ExperimentConfig(
     experiment="ate",
@@ -17,7 +17,7 @@ cfg = ExperimentConfig(
     draws_per_trial=10,
     seed=314,
 )
-report = run_ate(cfg)
+report = run_experiment(cfg)
 
 print(f"treatment-effect bias, {cfg.trials} trials x {cfg.draws_per_trial} draws")
 print(f"{'true effect':>12s} {'unsplit bias':>14s} {'split bias':>12s}")

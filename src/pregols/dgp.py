@@ -86,9 +86,12 @@ class Seed:
     root: int
 
     def __post_init__(self) -> None:
-        if not 0 <= int(self.root) <= _MASK64:
+        root = self.root
+        if isinstance(root, bool) or not isinstance(root, numbers.Integral):
+            raise InvalidInputError(f"seed root must be an integer, got {root!r}")
+        if not 0 <= root <= _MASK64:
             raise InvalidInputError("seed root must be an unsigned 64-bit integer")
-        object.__setattr__(self, "root", int(self.root))
+        object.__setattr__(self, "root", int(root))
 
     def stream_seed(self, k: int) -> int:
         if k < 0:

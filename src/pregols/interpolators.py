@@ -328,6 +328,12 @@ def _variant_rowspace(d, y, tol):
 
 
 def _variant_residual(d, y, tol):
+    """``tau = (W^+ T)^+ W^+ y``, ``lambda = W^T G_W (y - T tau)``.
+
+    Going through ``G_W`` loses up to ``cond(W)^2 * eps``: 9.6e-10 relative
+    in ``lambda`` at cond(W) = 4.6e3, where ``direct`` stays within
+    ``500 * cond(W) * eps``.
+    """
     wp = d.w_svd.pinv(tol)
     gw = d.w_svd.gram_inverse(tol)
     tau = pinv(wp @ d.t, tol) @ (wp @ y)
@@ -336,6 +342,12 @@ def _variant_residual(d, y, tol):
 
 
 def _variant_gls(d, y, tol):
+    """``tau = (T^T G_W T)^+ T^T G_W y``, ``lambda = W^T G_W (y - T tau)``.
+
+    Forming ``T^T G_W T`` loses up to ``cond(W)^2 * eps``: 8.5e-8 relative
+    in ``lambda`` at cond(W) = 4.6e3, where ``direct`` stays within
+    ``500 * cond(W) * eps``.
+    """
     gw = d.w_svd.gram_inverse(tol)
     tau = pinv(d.t.T @ gw @ d.t, tol) @ (d.t.T @ (gw @ y))
     lam = d.w.T @ (gw @ (y - d.t @ tau))
@@ -355,7 +367,13 @@ PARTIAL_VARIANTS = ("direct", "rowspace", "residual", "gls")
 def fit_partial_variant(
     d: DesignPartition, y, variant: str, tol: RankTolerance | None = None
 ) -> PartialFit:
-    """Fit using one named coefficient expression (all are algebraically equal)."""
+    """Fit using one named coefficient expression.
+
+    All are algebraically equal, not equally accurate: ``gls`` and
+    ``residual`` go through ``G_W`` and lose up to ``cond(W)^2 * eps``
+    (8.5e-8 and 9.6e-10 relative at cond(W) = 4.6e3), against
+    ``500 * cond(W) * eps`` for ``direct``.
+    """
     if variant == "direct":
         return fit_partial(d, y, tol)
     try:

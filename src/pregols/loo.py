@@ -24,7 +24,9 @@ With ``L = U S^{-1}`` from the SVD the :class:`DesignPartition` keeps (so
 ``G_W = L L^T``) and ``N`` an orthonormal basis of the complement of
 colsp(L^T T), it is the projection ``Q = (L N)(L N)^T``; the partition
 keeps ``F = L N`` (:meth:`DesignPartition.split_factor`), which the ``wc``
-variance estimator shares.  No per-index factorization is needed.
+variance estimator shares.  No per-index factorization is needed, and a
+single residual reads row ``i`` of ``Q`` as ``F[i] F^T`` without forming
+``Q``.
 
 All closed forms here are validated against :func:`brute_force_refit`, which
 physically deletes the row and refits; that oracle is part of the public
@@ -151,12 +153,6 @@ def _check_loo_rows(d: DesignPartition, tol, rows: np.ndarray) -> None:
         )
 
 
-def _loo_gram(d: DesignPartition) -> np.ndarray:
-    """``Q = G_W - G_W T M^{-1} T^T G_W = F F^T`` for ``F = d.split_factor()``."""
-    f = d.split_factor()
-    return f @ f.T
-
-
 def _check_response(y, n: int) -> np.ndarray:
     y = as_vector(y, "y")
     if y.size != n:
@@ -192,8 +188,8 @@ def loo_residual_partial(
     y = _check_response(y, d.n)
     i = _check_index(i, d.n)
     _check_loo_rows(d, tol, np.array([i]))
-    q = _loo_gram(d)
-    return float(q[i] @ y / q[i, i])
+    f = d.split_factor()
+    return float(f[i] @ (f.T @ y) / (f[i] @ f[i]))
 
 
 def loo_record(
@@ -227,7 +223,8 @@ class PartialLooSolver:
     def __init__(self, d: DesignPartition, tol: RankTolerance | None = None):
         self.design = d
         _check_loo_rows(d, tol, np.arange(d.n))
-        q = _loo_gram(d)
+        f = d.split_factor()
+        q = f @ f.T
         rows = q / np.diag(q)[:, None]
         rows.setflags(write=False)
         self.residual_matrix = rows

@@ -20,17 +20,15 @@ chunks of at most 1024 rows), and each estimator is applied to the whole
 block with one matrix product.
 
 Determinism: the block holds exactly the sequential draws of that stream,
-and aggregation runs in fixed (grid, trial) order after all workers
-finish, so results are byte-identical for any worker count.  The
-``PREGOLS_THREADS`` environment variable caps the worker pool.
+and the trials run one after another in the caller's thread in fixed
+(grid, trial) order, so results are byte-identical across runs.
 """
 
 from __future__ import annotations
 
-import contextvars
+import numbers
 import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -65,7 +63,6 @@ __all__ = [
     "CellResult",
     "ExperimentReport",
     "run_experiment",
-    "run_ate",
     "write_report",
 ]
 
@@ -160,6 +157,10 @@ class ExperimentConfig:
         if not grid:
             raise InvalidInputError("grid must be nonempty")
         object.__setattr__(self, "grid", grid)
+        for name in ("trials", "draws_per_trial"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1 or self.draws_per_trial < 1:
             raise InvalidInputError("trials and draws_per_trial must be >= 1")
         if self.trials > _STREAM_STRIDE:
@@ -361,45 +362,15 @@ def _ate_trial(cfg: ExperimentConfig, gi: int, ti: int, dump_dir=None):
     return {est: s / cfg.draws_per_trial for est, s in sums.items()}
 
 
-def _worker_count(task_count: int) -> int:
-    env = os.environ.get("PREGOLS_THREADS", "").strip()
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise InvalidInputError(
-                f"PREGOLS_THREADS must be an integer, got {env!r}"
-            ) from None
-        if cap < 1:
-            raise InvalidInputError("PREGOLS_THREADS must be >= 1")
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, task_count))
-
-
 def _collect_trials(cfg: ExperimentConfig, trial_fn, dump_dir):
-    """Run every (grid, trial) task and return results in fixed order."""
-    tasks = [(gi, ti) for gi in range(len(cfg.grid)) for ti in range(cfg.trials)]
-
-    def run_one(key):
-        gi, ti = key
-        try:
-            return trial_fn(cfg, gi, ti, dump_dir)
-        except RankAssumptionError as exc:
-            return str(exc)
-
-    workers = _worker_count(len(tasks))
-    if workers == 1:
-        outcomes = [run_one(key) for key in tasks]
-    else:
-        # a pool thread does not inherit the caller's context, so each task
-        # runs in a copy of it and sees the caller's default rank tolerance
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(contextvars.copy_context().run, run_one, key) for key in tasks]
-            outcomes = [f.result() for f in futures]
+    """Run every (grid, trial) task in fixed order; a rank failure is kept as its reason."""
     by_cell: list[list] = [[] for _ in cfg.grid]
-    for (gi, _ti), outcome in zip(tasks, outcomes):
-        by_cell[gi].append(outcome)
+    for gi in range(len(cfg.grid)):
+        for ti in range(cfg.trials):
+            try:
+                by_cell[gi].append(trial_fn(cfg, gi, ti, dump_dir))
+            except RankAssumptionError as exc:
+                by_cell[gi].append(str(exc))
     return by_cell
 
 
@@ -448,13 +419,6 @@ def run_experiment(cfg: ExperimentConfig, dump_dir=None) -> ExperimentReport:
     return _aggregate(cfg, _collect_trials(cfg, _sim_trial, dump_dir), cfg.estimators)
 
 
-def run_ate(cfg: ExperimentConfig, dump_dir=None) -> ExperimentReport:
-    """Run the treatment-effect experiment (config must name ``ate``)."""
-    if cfg.experiment != "ate":
-        raise InvalidInputError("run_ate requires an 'ate' experiment config")
-    return run_experiment(cfg, dump_dir)
-
-
 # --------------------------------------------------------------------------
 # report emission
 # --------------------------------------------------------------------------
@@ -495,7 +459,7 @@ def write_report(reports, out_dir, include_w: bool = False) -> list[str]:
     The ``w`` estimator's rows go to ``supplementary.csv`` unless
     ``include_w`` merges them into the main table: its bias is larger by
     orders of magnitude and would dominate any shared axis.  Output is
-    byte-identical across reruns of the same seed and worker count.
+    byte-identical across reruns of the same seed.
     """
     if isinstance(reports, ExperimentReport):
         reports = [reports]

@@ -269,12 +269,19 @@ def test_simulate_conflicting_selection(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "experiment, covariate",
-    [("sim3", {"bogus": 1}), ("sim3", {"sigma_x": 0}), ("ate", {"sigma_x": 5})],
+    "setting",
+    [
+        {"covariate": {"bogus": 1}},
+        {"covariate": {"sigma_x": 0}},
+        {"experiment": "ate", "covariate": {"sigma_x": 5}},
+        {"trials": 2.5},
+        {"draws_per_trial": 2.5},
+        {"trials": "5"},
+        {"seed": 2.5},
+    ],
 )
-def test_simulate_bad_covariate_exits_1(tmp_path, capsys, experiment, covariate):
-    cfg = {"experiment": experiment, "grid": [1.0], "trials": 2,
-           "draws_per_trial": 2, "covariate": covariate}
+def test_simulate_bad_config_exits_1(tmp_path, capsys, setting):
+    cfg = {"experiment": "sim3", "grid": [1.0], "trials": 2, "draws_per_trial": 2, **setting}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     code, out, err = run_cli(

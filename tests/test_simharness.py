@@ -14,7 +14,6 @@ from pregols import (
     gen_covariates,
     pinv,
     residual_operator,
-    run_ate,
     run_experiment,
     standard_normal,
     write_report,
@@ -47,23 +46,17 @@ def test_run_is_deterministic():
     assert run_experiment(cfg) == run_experiment(cfg)
 
 
-def test_run_is_thread_count_invariant(monkeypatch):
-    cfg = tiny_config()
-    monkeypatch.setenv("PREGOLS_THREADS", "1")
-    serial = run_experiment(cfg)
+def test_run_experiment_starts_no_threads(monkeypatch):
+    # trials run serially in the caller's thread; PREGOLS_THREADS is not read
+    import threading
+
+    def refuse(self):
+        raise AssertionError(f"run_experiment started thread {self.name}")
+
     monkeypatch.setenv("PREGOLS_THREADS", "4")
-    threaded = run_experiment(cfg)
-    assert serial == threaded
-
-
-def test_bad_thread_env_rejected(monkeypatch):
-    cfg = tiny_config()
-    monkeypatch.setenv("PREGOLS_THREADS", "zero")
-    with pytest.raises(InvalidInputError):
-        run_experiment(cfg)
-    monkeypatch.setenv("PREGOLS_THREADS", "0")
-    with pytest.raises(InvalidInputError):
-        run_experiment(cfg)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    rep = run_experiment(tiny_config())
+    assert all(c.failures == 0 for c in rep.cells)
 
 
 def test_aggregation_matches_streaming_recompute():
@@ -190,7 +183,7 @@ def test_standard_normal_trial_factors_w_once(monkeypatch):
 
 def test_ate_reports_full_and_partial():
     cfg = ExperimentConfig(experiment="ate", model="spiked", grid=(2.0,), **TINY)
-    rep = run_ate(cfg)
+    rep = run_experiment(cfg)
     assert {c.estimator for c in rep.cells} == {"full", "partial"}
 
 
@@ -220,11 +213,6 @@ def test_ate_partial_exact_recovery_boundary():
     gw = gram_inverse(w)
     correction = np.linalg.solve(t.T @ gw @ t, t.T @ gw @ (w @ alpha))
     assert abs(functional[0] @ y1 - (tau + correction[0])) <= 1e-8
-
-
-def test_run_ate_rejects_other_experiments():
-    with pytest.raises(InvalidInputError):
-        run_ate(tiny_config())
 
 
 def test_abort_on_excess_failures(monkeypatch):
@@ -281,6 +269,24 @@ def test_config_rejects_bad_covariate_settings(experiment, covariate, message):
         ExperimentConfig(experiment=experiment, covariate=covariate)
     with pytest.raises(InvalidInputError, match=message):
         ExperimentConfig.from_dict({"experiment": experiment, "covariate": covariate})
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ({"trials": 2.5}, "trials must be an integer"),
+        ({"draws_per_trial": 2.5}, "draws_per_trial must be an integer"),
+        ({"trials": "5"}, "trials must be an integer"),
+        ({"draws_per_trial": True}, "draws_per_trial must be an integer"),
+        ({"seed": 2.5}, "seed root must be an integer"),
+        ({"seed": True}, "seed root must be an integer"),
+    ],
+)
+def test_config_rejects_non_integer_counts(setting, message):
+    with pytest.raises(InvalidInputError, match=message):
+        ExperimentConfig(experiment="sim3", **setting)
+    with pytest.raises(InvalidInputError, match=message):
+        ExperimentConfig.from_dict({"experiment": "sim3", **setting})
 
 
 def test_config_rejects_non_object_covariate():
@@ -380,19 +386,17 @@ def test_dump_dir_writes_covariates(tmp_path):
     ]
 
 
-def test_pool_workers_see_the_callers_rank_tolerance(monkeypatch):
-    # pool threads start from an empty context; each task runs in a copy of
-    # the caller's, so simulate --rank-tol reaches every trial
+def test_trials_see_the_callers_rank_tolerance():
+    # simulate --rank-tol sets the default tolerance in the command's copied
+    # context; every trial runs in that context and sees it
     import contextvars
-    import threading
 
     from pregols import RankTolerance, get_default_tolerance, set_default_tolerance
 
-    monkeypatch.setenv("PREGOLS_THREADS", "2")
     seen = []
 
     def trial(cfg, gi, ti, dump_dir):
-        seen.append((threading.get_ident(), get_default_tolerance()))
+        seen.append(get_default_tolerance())
         return {}
 
     loose = RankTolerance(relative_cutoff=1e-3)
@@ -402,7 +406,5 @@ def test_pool_workers_see_the_callers_rank_tolerance(monkeypatch):
         simharness._collect_trials(tiny_config(trials=8), trial, None)
 
     contextvars.copy_context().run(caller)
-    assert len(seen) == 16
-    assert {tol for _, tol in seen} == {loose}
-    assert threading.get_ident() not in {ident for ident, _ in seen}
+    assert seen == [loose] * 16
     assert get_default_tolerance() == RankTolerance()
