@@ -108,11 +108,12 @@ def standard_normal(rng: np.random.Generator, size=None) -> np.ndarray | float:
 
     The one pinned Gaussian transform for the whole package: uniforms are
     ``(j + 0.5) / 2^53`` for a 53-bit integer ``j``, strictly inside (0, 1),
-    mapped through the normal quantile function.
+    mapped through the normal quantile function.  ``Generator.random`` is
+    ``j 2^-53`` for the same ``j`` that ``integers(0, 2^53)`` draws from the
+    same 64-bit output, so ``random() + 2^-54`` is that uniform bit for bit
+    (it rounds exactly like ``j + 0.5``) and consumes the stream identically.
     """
-    j = rng.integers(0, 1 << 53, size=size)
-    u = (np.asarray(j, dtype=np.float64) + 0.5) / float(1 << 53)
-    out = ndtri(u)
+    out = ndtri(rng.random(size) + 2.0**-54)
     return float(out) if size is None else out
 
 
@@ -159,17 +160,18 @@ class CovariateConfig:
             raise InvalidInputError(
                 f"need 1 <= n <= q for a wide full-row-rank design, got n={self.n}, q={self.q}"
             )
-        if not self.sigma_x > 0.0:
-            raise InvalidInputError("sigma_x must be positive")
-        if not isinstance(self.k_spikes, numbers.Integral) or self.k_spikes < 0:
+        if not 0.0 < self.sigma_x < np.inf:
+            raise InvalidInputError("sigma_x must be positive and finite")
+        k = self.k_spikes
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
             raise InvalidInputError("k_spikes must be a nonnegative integer")
         lo, hi = self.lambda_range
-        if not (0.0 <= lo <= hi):
-            raise InvalidInputError("lambda_range must be ordered and nonnegative")
+        if not (0.0 <= lo <= hi < np.inf):
+            raise InvalidInputError("lambda_range must be ordered, nonnegative and finite")
         if not 0.0 < self.rho < 1.0:
             raise InvalidInputError("rho must lie strictly inside (0, 1)")
-        if not self.lambda_geo > 0.0:
-            raise InvalidInputError("lambda_geo must be positive")
+        if not 0.0 < self.lambda_geo < np.inf:
+            raise InvalidInputError("lambda_geo must be positive and finite")
 
 
 def _spiked_covariance(cfg: CovariateConfig, rng: np.random.Generator):

@@ -74,7 +74,7 @@ class DesignPartition:
     ``t_svd`` (see :class:`~pregols.linalg.Svd`); the fits, the leave-one-out
     closed forms and the variance operators derive ``W^+``, ``G_W``,
     ``B = W^+ T``, ``P_T``, the inverse Gram of ``[W | T]``
-    (:meth:`full_gram_factors`) and the n-space factor of the split
+    (:meth:`full_gram_inverse`) and the n-space factor of the split
     estimators (:meth:`split_factor`, kept once built) from them instead of
     factoring again.  ``w`` may be given as an ``Svd`` of ``W`` (the one a
     rank check has already computed, or factors known by construction),
@@ -158,33 +158,57 @@ class DesignPartition:
         """The full design ``[W | T]`` with W columns first."""
         return np.hstack([self.w, self.t])
 
-    def full_gram_factors(
-        self, tol: RankTolerance | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(U, R)`` with ``G_X = U R^{-1} R^{-T} U^T``, the inverse row Gram of ``X = [W | T]``.
-
-        ``U`` is n x n orthogonal and ``R`` n x n upper triangular.  With
-        ``W = U S V^T`` kept and ``C = U^T T``, ``X X^T = U (S^2 + C C^T) U^T``,
-        and the R factor of the (n + m) x n matrix ``[S; C^T]`` has
-        ``R^T R = S^2 + C C^T``: one small QR, no factorization of ``X``.
-        ``R`` has the singular values of ``X``, and no Woodbury subtraction
-        from ``G_W`` is made, so nothing of size ``cond(W)^2`` cancels.
+    def full_gram_inverse(self, tol: RankTolerance | None = None) -> np.ndarray:
+        """``G_X = (X X^T)^{-1}``, the inverse row Gram of ``X = [W | T]``, from the kept factors.
 
         Full row rank of ``X`` is certified by
         ``s_min(W) > cutoff((n, q + m), hypot(s_max(W), s_max(T)))``: every
         singular value of ``X`` is at least the matching one of ``W``, and
         ``||X|| <= hypot(||W||, ||T||)``.  When the certificate fails, ``X``
         is factored, its rank decided from its own SVD as for an unsplit
-        design, and ``(U_X, diag(s_X))`` returned.
+        design, and ``G_X`` built from that SVD.
+
+        Otherwise, with ``W = U S V^T`` kept, one of two routes; neither
+        subtracts anything from ``G_W``, so nothing of size ``cond(W)^2``
+        cancels.
+
+        * **Floor.**  When the smallest singular value ``sigma = s_n`` of
+          ``W`` repeats more than m times (``k`` values lie above it and
+          ``n - k > m``; an exact comparison, as a spiked draw builds its
+          floor exactly), ``X X^T = sigma^2 I + J J^T`` with
+          ``J = [U_k diag(sqrt(s_k^2 - sigma^2)) | T]`` (n x (k + m)).  By
+          Sherman-Morrison-Woodbury ``G_X = sigma^{-2} (I - Q_1 Q_1^T)``,
+          where ``Q_1`` is the top n rows of the thin Q factor of
+          ``[J; sigma I]``, a (k + m)-wide QR: ``Q_1 = J R^{-1}`` with
+          ``R^T R = sigma^2 I + J^T J``.  The QR, unlike a Cholesky of
+          ``sigma^2 I + J^T J``, does not square ``cond(X)`` when ``T``
+          lies along a large spike.  As ``n - k > m``, ``sigma^2`` is the
+          smallest eigenvalue of ``X X^T`` and ``Q_1 Q_1^T`` has
+          eigenvalues in [0, 1), so the subtraction errs by about
+          ``eps ||G_X||``.
+        * **QR.**  With ``C = U^T T``, ``X X^T = U (S^2 + C C^T) U^T``, and
+          the R factor of the (n + m) x n matrix ``[S; C^T]`` has
+          ``R^T R = S^2 + C C^T``, so ``G_X = L L^T`` with ``L = U R^{-1}``.
+          ``R`` has the singular values of ``X``.
         """
-        f, n = self.w_svd, self.n
+        f, n, m = self.w_svd, self.n, self.m
         tol = get_default_tolerance() if tol is None else tol
-        t_max = float(self.t_svd.s[0]) if self.m else 0.0
-        cut = tol.cutoff((n, self.q + self.m), float(np.hypot(f.s[0], t_max)))
-        if f.s[-1] > cut:
-            return f.u, np.linalg.qr(np.vstack([np.diag(f.s), self.t.T @ f.u]), mode="r")
-        x = full_row_rank_svd(self.stacked(), tol)
-        return x.u, np.diag(x.s)
+        t_max = float(self.t_svd.s[0]) if m else 0.0
+        floor = f.s[-1]
+        if not floor > tol.cutoff((n, self.q + m), float(np.hypot(f.s[0], t_max))):
+            return full_row_rank_svd(self.stacked(), tol).gram_inverse(tol)
+        k = int(np.count_nonzero(f.s > floor))
+        if n - k > m:
+            top = f.s[:k]
+            j = np.hstack([f.u[:, :k] * np.sqrt((top - floor) * (top + floor)), self.t])
+            q1 = np.linalg.qr(np.vstack([j, floor * np.eye(k + m)]))[0][:n]
+            gx = -(q1 @ q1.T)
+            gx[np.diag_indices(n)] += 1.0
+            return gx / floor**2
+        ell = f.u @ np.linalg.inv(
+            np.linalg.qr(np.vstack([np.diag(f.s), self.t.T @ f.u]), mode="r")
+        )  # LU of a triangular R swaps no rows
+        return ell @ ell.T
 
     def split_factor(self) -> np.ndarray:
         """``F = L N`` (n x (n - m)), built once: the factor of the split estimators.

@@ -156,6 +156,8 @@ class ExperimentConfig:
         grid = tuple(float(v) for v in raw)
         if not grid:
             raise InvalidInputError("grid must be nonempty")
+        if not np.all(np.isfinite(grid)):
+            raise InvalidInputError(f"grid values must be finite, got {list(grid)}")
         object.__setattr__(self, "grid", grid)
         for name in ("trials", "draws_per_trial"):
             value = getattr(self, name)
@@ -327,15 +329,13 @@ def _treatment_rows(part: DesignPartition) -> tuple[np.ndarray, np.ndarray]:
     """Rows mapping ``y`` to the treatment coefficient of the full and the split fit.
 
     ``T = [d, 1]``.  The full fit's is row q of ``X^+ = X^T G_X``, that is
-    ``G_X d = U R^{-1} R^{-T} U^T d`` from
-    :meth:`DesignPartition.full_gram_factors`, two triangular solves; the
+    ``G_X d`` with ``G_X`` from :meth:`DesignPartition.full_gram_inverse`; the
     split fit's is the first row of ``(W^+ T)^+ W^+ = (L^T T)^+ L^T``, where
     ``L = U S^{-1}`` from the kept ``W = U S V^T``: ``W^+ = V L^T`` and ``V``
     has orthonormal columns.  Only the n x m ``L^T T`` is factored, under
     the shared tolerance; the q x n ``W^+`` is never formed.
     """
-    u, r = part.full_gram_factors()
-    full_row = u @ np.linalg.solve(r, np.linalg.solve(r.T, u.T @ part.t[:, 0]))
+    full_row = part.full_gram_inverse() @ part.t[:, 0]
     ln = part.w_svd.u / part.w_svd.s
     partial_row = Svd(ln.T @ part.t).pinv()[0] @ ln.T
     return full_row, partial_row

@@ -165,14 +165,12 @@ def full_operator(x, tol: RankTolerance | None = None) -> ResidualOperator:
 
     For a full-row-rank ``X`` it is ``[diag(G_X)]^{-1} G_X``, and
     ``g_ii >= 1 / smax^2 > 0``.  For an array ``x`` the rank and ``G_X``
-    come from one SVD of ``X``; for a :class:`DesignPartition` they come
-    from its kept factors (:meth:`DesignPartition.full_gram_factors`), with
-    ``X = [W | T]`` never factored unless its rank certificate fails.
+    come from one SVD of ``X``; for a :class:`DesignPartition` ``G_X``
+    comes from its kept factors (:meth:`DesignPartition.full_gram_inverse`),
+    with ``X = [W | T]`` never factored unless its rank certificate fails.
     """
     if isinstance(x, DesignPartition):
-        u, r = x.full_gram_factors(tol)
-        ell = u @ np.linalg.inv(r)  # G_X = L L^T; LU of a triangular r swaps no rows
-        gx = ell @ ell.T
+        gx = x.full_gram_inverse(tol)
     else:
         gx = full_row_rank_svd(as_matrix(x, "x"), tol).gram_inverse(tol)
     r = gx / np.diag(gx)[:, None]

@@ -9,6 +9,7 @@ the package is evidence, not circularity.
 from fractions import Fraction
 
 import numpy as np
+from scipy.special import ndtri
 
 
 def ridge_solve(w, t, y, penalty):
@@ -121,6 +122,18 @@ def spiked_root_eigh(cfg, rng):
     return (evecs * np.sqrt(evals)) @ evecs.T
 
 
+def standard_normal_from_integers(rng, size=None):
+    """Standard normals from the uniforms ``(j + 0.5) / 2^53``, ``j = integers(0, 2^53)``.
+
+    The formula ``pregols.dgp.standard_normal`` is pinned to, written out
+    with a 53-bit integer draw and an explicit half-step offset.
+    """
+    j = rng.integers(0, 1 << 53, size=size)
+    u = (np.asarray(j, dtype=np.float64) + 0.5) / float(1 << 53)
+    out = ndtri(u)
+    return float(out) if size is None else out
+
+
 def dense_svd(w):
     """The factored route: ``pregols.linalg.Svd`` of ``w``, one LAPACK thin SVD.
 
@@ -177,3 +190,14 @@ def split_qspace(w, t):
     rows = _mul(_mul(_inverse(_mul(bt, b)), bt), wp)
     wc = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(wp, _mul(b, rows))]
     return np.array(wc, dtype=float), np.array(rows, dtype=float)
+
+
+def full_gram_inverse_exact(x):
+    """``(X X^T)^{-1}`` evaluated exactly in rational arithmetic and rounded once.
+
+    ``X`` is taken at its float64 entries, so the result carries no
+    ``cond(X)`` loss of its own: the oracle for
+    ``DesignPartition.full_gram_inverse``.
+    """
+    xr = _rational(x)
+    return np.array(_inverse(_mul(xr, _transpose(xr))), dtype=float)

@@ -278,6 +278,14 @@ def test_simulate_conflicting_selection(tmp_path, capsys):
         {"draws_per_trial": 2.5},
         {"trials": "5"},
         {"seed": 2.5},
+        {"experiment": "ate", "grid": [float("nan")]},
+        {"grid": [float("nan")]},
+        {"experiment": "sim4", "grid": [float("inf")]},
+        {"experiment": "sim2", "grid": [float("nan")]},
+        {"covariate": {"lambda_range": [0, float("inf")]}},
+        {"covariate": {"sigma_x": float("inf")}},
+        {"model": "geometric", "covariate": {"lambda_geo": float("inf")}},
+        {"covariate": {"k_spikes": True}},
     ],
 )
 def test_simulate_bad_config_exits_1(tmp_path, capsys, setting):

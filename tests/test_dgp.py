@@ -19,7 +19,7 @@ from pregols import (
 )
 from pregols import dgp as dgp_module
 
-from oracles import dense_svd, spiked_root_eigh
+from oracles import dense_svd, spiked_root_eigh, standard_normal_from_integers
 
 
 def test_splitmix64_is_stable():
@@ -58,6 +58,19 @@ def test_standard_normal_block_continues_the_stream():
     assert np.array_equal(block, rows)
     assert block_rng.bit_generator.state == seq_rng.bit_generator.state
     assert standard_normal(block_rng) == standard_normal(seq_rng)
+
+
+@pytest.mark.parametrize("size", [None, 1, 7, (3, 4), (80, 99), 0, (0, 3)])
+def test_standard_normal_matches_the_integer_uniform_formula(size):
+    # rng.random() + 2^-54 is (j + 0.5) / 2^53 for the j that
+    # integers(0, 2^53) draws: equal values, type and stream state
+    for seed in range(20):
+        rng, ref = Seed(seed).rng(3), Seed(seed).rng(3)
+        got, want = standard_normal(rng, size), standard_normal_from_integers(ref, size)
+        assert type(got) is type(want)
+        assert np.array_equal(np.asarray(got).view(np.uint64),
+                              np.asarray(want).view(np.uint64))
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_standard_normal_moments():
@@ -262,6 +275,11 @@ def test_covariate_config_validation():
         CovariateConfig(model="geometric", n=4, q=8, rho=1.0)
     with pytest.raises(InvalidInputError):
         CovariateConfig(model="spiked", n=4, q=8, sigma_x=0.0)
+    for bad in ({"sigma_x": np.inf}, {"sigma_x": np.nan}, {"k_spikes": True},
+                {"lambda_range": (0.0, np.inf)}, {"lambda_range": (np.nan, 1.0)},
+                {"lambda_geo": np.inf}, {"lambda_geo": np.nan}):
+        with pytest.raises(InvalidInputError):
+            CovariateConfig(model="spiked", n=4, q=8, **bad)
 
 
 def test_gen_response_noise_free():

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import pregols
 from pregols import (
     InvalidInputError,
     RankTolerance,
@@ -190,3 +195,15 @@ def test_matrix_csv_malformed(tmp_path):
         path.write_bytes(content)
         with pytest.raises(InvalidInputError):
             read_matrix_csv(path)
+
+
+def test_import_does_not_load_scipy_linalg():
+    # importing scipy.linalg adds about 6 MB to the resident set of every
+    # process that imports pregols; numpy's LAPACK bindings suffice
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pregols.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = "import sys, pregols; print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -261,6 +261,12 @@ def test_config_validation():
         ("sim3", {"lambda_range": [3.0]}, "invalid covariate settings"),
         ("sim3", {"rho": "high"}, "invalid covariate settings"),
         ("ate", {"k_spikes": 0, "sigma_x": 5}, "takes no covariate settings"),
+        ("sim3", {"sigma_x": float("inf")}, "sigma_x must be positive and finite"),
+        ("sim3", {"sigma_x": float("nan")}, "sigma_x must be positive and finite"),
+        ("sim4", {"k_spikes": True}, "k_spikes must be a nonnegative integer"),
+        ("sim1", {"lambda_range": [0, float("inf")]}, "lambda_range must be ordered"),
+        ("sim2", {"lambda_range": [float("nan"), 1.0]}, "lambda_range must be ordered"),
+        ("sim3", {"lambda_geo": float("inf")}, "lambda_geo must be positive and finite"),
     ],
 )
 def test_config_rejects_bad_covariate_settings(experiment, covariate, message):
@@ -287,6 +293,15 @@ def test_config_rejects_non_integer_counts(setting, message):
         ExperimentConfig(experiment="sim3", **setting)
     with pytest.raises(InvalidInputError, match=message):
         ExperimentConfig.from_dict({"experiment": "sim3", **setting})
+
+
+@pytest.mark.parametrize("experiment", ["sim1", "sim2", "sim3", "sim4", "ate"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_config_rejects_non_finite_grid_values(experiment, value):
+    with pytest.raises(InvalidInputError, match="grid values must be finite"):
+        ExperimentConfig(experiment=experiment, grid=(value,))
+    with pytest.raises(InvalidInputError, match="grid values must be finite"):
+        ExperimentConfig.from_dict({"experiment": experiment, "grid": [1.0, value]})
 
 
 def test_config_rejects_non_object_covariate():

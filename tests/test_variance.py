@@ -25,7 +25,7 @@ from pregols import (
     wc_operator,
 )
 
-from oracles import split_qspace, weak_constant_direction_w
+from oracles import full_gram_inverse_exact, split_qspace, weak_constant_direction_w
 
 
 def fixture_partition(seed=0, n=12, q=18, m=1):
@@ -226,17 +226,21 @@ def test_estimates_nonnegative():
             assert rep.estimate >= 0.0, est
 
 
-def _count_svds(monkeypatch):
-    """Record the shape of every matrix ``np.linalg.svd`` factors."""
-    svd = np.linalg.svd
+def _count_calls(monkeypatch, name):
+    """Record the shape of every matrix ``np.linalg.<name>`` factors."""
+    factor = getattr(np.linalg, name)
     calls = []
 
     def counted(a, *args, **kwargs):
         calls.append(np.shape(a))
-        return svd(a, *args, **kwargs)
+        return factor(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(np.linalg, name, counted)
     return calls
+
+
+def _count_svds(monkeypatch):
+    return _count_calls(monkeypatch, "svd")
 
 
 def test_one_design_is_factored_a_handful_of_times(monkeypatch):
@@ -313,6 +317,112 @@ def test_full_map_falls_back_when_the_rank_certificate_fails(monkeypatch, t, ful
         assert str(split.value) == str(stacked.value)
     monkeypatch.undo()
     assert len(calls) == 2  # one SVD of [W | T] per call
+
+
+# ------------------------------------ G_X from the repeated floor of W
+
+
+def _count_stacked_qrs(monkeypatch, d):
+    """Shapes of the QRs of the (n + m) x n matrix ``[S; U^T T]`` (the QR route)."""
+    calls = _count_calls(monkeypatch, "qr")
+    return lambda: [shape for shape in calls if shape == (d.n + d.m, d.n)]
+
+
+def _spiked_partition(n, q, t, seed=0):
+    from pregols.dgp import gen_covariates_svd
+
+    rng = Seed(seed).rng(n)
+    w_svd = gen_covariates_svd(CovariateConfig(model="spiked", n=n, q=q), rng)
+    if t == "ones":
+        block = np.ones((n, 1))
+    else:
+        block = np.column_stack([np.arange(n) % 3 == 0, np.ones(n)]).astype(float)
+    return DesignPartition(w_svd, block)
+
+
+@pytest.mark.parametrize("t", ["ones", "treatment"])
+@pytest.mark.parametrize("n, q", [(20, 99), (60, 99), (80, 98), (99, 99)])
+def test_spiked_full_map_takes_the_floor_route(monkeypatch, n, q, t):
+    from pregols.simharness import _treatment_rows
+
+    d = _spiked_partition(n, q, t)
+    x = d.stacked()
+    bound = 10 * d.n * np.linalg.cond(x) * np.finfo(float).eps
+    ref_op = full_operator(x).matrix
+    ref_row = np.linalg.pinv(x)[d.q]
+    qrs = _count_stacked_qrs(monkeypatch, d)
+    op = full_operator(d).matrix
+    row = _treatment_rows(d)[0]
+    monkeypatch.undo()
+    assert qrs() == []
+    assert np.max(np.abs(op - ref_op)) <= bound * np.max(np.abs(ref_op))
+    assert np.max(np.abs(row - ref_row)) <= bound * np.max(np.abs(ref_row))
+
+
+def _floor_partition(s, t, seed=5, q=20):
+    """``W`` born factored with singular values ``s`` (n x q) and a ``T`` that is
+    a floor direction (``"floor"``), the top direction (``"top"``),
+    ``1e4 [1, alternating]`` (``"large"``) or the top direction scaled to
+    ``s_1`` plus a floor direction (``"spike-sized"``)."""
+    from pregols.linalg import Svd
+
+    n = s.size
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    vt = np.linalg.qr(rng.standard_normal((q, n)))[0].T
+    w_svd = Svd.from_factors((u * s) @ vt, u, s, vt)
+    if t == "floor":
+        block = u[:, -1:]
+    elif t == "top":
+        block = u[:, :1]
+    elif t == "spike-sized":
+        block = s[0] * u[:, :1] + u[:, -1:]
+    else:
+        block = 1e4 * np.column_stack([np.ones(n), (-1.0) ** np.arange(n)])
+    return DesignPartition(w_svd, block)
+
+
+@pytest.mark.parametrize("t", ["floor", "top", "large", "spike-sized"])
+@pytest.mark.parametrize("c", [1e2, 1e4, 1e6, 1e8])
+def test_full_gram_inverse_on_a_floor_matches_the_exact_inverse(monkeypatch, c, t):
+    # s = (c, c/3, 1, ..., 1): spikes far above a floor of multiplicity 10 > m.
+    # A spike-sized T makes sigma^2 I + J^T J as ill conditioned as X X^T:
+    # a Cholesky of it misses the bound from c = 1e6 and fails at c = 1e8
+    d = _floor_partition(np.array([c, c / 3] + [1.0] * 10), t)
+    x = d.stacked()
+    bound = 10 * d.n * np.linalg.cond(x) * np.finfo(float).eps
+    want = full_gram_inverse_exact(x)
+    qrs = _count_stacked_qrs(monkeypatch, d)
+    got = d.full_gram_inverse()
+    monkeypatch.undo()
+    assert qrs() == []
+    assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
+
+
+def _qr_route_partitions():
+    from pregols.dgp import gen_covariates_svd
+
+    rng = Seed(8).rng(0)
+    for model in ("standard_normal", "geometric"):
+        w_svd = gen_covariates_svd(CovariateConfig(model=model, n=12, q=20), rng)
+        yield model, DesignPartition(w_svd, np.ones((12, 1)))
+    yield "weak direction", DesignPartition(*_weak_direction_design(1e6))
+    # a floor of multiplicity exactly m = 2 is not an eigenvalue of X X^T
+    s = np.array([50.0, 9.0, 8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.5, 2.0, 1.0, 1.0])
+    yield "floor of multiplicity m", _floor_partition(s, "large")
+
+
+def test_full_gram_inverse_takes_the_qr_route_without_a_repeated_floor(monkeypatch):
+    for name, d in _qr_route_partitions():
+        x = d.stacked()
+        bound = 10 * d.n * np.linalg.cond(x) * np.finfo(float).eps
+        want = full_gram_inverse_exact(x)
+        qrs = _count_stacked_qrs(monkeypatch, d)
+        got = d.full_gram_inverse()
+        full_operator(d)
+        monkeypatch.undo()
+        assert len(qrs()) == 2, name  # one per call
+        assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want)), name
 
 
 # ------------------------------------------- wc and the split row in n-space
