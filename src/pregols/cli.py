@@ -9,13 +9,24 @@ from __future__ import annotations
 
 import argparse
 import contextvars
+import functools
 import json
 import sys
 
 import numpy as np
 
 from . import linalg
-from .cochran import CochranDesign, cochran_check, ovb_decompose
+# cochran_check and ovb_decompose are not called here; perfbench/workloads.py
+# traces the Cochran layers under these names on this module.
+from .cochran import (  # noqa: F401
+    CochranDesign,
+    _cochran_fits,
+    _cochran_gaps,
+    _ovb,
+    _ovb_problem,
+    cochran_check,
+    ovb_decompose,
+)
 from .dgp import Seed
 from .exceptions import InvalidInputError, PregolsError, RankAssumptionError
 from .interpolators import PARTIAL_VARIANTS, DesignPartition, fit_partial_variant
@@ -77,27 +88,19 @@ def _cmd_loo(args) -> int:
     return 0
 
 
-def _ovb_applicable(t: np.ndarray) -> bool:
-    return (
-        t.shape[1] == 2
-        and bool(np.all((t[:, 0] == 0.0) | (t[:, 0] == 1.0)))
-        and bool(np.all(t[:, 1] == 1.0))
-    )
-
-
 def _cmd_cochran(args) -> int:
     design = CochranDesign(
         read_matrix_csv(args.z), read_matrix_csv(args.u), read_matrix_csv(args.t)
     )
-    y = _read_vector(args.y)
-    gaps = cochran_check(design, y)
+    fits = _cochran_fits(design, _read_vector(args.y))
+    gaps = _cochran_gaps(design, *fits)
     payload = {
         "image_gap": gaps.image_gap,
         "coeff_gap": gaps.coeff_gap,
         "ovb": None,
     }
-    if _ovb_applicable(design.t):
-        ovb = ovb_decompose(design, y)
+    if _ovb_problem(design.t) is None:
+        ovb = _ovb(*fits)
         payload["ovb"] = {
             "tau_long_d": ovb.tau_long_d,
             "tau_short_d": ovb.tau_short_d,
@@ -119,14 +122,16 @@ def _report_payload(report) -> dict:
 
 
 def _cmd_variance(args) -> int:
+    if args.truth is not None and args.sigma2 is None:
+        raise InvalidInputError("--truth requires --sigma2")
+    if args.sigma2 is not None and args.truth is None:
+        raise InvalidInputError("--sigma2 requires --truth")
     part = _load_partition(args)
     y = _read_vector(args.y)
-    truth = None
+    mean = None
     if args.truth is not None:
-        if args.sigma2 is None:
-            raise InvalidInputError("--truth requires --sigma2")
         truth = GaussMarkovTruth(beta=_read_vector(args.truth), sigma2=args.sigma2)
-    mean = None if truth is None else truth.mean_response(part.stacked())
+        mean = truth.mean_response(part.stacked())
     ests = ESTIMATOR_IDS if args.estimator == "all" else (args.estimator,)
     payload = [_report_payload(residual_operator(e, part).report(y, mean)) for e in ests]
     print(json.dumps(payload if args.estimator == "all" else payload[0], indent=2))
@@ -229,10 +234,19 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser :func:`main` uses, built once per process.
+
+    Parsing leaves the parser as it was (each call fills a new namespace),
+    so one parser serves every call.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         print(f"pregols: error: {exc}", file=sys.stderr)
         return 1

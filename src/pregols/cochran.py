@@ -42,7 +42,7 @@ from .interpolators import (
     _readonly,
     fit_partial,
 )
-from .linalg import RankTolerance, as_matrix, as_vector, numeric_rank
+from .linalg import RankTolerance, Svd, as_matrix, as_vector, numeric_rank
 
 __all__ = [
     "CochranDesign",
@@ -61,18 +61,23 @@ __all__ = [
 
 
 class CochranDesign:
-    """Validated triple ``(Z, U, T)`` with Z wide full row rank, U and T skinny full column rank."""
+    """Validated triple ``(Z, U, T)`` with Z wide full row rank, U and T skinny full column rank.
 
-    __slots__ = ("z", "u", "t")
+    The thin SVD of ``Z`` that the rank check computes is kept as ``z_svd``,
+    so the short and auxiliary fits do not factor ``Z`` again.
+    """
+
+    __slots__ = ("z", "u", "t", "z_svd")
 
     def __init__(self, z, u, t, *, tol: RankTolerance | None = None):
-        z = as_matrix(z, "z")
+        z = _readonly(as_matrix(z, "z"))
         u = as_matrix(u, "u")
         t = as_matrix(t, "t")
         n = z.shape[0]
         if u.shape[0] != n or t.shape[0] != n:
             raise InvalidInputError("z, u, t must have equal row counts")
-        if z.shape[1] < n or numeric_rank(z, tol) != n:
+        z_svd = Svd(z) if z.shape[1] >= n else None
+        if z_svd is None or z_svd.rank(tol) != n:
             raise RankAssumptionError(
                 f"rank assumption violated: retained block z must have full row rank {n}"
             )
@@ -86,7 +91,8 @@ class CochranDesign:
                 "rank assumption violated: unpenalized block t must have full column "
                 f"rank with fewer columns than rows, got shape {t.shape}"
             )
-        self.z = _readonly(z)
+        self.z = z
+        self.z_svd = z_svd
         self.u = _readonly(u)
         self.t = _readonly(t)
 
@@ -223,6 +229,40 @@ def _aux_coeffs(fit):
     return tuple(np.asarray(v, dtype=np.float64) for v in fit)
 
 
+def _cochran_fits(
+    d: CochranDesign, y, tol: RankTolerance | None = None
+) -> tuple[LongFit, ShortFit, AuxFit]:
+    """The long, short and auxiliary fits of one response, each design factored once.
+
+    The long fit is :func:`fit_long`.  The short and auxiliary fits share
+    one partition ``(Z, T)``, built from the kept ``d.z_svd``, and one solve
+    with right-hand side ``[y | U]``: the Frobenius objective splits by
+    column (see :func:`fit_aux`), so column 0 is the short fit and the rest
+    the auxiliary one.  Each keeps its own interpolation check.
+    """
+    y = as_vector(y, "y")
+    if y.size != d.n:
+        raise InvalidInputError(f"y has length {y.size}, expected {d.n}")
+    long_fit = fit_long(d, y, tol)
+    part = DesignPartition(d.z_svd, d.t, tol=tol)
+    rhs = np.column_stack([y, d.u])
+    lam, tau = _partial_blocks(part, rhs, tol)
+    resid = rhs - part.w @ lam - part.t @ tau
+    short_fit = ShortFit(
+        alpha_tilde=_readonly(lam[:, 0]),
+        tau_tilde=_readonly(tau[:, 0]),
+        max_interp_residual=_check_interpolation(resid[:, 0], y, "partial fit"),
+    )
+    aux_fit = AuxFit(
+        delta_z=_readonly(lam[:, 1:]),
+        delta_t=_readonly(tau[:, 1:]),
+        max_interp_residual=_check_interpolation(
+            resid[:, 1:], d.u.reshape(-1), "auxiliary fit"
+        ),
+    )
+    return long_fit, short_fit, aux_fit
+
+
 def cochran_check(d: CochranDesign, y, tol: RankTolerance | None = None) -> CochranGaps:
     """Evaluate both identities on the canonical minimum-norm fits.
 
@@ -230,10 +270,12 @@ def cochran_check(d: CochranDesign, y, tol: RankTolerance | None = None) -> Coch
     coefficient recursion; both should sit at numerical-noise level whenever
     the design ranks validate.
     """
-    y = as_vector(y, "y")
-    long_fit = fit_long(d, y, tol)
-    short_fit = fit_short(d.z, d.t, y, tol)
-    aux_fit = fit_aux(d.z, d.t, d.u, tol)
+    return _cochran_gaps(d, *_cochran_fits(d, y, tol))
+
+
+def _cochran_gaps(d: CochranDesign, long_fit: LongFit, short_fit: ShortFit,
+                  aux_fit: AuxFit) -> CochranGaps:
+    """Both identity gaps of :func:`cochran_check`, from fits already computed."""
     img = image_gap(d, long_fit, short_fit, aux_fit)
     coeff = max(
         float(
@@ -278,22 +320,29 @@ def ovb_decompose(d: CochranDesign, y, tol: RankTolerance | None = None) -> OvbD
     treatment row of the auxiliary regression of the omitted block on the
     retained design.
     """
-    y = as_vector(y, "y")
-    t = d.t
-    if t.shape[1] != 2:
-        raise InvalidInputError(
-            f"ovb_decompose requires t = [treatment, intercept] with 2 columns, got {t.shape[1]}"
-        )
-    dcol, ones = t[:, 0], t[:, 1]
-    if not np.all((dcol == 0.0) | (dcol == 1.0)):
-        raise InvalidInputError("treatment column must be binary (0/1)")
-    if not np.all(ones == 1.0):
-        raise InvalidInputError("second column of t must be all ones")
+    problem = _ovb_problem(d.t)
+    if problem is not None:
+        raise InvalidInputError(problem)
     # rank(T) = 2 was validated at construction, which already rules out a
     # constant treatment column.
-    long_fit = fit_long(d, y, tol)
-    short_fit = fit_short(d.z, d.t, y, tol)
-    aux_fit = fit_aux(d.z, d.t, d.u, tol)
+    return _ovb(*_cochran_fits(d, y, tol))
+
+
+def _ovb_problem(t: np.ndarray) -> str | None:
+    """Why ``t`` is not ``[D, 1]`` with a binary treatment D, or None when it is."""
+    if t.shape[1] != 2:
+        return (
+            f"ovb_decompose requires t = [treatment, intercept] with 2 columns, got {t.shape[1]}"
+        )
+    if not np.all((t[:, 0] == 0.0) | (t[:, 0] == 1.0)):
+        return "treatment column must be binary (0/1)"
+    if not np.all(t[:, 1] == 1.0):
+        return "second column of t must be all ones"
+    return None
+
+
+def _ovb(long_fit: LongFit, short_fit: ShortFit, aux_fit: AuxFit) -> OvbDecomposition:
+    """The decomposition of :func:`ovb_decompose`, from fits already computed."""
     tau_long_d = float(long_fit.tau_hat[0])
     tau_short_d = float(short_fit.tau_tilde[0])
     return OvbDecomposition(

@@ -46,8 +46,11 @@ class RankTolerance:
     relative_cutoff: float | None = None
 
     def __post_init__(self) -> None:
-        if self.relative_cutoff is not None and not (self.relative_cutoff > 0.0):
-            raise InvalidInputError("relative_cutoff must be positive")
+        # a cutoff of 1 or more (or inf) would give every matrix rank 0
+        if self.relative_cutoff is not None and not (0.0 < self.relative_cutoff < 1.0):
+            raise InvalidInputError(
+                f"relative_cutoff must be finite with 0 < cutoff < 1, got {self.relative_cutoff!r}"
+            )
 
     def cutoff(self, shape: tuple[int, int], smax: float) -> float:
         """Absolute cutoff for a matrix of the given shape and largest singular value."""
@@ -250,11 +253,18 @@ def nullspace_component(m, v, tol: RankTolerance | None = None) -> np.ndarray:
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    """Read a headerless CSV of decimal floats, one matrix row per line."""
-    try:
-        a = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
-    except ValueError as exc:  # malformed numbers or text that is not UTF-8
-        raise InvalidInputError(f"could not parse matrix CSV {path}: {exc}") from exc
+    """Read a headerless CSV of decimal floats, one matrix row per line.
+
+    A file with no data line is rejected before ``np.loadtxt`` sees it, as
+    ``loadtxt`` would warn about it on stderr.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            has_data = any(line.split("#", 1)[0].strip() for line in fh)
+            fh.seek(0)
+            a = np.loadtxt(fh, delimiter=",", ndmin=2) if has_data else np.zeros((0, 0))
+        except ValueError as exc:  # malformed numbers or text that is not UTF-8
+            raise InvalidInputError(f"could not parse matrix CSV {path}: {exc}") from exc
     if a.size == 0:
         raise InvalidInputError(f"matrix CSV {path} is empty")
     if not np.all(np.isfinite(a)):

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pregols
 from pregols import write_matrix_csv
 from pregols.cli import main
 
@@ -382,3 +385,133 @@ def test_rank_tol_flag_stays_in_its_own_thread(hand_files, monkeypatch, capsys):
     assert seen[0] == RankTolerance(relative_cutoff=1e-3)
     assert seen[-1] == RankTolerance()
     assert get_default_tolerance() == RankTolerance()
+
+
+@pytest.fixture()
+def cochran_files(tmp_path):
+    # the cli-oneshot shape: Z is the first 93 columns of W, U the last 5
+    rng = np.random.default_rng(21)
+    n, q = 20, 98
+    w = rng.standard_normal((n, q))
+    dcol = np.tile([0.0, 1.0], n // 2)
+    blocks = {
+        "z": w[:, :93], "u": w[:, 93:], "t": np.column_stack([dcol, np.ones(n)]),
+        "y": rng.standard_normal((n, 1)),
+    }
+    for name, block in blocks.items():
+        write_matrix_csv(tmp_path / f"{name}.csv", block)
+    return tmp_path, blocks
+
+
+def test_cochran_factors_each_block_once(cochran_files, monkeypatch, capsys):
+    folder, b = cochran_files
+    factored, real_svd = [], np.linalg.svd
+
+    def counted_svd(a, *args, **kwargs):
+        factored.append(np.array(a))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    code, out, _ = run_cli(capsys, "cochran", *(
+        arg for name in "zuty" for arg in (f"--{name}", str(folder / f"{name}.csv"))))
+    monkeypatch.undo()
+    assert code == 0
+    assert json.loads(out)["ovb"] is not None
+    assert len(factored) == 10
+    q_t = np.linalg.qr(b["t"])[0]
+    zu = np.hstack([b["z"], b["u"]])
+    for block in (b["z"], zu, zu - q_t @ (q_t.T @ zu), b["z"] - q_t @ (q_t.T @ b["z"])):
+        hits = [a for a in factored if a.shape == block.shape and np.allclose(a, block, atol=1e-12)]
+        assert len(hits) == 1
+
+
+def test_parser_carries_no_state_between_calls(hand_files, monkeypatch, capsys):
+    from pregols import RankTolerance, cli, get_default_tolerance
+
+    wty = ["--w", str(hand_files / "w.csv"), "--t", str(hand_files / "t.csv"),
+           "--y", str(hand_files / "y.csv")]
+    seen = []
+    real_fit = cli.fit_partial_variant
+
+    def recording_fit(part, y, variant):
+        seen.append((variant, get_default_tolerance()))
+        return real_fit(part, y, variant)
+
+    monkeypatch.setattr(cli, "fit_partial_variant", recording_fit)
+    assert run_cli(capsys, "fit", *wty, "--frobnicate")[0] == 1
+    assert run_cli(capsys, "fit", *wty)[0] == 0
+    assert run_cli(capsys, "--rank-tol", "1e-3", "fit", *wty, "--variant", "gls")[0] == 0
+    assert run_cli(capsys, "fit", *wty)[0] == 0
+    assert seen == [
+        ("direct", RankTolerance()),
+        ("gls", RankTolerance(relative_cutoff=1e-3)),
+        ("direct", RankTolerance()),
+    ]
+
+
+def test_main_builds_one_parser(hand_files, monkeypatch, capsys):
+    from pregols import cli
+
+    built = []
+    real_build = cli.build_parser
+
+    def counting_build():
+        built.append(1)
+        return real_build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    try:
+        wty = ["--w", str(hand_files / "w.csv"), "--t", str(hand_files / "t.csv"),
+               "--y", str(hand_files / "y.csv")]
+        for argv in (["fit", *wty], ["loo", *wty], ["fit", "--bogus"], ["fit", *wty]):
+            run_cli(capsys, *argv)
+        assert len(built) == 1
+        assert cli.build_parser() is not cli.build_parser()  # still a fresh parser
+    finally:
+        cli._parser.cache_clear()
+
+
+@pytest.mark.parametrize("rel", ["inf", "1", "2", "0", "nan"])
+def test_rank_tol_out_of_range_exits_1(hand_files, capsys, rel):
+    code, out, err = run_cli(
+        capsys, "--rank-tol", rel, "fit",
+        "--w", str(hand_files / "w.csv"),
+        "--t", str(hand_files / "t.csv"),
+        "--y", str(hand_files / "y.csv"),
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("pregols: relative_cutoff") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["", "\n", "\n\n  \n"])
+def test_blank_csv_exits_1_with_one_line(hand_files, text):
+    # a subprocess, so that a warning numpy prints would reach stderr
+    (hand_files / "y.csv").write_text(text)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pregols.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pregols.cli", "fit",
+         "--w", str(hand_files / "w.csv"), "--t", str(hand_files / "t.csv"),
+         "--y", str(hand_files / "y.csv")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"pregols: matrix CSV {hand_files / 'y.csv'} is empty\n"
+
+
+def test_variance_sigma2_requires_truth(wide_files, capsys):
+    code, out, err = run_cli(
+        capsys,
+        "variance",
+        "--w", str(wide_files / "w.csv"),
+        "--t", str(wide_files / "t.csv"),
+        "--y", str(wide_files / "y.csv"),
+        "--sigma2", "1",
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "pregols: --sigma2 requires --truth\n"

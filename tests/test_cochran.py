@@ -16,6 +16,9 @@ from pregols import (
     pinv,
     Seed,
 )
+from pregols.cochran import _cochran_fits
+
+from oracles import weak_constant_direction_w
 
 
 def random_design(rng, n, ell, r, m):
@@ -152,6 +155,97 @@ def test_rank_validation():
     u[:, 1] = u[:, 0]
     with pytest.raises(RankAssumptionError, match="omitted block"):
         CochranDesign(rng.standard_normal((8, 12)), u, rng.standard_normal((8, 1)))
+
+
+def test_rank_validation_of_a_wide_rank_deficient_z():
+    # the kept SVD of Z makes the same rank decision and the same error
+    rng = np.random.default_rng(15)
+    z = rng.standard_normal((8, 12))
+    z[7] = z[6]
+    with pytest.raises(RankAssumptionError, match="retained block z must have full row rank 8"):
+        CochranDesign(z, rng.standard_normal((8, 2)), rng.standard_normal((8, 1)))
+    d = random_design(rng, 8, 12, 2, 1)
+    assert d.z_svd.a is d.z
+    assert np.allclose((d.z_svd.u * d.z_svd.s) @ d.z_svd.vt, d.z, atol=1e-13)
+
+
+def _cochran_designs():
+    rng = np.random.default_rng(16)
+    for shape in [(8, 12, 2, 1), (10, 20, 3, 2), (20, 93, 5, 2)]:
+        yield random_design(rng, *shape), rng.standard_normal(shape[0])
+    dcol = np.array([1.0, 0, 1, 0, 1, 1, 0, 0, 1, 0])
+    for cond in (1e2, 1e4, 1e6):
+        # intercept along the weakest direction of Z, alone and with a treatment
+        z, _ = weak_constant_direction_w(cond, rng, n=10, q=16)
+        for t in (np.ones((10, 1)), np.column_stack([dcol, np.ones(10)])):
+            yield CochranDesign(z, rng.standard_normal((10, 2)), t), rng.standard_normal(10)
+    yield binary_design(rng, 20, 93, 5), rng.standard_normal(20)
+
+
+def _assert_close(got, want, rtol):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= rtol * (1.0 + np.abs(want)))
+
+
+def _rtol(d):
+    """1e-12, or ``10 cond(Z) eps`` where that is larger.
+
+    The shared solve and the separate one round in a different order, and
+    ``tau = (Z^+ T)^+ Z^+ y`` passes rounding through at ``cond(Z) eps``:
+    3.2e-12 relative at cond(Z) = 1e6 with ``T = [D, 1]``.
+    """
+    s = d.z_svd.s
+    return max(1e-12, 10.0 * (s[0] / s[-1]) * np.finfo(np.float64).eps)
+
+
+def test_shared_fits_match_the_separate_fits():
+    for d, y in _cochran_designs():
+        rtol = _rtol(d)
+        long_fit, short_fit, aux_fit = _cochran_fits(d, y)
+        want_long = fit_long(d, y)
+        want_short = fit_short(d.z, d.t, y)
+        want_aux = fit_aux(d.z, d.t, d.u)
+        for got, want in [
+            (long_fit.alpha_hat, want_long.alpha_hat),
+            (long_fit.gamma_hat, want_long.gamma_hat),
+            (long_fit.tau_hat, want_long.tau_hat),
+            (short_fit.alpha_tilde, want_short.alpha_tilde),
+            (short_fit.tau_tilde, want_short.tau_tilde),
+            (aux_fit.delta_z, want_aux.delta_z),
+            (aux_fit.delta_t, want_aux.delta_t),
+        ]:
+            _assert_close(got, want, rtol)
+            assert not got.flags.writeable
+        scale = 1.0 + np.max(np.abs(y))
+        assert short_fit.max_interp_residual <= 1e-8 * scale
+        assert aux_fit.max_interp_residual <= 1e-8 * (1.0 + np.max(np.abs(d.u)))
+
+
+def test_cochran_check_and_ovb_keep_their_values():
+    for d, y in _cochran_designs():
+        fits = fit_long(d, y), fit_short(d.z, d.t, y), fit_aux(d.z, d.t, d.u)
+        # both gaps are rounding noise, as they are from the separate fits
+        gaps = cochran_check(d, y)
+        noise = 1e-8 * (1.0 + np.max(np.abs(y)))
+        assert image_gap(d, *fits) <= noise
+        assert gaps.image_gap <= noise and gaps.coeff_gap <= noise
+        if d.n_unpenalized != 2 or not np.all(d.t[:, 1] == 1.0):
+            continue
+        ovb = ovb_decompose(d, y)
+        rtol = _rtol(d)
+        _assert_close(ovb.tau_long_d, fits[0].tau_hat[0], rtol)
+        _assert_close(ovb.tau_short_d, fits[1].tau_tilde[0], rtol)
+        _assert_close(ovb.impact, fits[0].gamma_hat, rtol)
+        _assert_close(ovb.imbalance, fits[2].delta_t[0], rtol)
+
+
+def test_wrong_length_response_names_the_length():
+    rng = np.random.default_rng(17)
+    d = binary_design(rng, 10, 16, 2)
+    for fn in (cochran_check, ovb_decompose, _cochran_fits):
+        with pytest.raises(InvalidInputError, match="y has length 9, expected 10"):
+            fn(d, rng.standard_normal(9))
 
 
 # --------------------------------------------------------------------- ovb

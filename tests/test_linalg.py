@@ -160,6 +160,10 @@ def test_rank_tolerance_must_be_positive():
         RankTolerance(relative_cutoff=0.0)
     with pytest.raises(InvalidInputError):
         RankTolerance(relative_cutoff=-1e-8)
+    # a cutoff of 1 or more gives every matrix rank 0
+    for rel in (float("inf"), 1.0, 2.0, float("nan")):
+        with pytest.raises(InvalidInputError, match="0 < cutoff < 1"):
+            RankTolerance(relative_cutoff=rel)
 
 
 def test_rank_tolerance_controls_rank():
