@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import contextvars
-import functools
 import json
 import sys
 
@@ -18,15 +17,7 @@ import numpy as np
 from . import linalg
 # cochran_check and ovb_decompose are not called here; perfbench/workloads.py
 # traces the Cochran layers under these names on this module.
-from .cochran import (  # noqa: F401
-    CochranDesign,
-    _cochran_fits,
-    _cochran_gaps,
-    _ovb,
-    _ovb_problem,
-    cochran_check,
-    ovb_decompose,
-)
+from .cochran import CochranDesign, _cochran_report, cochran_check, ovb_decompose  # noqa: F401
 from .dgp import Seed
 from .exceptions import InvalidInputError, PregolsError, RankAssumptionError
 from .interpolators import PARTIAL_VARIANTS, DesignPartition, fit_partial_variant
@@ -92,15 +83,13 @@ def _cmd_cochran(args) -> int:
     design = CochranDesign(
         read_matrix_csv(args.z), read_matrix_csv(args.u), read_matrix_csv(args.t)
     )
-    fits = _cochran_fits(design, _read_vector(args.y))
-    gaps = _cochran_gaps(design, *fits)
+    gaps, ovb = _cochran_report(design, _read_vector(args.y))
     payload = {
         "image_gap": gaps.image_gap,
         "coeff_gap": gaps.coeff_gap,
         "ovb": None,
     }
-    if _ovb_problem(design.t) is None:
-        ovb = _ovb(*fits)
+    if ovb is not None:
         payload["ovb"] = {
             "tau_long_d": ovb.tau_long_d,
             "tau_short_d": ovb.tau_short_d,
@@ -234,19 +223,10 @@ def build_parser() -> _Parser:
     return parser
 
 
-@functools.cache
-def _parser() -> _Parser:
-    """The parser :func:`main` uses, built once per process.
-
-    Parsing leaves the parser as it was (each call fills a new namespace),
-    so one parser serves every call.
-    """
-    return build_parser()
-
-
 def main(argv=None) -> int:
+    parser = build_parser()
     try:
-        args = _parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except _UsageError as exc:
         print(f"pregols: error: {exc}", file=sys.stderr)
         return 1

@@ -232,50 +232,23 @@ def _aux_coeffs(fit):
 def _cochran_fits(
     d: CochranDesign, y, tol: RankTolerance | None = None
 ) -> tuple[LongFit, ShortFit, AuxFit]:
-    """The long, short and auxiliary fits of one response, each design factored once.
+    """The long, short and auxiliary fits of one response.
 
-    The long fit is :func:`fit_long`.  The short and auxiliary fits share
-    one partition ``(Z, T)``, built from the kept ``d.z_svd``, and one solve
-    with right-hand side ``[y | U]``: the Frobenius objective splits by
-    column (see :func:`fit_aux`), so column 0 is the short fit and the rest
-    the auxiliary one.  Each keeps its own interpolation check.
+    The short and auxiliary fits start from the kept ``d.z_svd``, so ``Z``
+    is not factored again.
     """
-    y = as_vector(y, "y")
-    if y.size != d.n:
-        raise InvalidInputError(f"y has length {y.size}, expected {d.n}")
-    long_fit = fit_long(d, y, tol)
-    part = DesignPartition(d.z_svd, d.t, tol=tol)
-    rhs = np.column_stack([y, d.u])
-    lam, tau = _partial_blocks(part, rhs, tol)
-    resid = rhs - part.w @ lam - part.t @ tau
-    short_fit = ShortFit(
-        alpha_tilde=_readonly(lam[:, 0]),
-        tau_tilde=_readonly(tau[:, 0]),
-        max_interp_residual=_check_interpolation(resid[:, 0], y, "partial fit"),
+    return (
+        fit_long(d, y, tol),
+        fit_short(d.z_svd, d.t, y, tol),
+        fit_aux(d.z_svd, d.t, d.u, tol),
     )
-    aux_fit = AuxFit(
-        delta_z=_readonly(lam[:, 1:]),
-        delta_t=_readonly(tau[:, 1:]),
-        max_interp_residual=_check_interpolation(
-            resid[:, 1:], d.u.reshape(-1), "auxiliary fit"
-        ),
-    )
-    return long_fit, short_fit, aux_fit
 
 
-def cochran_check(d: CochranDesign, y, tol: RankTolerance | None = None) -> CochranGaps:
-    """Evaluate both identities on the canonical minimum-norm fits.
-
-    Returns the sup-norm discrepancy of the fitted-value identity and of the
-    coefficient recursion; both should sit at numerical-noise level whenever
-    the design ranks validate.
-    """
-    return _cochran_gaps(d, *_cochran_fits(d, y, tol))
-
-
-def _cochran_gaps(d: CochranDesign, long_fit: LongFit, short_fit: ShortFit,
-                  aux_fit: AuxFit) -> CochranGaps:
-    """Both identity gaps of :func:`cochran_check`, from fits already computed."""
+def _cochran_report(
+    d: CochranDesign, y, tol: RankTolerance | None = None
+) -> tuple[CochranGaps, OvbDecomposition | None]:
+    """Both identity gaps and, when ``T = [D, 1]``, the OVB decomposition, from one set of fits."""
+    long_fit, short_fit, aux_fit = _cochran_fits(d, y, tol)
     img = image_gap(d, long_fit, short_fit, aux_fit)
     coeff = max(
         float(
@@ -297,7 +270,29 @@ def _cochran_gaps(d: CochranDesign, long_fit: LongFit, short_fit: ShortFit,
             )
         ),
     )
-    return CochranGaps(image_gap=img, coeff_gap=coeff)
+    gaps = CochranGaps(image_gap=img, coeff_gap=coeff)
+    if _ovb_problem(d.t) is not None:
+        return gaps, None
+    tau_long_d = float(long_fit.tau_hat[0])
+    tau_short_d = float(short_fit.tau_tilde[0])
+    ovb = OvbDecomposition(
+        tau_long_d=tau_long_d,
+        tau_short_d=tau_short_d,
+        bias=tau_short_d - tau_long_d,
+        impact=long_fit.gamma_hat,
+        imbalance=_readonly(aux_fit.delta_t[0]),
+    )
+    return gaps, ovb
+
+
+def cochran_check(d: CochranDesign, y, tol: RankTolerance | None = None) -> CochranGaps:
+    """Evaluate both identities on the canonical minimum-norm fits.
+
+    Returns the sup-norm discrepancy of the fitted-value identity and of the
+    coefficient recursion; both should sit at numerical-noise level whenever
+    the design ranks validate.
+    """
+    return _cochran_report(d, y, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -325,7 +320,7 @@ def ovb_decompose(d: CochranDesign, y, tol: RankTolerance | None = None) -> OvbD
         raise InvalidInputError(problem)
     # rank(T) = 2 was validated at construction, which already rules out a
     # constant treatment column.
-    return _ovb(*_cochran_fits(d, y, tol))
+    return _cochran_report(d, y, tol)[1]
 
 
 def _ovb_problem(t: np.ndarray) -> str | None:
@@ -340,15 +335,3 @@ def _ovb_problem(t: np.ndarray) -> str | None:
         return "second column of t must be all ones"
     return None
 
-
-def _ovb(long_fit: LongFit, short_fit: ShortFit, aux_fit: AuxFit) -> OvbDecomposition:
-    """The decomposition of :func:`ovb_decompose`, from fits already computed."""
-    tau_long_d = float(long_fit.tau_hat[0])
-    tau_short_d = float(short_fit.tau_tilde[0])
-    return OvbDecomposition(
-        tau_long_d=tau_long_d,
-        tau_short_d=tau_short_d,
-        bias=tau_short_d - tau_long_d,
-        impact=long_fit.gamma_hat,
-        imbalance=_readonly(aux_fit.delta_t[0]),
-    )
