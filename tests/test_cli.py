@@ -429,30 +429,6 @@ def test_cochran_factors_each_block_once(cochran_files, monkeypatch, capsys):
         assert len(hits) == times
 
 
-def test_parser_carries_no_state_between_calls(hand_files, monkeypatch, capsys):
-    from pregols import RankTolerance, cli, get_default_tolerance
-
-    wty = ["--w", str(hand_files / "w.csv"), "--t", str(hand_files / "t.csv"),
-           "--y", str(hand_files / "y.csv")]
-    seen = []
-    real_fit = cli.fit_partial_variant
-
-    def recording_fit(part, y, variant):
-        seen.append((variant, get_default_tolerance()))
-        return real_fit(part, y, variant)
-
-    monkeypatch.setattr(cli, "fit_partial_variant", recording_fit)
-    assert run_cli(capsys, "fit", *wty, "--frobnicate")[0] == 1
-    assert run_cli(capsys, "fit", *wty)[0] == 0
-    assert run_cli(capsys, "--rank-tol", "1e-3", "fit", *wty, "--variant", "gls")[0] == 0
-    assert run_cli(capsys, "fit", *wty)[0] == 0
-    assert seen == [
-        ("direct", RankTolerance()),
-        ("gls", RankTolerance(relative_cutoff=1e-3)),
-        ("direct", RankTolerance()),
-    ]
-
-
 @pytest.mark.parametrize("rel", ["inf", "1", "2", "0", "nan"])
 def test_rank_tol_out_of_range_exits_1(hand_files, capsys, rel):
     code, out, err = run_cli(
