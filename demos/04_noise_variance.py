@@ -10,6 +10,7 @@ sigma^2 plus a computable term; a quick Monte Carlo confirms all four.
 import numpy as np
 
 from pregols import (
+    ESTIMATOR_IDS,
     CovariateConfig,
     DesignPartition,
     GaussMarkovTruth,
@@ -17,10 +18,7 @@ from pregols import (
     full_operator,
     gen_covariates,
     partial_operator,
-    sigma2_full,
-    sigma2_partial,
-    sigma2_w,
-    sigma2_wc,
+    sigma2,
     standard_normal,
     w_operator,
     wc_normalizers,
@@ -40,13 +38,8 @@ mean_y = x @ truth.beta
 y = mean_y + sigma * standard_normal(rng, n)
 
 print(f"one draw, true sigma^2 = {sigma**2}:")
-reports = {
-    "full": sigma2_full(x, y, truth),
-    "partial": sigma2_partial(part, y, truth),
-    "w": sigma2_w(part, y, truth),
-    "wc": sigma2_wc(part, y, truth),
-}
-for name, rep in reports.items():
+for name in ESTIMATOR_IDS:
+    rep = sigma2(name, part, y, truth)
     print(f"  {name:8s} estimate = {rep.estimate:8.4f}   exact bias = {rep.expected_bias:8.4f}")
 
 print("\nMonte Carlo over 2000 draws (mean should sit at sigma^2 + bias):")

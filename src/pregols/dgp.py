@@ -18,7 +18,7 @@ Three covariate models, all n x q with q >= n and full row rank:
 * ``geometric`` — a random matrix whose singular values are exactly
   ``lambda * rho^{l/2}``, synthesized as an SVD with Haar-like factors.
 
-:func:`gen_covariates_svd` returns each draw as its thin
+:func:`gen_covariates` returns each draw as its thin
 :class:`~pregols.linalg.Svd`.  The spiked and geometric draws are born
 factored: the geometric synthesis is its SVD, and a spiked ``W`` has
 ``W W^T = sigma_x^2 (I_n + K E K^T)`` with ``K = U_h C`` (n x r, ``U_h``
@@ -49,10 +49,8 @@ __all__ = [
     "CovariateConfig",
     "COVARIATE_MODELS",
     "gen_covariates",
-    "gen_covariates_svd",
     "gen_response",
     "gen_ate_design",
-    "gen_ate_design_svd",
     "gen_ate_dataset",
 ]
 
@@ -202,11 +200,6 @@ def _spiked_covariance(cfg: CovariateConfig, rng: np.random.Generator):
     return cfg.sigma_x * root, c, evals
 
 
-def _spiked_covariance_root(cfg: CovariateConfig, rng: np.random.Generator) -> np.ndarray:
-    """Symmetric square root of the spiked covariance, from its r x r spike block."""
-    return _spiked_covariance(cfg, rng)[0]
-
-
 def _spiked_left_factors(k: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(U, d)`` with ``I_n + K diag(e) K^T = U diag(d) U^T``, ``d`` descending.
 
@@ -249,7 +242,7 @@ def _draw_covariates(cfg: CovariateConfig, rng: np.random.Generator) -> Svd:
     return Svd.from_factors((left * svals) @ right, left, svals, right)
 
 
-def gen_covariates_svd(
+def gen_covariates(
     cfg: CovariateConfig, rng: np.random.Generator, tol: RankTolerance | None = None
 ) -> Svd:
     """Draw one covariate matrix as its thin SVD, resampling on (vanishingly rare) rank failure.
@@ -275,13 +268,6 @@ def gen_covariates_svd(
     )
 
 
-def gen_covariates(
-    cfg: CovariateConfig, rng: np.random.Generator, tol: RankTolerance | None = None
-) -> np.ndarray:
-    """Draw one covariate matrix, resampling on (vanishingly rare) rank failure."""
-    return gen_covariates_svd(cfg, rng, tol).a
-
-
 def gen_response(
     w, beta1, beta0: float, sigma: float, rng: np.random.Generator
 ) -> np.ndarray:
@@ -292,8 +278,8 @@ def gen_response(
         raise InvalidInputError(
             f"beta1 has length {beta1.size}, expected {w.shape[1]}"
         )
-    if sigma < 0.0:
-        raise InvalidInputError("sigma must be nonnegative")
+    if not 0.0 <= sigma < np.inf:
+        raise InvalidInputError("sigma must be nonnegative and finite")
     n = w.shape[0]
     y = w @ beta1 + float(beta0)
     if sigma > 0.0:
@@ -301,14 +287,18 @@ def gen_response(
     return y
 
 
-def gen_ate_design_svd(
+def gen_ate_design(
     n: int, q: int, rng: np.random.Generator, tol: RankTolerance | None = None
 ) -> tuple[Svd, np.ndarray]:
-    """:func:`gen_ate_design` with the covariates as their kept thin SVD."""
+    """Spiked covariates, as their kept thin SVD, plus a fair-coin treatment vector.
+
+    A constant treatment would make ``[D, 1]`` rank one, so constant draws
+    are rejected and redrawn.
+    """
     if not 1 <= n < q:
         raise InvalidInputError(f"need 1 <= n < q, got n={n}, q={q}")
     cfg = CovariateConfig(model="spiked", n=n, q=q)
-    w = gen_covariates_svd(cfg, rng, tol)
+    w = gen_covariates(cfg, rng, tol)
     for _ in range(_MAX_REJECTIONS):
         d = (rng.random(n) < 0.5).astype(np.float64)
         if 0.0 < d.mean() < 1.0:
@@ -316,18 +306,6 @@ def gen_ate_design_svd(
     raise RankAssumptionError(
         f"treatment vector was constant {_MAX_REJECTIONS} times in a row"
     )
-
-
-def gen_ate_design(
-    n: int, q: int, rng: np.random.Generator, tol: RankTolerance | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Spiked covariates plus a fair-coin treatment vector (never constant).
-
-    A constant treatment would make ``[D, 1]`` rank one, so constant draws
-    are rejected and redrawn.
-    """
-    w, d = gen_ate_design_svd(n, q, rng, tol)
-    return w.a, d
 
 
 def gen_ate_dataset(
@@ -345,7 +323,10 @@ def gen_ate_dataset(
     ``p = q + 2`` (covariates + treatment + intercept) and unit-variance
     noise.  ``noise_sd`` exists as a test hook for the noise-free path.
     """
-    w, d = gen_ate_design(n, q, rng, tol)
+    if not 0.0 <= noise_sd < np.inf:
+        raise InvalidInputError("noise_sd must be nonnegative and finite")
+    w_svd, d = gen_ate_design(n, q, rng, tol)
+    w = w_svd.a
     p = q + 2
     alpha = np.full(q, p ** -0.5)
     y = w @ alpha + float(tau) * d + 1.0

@@ -80,44 +80,29 @@ class DesignPartition:
     rank check has already computed, or factors known by construction),
     which is kept as it is.
 
-    The degenerate case m = 0 (no unpenalized block) is permitted only via
-    :meth:`penalized_only`; fitting such a partition reduces to the fully
-    regularized solution on ``W``.
+    An empty ``T`` is refused: an unsplit design is fitted by :func:`fit_full`
+    and its variance map is :func:`~pregols.variance.full_operator`.
     """
 
     __slots__ = ("w", "t", "w_svd", "t_svd", "_split_factor")
 
     def __init__(self, w, t, *, tol: RankTolerance | None = None):
-        w, w_svd = _penalized_block(w)
+        w_svd = w if isinstance(w, Svd) else None
+        w = as_matrix(w.a if w_svd is not None else w, "w")
         t = as_matrix(t, "t")
         if t.shape[1] == 0:
             raise InvalidInputError(
                 "unpenalized block t must have at least one column; "
-                "use DesignPartition.penalized_only for an empty t"
+                "fit an unsplit design with fit_full"
             )
         n, m = t.shape
         if w.shape[0] != n:
             raise InvalidInputError(
                 f"w and t must have equal row counts, got {w.shape[0]} and {n}"
             )
-        self._set_w(w, w_svd, tol)
-        if m >= n:
+        if w.shape[1] < n:
             raise RankAssumptionError(
-                f"unpenalized block t must have fewer columns than rows, got {n}x{m}"
-            )
-        self._set_t(t)
-        rt = self.t_svd.rank(tol)
-        if rt != m:
-            raise RankAssumptionError(
-                f"rank assumption violated: unpenalized block t must have full "
-                f"column rank {m}, numeric rank is {rt}"
-            )
-
-    def _set_w(self, w: np.ndarray, w_svd: Svd | None, tol: RankTolerance | None) -> None:
-        n, q = w.shape
-        if q < n:
-            raise RankAssumptionError(
-                f"penalized block w must be wide (cols >= rows), got {n}x{q}"
+                f"penalized block w must be wide (cols >= rows), got {n}x{w.shape[1]}"
             )
         self.w = _readonly(w)
         self.w_svd = Svd(self.w) if w_svd is None else w_svd
@@ -128,19 +113,18 @@ class DesignPartition:
                 f"rank assumption violated: penalized block w must have full row "
                 f"rank {n}, numeric rank is {rw}"
             )
-
-    def _set_t(self, t: np.ndarray) -> None:
+        if m >= n:
+            raise RankAssumptionError(
+                f"unpenalized block t must have fewer columns than rows, got {n}x{m}"
+            )
         self.t = _readonly(t)
         self.t_svd = Svd(self.t)
-
-    @classmethod
-    def penalized_only(cls, w, *, tol: RankTolerance | None = None) -> "DesignPartition":
-        """Partition with an empty unpenalized block (m = 0)."""
-        w, w_svd = _penalized_block(w)
-        self = object.__new__(cls)
-        self._set_w(w, w_svd, tol)
-        self._set_t(np.zeros((w.shape[0], 0)))
-        return self
+        rt = self.t_svd.rank(tol)
+        if rt != m:
+            raise RankAssumptionError(
+                f"rank assumption violated: unpenalized block t must have full "
+                f"column rank {m}, numeric rank is {rt}"
+            )
 
     @property
     def n(self) -> int:
@@ -193,9 +177,9 @@ class DesignPartition:
         """
         f, n, m = self.w_svd, self.n, self.m
         tol = get_default_tolerance() if tol is None else tol
-        t_max = float(self.t_svd.s[0]) if m else 0.0
         floor = f.s[-1]
-        if not floor > tol.cutoff((n, self.q + m), float(np.hypot(f.s[0], t_max))):
+        x_max = float(np.hypot(f.s[0], self.t_svd.s[0]))  # bounds ||[W | T]||
+        if not floor > tol.cutoff((n, self.q + m), x_max):
             return full_row_rank_svd(self.stacked(), tol).gram_inverse(tol)
         k = int(np.count_nonzero(f.s > floor))
         if n - k > m:
@@ -238,13 +222,6 @@ class DesignPartition:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DesignPartition(n={self.n}, q={self.q}, m={self.m})"
-
-
-def _penalized_block(w) -> tuple[np.ndarray, Svd | None]:
-    """``w`` as a checked array, with its kept SVD when ``w`` is an :class:`Svd`."""
-    if isinstance(w, Svd):
-        return as_matrix(w.a, "w"), w
-    return as_matrix(w, "w"), None
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -321,19 +298,11 @@ def fit_partial(d: DesignPartition, y, tol: RankTolerance | None = None) -> Part
     """Fit the partially regularized interpolator on a split design.
 
     Among all ``(lambda, tau)`` with ``W lambda + T tau = y``, returns the
-    pair whose ``lambda`` has minimum l2 norm.  With an empty unpenalized
-    block the problem reduces to :func:`fit_full` on ``W``.
+    pair whose ``lambda`` has minimum l2 norm.
     """
     y = as_vector(y, "y")
     if y.size != d.n:
         raise InvalidInputError(f"y has length {y.size}, expected {d.n}")
-    if d.m == 0:
-        full = fit_full(d.w, y, tol)
-        return PartialFit(
-            lambda_hat=full.beta_hat,
-            tau_hat=_readonly(np.zeros(0)),
-            max_interp_residual=full.max_interp_residual,
-        )
     lam, tau = _partial_blocks(d, y, tol)
     gap = _check_interpolation(y - d.w @ lam - d.t @ tau, y, "partial fit")
     return PartialFit(
@@ -409,8 +378,6 @@ def fit_partial_variant(
     y = as_vector(y, "y")
     if y.size != d.n:
         raise InvalidInputError(f"y has length {y.size}, expected {d.n}")
-    if d.m == 0:
-        return fit_partial(d, y, tol)
     lam, tau = fn(d, y, tol)
     gap = _check_interpolation(y - d.w @ lam - d.t @ tau, y, f"partial fit ({variant})")
     return PartialFit(

@@ -60,10 +60,8 @@ from .linalg import (
 )
 
 __all__ = [
-    "LooProjector",
     "LooRecord",
     "PartialLooSolver",
-    "loo_projector",
     "loo_fit",
     "loo_record",
     "loo_residual_partial",
@@ -75,23 +73,6 @@ __all__ = [
 #: Internal-consistency bound between the residual closed form and the
 #: prediction implied by the leave-one-out coefficients.
 _CONSISTENCY_RTOL = 1e-8
-
-
-@dataclass(frozen=True)
-class LooProjector:
-    """Rank-one projector pair for one held-out index.
-
-    ``p`` projects onto span(W^+ e_i) in coefficient space; ``q_companion``
-    is its sample-space companion ``e_i e_i^T G_W / g_ii`` (idempotent but not
-    symmetric).  ``w_tilde = (I - p) W^+`` is the deflated pseudoinverse that
-    drives every leave-one-out closed form.
-    """
-
-    index: int
-    p: np.ndarray
-    q_companion: np.ndarray
-    w_tilde: np.ndarray
-    denominator: float
 
 
 @dataclass(frozen=True)
@@ -109,25 +90,6 @@ def _check_index(i: int, n: int) -> int:
     if not 0 <= i < n:
         raise InvalidInputError(f"index {i} out of range for {n} rows")
     return i
-
-
-def loo_projector(w, i: int, tol: RankTolerance | None = None) -> LooProjector:
-    """Build the projector pair for row ``i`` of a full-row-rank ``w``."""
-    w = as_matrix(w, "w")
-    n = w.shape[0]
-    i = _check_index(i, n)
-    f = full_row_rank_svd(w, tol, "w")
-    wp = f.pinv(tol)
-    gw = f.gram_inverse(tol)
-    gii = float(gw[i, i])  # >= 1 / smax^2: U has orthonormal rows
-    k = wp[:, i]
-    p = np.outer(k, k) / gii
-    q_companion = np.zeros((n, n))
-    q_companion[i, :] = gw[i] / gii
-    w_tilde = wp - np.outer(k, gw[i]) / gii
-    return LooProjector(
-        index=i, p=p, q_companion=q_companion, w_tilde=w_tilde, denominator=gii
-    )
 
 
 def _check_loo_rows(d: DesignPartition, tol, rows: np.ndarray) -> None:
@@ -199,7 +161,7 @@ def loo_record(
     y = as_vector(y, "y")
     lam_loo, tau_loo = loo_fit(d, y, i, tol)
     resid = loo_residual_partial(d, y, i, tol)
-    predicted = float(d.w[i] @ lam_loo + (d.t[i] @ tau_loo if d.m else 0.0))
+    predicted = float(d.w[i] @ lam_loo + d.t[i] @ tau_loo)
     gap = abs(resid - (y[i] - predicted))
     if gap > _CONSISTENCY_RTOL * (1.0 + abs(float(y[i]))):
         raise RankAssumptionError(
@@ -280,12 +242,6 @@ def brute_force_refit(
     """
     y = _check_response(y, d.n)
     i = _check_index(i, d.n)
-    w_del = np.delete(np.asarray(d.w), i, axis=0)
-    y_del = np.delete(y, i)
-    if d.m == 0:
-        part = DesignPartition.penalized_only(w_del, tol=tol)
-    else:
-        t_del = np.delete(np.asarray(d.t), i, axis=0)
-        part = DesignPartition(w_del, t_del, tol=tol)
-    fit = fit_partial(part, y_del, tol)
+    part = DesignPartition(np.delete(d.w, i, axis=0), np.delete(d.t, i, axis=0), tol=tol)
+    fit = fit_partial(part, np.delete(y, i), tol)
     return fit.lambda_hat, fit.tau_hat

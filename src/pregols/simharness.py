@@ -33,14 +33,12 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .dgp import (  # noqa: F401  perfbench/workloads.py traces gen_ate_design, gen_covariates
+from .dgp import (
     COVARIATE_MODELS,
     CovariateConfig,
     Seed,
     gen_ate_design,
-    gen_ate_design_svd,
     gen_covariates,
-    gen_covariates_svd,
     standard_normal,
 )
 from .exceptions import ExperimentAbortedError, InvalidInputError, RankAssumptionError
@@ -153,6 +151,10 @@ class ExperimentConfig:
             )
         object.__setattr__(self, "covariate", _covariate_settings(self.model, self.covariate))
         raw = DEFAULT_GRIDS[self.experiment] if self.grid is None else self.grid
+        if not isinstance(raw, (list, tuple)) or not all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool) for v in raw
+        ):
+            raise InvalidInputError(f"grid must be a list of numbers, got {raw!r}")
         grid = tuple(float(v) for v in raw)
         if not grid:
             raise InvalidInputError("grid must be nonempty")
@@ -167,7 +169,10 @@ class ExperimentConfig:
             raise InvalidInputError("trials and draws_per_trial must be >= 1")
         if self.trials > _STREAM_STRIDE:
             raise InvalidInputError(f"trials must be <= {_STREAM_STRIDE}")
-        ests = tuple(self.estimators)
+        ests = self.estimators
+        if not isinstance(ests, (list, tuple)) or not all(isinstance(e, str) for e in ests):
+            raise InvalidInputError(f"estimators must be a list of names, got {ests!r}")
+        ests = tuple(ests)
         if not ests or any(e not in ESTIMATOR_IDS for e in ests):
             raise InvalidInputError(
                 f"estimators must be a nonempty subset of {ESTIMATOR_IDS}"
@@ -227,12 +232,7 @@ class ExperimentConfig:
             raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
         if "experiment" not in data:
             raise InvalidInputError("config must name an experiment")
-        kwargs = dict(data)
-        if "grid" in kwargs:
-            kwargs["grid"] = tuple(kwargs["grid"])
-        if "estimators" in kwargs:
-            kwargs["estimators"] = tuple(kwargs["estimators"])
-        return cls(**kwargs)
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -310,7 +310,7 @@ def _sim_trial(cfg: ExperimentConfig, gi: int, ti: int, dump_dir=None):
     n, p, sigma, beta0 = _sim_parameters(cfg.experiment, cfg.grid[gi])
     q = p - 1
     cov = CovariateConfig(model=cfg.model, n=n, q=q, **cfg.covariate)
-    w_svd = gen_covariates_svd(cov, rng)
+    w_svd = gen_covariates(cov, rng)
     w = w_svd.a
     if dump_dir is not None:
         _dump(dump_dir, cfg, gi, ti, "w", w)
@@ -346,7 +346,7 @@ def _ate_trial(cfg: ExperimentConfig, gi: int, ti: int, dump_dir=None):
     rng = Seed(cfg.seed).rng(gi * _STREAM_STRIDE + ti)
     tau = cfg.grid[gi]
     n, q = _ATE_N, _ATE_Q
-    w_svd, dvec = gen_ate_design_svd(n, q, rng)
+    w_svd, dvec = gen_ate_design(n, q, rng)
     w = w_svd.a
     if dump_dir is not None:
         _dump(dump_dir, cfg, gi, ti, "w", w)

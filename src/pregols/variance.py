@@ -68,10 +68,7 @@ __all__ = [
     "wc_normalizers",
     "residual_operator",
     "loo_residuals_full",
-    "sigma2_full",
-    "sigma2_partial",
-    "sigma2_w",
-    "sigma2_wc",
+    "sigma2",
     "expected_bias",
 ]
 
@@ -202,10 +199,10 @@ def w_operator(d: DesignPartition, tol: RankTolerance | None = None) -> Residual
 
     Regressing ``y`` (not its projection) on the projected penalized block
     leaves the nontrivial residual ``P_T y``; the normalizer is rank(T),
-    which equals ``||P_T||_F^2`` exactly.
+    which equals ``||P_T||_F^2`` exactly.  With ``T`` a lone intercept
+    column the bias is ``(sum_i w_i . beta_W + n beta_0)^2 / n``, which grows
+    with the sample mean of the signal; expect it to dominate the other three.
     """
-    if d.m == 0:
-        raise InvalidInputError("estimator 'w' requires a nonempty unpenalized block")
     return ResidualOperator("w", d.t_svd.projector(tol), float(d.t_svd.rank(tol)))
 
 
@@ -216,8 +213,6 @@ def wc_operator(d: DesignPartition, tol: RankTolerance | None = None) -> Residua
     ``P_B^perp W^+ y = (V N) F^T y`` with ``B = W^+ T``; ``V N`` is an
     isometry, so the map is the (n - m) x n ``F^T`` (see module docstring).
     """
-    if d.m == 0:
-        raise InvalidInputError("estimator 'wc' requires a nonempty unpenalized block")
     if d.w_svd.rank(tol) != d.n:
         raise RankAssumptionError(
             f"rank assumption violated: penalized block w must have full row rank {d.n}"
@@ -240,46 +235,6 @@ def wc_normalizers(d: DesignPartition, tol: RankTolerance | None = None) -> tupl
     return projected, sample
 
 
-def _report(op: ResidualOperator, design: np.ndarray, y, truth) -> VarianceReport:
-    mu = None if truth is None else truth.mean_response(design)
-    return op.report(y, mu)
-
-
-def sigma2_full(x, y, truth: GaussMarkovTruth | None = None,
-                tol: RankTolerance | None = None) -> VarianceReport:
-    """Variance estimate from the unsplit leave-one-out residuals."""
-    x = as_matrix(x, "x")
-    return _report(full_operator(x, tol), x, y, truth)
-
-
-def sigma2_partial(d: DesignPartition, y, truth: GaussMarkovTruth | None = None,
-                   tol: RankTolerance | None = None) -> VarianceReport:
-    """Variance estimate from the split-design leave-one-out residuals.
-
-    The numerator is the squared l2 norm of the residual vector; build a
-    :func:`partial_operator` once to amortize the per-design work across
-    many responses.
-    """
-    return _report(partial_operator(d, tol), d.stacked(), y, truth)
-
-
-def sigma2_w(d: DesignPartition, y, truth: GaussMarkovTruth | None = None,
-             tol: RankTolerance | None = None) -> VarianceReport:
-    """Variance estimate from the penalized-block in-sample residuals.
-
-    With ``T`` a lone intercept column its bias is
-    ``(sum_i w_i . beta_W + n beta_0)^2 / n``, which grows with the sample
-    mean of the signal; expect it to dominate the other three estimators.
-    """
-    return _report(w_operator(d, tol), d.stacked(), y, truth)
-
-
-def sigma2_wc(d: DesignPartition, y, truth: GaussMarkovTruth | None = None,
-              tol: RankTolerance | None = None) -> VarianceReport:
-    """Variance estimate from the unpenalized-block in-sample residuals."""
-    return _report(wc_operator(d, tol), d.stacked(), y, truth)
-
-
 def residual_operator(estimator_id: str, d: DesignPartition,
                       tol: RankTolerance | None = None) -> ResidualOperator:
     """The residual operator of one estimator on a split design.
@@ -300,24 +255,46 @@ def residual_operator(estimator_id: str, d: DesignPartition,
     )
 
 
-def expected_bias(estimator_id: str, design, truth: GaussMarkovTruth,
-                  tol: RankTolerance | None = None) -> float:
-    """Exact additive bias ``E[sigma2_hat] - sigma^2`` for a given truth.
+def _operator(estimator_id: str, design,
+              tol: RankTolerance | None) -> tuple[ResidualOperator, np.ndarray]:
+    """``(R, X)``: one estimator's residual operator and the stacked design it maps.
 
-    ``design`` is the unsplit matrix for ``full`` and a
-    :class:`DesignPartition` for the other three; ``truth.beta`` is ordered
-    W-block first, then T-block.
+    ``full`` takes an unsplit array or a :class:`DesignPartition`; the other
+    three take a :class:`DesignPartition` only.
     """
     if estimator_id not in ESTIMATOR_IDS:
         raise InvalidInputError(
             f"unknown estimator {estimator_id!r}; choose from {ESTIMATOR_IDS}"
         )
-    if estimator_id == "full" and not isinstance(design, DesignPartition):
-        x = as_matrix(design, "design")
-        return full_operator(x, tol).expected_bias(truth.mean_response(x))
-    if not isinstance(design, DesignPartition):
+    if isinstance(design, DesignPartition):
+        return residual_operator(estimator_id, design, tol), design.stacked()
+    if estimator_id != "full":
         raise InvalidInputError(
             f"estimator {estimator_id!r} requires a DesignPartition"
         )
-    op = residual_operator(estimator_id, design, tol)
-    return op.expected_bias(truth.mean_response(design.stacked()))
+    x = as_matrix(design, "design")
+    return full_operator(x, tol), x
+
+
+def sigma2(estimator_id: str, design, y, truth: GaussMarkovTruth | None = None,
+           tol: RankTolerance | None = None) -> VarianceReport:
+    """One estimate ``||R y||^2 / ||R||_F^2``, with its exact bias when ``truth`` is given.
+
+    ``design`` is as for :func:`expected_bias`.  Build the operator once
+    (:func:`residual_operator`) to amortize the per-design work across many
+    responses.
+    """
+    op, x = _operator(estimator_id, design, tol)
+    return op.report(y, None if truth is None else truth.mean_response(x))
+
+
+def expected_bias(estimator_id: str, design, truth: GaussMarkovTruth,
+                  tol: RankTolerance | None = None) -> float:
+    """Exact additive bias ``E[sigma2_hat] - sigma^2`` for a given truth.
+
+    ``design`` is the unsplit matrix or a :class:`DesignPartition` for
+    ``full`` and a :class:`DesignPartition` for the other three;
+    ``truth.beta`` is ordered W-block first, then T-block.
+    """
+    op, x = _operator(estimator_id, design, tol)
+    return op.expected_bias(truth.mean_response(x))

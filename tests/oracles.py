@@ -84,6 +84,26 @@ def min_norm_refit_partial(w, t, y, i):
     return float(y[i] - w[i] @ lam - t[i] @ tau)
 
 
+def loo_projector(w, i):
+    """``(P, Q, W~_i, g_ii)``: the leave-one-out projector pair for row ``i``.
+
+    ``P = k k^T / g_ii`` with ``k = W^+ e_i`` projects onto span(W^+ e_i) in
+    coefficient space; ``Q = e_i e_i^T G_W / g_ii`` is its sample-space
+    companion (idempotent, not symmetric); ``W~_i = W^+ - k e_i^T G_W / g_ii``
+    is the rank-one form of the deflated pseudoinverse ``(I - P) W^+``.
+    ``W^+`` is ``np.linalg.pinv(W)`` and ``G_W`` is ``inv(W W^T)``.
+    """
+    w = np.asarray(w, dtype=float)
+    wp = np.linalg.pinv(w)
+    gw = np.linalg.inv(w @ w.T)
+    gii = float(gw[i, i])
+    k = wp[:, i]
+    p = np.outer(k, k) / gii
+    q_companion = np.zeros_like(gw)
+    q_companion[i] = gw[i] / gii
+    return p, q_companion, wp - np.outer(k, gw[i]) / gii, gii
+
+
 def weak_constant_direction_w(cond, rng, n=10, q=20):
     """``(W, U)``: ``W = U diag(1, ..., 1, 1/cond) V^T`` (n x q) whose weakest
     left singular vector ``U[:, -1]`` is the constant vector +-1/sqrt(n).

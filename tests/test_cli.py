@@ -289,6 +289,11 @@ def test_simulate_conflicting_selection(tmp_path, capsys):
         {"covariate": {"sigma_x": float("inf")}},
         {"model": "geometric", "covariate": {"lambda_geo": float("inf")}},
         {"covariate": {"k_spikes": True}},
+        {"experiment": "sim1", "grid": "25"},
+        {"grid": 5},
+        {"grid": [[20]]},
+        {"estimators": "wc"},
+        {"estimators": 5},
     ],
 )
 def test_simulate_bad_config_exits_1(tmp_path, capsys, setting):

@@ -109,7 +109,7 @@ def test_orthonormal_rows_requires_wide():
 
 def test_spiked_no_spikes_is_isotropic():
     cfg = CovariateConfig(model="spiked", n=6, q=12, k_spikes=0, sigma_x=1.5)
-    w = gen_covariates(cfg, Seed(6).rng(0))
+    w = gen_covariates(cfg, Seed(6).rng(0)).a
     assert np.max(np.abs(w @ w.T - 1.5**2 * np.eye(6))) <= 1e-8
 
 
@@ -123,7 +123,7 @@ _ROOT_CASES = {
 
 
 def _assert_root_matches_oracle(cfg, seed):
-    got = dgp_module._spiked_covariance_root(cfg, Seed(seed).rng(0))
+    got = dgp_module._spiked_covariance(cfg, Seed(seed).rng(0))[0]
     want = spiked_root_eigh(cfg, Seed(seed).rng(0))
     scale = np.linalg.norm(want, 2)
     assert np.linalg.norm(got - want, 2) <= 10 * cfg.q * np.finfo(float).eps * scale
@@ -158,13 +158,16 @@ def test_spiked_root_with_repeated_spike_direction(monkeypatch):
 @pytest.mark.parametrize("case", sorted(_ROOT_CASES))
 def test_spiked_draw_consumes_the_stream_like_the_dense_root(case):
     # the spikes, then the orthonormal rows: the generator ends where the
-    # dense construction leaves it, so every later draw is unchanged
+    # dense construction leaves it, so every later draw is unchanged; the
+    # public generator keeps the draw's W bit for bit
     cfg = CovariateConfig(model="spiked", **_ROOT_CASES[case])
-    lib_rng, ref_rng = Seed(21).rng(2), Seed(21).rng(2)
+    lib_rng, ref_rng, pub_rng = Seed(21).rng(2), Seed(21).rng(2), Seed(21).rng(2)
     w = dgp_module._draw_covariates(cfg, lib_rng).a
     root = spiked_root_eigh(cfg, ref_rng)
     want = orthonormal_rows(cfg.n, cfg.q, ref_rng) @ root
     assert lib_rng.bit_generator.state == ref_rng.bit_generator.state
+    assert np.array_equal(gen_covariates(cfg, pub_rng).a, w)
+    assert pub_rng.bit_generator.state == lib_rng.bit_generator.state
     scale = np.linalg.norm(root, 2)
     assert np.linalg.norm(w - want, 2) <= 10 * cfg.q * np.finfo(float).eps * scale
 
@@ -184,7 +187,7 @@ def test_covariates_are_born_factored(case):
     cfg = CovariateConfig(**_FACTOR_CASES[case])
     eps = np.finfo(float).eps
     for seed in range(5):
-        f = dgp_module.gen_covariates_svd(cfg, Seed(seed).rng(0))
+        f = gen_covariates(cfg, Seed(seed).rng(0))
         bound = 10 * cfg.q * eps * np.linalg.norm(f.a, 2)
         assert f.u.shape == (cfg.n, cfg.n) and f.vt.shape == (cfg.n, cfg.q)
         assert np.linalg.norm((f.u * f.s) @ f.vt - f.a, 2) <= bound
@@ -203,7 +206,7 @@ def test_factored_partition_matches_the_dense_svd_partition(model, n):
     cfg = CovariateConfig(model=model, n=n, q=99)
     for seed in range(3):
         rng = Seed(seed).rng(n)
-        f = dgp_module.gen_covariates_svd(cfg, rng)
+        f = gen_covariates(cfg, rng)
         t = np.column_stack([rng.random(n) < 0.5, np.ones(n)]).astype(float)
         built = DesignPartition(f, t)
         dense = DesignPartition(dense_svd(f.a), t)
@@ -220,7 +223,7 @@ def test_factored_partition_matches_the_dense_svd_partition(model, n):
 
 def test_geometric_singular_values_exact():
     cfg = CovariateConfig(model="geometric", n=5, q=11, lambda_geo=1.3, rho=0.9)
-    w = gen_covariates(cfg, Seed(7).rng(0))
+    w = gen_covariates(cfg, Seed(7).rng(0)).a
     target = 1.3 * 0.9 ** (np.arange(1, 6) / 2.0)
     got = np.sort(np.linalg.svd(w, compute_uv=False))[::-1]
     assert np.max(np.abs(got - target)) <= 1e-8
@@ -233,7 +236,7 @@ def test_spiked_spectrum_has_k_large_eigenvalues():
     rng = Seed(8).rng(0)
     counts = []
     for _ in range(10):
-        w = gen_covariates(cfg, rng)
+        w = gen_covariates(cfg, rng).a
         evals = np.linalg.eigvalsh(w @ w.T)
         counts.append(int(np.sum(evals > 5.0)))
     assert np.mean(counts) == cfg.k_spikes
@@ -243,7 +246,7 @@ def test_standard_normal_model_full_rank():
     cfg = CovariateConfig(model="standard_normal", n=10, q=15)
     rng = Seed(9).rng(0)
     for _ in range(20):
-        assert numeric_rank(gen_covariates(cfg, rng)) == 10
+        assert numeric_rank(gen_covariates(cfg, rng).a) == 10
 
 
 def test_gen_covariates_resamples_on_rank_failure(monkeypatch, caplog):
@@ -261,7 +264,7 @@ def test_gen_covariates_resamples_on_rank_failure(monkeypatch, caplog):
     monkeypatch.setattr(dgp_module, "Svd", FlakySvd)
     with caplog.at_level("WARNING", logger="pregols.dgp"):
         w = dgp_module.gen_covariates(cfg, Seed(10).rng(0))
-    assert w.shape == (4, 6)
+    assert w.a.shape == (4, 6)
     assert calls["n"] == 2
     assert caplog.messages == ["resampled covariates 1 time(s) after rank failures"]
 
@@ -308,6 +311,16 @@ def test_gen_response_validates():
         gen_response(w, np.ones(5), 0.0, 1.0, rng)
     with pytest.raises(InvalidInputError):
         gen_response(w, np.ones(6), 0.0, -1.0, rng)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_noise_scales_must_be_nonnegative_and_finite(bad):
+    rng = Seed(13).rng(1)
+    w = standard_normal(rng, (4, 6))
+    with pytest.raises(InvalidInputError, match="sigma must be nonnegative and finite"):
+        gen_response(w, np.ones(6), 0.0, bad, rng)
+    with pytest.raises(InvalidInputError, match="noise_sd must be nonnegative and finite"):
+        gen_ate_dataset(10, 20, 0.0, rng, noise_sd=bad)
 
 
 def test_ate_dataset_noise_free_hook():

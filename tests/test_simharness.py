@@ -90,7 +90,7 @@ def _sim_trial_per_draw(cfg, gi, ti):
     """The trial as a loop of single draws and ``estimate`` calls."""
     rng = Seed(cfg.seed).rng(gi * simharness._STREAM_STRIDE + ti)
     n, p, sigma, beta0 = simharness._sim_parameters(cfg.experiment, cfg.grid[gi])
-    w = gen_covariates(CovariateConfig(model=cfg.model, n=n, q=p - 1, **cfg.covariate), rng)
+    w = gen_covariates(CovariateConfig(model=cfg.model, n=n, q=p - 1, **cfg.covariate), rng).a
     d = DesignPartition(w, np.ones((n, 1)))
     ops = {est: residual_operator(est, d) for est in cfg.estimators}
     mean_y = w @ np.full(p - 1, p**-0.5) + beta0
@@ -106,7 +106,8 @@ def _ate_trial_per_draw(cfg, gi, ti):
     """The treatment trial as a loop of single draws."""
     rng = Seed(cfg.seed).rng(gi * simharness._STREAM_STRIDE + ti)
     tau, n, q = cfg.grid[gi], simharness._ATE_N, simharness._ATE_Q
-    w, dvec = gen_ate_design(n, q, rng)
+    w_svd, dvec = gen_ate_design(n, q, rng)
+    w = w_svd.a
     t = np.column_stack([dvec, np.ones(n)])
     full_row = pinv(np.hstack([w, t]))[q]
     wp = pinv(w)
@@ -199,7 +200,8 @@ def test_ate_partial_exact_recovery_boundary():
 
     rng = Seed(123).rng(0)
     n, q, tau = 10, 20, 2.5
-    w, dvec = gen_ate_design(n, q, rng)
+    w_svd, dvec = gen_ate_design(n, q, rng)
+    w = w_svd.a
     t = np.column_stack([dvec, np.ones(n)])
     DesignPartition(w, t)  # rank structure holds
     wp = pinv(w)
@@ -286,6 +288,13 @@ def test_config_rejects_bad_covariate_settings(experiment, covariate, message):
         ({"draws_per_trial": True}, "draws_per_trial must be an integer"),
         ({"seed": 2.5}, "seed root must be an integer"),
         ({"seed": True}, "seed root must be an integer"),
+        ({"grid": "25"}, "grid must be a list of numbers"),
+        ({"grid": 5}, "grid must be a list of numbers"),
+        ({"grid": [[20]]}, "grid must be a list of numbers"),
+        ({"grid": [True]}, "grid must be a list of numbers"),
+        ({"estimators": "wc"}, "estimators must be a list of names"),
+        ({"estimators": 5}, "estimators must be a list of names"),
+        ({"estimators": [["w"]]}, "estimators must be a list of names"),
     ],
 )
 def test_config_rejects_non_integer_counts(setting, message):

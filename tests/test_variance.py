@@ -15,10 +15,7 @@ from pregols import (
     gen_covariates,
     partial_operator,
     residual_operator,
-    sigma2_full,
-    sigma2_partial,
-    sigma2_w,
-    sigma2_wc,
+    sigma2,
     standard_normal,
     w_operator,
     wc_normalizers,
@@ -37,11 +34,22 @@ def fixture_partition(seed=0, n=12, q=18, m=1):
 
 def all_reports(d, y, truth=None):
     return {
-        "full": sigma2_full(d.stacked(), y, truth),
-        "partial": sigma2_partial(d, y, truth),
-        "w": sigma2_w(d, y, truth),
-        "wc": sigma2_wc(d, y, truth),
+        "full": sigma2("full", d.stacked(), y, truth),
+        **{est: sigma2(est, d, y, truth) for est in ("partial", "w", "wc")},
     }
+
+
+def test_sigma2_is_the_operator_report():
+    d = fixture_partition(seed=18, m=2)
+    truth = GaussMarkovTruth(beta=np.linspace(-1.0, 1.0, d.q + d.m), sigma2=1.0)
+    y = np.random.default_rng(19).standard_normal(d.n)
+    x = d.stacked()
+    mu = truth.mean_response(x)
+    for est in ESTIMATOR_IDS:
+        assert sigma2(est, d, y, truth) == residual_operator(est, d).report(y, mu)
+        assert sigma2(est, d, y) == residual_operator(est, d).report(y)
+    assert sigma2("full", x, y, truth) == full_operator(x).report(y, mu)
+    assert sigma2("full", x, y) == full_operator(x).report(y)
 
 
 def test_zero_response_gives_zero_estimates():
@@ -69,17 +77,17 @@ def test_w_estimator_trivial_cases():
     rng = np.random.default_rng(3)
     y = rng.standard_normal(d.n)
     y = y - np.mean(y)  # t is the intercept column
-    assert sigma2_w(d, y).estimate <= 1e-20 * d.n
+    assert sigma2("w", d, y).estimate <= 1e-20 * d.n
     # constant response c: estimate n c^2
     c = 1.7
-    rep = sigma2_w(d, np.full(d.n, c))
+    rep = sigma2("w", d, np.full(d.n, c))
     assert abs(rep.estimate - d.n * c**2) <= 1e-9
 
 
 def test_wc_estimator_zero_on_t_span():
     d = fixture_partition(seed=4, m=2)
     y = d.t @ np.array([2.0, -1.0])
-    assert sigma2_wc(d, y).estimate <= 1e-16
+    assert sigma2("wc", d, y).estimate <= 1e-16
 
 
 def test_w_bias_closed_form_for_intercept_block():
@@ -202,12 +210,20 @@ def test_unbiased_when_signal_orthogonal_to_t():
 
 
 def test_expected_bias_validates_inputs():
+    # expected_bias and sigma2 share one dispatch
     d = fixture_partition(seed=15)
     truth = GaussMarkovTruth(beta=np.zeros(d.q + 1), sigma2=1.0)
-    with pytest.raises(InvalidInputError, match="unknown estimator"):
-        expected_bias("ridge", d, truth)
-    with pytest.raises(InvalidInputError, match="DesignPartition"):
-        expected_bias("wc", d.stacked(), truth)
+    y = np.ones(d.n)
+    for design in (d, d.stacked()):
+        with pytest.raises(InvalidInputError, match="unknown estimator 'ridge'"):
+            expected_bias("ridge", design, truth)
+        with pytest.raises(InvalidInputError, match="unknown estimator 'ridge'"):
+            sigma2("ridge", design, y)
+    for est in ("partial", "w", "wc"):
+        with pytest.raises(InvalidInputError, match=f"'{est}' requires a DesignPartition"):
+            expected_bias(est, d.stacked(), truth)
+        with pytest.raises(InvalidInputError, match=f"'{est}' requires a DesignPartition"):
+            sigma2(est, d.stacked(), y)
 
 
 def test_truth_validation():
@@ -245,7 +261,7 @@ def _count_svds(monkeypatch):
 
 def test_one_design_is_factored_a_handful_of_times(monkeypatch):
     # the SVDs of W and T; not [W | T] or B = W^+ T, nothing per held-out row
-    w = gen_covariates(CovariateConfig(model="spiked", n=40, q=99), Seed(314).rng(0))
+    w = gen_covariates(CovariateConfig(model="spiked", n=40, q=99), Seed(314).rng(0)).a
     shapes = _count_svds(monkeypatch)
     d = DesignPartition(w, np.ones((40, 1)))
     for est in ESTIMATOR_IDS:
@@ -329,10 +345,8 @@ def _count_stacked_qrs(monkeypatch, d):
 
 
 def _spiked_partition(n, q, t, seed=0):
-    from pregols.dgp import gen_covariates_svd
-
     rng = Seed(seed).rng(n)
-    w_svd = gen_covariates_svd(CovariateConfig(model="spiked", n=n, q=q), rng)
+    w_svd = gen_covariates(CovariateConfig(model="spiked", n=n, q=q), rng)
     if t == "ones":
         block = np.ones((n, 1))
     else:
@@ -400,11 +414,9 @@ def test_full_gram_inverse_on_a_floor_matches_the_exact_inverse(monkeypatch, c, 
 
 
 def _qr_route_partitions():
-    from pregols.dgp import gen_covariates_svd
-
     rng = Seed(8).rng(0)
     for model in ("standard_normal", "geometric"):
-        w_svd = gen_covariates_svd(CovariateConfig(model=model, n=12, q=20), rng)
+        w_svd = gen_covariates(CovariateConfig(model=model, n=12, q=20), rng)
         yield model, DesignPartition(w_svd, np.ones((12, 1)))
     yield "weak direction", DesignPartition(*_weak_direction_design(1e6))
     # a floor of multiplicity exactly m = 2 is not an eigenvalue of X X^T
