@@ -9,172 +9,25 @@ estimators with exact bias formulas, and a deterministic simulation harness
 for finite-sample bias studies of those estimators.
 """
 
-from .cochran import (
-    AuxFit,
-    CochranDesign,
-    CochranGaps,
-    LongFit,
-    OvbDecomposition,
-    ShortFit,
-    cochran_check,
-    fit_aux,
-    fit_long,
-    fit_short,
-    image_gap,
-    ovb_decompose,
-)
-from .dgp import (
-    COVARIATE_MODELS,
-    CovariateConfig,
-    Seed,
-    gen_ate_dataset,
-    gen_ate_design,
-    gen_covariates,
-    gen_response,
-    orthonormal_rows,
-    splitmix64,
-    standard_normal,
-)
-from .exceptions import (
-    ExperimentAbortedError,
-    InvalidInputError,
-    PregolsError,
-    RankAssumptionError,
-)
-from .interpolators import (
-    PARTIAL_VARIANTS,
-    DesignPartition,
-    FullFit,
-    PartialFit,
-    fit_full,
-    fit_partial,
-    fit_partial_variant,
-    fit_partial_variants,
-    predict,
-)
-from .linalg import (
-    RankTolerance,
-    complement_projector,
-    get_default_tolerance,
-    gram_inverse,
-    numeric_rank,
-    nullspace_component,
-    pinv,
-    projector,
-    read_matrix_csv,
-    set_default_tolerance,
-    write_matrix_csv,
-)
-from .loo import (
-    LooRecord,
-    PartialLooSolver,
-    brute_force_refit,
-    gram_downdate,
-    loo_fit,
-    loo_record,
-    loo_residual_partial,
-    loo_residuals_partial,
-)
-from .simharness import (
-    DEFAULT_GRIDS,
-    EXPERIMENTS,
-    CellResult,
-    ExperimentConfig,
-    ExperimentReport,
-    run_experiment,
-    write_report,
-)
-from .variance import (
-    ESTIMATOR_IDS,
-    GaussMarkovTruth,
-    ResidualOperator,
-    VarianceReport,
-    expected_bias,
-    full_operator,
-    loo_residuals_full,
-    partial_operator,
-    residual_operator,
-    sigma2,
-    w_operator,
-    wc_normalizers,
-    wc_operator,
-)
+from . import cochran, dgp, exceptions, interpolators, linalg, loo, simharness, variance
+from .cochran import *
+from .dgp import *
+from .exceptions import *
+from .interpolators import *
+from .linalg import *
+from .loo import *
+from .simharness import *
+from .variance import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuxFit",
-    "CellResult",
-    "CochranDesign",
-    "CochranGaps",
-    "COVARIATE_MODELS",
-    "CovariateConfig",
-    "DEFAULT_GRIDS",
-    "DesignPartition",
-    "ESTIMATOR_IDS",
-    "EXPERIMENTS",
-    "ExperimentAbortedError",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "FullFit",
-    "GaussMarkovTruth",
-    "InvalidInputError",
-    "LongFit",
-    "LooRecord",
-    "OvbDecomposition",
-    "PARTIAL_VARIANTS",
-    "PartialFit",
-    "PartialLooSolver",
-    "PregolsError",
-    "RankAssumptionError",
-    "RankTolerance",
-    "ResidualOperator",
-    "Seed",
-    "ShortFit",
-    "VarianceReport",
-    "brute_force_refit",
-    "cochran_check",
-    "complement_projector",
-    "expected_bias",
-    "fit_aux",
-    "fit_full",
-    "fit_long",
-    "fit_partial",
-    "fit_partial_variant",
-    "fit_partial_variants",
-    "fit_short",
-    "full_operator",
-    "gen_ate_dataset",
-    "gen_ate_design",
-    "gen_covariates",
-    "gen_response",
-    "get_default_tolerance",
-    "gram_downdate",
-    "gram_inverse",
-    "image_gap",
-    "loo_fit",
-    "loo_record",
-    "loo_residual_partial",
-    "loo_residuals_full",
-    "loo_residuals_partial",
-    "numeric_rank",
-    "nullspace_component",
-    "orthonormal_rows",
-    "ovb_decompose",
-    "partial_operator",
-    "pinv",
-    "predict",
-    "projector",
-    "read_matrix_csv",
-    "residual_operator",
-    "run_experiment",
-    "set_default_tolerance",
-    "sigma2",
-    "splitmix64",
-    "standard_normal",
-    "w_operator",
-    "wc_normalizers",
-    "wc_operator",
-    "write_matrix_csv",
-    "write_report",
+    *cochran.__all__,
+    *dgp.__all__,
+    *exceptions.__all__,
+    *interpolators.__all__,
+    *linalg.__all__,
+    *loo.__all__,
+    *simharness.__all__,
+    *variance.__all__,
 ]

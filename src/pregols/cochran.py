@@ -63,16 +63,16 @@ __all__ = [
 class CochranDesign:
     """Validated triple ``(Z, U, T)`` with Z wide full row rank, U and T skinny full column rank.
 
-    The thin SVD of ``Z`` that the rank check computes is kept as ``z_svd``,
-    so the short and auxiliary fits do not factor ``Z`` again.
+    The thin SVDs of ``Z`` and ``T`` that the rank checks compute are kept as
+    ``z_svd`` and ``t_svd``, so the fits do not factor either again.
     """
 
-    __slots__ = ("z", "u", "t", "z_svd")
+    __slots__ = ("z", "u", "t", "z_svd", "t_svd")
 
     def __init__(self, z, u, t, *, tol: RankTolerance | None = None):
         z = _readonly(as_matrix(z, "z"))
         u = as_matrix(u, "u")
-        t = as_matrix(t, "t")
+        t = _readonly(as_matrix(t, "t"))
         n = z.shape[0]
         if u.shape[0] != n or t.shape[0] != n:
             raise InvalidInputError("z, u, t must have equal row counts")
@@ -86,7 +86,8 @@ class CochranDesign:
                 "rank assumption violated: omitted block u must have full column rank "
                 f"with fewer columns than rows, got shape {u.shape}"
             )
-        if t.shape[1] >= n or numeric_rank(t, tol) != t.shape[1]:
+        t_svd = Svd(t) if t.shape[1] < n else None
+        if t_svd is None or t_svd.rank(tol) != t.shape[1]:
             raise RankAssumptionError(
                 "rank assumption violated: unpenalized block t must have full column "
                 f"rank with fewer columns than rows, got shape {t.shape}"
@@ -94,7 +95,8 @@ class CochranDesign:
         self.z = z
         self.z_svd = z_svd
         self.u = _readonly(u)
-        self.t = _readonly(t)
+        self.t = t
+        self.t_svd = t_svd
 
     @property
     def n(self) -> int:
@@ -151,7 +153,7 @@ def fit_long(d: CochranDesign, y, tol: RankTolerance | None = None) -> LongFit:
     two block penalties) and splits the coefficients back out.
     """
     y = as_vector(y, "y")
-    part = DesignPartition(np.hstack([d.z, d.u]), d.t, tol=tol)
+    part = DesignPartition(np.hstack([d.z, d.u]), d.t_svd, tol=tol)
     fit = fit_partial(part, y, tol)
     ell = d.n_retained
     return LongFit(
@@ -234,13 +236,13 @@ def _cochran_fits(
 ) -> tuple[LongFit, ShortFit, AuxFit]:
     """The long, short and auxiliary fits of one response.
 
-    The short and auxiliary fits start from the kept ``d.z_svd``, so ``Z``
-    is not factored again.
+    The fits start from the kept ``d.z_svd`` and ``d.t_svd``, so neither
+    ``Z`` nor ``T`` is factored again.
     """
     return (
         fit_long(d, y, tol),
-        fit_short(d.z_svd, d.t, y, tol),
-        fit_aux(d.z_svd, d.t, d.u, tol),
+        fit_short(d.z_svd, d.t_svd, y, tol),
+        fit_aux(d.z_svd, d.t_svd, d.u, tol),
     )
 
 

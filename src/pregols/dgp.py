@@ -280,6 +280,8 @@ def gen_response(
         )
     if not 0.0 <= sigma < np.inf:
         raise InvalidInputError("sigma must be nonnegative and finite")
+    if not np.isfinite(beta0):
+        raise InvalidInputError("beta0 must be finite")
     n = w.shape[0]
     y = w @ beta1 + float(beta0)
     if sigma > 0.0:
@@ -325,6 +327,8 @@ def gen_ate_dataset(
     """
     if not 0.0 <= noise_sd < np.inf:
         raise InvalidInputError("noise_sd must be nonnegative and finite")
+    if not np.isfinite(tau):
+        raise InvalidInputError("tau must be finite")
     w_svd, d = gen_ate_design(n, q, rng, tol)
     w = w_svd.a
     p = q + 2

@@ -5,6 +5,13 @@ mapping) can tell "your data violates a rank precondition" apart from plain
 bad input such as non-finite entries or mismatched shapes.
 """
 
+__all__ = [
+    "PregolsError",
+    "InvalidInputError",
+    "RankAssumptionError",
+    "ExperimentAbortedError",
+]
+
 
 class PregolsError(Exception):
     """Base class for all errors raised by this package."""

@@ -43,7 +43,7 @@ from .dgp import (
 )
 from .exceptions import ExperimentAbortedError, InvalidInputError, RankAssumptionError
 from .interpolators import DesignPartition
-from .linalg import Svd, write_matrix_csv
+from .linalg import write_matrix_csv
 from .linalg import pinv  # noqa: F401  perfbench/workloads.py traces this name
 from .variance import (  # noqa: F401  perfbench/workloads.py traces these names
     ESTIMATOR_IDS,
@@ -330,15 +330,9 @@ def _treatment_rows(part: DesignPartition) -> tuple[np.ndarray, np.ndarray]:
 
     ``T = [d, 1]``.  The full fit's is row q of ``X^+ = X^T G_X``, that is
     ``G_X d`` with ``G_X`` from :meth:`DesignPartition.full_gram_inverse`; the
-    split fit's is the first row of ``(W^+ T)^+ W^+ = (L^T T)^+ L^T``, where
-    ``L = U S^{-1}`` from the kept ``W = U S V^T``: ``W^+ = V L^T`` and ``V``
-    has orthonormal columns.  Only the n x m ``L^T T`` is factored, under
-    the shared tolerance; the q x n ``W^+`` is never formed.
+    split fit's is the first row of :meth:`DesignPartition.tau_map`.
     """
-    full_row = part.full_gram_inverse() @ part.t[:, 0]
-    ln = part.w_svd.u / part.w_svd.s
-    partial_row = Svd(ln.T @ part.t).pinv()[0] @ ln.T
-    return full_row, partial_row
+    return part.full_gram_inverse() @ part.t[:, 0], part.tau_map()[0]
 
 
 def _ate_trial(cfg: ExperimentConfig, gi: int, ti: int, dump_dir=None):

@@ -85,8 +85,8 @@ class GaussMarkovTruth:
     def __post_init__(self) -> None:
         beta = as_vector(self.beta, "beta")
         object.__setattr__(self, "beta", beta)
-        if not (self.sigma2 > 0.0):
-            raise InvalidInputError("sigma2 must be positive")
+        if not 0.0 < self.sigma2 < np.inf:
+            raise InvalidInputError("sigma2 must be positive and finite")
 
     def mean_response(self, design: np.ndarray) -> np.ndarray:
         design = as_matrix(design, "design")

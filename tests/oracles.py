@@ -84,6 +84,26 @@ def min_norm_refit_partial(w, t, y, i):
     return float(y[i] - w[i] @ lam - t[i] @ tau)
 
 
+def partial_blocks_projected(w, t, rhs):
+    """``((P W)^+ P rhs, (W^+ T)^+ W^+ rhs)``: the split fit in its defining form.
+
+    ``P`` projects onto the orthogonal complement of colsp(T); ``rhs`` may
+    be a vector or a matrix of columns.  ``P W`` has rank exactly n - m
+    (``W`` has full row rank), so its pseudoinverse keeps n - m singular
+    triplets rather than applying a cutoff relative to ``||P W||``.  numpy's
+    SVD and ``pinv`` throughout.
+    """
+    w, t, rhs = (np.asarray(a, dtype=float) for a in (w, t, rhs))
+    n, m = t.shape
+    q_t = np.linalg.qr(t)[0]
+    p = np.eye(n) - q_t @ q_t.T
+    u, s, vt = np.linalg.svd(p @ w, full_matrices=False)
+    lam = (vt[: n - m].T / s[: n - m]) @ (u[:, : n - m].T @ (p @ rhs))
+    wp = np.linalg.pinv(w)
+    tau = np.linalg.pinv(wp @ t) @ (wp @ rhs)
+    return lam, tau
+
+
 def loo_projector(w, i):
     """``(P, Q, W~_i, g_ii)``: the leave-one-out projector pair for row ``i``.
 

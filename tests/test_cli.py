@@ -10,6 +10,8 @@ import pregols
 from pregols import write_matrix_csv
 from pregols.cli import main
 
+from oracles import weak_constant_direction_w
+
 
 @pytest.fixture()
 def hand_files(tmp_path):
@@ -87,6 +89,27 @@ def test_fit_rank_deficient_exits_2(tmp_path, capsys):
     assert code == 2
     assert "rank assumption" in err
     assert "full row rank" in err
+
+
+def test_fit_with_t_along_the_strong_directions_of_an_ill_conditioned_w_exits_0(
+    tmp_path, capsys
+):
+    # [W | T] is well posed (cond(W) = 1e6, T orthogonal to W's weak
+    # direction): the fit must not report it as rank-marginal (exit 2)
+    rng = np.random.default_rng(0)
+    w, u = weak_constant_direction_w(1e6, rng, n=12, q=24)
+    write_matrix_csv(tmp_path / "w.csv", w)
+    write_matrix_csv(tmp_path / "t.csv", u[:, :2] @ rng.standard_normal((2, 2)))
+    write_matrix_csv(tmp_path / "y.csv", rng.standard_normal((12, 1)))
+    code, out, err = run_cli(
+        capsys,
+        "fit",
+        "--w", str(tmp_path / "w.csv"),
+        "--t", str(tmp_path / "t.csv"),
+        "--y", str(tmp_path / "y.csv"),
+    )
+    assert (code, err) == (0, "")
+    assert [len(line.split(",")) for line in out.strip().splitlines()] == [24, 2]
 
 
 def test_missing_input_exits_1(hand_files, capsys):
@@ -422,15 +445,19 @@ def test_cochran_factors_each_block_once(cochran_files, monkeypatch, capsys):
     monkeypatch.undo()
     assert code == 0
     assert json.loads(out)["ovb"] is not None
-    # 27 before the fits were shared: each of cochran_check and ovb_decompose
-    # factored Z, [Z|U] and both projections, and Z once more for the rank check
-    assert len(factored) == 13
-    q_t = np.linalg.qr(b["t"])[0]
+    # Z, U and T for the rank checks and [Z|U] for the long fit, once each,
+    # and the n x 2 L^T T once per fit
+    assert len(factored) == 7
     zu = np.hstack([b["z"], b["u"]])
-    # P_T^perp Z once for the short fit and once for the auxiliary one
-    for block, times in ((b["z"], 1), (zu, 1), (zu - q_t @ (q_t.T @ zu), 1),
-                         (b["z"] - q_t @ (q_t.T @ b["z"]), 2)):
+    for block in (b["z"], zu, b["u"], b["t"]):
         hits = [a for a in factored if a.shape == block.shape and np.allclose(a, block, atol=1e-12)]
+        assert len(hits) == 1
+    # L^T T with L = U S^-1 from the SVD of the penalized block: sign-free,
+    # (L^T T)^T (L^T T) = T^T (W W^T)^-1 T; Z for the short and auxiliary fits
+    for w, times in ((b["z"], 2), (zu, 1)):
+        gram = b["t"].T @ np.linalg.solve(w @ w.T, b["t"])
+        hits = [a for a in factored if a.shape == b["t"].shape
+                and np.allclose(a.T @ a, gram, rtol=1e-10, atol=0)]
         assert len(hits) == times
 
 

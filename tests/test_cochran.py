@@ -18,7 +18,7 @@ from pregols import (
 )
 from pregols.cochran import _cochran_fits
 
-from oracles import weak_constant_direction_w
+from oracles import partial_blocks_projected, weak_constant_direction_w
 
 
 def random_design(rng, n, ell, r, m):
@@ -46,6 +46,16 @@ def test_fit_long_interpolates():
     fit = fit_long(d, y)
     resid = y - d.z @ fit.alpha_hat - d.u @ fit.gamma_hat - d.t @ fit.tau_hat
     assert np.max(np.abs(resid)) <= 1e-8 * (1 + np.max(np.abs(y)))
+
+
+@pytest.mark.parametrize("n, ell, r, m", [(8, 12, 2, 1), (20, 93, 5, 2)])
+def test_fit_aux_matches_the_projected_form(n, ell, r, m):
+    rng = np.random.default_rng(n)
+    d = random_design(rng, n, ell, r, m)
+    fit = fit_aux(d.z, d.t, d.u)
+    for got, want in zip((fit.delta_z, fit.delta_t), partial_blocks_projected(d.z, d.t, d.u)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
 
 
 def test_fit_long_linearity():

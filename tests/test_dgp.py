@@ -5,6 +5,7 @@ from pregols import (
     ESTIMATOR_IDS,
     CovariateConfig,
     DesignPartition,
+    GaussMarkovTruth,
     InvalidInputError,
     Seed,
     gen_ate_dataset,
@@ -321,6 +322,14 @@ def test_noise_scales_must_be_nonnegative_and_finite(bad):
         gen_response(w, np.ones(6), 0.0, bad, rng)
     with pytest.raises(InvalidInputError, match="noise_sd must be nonnegative and finite"):
         gen_ate_dataset(10, 20, 0.0, rng, noise_sd=bad)
+    with pytest.raises(InvalidInputError, match="sigma2 must be positive and finite"):
+        GaussMarkovTruth(np.ones(6), sigma2=bad)
+    if not np.isfinite(bad):
+        # the intercept and the effect may be negative, but not non-finite
+        with pytest.raises(InvalidInputError, match="beta0 must be finite"):
+            gen_response(w, np.ones(6), bad, 1.0, rng)
+        with pytest.raises(InvalidInputError, match="tau must be finite"):
+            gen_ate_dataset(10, 20, bad, rng)
 
 
 def test_ate_dataset_noise_free_hook():

@@ -13,7 +13,12 @@ from pregols import (
     predict,
 )
 
-from oracles import ridge_solve
+from oracles import (
+    partial_blocks_projected,
+    ridge_solve,
+    split_qspace,
+    weak_constant_direction_w,
+)
 
 
 def random_partition(rng, n, q, m):
@@ -108,6 +113,35 @@ def test_fit_partial_when_t_spans_the_strong_directions_of_w():
     lam_r, tau_r = ridge_solve(w, t, y, 1e-6)
     assert np.max(np.abs(fit.lambda_hat - lam_r)) <= 1e-3
     assert np.max(np.abs(fit.tau_hat - tau_r)) <= 1e-3
+
+
+@pytest.mark.parametrize("n, q, m", [(6, 10, 1), (12, 20, 3), (20, 40, 2), (5, 5, 2)])
+def test_fit_partial_matches_the_projected_form(n, q, m):
+    rng = np.random.default_rng(n + m)
+    d = random_partition(rng, n, q, m)
+    y = rng.standard_normal(n)
+    fit = fit_partial(d, y)
+    for got, want in zip((fit.lambda_hat, fit.tau_hat), partial_blocks_projected(d.w, d.t, y)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("cond", [1e4, 1e6, 1e8])
+def test_fit_partial_when_t_lies_along_the_strong_directions_of_an_ill_conditioned_w(
+    cond, seed
+):
+    # well-posed designs that a split solve computing lambda and tau apart
+    # reports as rank-marginal: their errors do not cancel in W lambda + T tau.
+    # tau carries the problem's own cond(W)^2 eps, so only lambda is held to
+    # an exact solve
+    rng = np.random.default_rng(seed)
+    w, u = weak_constant_direction_w(cond, rng, n=12, q=24)
+    t = u[:, :2] @ rng.standard_normal((2, 2))
+    y = rng.standard_normal(12)
+    fit = fit_partial(DesignPartition(w, t), y)
+    want = split_qspace(w, t)[0] @ y
+    bound = 10 * 12 * np.linalg.cond(w) * np.finfo(float).eps
+    assert np.linalg.norm(fit.lambda_hat - want) <= bound * np.linalg.norm(want)
 
 
 def test_fit_partial_interpolates():
