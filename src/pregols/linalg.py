@@ -120,7 +120,7 @@ class Svd:
     Gram matrix and the column-space projector of one matrix always agree on
     its rank.  The factored matrix is kept as ``a``, so a rank check can hand
     the whole factorization on (a :class:`~pregols.interpolators.DesignPartition`
-    accepts an ``Svd`` of ``W``).  An empty matrix has empty factors.
+    accepts an ``Svd`` of ``W`` or ``T``).  An empty matrix has empty factors.
     """
 
     __slots__ = ("a", "shape", "u", "s", "vt")
