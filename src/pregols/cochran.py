@@ -42,7 +42,7 @@ from .interpolators import (
     _readonly,
     fit_partial,
 )
-from .linalg import RankTolerance, Svd, as_matrix, as_vector, numeric_rank
+from .linalg import RankTolerance, Svd, as_matrix, as_vector, get_default_tolerance, numeric_rank
 
 __all__ = [
     "CochranDesign",
@@ -65,11 +65,18 @@ class CochranDesign:
 
     The thin SVDs of ``Z`` and ``T`` that the rank checks compute are kept as
     ``z_svd`` and ``t_svd``, so the fits do not factor either again.
+
+    The rank tolerance is resolved once, here (``tol=None`` means the context
+    default at construction), and kept as ``tol``: the three blocks are
+    validated under it, and the long, short and auxiliary fits of every
+    operation on the design (:func:`fit_long`, :func:`cochran_check`,
+    :func:`ovb_decompose`) decide rank under it too.
     """
 
-    __slots__ = ("z", "u", "t", "z_svd", "t_svd")
+    __slots__ = ("z", "u", "t", "z_svd", "t_svd", "tol")
 
     def __init__(self, z, u, t, *, tol: RankTolerance | None = None):
+        tol = get_default_tolerance() if tol is None else tol
         z = _readonly(as_matrix(z, "z"))
         u = as_matrix(u, "u")
         t = _readonly(as_matrix(t, "t"))
@@ -97,6 +104,7 @@ class CochranDesign:
         self.u = _readonly(u)
         self.t = t
         self.t_svd = t_svd
+        self.tol = tol
 
     @property
     def n(self) -> int:
@@ -145,7 +153,7 @@ class AuxFit:
     max_interp_residual: float
 
 
-def fit_long(d: CochranDesign, y, tol: RankTolerance | None = None) -> LongFit:
+def fit_long(d: CochranDesign, y) -> LongFit:
     """Joint regression including the omitted block, minimizing ||alpha||^2 + ||gamma||^2.
 
     Delegates to the split-design solver with penalized block ``[Z | U]``
@@ -153,8 +161,8 @@ def fit_long(d: CochranDesign, y, tol: RankTolerance | None = None) -> LongFit:
     two block penalties) and splits the coefficients back out.
     """
     y = as_vector(y, "y")
-    part = DesignPartition(np.hstack([d.z, d.u]), d.t_svd, tol=tol)
-    fit = fit_partial(part, y, tol)
+    part = DesignPartition(np.hstack([d.z, d.u]), d.t_svd, tol=d.tol)
+    fit = fit_partial(part, y)
     ell = d.n_retained
     return LongFit(
         alpha_hat=_readonly(fit.lambda_hat[:ell]),
@@ -168,7 +176,7 @@ def fit_short(z, t, y, tol: RankTolerance | None = None) -> ShortFit:
     """Regression omitting U, minimizing ||alpha||^2 with T unpenalized."""
     y = as_vector(y, "y")
     part = DesignPartition(z, t, tol=tol)
-    fit = fit_partial(part, y, tol)
+    fit = fit_partial(part, y)
     return ShortFit(
         alpha_tilde=fit.lambda_hat,
         tau_tilde=fit.tau_hat,
@@ -187,9 +195,9 @@ def fit_aux(z, t, u, tol: RankTolerance | None = None) -> AuxFit:
     u = as_matrix(u, "u")
     if u.shape[0] != part.n:
         raise InvalidInputError("u must have the same row count as z and t")
-    dz, dt = _partial_blocks(part, u, tol)
+    dz, dt = _partial_blocks(part, u)
     resid = u - part.w @ dz - part.t @ dt
-    gap = _check_interpolation(resid, u.reshape(-1), "auxiliary fit")
+    gap = _check_interpolation(resid, u.reshape(-1), part.w_svd, "auxiliary fit")
     return AuxFit(delta_z=_readonly(dz), delta_t=_readonly(dt), max_interp_residual=gap)
 
 
@@ -231,26 +239,22 @@ def _aux_coeffs(fit):
     return tuple(np.asarray(v, dtype=np.float64) for v in fit)
 
 
-def _cochran_fits(
-    d: CochranDesign, y, tol: RankTolerance | None = None
-) -> tuple[LongFit, ShortFit, AuxFit]:
-    """The long, short and auxiliary fits of one response.
+def _cochran_fits(d: CochranDesign, y) -> tuple[LongFit, ShortFit, AuxFit]:
+    """The long, short and auxiliary fits of one response, all under ``d.tol``.
 
     The fits start from the kept ``d.z_svd`` and ``d.t_svd``, so neither
     ``Z`` nor ``T`` is factored again.
     """
     return (
-        fit_long(d, y, tol),
-        fit_short(d.z_svd, d.t_svd, y, tol),
-        fit_aux(d.z_svd, d.t_svd, d.u, tol),
+        fit_long(d, y),
+        fit_short(d.z_svd, d.t_svd, y, d.tol),
+        fit_aux(d.z_svd, d.t_svd, d.u, d.tol),
     )
 
 
-def _cochran_report(
-    d: CochranDesign, y, tol: RankTolerance | None = None
-) -> tuple[CochranGaps, OvbDecomposition | None]:
+def _cochran_report(d: CochranDesign, y) -> tuple[CochranGaps, OvbDecomposition | None]:
     """Both identity gaps and, when ``T = [D, 1]``, the OVB decomposition, from one set of fits."""
-    long_fit, short_fit, aux_fit = _cochran_fits(d, y, tol)
+    long_fit, short_fit, aux_fit = _cochran_fits(d, y)
     img = image_gap(d, long_fit, short_fit, aux_fit)
     coeff = max(
         float(
@@ -287,14 +291,14 @@ def _cochran_report(
     return gaps, ovb
 
 
-def cochran_check(d: CochranDesign, y, tol: RankTolerance | None = None) -> CochranGaps:
+def cochran_check(d: CochranDesign, y) -> CochranGaps:
     """Evaluate both identities on the canonical minimum-norm fits.
 
     Returns the sup-norm discrepancy of the fitted-value identity and of the
     coefficient recursion; both should sit at numerical-noise level whenever
     the design ranks validate.
     """
-    return _cochran_report(d, y, tol)[0]
+    return _cochran_report(d, y)[0]
 
 
 @dataclass(frozen=True)
@@ -308,7 +312,7 @@ class OvbDecomposition:
     imbalance: np.ndarray  # treatment row of the auxiliary T-coefficients
 
 
-def ovb_decompose(d: CochranDesign, y, tol: RankTolerance | None = None) -> OvbDecomposition:
+def ovb_decompose(d: CochranDesign, y) -> OvbDecomposition:
     """Omitted-variable decomposition for ``T = [D, 1]`` with binary treatment D.
 
     ``bias`` is the treatment-coefficient shift ``tau_short_d - tau_long_d``;
@@ -322,7 +326,7 @@ def ovb_decompose(d: CochranDesign, y, tol: RankTolerance | None = None) -> OvbD
         raise InvalidInputError(problem)
     # rank(T) = 2 was validated at construction, which already rules out a
     # constant treatment column.
-    return _cochran_report(d, y, tol)[1]
+    return _cochran_report(d, y)[1]
 
 
 def _ovb_problem(t: np.ndarray) -> str | None:

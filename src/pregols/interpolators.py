@@ -66,8 +66,10 @@ __all__ = [
     "predict",
 ]
 
-#: Scale factor for the interpolation guard: a valid fit must reproduce y to
-#: within INTERPOLATION_RTOL * (1 + max|y|) in the sup norm.
+#: Floor of the interpolation guard: a valid fit must reproduce y to within
+#: max(INTERPOLATION_RTOL, n cond eps) * (1 + max|y|) in the sup norm, where
+#: cond is the condition number of the factored full-row-rank block
+#: (:func:`_guard_rtol`).
 INTERPOLATION_RTOL = 1e-8
 
 
@@ -90,13 +92,22 @@ class DesignPartition:
     given as an ``Svd`` (the one a rank check has already computed, or
     factors known by construction), which is kept as it is.
 
+    The rank tolerance is resolved once, here: ``tol=None`` means the
+    context default (:func:`~pregols.linalg.get_default_tolerance`) at
+    construction.  Both blocks are validated under it and it is kept as
+    ``tol``; every operation on the partition (the fits, the leave-one-out
+    closed forms, the variance operators) decides rank under it and takes
+    no tolerance of its own, so a partition cannot be used under a cutoff
+    it was not validated against.
+
     An empty ``T`` is refused: an unsplit design is fitted by :func:`fit_full`
     and its variance map is :func:`~pregols.variance.full_operator`.
     """
 
-    __slots__ = ("w", "t", "w_svd", "t_svd", "_split_factor")
+    __slots__ = ("w", "t", "w_svd", "t_svd", "tol", "_split_factor")
 
     def __init__(self, w, t, *, tol: RankTolerance | None = None):
+        self.tol = get_default_tolerance() if tol is None else tol
         w_svd = w if isinstance(w, Svd) else None
         t_svd = t if isinstance(t, Svd) else None
         w = as_matrix(w.a if w_svd is not None else w, "w")
@@ -118,7 +129,7 @@ class DesignPartition:
         self.w = _readonly(w)
         self.w_svd = Svd(self.w) if w_svd is None else w_svd
         self._split_factor = None
-        rw = self.w_svd.rank(tol)
+        rw = self.w_svd.rank(self.tol)
         if rw != n:
             raise RankAssumptionError(
                 f"rank assumption violated: penalized block w must have full row "
@@ -130,7 +141,7 @@ class DesignPartition:
             )
         self.t = _readonly(t)
         self.t_svd = Svd(self.t) if t_svd is None else t_svd
-        rt = self.t_svd.rank(tol)
+        rt = self.t_svd.rank(self.tol)
         if rt != m:
             raise RankAssumptionError(
                 f"rank assumption violated: unpenalized block t must have full "
@@ -153,7 +164,7 @@ class DesignPartition:
         """The full design ``[W | T]`` with W columns first."""
         return np.hstack([self.w, self.t])
 
-    def full_gram_inverse(self, tol: RankTolerance | None = None) -> np.ndarray:
+    def full_gram_inverse(self) -> np.ndarray:
         """``G_X = (X X^T)^{-1}``, the inverse row Gram of ``X = [W | T]``, from the kept factors.
 
         Full row rank of ``X`` is certified by
@@ -186,8 +197,7 @@ class DesignPartition:
           ``R^T R = S^2 + C C^T``, so ``G_X = L L^T`` with ``L = U R^{-1}``.
           ``R`` has the singular values of ``X``.
         """
-        f, n, m = self.w_svd, self.n, self.m
-        tol = get_default_tolerance() if tol is None else tol
+        f, n, m, tol = self.w_svd, self.n, self.m, self.tol
         floor = f.s[-1]
         x_max = float(np.hypot(f.s[0], self.t_svd.s[0]))  # bounds ||[W | T]||
         if not floor > tol.cutoff((n, self.q + m), x_max):
@@ -205,16 +215,16 @@ class DesignPartition:
         )  # LU of a triangular R swaps no rows
         return ell @ ell.T
 
-    def tau_map(self, tol: RankTolerance | None = None) -> np.ndarray:
+    def tau_map(self) -> np.ndarray:
         """``(L^T T)^+ L^T`` (m x n), the map from ``y`` to the split fit's ``tau``.
 
         With ``W = U S V^T`` kept and ``L = U S^{-1}``, ``W^+ = V L^T`` and
         ``V`` has orthonormal columns, so ``(W^+ T)^+ W^+ = (L^T T)^+ L^T``.
-        Only the n x m ``L^T T`` is factored, under ``tol``; the q x n
+        Only the n x m ``L^T T`` is factored, under ``self.tol``; the q x n
         ``W^+`` is never formed.  Not kept: each call factors ``L^T T``.
         """
         ln = self.w_svd.u / self.w_svd.s
-        return Svd(ln.T @ self.t).pinv(tol) @ ln.T
+        return Svd(ln.T @ self.t).pinv(self.tol) @ ln.T
 
     def split_factor(self) -> np.ndarray:
         """``F = L N`` (n x (n - m)), built once: the factor of the split estimators.
@@ -269,10 +279,21 @@ class PartialFit:
     max_interp_residual: float
 
 
-def _check_interpolation(residual: np.ndarray, y: np.ndarray, what: str) -> float:
+def _guard_rtol(f: Svd) -> float:
+    """``max(INTERPOLATION_RTOL, n cond eps)`` for the kept SVD ``f`` of a full-row-rank block.
+
+    A fit through ``f`` reproduces its right-hand side to about
+    ``cond eps`` relative, so a fixed floor alone would call a well-posed
+    block of cond 1e9 or more rank-marginal although its rank check passed.
+    """
+    return max(INTERPOLATION_RTOL, f.shape[0] * float(f.s[0] / f.s[-1]) * np.finfo(np.float64).eps)
+
+
+def _check_interpolation(residual: np.ndarray, y: np.ndarray, f: Svd, what: str) -> float:
+    """The sup-norm ``residual``; raises when it exceeds the guard for the factored ``f``."""
     gap = float(np.max(np.abs(residual))) if residual.size else 0.0
     scale = 1.0 + (float(np.max(np.abs(y))) if y.size else 0.0)
-    bound = INTERPOLATION_RTOL * scale
+    bound = _guard_rtol(f) * scale
     if gap > bound:
         raise RankAssumptionError(
             f"{what} failed to interpolate (sup-norm residual {gap:.3e} > {bound:.3e}); "
@@ -293,12 +314,13 @@ def fit_full(x, y, tol: RankTolerance | None = None) -> FullFit:
     n = x.shape[0]
     if y.size != n:
         raise InvalidInputError(f"y has length {y.size}, expected {n}")
-    beta = full_row_rank_svd(x, tol).pinv(tol) @ y
-    gap = _check_interpolation(y - x @ beta, y, "full fit")
+    f = full_row_rank_svd(x, tol)
+    beta = f.pinv(tol) @ y
+    gap = _check_interpolation(y - x @ beta, y, f, "full fit")
     return FullFit(beta_hat=_readonly(beta), max_interp_residual=gap)
 
 
-def _partial_blocks(d: DesignPartition, rhs, tol):
+def _partial_blocks(d: DesignPartition, rhs):
     """The split fit ``(lambda, tau)``; ``rhs`` may be a vector or a matrix of columns.
 
     ``tau = (L^T T)^+ L^T rhs`` (:meth:`DesignPartition.tau_map`), then
@@ -307,12 +329,12 @@ def _partial_blocks(d: DesignPartition, rhs, tol):
     ``W lambda + T tau`` reproduces ``rhs`` whatever the error in ``tau``.
     """
     f = d.w_svd
-    tau = d.tau_map(tol) @ rhs
+    tau = d.tau_map() @ rhs
     lam = f.vt.T @ ((f.u / f.s).T @ (rhs - d.t @ tau))
     return lam, tau
 
 
-def fit_partial(d: DesignPartition, y, tol: RankTolerance | None = None) -> PartialFit:
+def fit_partial(d: DesignPartition, y) -> PartialFit:
     """Fit the partially regularized interpolator on a split design.
 
     Among all ``(lambda, tau)`` with ``W lambda + T tau = y``, returns the
@@ -322,48 +344,53 @@ def fit_partial(d: DesignPartition, y, tol: RankTolerance | None = None) -> Part
     random designs with cond(W) up to 5e3, and by ``1.4 n cond(W) eps``
     with ``T`` along the strong directions of a ``W`` of cond 1e4 to 1e8.
     """
+    return _fit_split(d, y, _partial_blocks, "partial fit")
+
+
+def _fit_split(d: DesignPartition, y, blocks, what: str) -> PartialFit:
+    """The :class:`PartialFit` of ``(lambda, tau) = blocks(d, y)``, checked to interpolate."""
     y = as_vector(y, "y")
     if y.size != d.n:
         raise InvalidInputError(f"y has length {y.size}, expected {d.n}")
-    lam, tau = _partial_blocks(d, y, tol)
-    gap = _check_interpolation(y - d.w @ lam - d.t @ tau, y, "partial fit")
+    lam, tau = blocks(d, y)
+    gap = _check_interpolation(y - d.w @ lam - d.t @ tau, y, d.w_svd, what)
     return PartialFit(
         lambda_hat=_readonly(lam), tau_hat=_readonly(tau), max_interp_residual=gap
     )
 
 
-def _variant_rowspace(d, y, tol):
-    wp = d.w_svd.pinv(tol)
+def _variant_rowspace(d, y):
+    wp = d.w_svd.pinv(d.tol)
     b = wp @ d.t
-    bp = pinv(b, tol)
+    bp = pinv(b, d.tol)
     row_proj = wp @ d.w  # projection onto the row space of W
     lam = row_proj @ ((np.eye(d.q) - b @ bp) @ (wp @ y))
     tau = bp @ (wp @ y)
     return lam, tau
 
 
-def _variant_residual(d, y, tol):
+def _variant_residual(d, y):
     """``tau`` as in ``direct``, ``lambda = W^T G_W (y - T tau)``.
 
     Going through ``G_W`` loses up to ``cond(W)^2 * eps``: reparametrizing
     ``T -> T A`` moved ``lambda`` by 1.7e-10 relative at cond(W) = 2.6e3,
     where ``direct`` moved by at most ``43 * cond(W) * eps``.
     """
-    gw = d.w_svd.gram_inverse(tol)
-    tau = d.tau_map(tol) @ y
+    gw = d.w_svd.gram_inverse(d.tol)
+    tau = d.tau_map() @ y
     lam = d.w.T @ (gw @ (y - d.t @ tau))
     return lam, tau
 
 
-def _variant_gls(d, y, tol):
+def _variant_gls(d, y):
     """``tau = (T^T G_W T)^+ T^T G_W y``, ``lambda = W^T G_W (y - T tau)``.
 
     Forming ``T^T G_W T`` loses up to ``cond(W)^2 * eps``: reparametrizing
     ``T -> T A`` moved ``lambda`` by 3.3e-8 relative at cond(W) = 1.1e3,
     where ``direct`` moved by at most ``43 * cond(W) * eps``.
     """
-    gw = d.w_svd.gram_inverse(tol)
-    tau = pinv(d.t.T @ gw @ d.t, tol) @ (d.t.T @ (gw @ y))
+    gw = d.w_svd.gram_inverse(d.tol)
+    tau = pinv(d.t.T @ gw @ d.t, d.tol) @ (d.t.T @ (gw @ y))
     lam = d.w.T @ (gw @ (y - d.t @ tau))
     return lam, tau
 
@@ -378,9 +405,7 @@ _VARIANT_FNS = {
 PARTIAL_VARIANTS = ("direct", "rowspace", "residual", "gls")
 
 
-def fit_partial_variant(
-    d: DesignPartition, y, variant: str, tol: RankTolerance | None = None
-) -> PartialFit:
+def fit_partial_variant(d: DesignPartition, y, variant: str) -> PartialFit:
     """Fit using one named coefficient expression.
 
     All are algebraically equal, not equally accurate.  Against the exact
@@ -390,33 +415,24 @@ def fit_partial_variant(
     through ``G_W`` and lose up to ``cond(W)^2 * eps``.
     """
     if variant == "direct":
-        return fit_partial(d, y, tol)
+        return fit_partial(d, y)
     try:
         fn = _VARIANT_FNS[variant]
     except KeyError:
         raise InvalidInputError(
             f"unknown variant {variant!r}; choose from {PARTIAL_VARIANTS}"
         ) from None
-    y = as_vector(y, "y")
-    if y.size != d.n:
-        raise InvalidInputError(f"y has length {y.size}, expected {d.n}")
-    lam, tau = fn(d, y, tol)
-    gap = _check_interpolation(y - d.w @ lam - d.t @ tau, y, f"partial fit ({variant})")
-    return PartialFit(
-        lambda_hat=_readonly(lam), tau_hat=_readonly(tau), max_interp_residual=gap
-    )
+    return _fit_split(d, y, fn, f"partial fit ({variant})")
 
 
-def fit_partial_variants(
-    d: DesignPartition, y, tol: RankTolerance | None = None
-) -> dict[str, PartialFit]:
+def fit_partial_variants(d: DesignPartition, y) -> dict[str, PartialFit]:
     """All three alternative coefficient expressions, keyed by variant name.
 
     Each agrees with :func:`fit_partial` to numerical precision; disagreement
     signals a tolerance or rank problem, which is exactly what the cross-check
     is for.
     """
-    return {name: fit_partial_variant(d, y, name, tol) for name in _VARIANT_FNS}
+    return {name: fit_partial_variant(d, y, name) for name in _VARIANT_FNS}
 
 
 def predict(fit, w_new, t_new=None) -> float:

@@ -39,7 +39,11 @@ row is removed.  ``Wt_i`` annihilates ``e_i`` and is injective on its
 complement, so ``rank(Wt_i T) = rank(T_{-i})``, and both are full exactly
 when ``e_i`` is outside colsp(T), that is when the leverage
 ``h_i = ||U_T[i]||^2`` of ``T`` is below 1.  One check, of ``1 - h_i``
-against the square root of the rank cutoff, covers both.
+against the square root of the rank cutoff, covers both.  Every rank
+decision here is made under the tolerance the partition was validated
+against (``d.tol``), so no function in this module takes a tolerance of its
+own and ``W``'s full row rank, checked at construction, is not checked
+again.
 """
 
 from __future__ import annotations
@@ -49,15 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidInputError, RankAssumptionError
-from .interpolators import DesignPartition, fit_partial
-from .linalg import (
-    RankTolerance,
-    as_matrix,
-    as_vector,
-    full_row_rank_svd,
-    get_default_tolerance,
-    pinv,
-)
+from .interpolators import DesignPartition, _guard_rtol, fit_partial
+from .linalg import RankTolerance, as_matrix, as_vector, full_row_rank_svd, pinv
 
 __all__ = [
     "LooRecord",
@@ -69,11 +66,6 @@ __all__ = [
     "gram_downdate",
     "brute_force_refit",
 ]
-
-#: Internal-consistency bound between the residual closed form and the
-#: prediction implied by the leave-one-out coefficients.
-_CONSISTENCY_RTOL = 1e-8
-
 
 @dataclass(frozen=True)
 class LooRecord:
@@ -92,22 +84,19 @@ def _check_index(i: int, n: int) -> int:
     return i
 
 
-def _check_loo_rows(d: DesignPartition, tol, rows: np.ndarray) -> None:
+def _check_loo_rows(d: DesignPartition, rows: np.ndarray) -> None:
     """Raise :class:`RankAssumptionError` unless every index in ``rows`` can be left out.
 
     Deleting row ``i`` keeps ``T`` at full column rank exactly when ``e_i``
     is outside colsp(T), that is when its leverage ``h_i = ||U_T[i]||^2``
     is below 1.  ``1 - h_i`` is a squared distance, computed with rounding
-    of order eps, so it is compared with the square root of the cutoff.
+    of order eps, so it is compared with the square root of the partition's
+    cutoff.  ``W`` needs no check: the partition was validated under the
+    same tolerance.
     """
-    if d.w_svd.rank(tol) != d.n:
-        raise RankAssumptionError(
-            f"rank assumption violated: penalized block w must have full row rank {d.n}"
-        )
-    tol = get_default_tolerance() if tol is None else tol
     ut = d.t_svd.u[rows]
     lev = np.einsum("ij,ij->i", ut, ut)
-    bad = rows[1.0 - lev <= np.sqrt(tol.cutoff((d.n, d.m), 1.0))]
+    bad = rows[1.0 - lev <= np.sqrt(d.tol.cutoff((d.n, d.m), 1.0))]
     if bad.size:
         raise RankAssumptionError(
             f"leave-one-out rank violation at index {bad[0]}: unpenalized block t "
@@ -122,26 +111,22 @@ def _check_response(y, n: int) -> np.ndarray:
     return y
 
 
-def loo_fit(
-    d: DesignPartition, y, i: int, tol: RankTolerance | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def loo_fit(d: DesignPartition, y, i: int) -> tuple[np.ndarray, np.ndarray]:
     """Leave-one-out coefficient pair ``(lambda_loo, tau_loo)`` without refitting."""
     y = _check_response(y, d.n)
     i = _check_index(i, d.n)
-    _check_loo_rows(d, tol, np.array([i]))
-    gw = d.w_svd.gram_inverse(tol)
-    wp = d.w_svd.pinv(tol)
+    _check_loo_rows(d, np.array([i]))
+    gw = d.w_svd.gram_inverse(d.tol)
+    wp = d.w_svd.pinv(d.tol)
     w_tilde = wp - np.outer(wp[:, i], gw[i]) / gw[i, i]
     wt_t = w_tilde @ d.t
     wty = w_tilde @ y
-    tau_loo = pinv(wt_t, tol) @ wty
+    tau_loo = pinv(wt_t, d.tol) @ wty
     lam_loo = d.w.T @ (w_tilde.T @ (wty - wt_t @ tau_loo))
     return lam_loo, tau_loo
 
 
-def loo_residual_partial(
-    d: DesignPartition, y, i: int, tol: RankTolerance | None = None
-) -> float:
+def loo_residual_partial(d: DesignPartition, y, i: int) -> float:
     """Leave-one-out prediction residual for index ``i`` via the closed form.
 
     Equals ``y_i`` minus the prediction of the model refit without row ``i``;
@@ -149,21 +134,23 @@ def loo_residual_partial(
     """
     y = _check_response(y, d.n)
     i = _check_index(i, d.n)
-    _check_loo_rows(d, tol, np.array([i]))
+    _check_loo_rows(d, np.array([i]))
     f = d.split_factor()
     return float(f[i] @ (f.T @ y) / (f[i] @ f[i]))
 
 
-def loo_record(
-    d: DesignPartition, y, i: int, tol: RankTolerance | None = None
-) -> LooRecord:
-    """Coefficients plus residual for one index, cross-checked for consistency."""
+def loo_record(d: DesignPartition, y, i: int) -> LooRecord:
+    """Coefficients plus residual for one index, cross-checked for consistency.
+
+    The two closed forms must agree to within
+    ``max(1e-8, n cond(W) eps) * (1 + |y_i|)``, the interpolation guard's scale.
+    """
     y = as_vector(y, "y")
-    lam_loo, tau_loo = loo_fit(d, y, i, tol)
-    resid = loo_residual_partial(d, y, i, tol)
+    lam_loo, tau_loo = loo_fit(d, y, i)
+    resid = loo_residual_partial(d, y, i)
     predicted = float(d.w[i] @ lam_loo + d.t[i] @ tau_loo)
     gap = abs(resid - (y[i] - predicted))
-    if gap > _CONSISTENCY_RTOL * (1.0 + abs(float(y[i]))):
+    if gap > _guard_rtol(d.w_svd) * (1.0 + abs(float(y[i]))):
         raise RankAssumptionError(
             f"leave-one-out closed forms disagree at index {i} (gap {gap:.3e}); "
             "the design is numerically rank-marginal"
@@ -182,9 +169,9 @@ class PartialLooSolver:
     a fixed design).
     """
 
-    def __init__(self, d: DesignPartition, tol: RankTolerance | None = None):
+    def __init__(self, d: DesignPartition):
         self.design = d
-        _check_loo_rows(d, tol, np.arange(d.n))
+        _check_loo_rows(d, np.arange(d.n))
         f = d.split_factor()
         q = f @ f.T
         rows = q / np.diag(q)[:, None]
@@ -198,11 +185,9 @@ class PartialLooSolver:
         return self.residual_matrix @ y
 
 
-def loo_residuals_partial(
-    d: DesignPartition, y, tol: RankTolerance | None = None
-) -> np.ndarray:
+def loo_residuals_partial(d: DesignPartition, y) -> np.ndarray:
     """Leave-one-out residuals for every index of a split design."""
-    return PartialLooSolver(d, tol).residuals(y)
+    return PartialLooSolver(d).residuals(y)
 
 
 def gram_downdate(x, i: int, tol: RankTolerance | None = None) -> np.ndarray:
@@ -232,16 +217,17 @@ def gram_downdate(x, i: int, tol: RankTolerance | None = None) -> np.ndarray:
     return xp @ mid @ xp.T
 
 
-def brute_force_refit(
-    d: DesignPartition, y, i: int, tol: RankTolerance | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def brute_force_refit(d: DesignPartition, y, i: int) -> tuple[np.ndarray, np.ndarray]:
     """Oracle: physically delete row ``i`` and refit the split design.
 
     Deterministic and independent of the closed forms above; the test suite
-    holds the closed forms to this oracle.
+    holds the closed forms to this oracle.  The reduced partition is
+    validated under ``d.tol``.
     """
     y = _check_response(y, d.n)
     i = _check_index(i, d.n)
-    part = DesignPartition(np.delete(d.w, i, axis=0), np.delete(d.t, i, axis=0), tol=tol)
-    fit = fit_partial(part, np.delete(y, i), tol)
+    part = DesignPartition(
+        np.delete(d.w, i, axis=0), np.delete(d.t, i, axis=0), tol=d.tol
+    )
+    fit = fit_partial(part, np.delete(y, i))
     return fit.lambda_hat, fit.tau_hat

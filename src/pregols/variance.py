@@ -45,15 +45,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InvalidInputError, RankAssumptionError
+from .exceptions import InvalidInputError
 from .interpolators import DesignPartition
-from .linalg import (
-    RankTolerance,
-    as_matrix,
-    as_vector,
-    complement_projector,
-    full_row_rank_svd,
-)
+from .linalg import as_matrix, as_vector, complement_projector, full_row_rank_svd
 from .loo import PartialLooSolver
 
 __all__ = [
@@ -157,24 +151,25 @@ class ResidualOperator:
         )
 
 
-def full_operator(x, tol: RankTolerance | None = None) -> ResidualOperator:
+def full_operator(x) -> ResidualOperator:
     """Leave-one-out residual map of the unsplit minimum-norm interpolator.
 
     For a full-row-rank ``X`` it is ``[diag(G_X)]^{-1} G_X``, and
     ``g_ii >= 1 / smax^2 > 0``.  For an array ``x`` the rank and ``G_X``
-    come from one SVD of ``X``; for a :class:`DesignPartition` ``G_X``
-    comes from its kept factors (:meth:`DesignPartition.full_gram_inverse`),
-    with ``X = [W | T]`` never factored unless its rank certificate fails.
+    come from one SVD of ``X`` under the context default tolerance; for a
+    :class:`DesignPartition` ``G_X`` comes from its kept factors under its
+    own tolerance (:meth:`DesignPartition.full_gram_inverse`), with
+    ``X = [W | T]`` never factored unless its rank certificate fails.
     """
     if isinstance(x, DesignPartition):
-        gx = x.full_gram_inverse(tol)
+        gx = x.full_gram_inverse()
     else:
-        gx = full_row_rank_svd(as_matrix(x, "x"), tol).gram_inverse(tol)
+        gx = full_row_rank_svd(as_matrix(x, "x")).gram_inverse()
     r = gx / np.diag(gx)[:, None]
     return ResidualOperator("full", r, float(np.sum(r * r)))
 
 
-def loo_residuals_full(x, y, tol: RankTolerance | None = None) -> np.ndarray:
+def loo_residuals_full(x, y) -> np.ndarray:
     """Leave-one-out residuals of the fully regularized interpolator.
 
     For a full-row-rank design the whole vector is ``[diag(G_X)]^{-1} G_X y``,
@@ -185,78 +180,73 @@ def loo_residuals_full(x, y, tol: RankTolerance | None = None) -> np.ndarray:
     y = as_vector(y, "y")
     if y.size != x.shape[0]:
         raise InvalidInputError(f"y has length {y.size}, expected {x.shape[0]}")
-    return full_operator(x, tol).matrix @ y
+    return full_operator(x).matrix @ y
 
 
-def partial_operator(d: DesignPartition, tol: RankTolerance | None = None) -> ResidualOperator:
+def partial_operator(d: DesignPartition) -> ResidualOperator:
     """Leave-one-out residual map of the split-design interpolator."""
-    solver = PartialLooSolver(d, tol)
+    solver = PartialLooSolver(d)
     return ResidualOperator("partial", solver.residual_matrix, solver.denominator)
 
 
-def w_operator(d: DesignPartition, tol: RankTolerance | None = None) -> ResidualOperator:
+def w_operator(d: DesignPartition) -> ResidualOperator:
     """In-sample residual map from the penalized-block formulation.
 
     Regressing ``y`` (not its projection) on the projected penalized block
     leaves the nontrivial residual ``P_T y``; the normalizer is rank(T),
-    which equals ``||P_T||_F^2`` exactly.  With ``T`` a lone intercept
-    column the bias is ``(sum_i w_i . beta_W + n beta_0)^2 / n``, which grows
-    with the sample mean of the signal; expect it to dominate the other three.
+    the ``m`` the partition validated, which equals ``||P_T||_F^2`` exactly.
+    With ``T`` a lone intercept column the bias is
+    ``(sum_i w_i . beta_W + n beta_0)^2 / n``, which grows with the sample
+    mean of the signal; expect it to dominate the other three.
     """
-    return ResidualOperator("w", d.t_svd.projector(tol), float(d.t_svd.rank(tol)))
+    return ResidualOperator("w", d.t_svd.projector(d.tol), float(d.m))
 
 
-def wc_operator(d: DesignPartition, tol: RankTolerance | None = None) -> ResidualOperator:
+def wc_operator(d: DesignPartition) -> ResidualOperator:
     """In-sample residual map from the unpenalized-block formulation.
 
     The residual of regressing ``W^+ y`` on ``W^+ T`` is
     ``P_B^perp W^+ y = (V N) F^T y`` with ``B = W^+ T``; ``V N`` is an
     isometry, so the map is the (n - m) x n ``F^T`` (see module docstring).
     """
-    if d.w_svd.rank(tol) != d.n:
-        raise RankAssumptionError(
-            f"rank assumption violated: penalized block w must have full row rank {d.n}"
-        )
     r = d.split_factor().T
     return ResidualOperator("wc", r, float(np.sum(r * r)))
 
 
-def wc_normalizers(d: DesignPartition, tol: RankTolerance | None = None) -> tuple[float, float]:
+def wc_normalizers(d: DesignPartition) -> tuple[float, float]:
     """Both candidate normalizers for ``wc``: (projected-space, sample-space).
 
     The first is ``tr(P_B^perp (W^T W)^+)`` and is what :func:`wc_operator`
     uses; the second is ``tr(P_T^perp G_W)``.  They differ in general.
     """
-    wp = d.w_svd.pinv(tol)
+    wp = d.w_svd.pinv(d.tol)
     # (W^T W)^+ = W^+ W^{+T}
-    projected = float(np.trace(complement_projector(wp @ d.t, tol) @ (wp @ wp.T)))
-    p_t_perp = np.eye(d.n) - d.t_svd.projector(tol)
-    sample = float(np.trace(p_t_perp @ d.w_svd.gram_inverse(tol)))
+    projected = float(np.trace(complement_projector(wp @ d.t, d.tol) @ (wp @ wp.T)))
+    p_t_perp = np.eye(d.n) - d.t_svd.projector(d.tol)
+    sample = float(np.trace(p_t_perp @ d.w_svd.gram_inverse(d.tol)))
     return projected, sample
 
 
-def residual_operator(estimator_id: str, d: DesignPartition,
-                      tol: RankTolerance | None = None) -> ResidualOperator:
+def residual_operator(estimator_id: str, d: DesignPartition) -> ResidualOperator:
     """The residual operator of one estimator on a split design.
 
     ``full`` is the map of the stacked design ``[W | T]``; it and the other
-    three are built from the partition's kept factors.
+    three are built from the partition's kept factors, under its tolerance.
     """
     if estimator_id == "full":
-        return full_operator(d, tol)
+        return full_operator(d)
     if estimator_id == "partial":
-        return partial_operator(d, tol)
+        return partial_operator(d)
     if estimator_id == "w":
-        return w_operator(d, tol)
+        return w_operator(d)
     if estimator_id == "wc":
-        return wc_operator(d, tol)
+        return wc_operator(d)
     raise InvalidInputError(
         f"unknown estimator {estimator_id!r}; choose from {ESTIMATOR_IDS}"
     )
 
 
-def _operator(estimator_id: str, design,
-              tol: RankTolerance | None) -> tuple[ResidualOperator, np.ndarray]:
+def _operator(estimator_id: str, design) -> tuple[ResidualOperator, np.ndarray]:
     """``(R, X)``: one estimator's residual operator and the stacked design it maps.
 
     ``full`` takes an unsplit array or a :class:`DesignPartition`; the other
@@ -267,34 +257,35 @@ def _operator(estimator_id: str, design,
             f"unknown estimator {estimator_id!r}; choose from {ESTIMATOR_IDS}"
         )
     if isinstance(design, DesignPartition):
-        return residual_operator(estimator_id, design, tol), design.stacked()
+        return residual_operator(estimator_id, design), design.stacked()
     if estimator_id != "full":
         raise InvalidInputError(
             f"estimator {estimator_id!r} requires a DesignPartition"
         )
     x = as_matrix(design, "design")
-    return full_operator(x, tol), x
+    return full_operator(x), x
 
 
-def sigma2(estimator_id: str, design, y, truth: GaussMarkovTruth | None = None,
-           tol: RankTolerance | None = None) -> VarianceReport:
+def sigma2(estimator_id: str, design, y,
+           truth: GaussMarkovTruth | None = None) -> VarianceReport:
     """One estimate ``||R y||^2 / ||R||_F^2``, with its exact bias when ``truth`` is given.
 
     ``design`` is as for :func:`expected_bias`.  Build the operator once
     (:func:`residual_operator`) to amortize the per-design work across many
     responses.
     """
-    op, x = _operator(estimator_id, design, tol)
+    op, x = _operator(estimator_id, design)
     return op.report(y, None if truth is None else truth.mean_response(x))
 
 
-def expected_bias(estimator_id: str, design, truth: GaussMarkovTruth,
-                  tol: RankTolerance | None = None) -> float:
+def expected_bias(estimator_id: str, design, truth: GaussMarkovTruth) -> float:
     """Exact additive bias ``E[sigma2_hat] - sigma^2`` for a given truth.
 
     ``design`` is the unsplit matrix or a :class:`DesignPartition` for
     ``full`` and a :class:`DesignPartition` for the other three;
-    ``truth.beta`` is ordered W-block first, then T-block.
+    ``truth.beta`` is ordered W-block first, then T-block.  The rank of an
+    unsplit matrix is decided under the context default tolerance, that of
+    a partition under the one it was validated with (``design.tol``).
     """
-    op, x = _operator(estimator_id, design, tol)
+    op, x = _operator(estimator_id, design)
     return op.expected_bias(truth.mean_response(x))

@@ -140,6 +140,20 @@ def weak_constant_direction_w(cond, rng, n=10, q=20):
     return (u * s) @ v.T, u
 
 
+def strong_direction_split(cond, seed, n=12, q=24):
+    """``(W, T, y)``: a :func:`weak_constant_direction_w` of condition ``cond``,
+    a two-column ``T`` in the span of its two strongest left singular
+    vectors and a standard normal ``y``, all drawn from ``default_rng(seed)``.
+
+    Well posed at any ``cond`` the rank check accepts, yet every fit through
+    ``W`` reproduces ``y`` only to about ``cond(W) eps``.
+    """
+    rng = np.random.default_rng(seed)
+    w, u = weak_constant_direction_w(cond, rng, n=n, q=q)
+    t = u[:, :2] @ rng.standard_normal((2, 2))
+    return w, t, rng.standard_normal(n)
+
+
 def spiked_root_eigh(cfg, rng):
     """Spiked-covariance root by a full q x q eigendecomposition.
 

@@ -17,6 +17,7 @@ from oracles import (
     partial_blocks_projected,
     ridge_solve,
     split_qspace,
+    strong_direction_split,
     weak_constant_direction_w,
 )
 
@@ -142,6 +143,29 @@ def test_fit_partial_when_t_lies_along_the_strong_directions_of_an_ill_condition
     want = split_qspace(w, t)[0] @ y
     bound = 10 * 12 * np.linalg.cond(w) * np.finfo(float).eps
     assert np.linalg.norm(fit.lambda_hat - want) <= bound * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("cond", [1e9, 1e12])
+def test_interpolation_guard_scales_with_the_condition_of_the_design(cond, seed):
+    # a fixed 1e-8 (1 + max|y|) guard called these well-posed designs
+    # rank-marginal; the fits reproduce y to n cond eps, as the guard now allows
+    w, t, y = strong_direction_split(cond, seed)
+    bound = 12 * np.linalg.cond(w) * np.finfo(float).eps * (1.0 + np.max(np.abs(y)))
+    assert bound > 1e-8 * (1.0 + np.max(np.abs(y)))
+    assert fit_partial(DesignPartition(w, t), y).max_interp_residual <= bound
+    assert fit_full(w, y).max_interp_residual <= bound
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("variant", ["gls", "residual"])
+def test_interpolation_guard_still_refuses_a_variant_that_loses_cond_squared(variant, seed):
+    # at cond(W) = 1e6 the G_W variants miss y by 5e2 to 8e3 times n cond eps
+    w, t, y = strong_direction_split(1e6, seed)
+    d = DesignPartition(w, t)
+    fit_partial_variant(d, y, "direct")
+    with pytest.raises(RankAssumptionError, match="failed to interpolate"):
+        fit_partial_variant(d, y, variant)
 
 
 def test_fit_partial_interpolates():

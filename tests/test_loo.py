@@ -7,6 +7,7 @@ from pregols import (
     PartialFit,
     PartialLooSolver,
     RankAssumptionError,
+    RankTolerance,
     brute_force_refit,
     gram_downdate,
     gram_inverse,
@@ -23,6 +24,7 @@ from oracles import (
     loo_projector,
     min_norm_refit_full,
     min_norm_refit_partial,
+    strong_direction_split,
     weak_constant_direction_w,
 )
 
@@ -342,3 +344,57 @@ def test_brute_force_refit_deterministic():
     lam1, tau1 = brute_force_refit(d, y, 2)
     lam2, tau2 = brute_force_refit(d, y, 2)
     assert np.array_equal(lam1, lam2) and np.array_equal(tau1, tau2)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("cond", [1e9, 1e12])
+def test_loo_record_consistency_guard_scales_with_the_condition_of_w(cond, seed):
+    # a fixed 1e-8 (1 + |y_i|) bound called these well-posed designs
+    # rank-marginal; the two closed forms agree to n cond(W) eps
+    w, t, y = strong_direction_split(cond, seed)
+    d = DesignPartition(w, t)
+    eps = np.finfo(float).eps
+    for i in range(d.n):
+        rec = loo_record(d, y, i)
+        gap = abs(rec.residual - (y[i] - d.w[i] @ rec.lambda_loo - d.t[i] @ rec.tau_loo))
+        assert gap <= d.n * np.linalg.cond(w) * eps * (1.0 + abs(y[i]))
+
+
+def _marginal_leverage_design():
+    # 1 - h_0 = 9 * 1.05e-3^2 = 9.9e-6 clears the square root of the default
+    # cutoff (4.7e-8) but not that of a 1e-3 cutoff (3.2e-2)
+    w = np.random.default_rng(0).standard_normal((10, 20))
+    t = np.full((10, 1), 1.05e-3)
+    t[0] = 1.0
+    return w, t
+
+
+def test_leave_one_out_checks_run_under_the_partitions_own_tolerance():
+    w, t = _marginal_leverage_design()
+    PartialLooSolver(DesignPartition(w, t))
+    loose = RankTolerance(relative_cutoff=1e-3)
+    d = DesignPartition(w, t, tol=loose)
+    assert d.tol is loose
+    with pytest.raises(RankAssumptionError, match="leave-one-out rank violation at index 0"):
+        PartialLooSolver(d)
+    with pytest.raises(RankAssumptionError, match="leave-one-out rank violation at index 0"):
+        loo_residual_partial(d, np.ones(10), 0)
+
+
+def test_partition_keeps_the_default_tolerance_of_its_construction():
+    import contextvars
+
+    from pregols import get_default_tolerance, set_default_tolerance
+
+    w, t = _marginal_leverage_design()
+    loose = RankTolerance(relative_cutoff=1e-3)
+
+    def build():
+        set_default_tolerance(loose)
+        return DesignPartition(w, t)
+
+    d = contextvars.copy_context().run(build)
+    assert get_default_tolerance() == RankTolerance()
+    assert d.tol is loose
+    with pytest.raises(RankAssumptionError, match="leave-one-out rank violation at index 0"):
+        PartialLooSolver(d)

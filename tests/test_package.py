@@ -1,5 +1,7 @@
 """The package's public surface: the names ``from pregols import *`` gives."""
 
+import inspect
+
 import pregols
 
 PUBLIC_NAMES = {
@@ -85,3 +87,37 @@ def test_public_names_are_pinned():
     assert set(pregols.__all__) == PUBLIC_NAMES
     for name in pregols.__all__:
         assert getattr(pregols, name) is not None, name
+
+
+def _takes_a_design(fn) -> bool:
+    try:
+        params = inspect.signature(fn).parameters.values()
+    except (TypeError, ValueError):
+        return False
+    return any(
+        "DesignPartition" in str(p.annotation) or "CochranDesign" in str(p.annotation)
+        for p in params
+    )
+
+
+def test_no_operation_on_a_validated_design_takes_a_tolerance():
+    # a design is validated under one tolerance and keeps it as .tol; an
+    # operation with a tol of its own could decide rank under another cutoff.
+    # These four accept a DesignPartition through an unannotated parameter.
+    takers = {
+        name: getattr(pregols, name)
+        for name in ("full_operator", "loo_residuals_full", "sigma2", "expected_bias")
+    }
+    takers.update(
+        (name, obj) for name in pregols.__all__
+        if callable(obj := getattr(pregols, name)) and _takes_a_design(obj)
+    )
+    for cls in (pregols.DesignPartition, pregols.CochranDesign):
+        assert "tol" in inspect.signature(cls).parameters
+        takers.update(
+            (f"{cls.__name__}.{name}", obj) for name, obj in vars(cls).items()
+            if callable(obj) and not name.startswith("_")
+        )
+    assert {"fit_partial", "PartialLooSolver", "cochran_check", "brute_force_refit",
+            "DesignPartition.tau_map", "DesignPartition.full_gram_inverse"} <= set(takers)
+    assert [n for n, fn in takers.items() if "tol" in inspect.signature(fn).parameters] == []

@@ -474,11 +474,9 @@ def test_wc_and_split_row_when_t_lies_along_the_weakest_direction(t, cond):
     _assert_n_space_matches_q_space(d, d.n * cond * np.finfo(float).eps)
 
 
-def test_wc_refuses_a_tolerance_under_which_w_loses_rank():
-    # built under the default cutoff; at 1e-3 the 1e-4 direction of W is
-    # rank noise, and wc, like partial, says so instead of truncating W^+
+def test_partition_refuses_a_tolerance_under_which_w_loses_rank():
+    # at 1e-3 the 1e-4 direction of W is rank noise: the partition is refused
+    # where it is built, so no estimator can truncate W^+ under that cutoff
     w, _ = weak_constant_direction_w(1e4, np.random.default_rng(3))
-    d = DesignPartition(w, np.ones((10, 1)))
-    for est in ("partial", "wc"):
-        with pytest.raises(RankAssumptionError, match="w must have full row rank 10"):
-            residual_operator(est, d, RankTolerance(relative_cutoff=1e-3))
+    with pytest.raises(RankAssumptionError, match="w must have full row rank 10"):
+        DesignPartition(w, np.ones((10, 1)), tol=RankTolerance(relative_cutoff=1e-3))
