@@ -42,7 +42,7 @@ from .interpolators import (
     _readonly,
     fit_partial,
 )
-from .linalg import RankTolerance, Svd, as_matrix, as_vector, get_default_tolerance, numeric_rank
+from .linalg import RankTolerance, as_matrix, numeric_rank
 
 __all__ = [
     "CochranDesign",
@@ -61,50 +61,47 @@ __all__ = [
 
 
 class CochranDesign:
-    """Validated triple ``(Z, U, T)`` with Z wide full row rank, U and T skinny full column rank.
+    """Validated triple ``(Z, U, T)``: the two split designs of the long and short fits.
 
-    The thin SVDs of ``Z`` and ``T`` that the rank checks compute are kept as
-    ``z_svd`` and ``t_svd``, so the fits do not factor either again.
+    ``short`` is the :class:`~pregols.interpolators.DesignPartition`
+    ``[Z | T]`` of the short and auxiliary fits, and ``long`` the partition
+    ``[Z U | T]`` of the long fit, built on ``short``'s kept SVD of ``T``.
+    Building ``short`` validates ``Z`` (wide, full row rank) and ``T``
+    (skinny, full column rank); an error names the failed block as ``z`` or
+    ``t``.  ``U`` must have full column rank with fewer columns than rows.
+    The fits (:func:`fit_long`, :func:`fit_short`, :func:`fit_aux`) read
+    the two partitions, so none of them factors ``Z``, ``T`` or ``[Z | U]``
+    again.
 
     The rank tolerance is resolved once, here (``tol=None`` means the context
     default at construction), and kept as ``tol``: the three blocks are
-    validated under it, and the long, short and auxiliary fits of every
-    operation on the design (:func:`fit_long`, :func:`cochran_check`,
-    :func:`ovb_decompose`) decide rank under it too.
+    validated under it, both partitions keep it, and the long, short and
+    auxiliary fits of every operation on the design decide rank under it
+    too.
     """
 
-    __slots__ = ("z", "u", "t", "z_svd", "t_svd", "tol")
+    __slots__ = ("z", "u", "t", "short", "long", "tol")
 
     def __init__(self, z, u, t, *, tol: RankTolerance | None = None):
-        tol = get_default_tolerance() if tol is None else tol
-        z = _readonly(as_matrix(z, "z"))
-        u = as_matrix(u, "u")
-        t = _readonly(as_matrix(t, "t"))
+        z, u, t = as_matrix(z, "z"), as_matrix(u, "u"), as_matrix(t, "t")
         n = z.shape[0]
         if u.shape[0] != n or t.shape[0] != n:
             raise InvalidInputError("z, u, t must have equal row counts")
-        z_svd = Svd(z) if z.shape[1] >= n else None
-        if z_svd is None or z_svd.rank(tol) != n:
+        try:
+            short = DesignPartition(z, t, tol=tol)
+        except RankAssumptionError as e:
+            # the partition calls Z its penalized block w
             raise RankAssumptionError(
-                f"rank assumption violated: retained block z must have full row rank {n}"
-            )
-        if u.shape[1] >= n or numeric_rank(u, tol) != u.shape[1]:
+                str(e).replace("penalized block w", "retained block z")
+            ) from None
+        if u.shape[1] >= n or numeric_rank(u, short.tol) != u.shape[1]:
             raise RankAssumptionError(
                 "rank assumption violated: omitted block u must have full column rank "
                 f"with fewer columns than rows, got shape {u.shape}"
             )
-        t_svd = Svd(t) if t.shape[1] < n else None
-        if t_svd is None or t_svd.rank(tol) != t.shape[1]:
-            raise RankAssumptionError(
-                "rank assumption violated: unpenalized block t must have full column "
-                f"rank with fewer columns than rows, got shape {t.shape}"
-            )
-        self.z = z
-        self.z_svd = z_svd
-        self.u = _readonly(u)
-        self.t = t
-        self.t_svd = t_svd
-        self.tol = tol
+        self.short = short
+        self.z, self.u, self.t, self.tol = short.w, _readonly(u), short.t, short.tol
+        self.long = DesignPartition(np.hstack([self.z, self.u]), short.t_svd, tol=short.tol)
 
     @property
     def n(self) -> int:
@@ -156,13 +153,11 @@ class AuxFit:
 def fit_long(d: CochranDesign, y) -> LongFit:
     """Joint regression including the omitted block, minimizing ||alpha||^2 + ||gamma||^2.
 
-    Delegates to the split-design solver with penalized block ``[Z | U]``
-    (column order Z-then-U, so the joint l2 penalty is exactly the sum of the
-    two block penalties) and splits the coefficients back out.
+    Fits the long partition ``d.long``, whose penalized block is ``[Z | U]``
+    (column order Z-then-U, so the joint l2 penalty is exactly the sum of
+    the two block penalties), and splits the coefficients back out.
     """
-    y = as_vector(y, "y")
-    part = DesignPartition(np.hstack([d.z, d.u]), d.t_svd, tol=d.tol)
-    fit = fit_partial(part, y)
+    fit = fit_partial(d.long, y)
     ell = d.n_retained
     return LongFit(
         alpha_hat=_readonly(fit.lambda_hat[:ell]),
@@ -172,11 +167,9 @@ def fit_long(d: CochranDesign, y) -> LongFit:
     )
 
 
-def fit_short(z, t, y, tol: RankTolerance | None = None) -> ShortFit:
-    """Regression omitting U, minimizing ||alpha||^2 with T unpenalized."""
-    y = as_vector(y, "y")
-    part = DesignPartition(z, t, tol=tol)
-    fit = fit_partial(part, y)
+def fit_short(d: CochranDesign, y) -> ShortFit:
+    """Regression omitting U, minimizing ||alpha||^2 with T unpenalized, on ``d.short``."""
+    fit = fit_partial(d.short, y)
     return ShortFit(
         alpha_tilde=fit.lambda_hat,
         tau_tilde=fit.tau_hat,
@@ -184,20 +177,17 @@ def fit_short(z, t, y, tol: RankTolerance | None = None) -> ShortFit:
     )
 
 
-def fit_aux(z, t, u, tol: RankTolerance | None = None) -> AuxFit:
-    """Regress each column of U on (Z penalized, T unpenalized).
+def fit_aux(d: CochranDesign) -> AuxFit:
+    """Regress each column of U on the short partition ``d.short`` (Z penalized, T free).
 
     The Frobenius objective decomposes by column, so the joint minimum-norm
     solution is the columnwise one; the solver handles the matrix right-hand
     side directly.
     """
-    part = DesignPartition(z, t, tol=tol)
-    u = as_matrix(u, "u")
-    if u.shape[0] != part.n:
-        raise InvalidInputError("u must have the same row count as z and t")
-    dz, dt = _partial_blocks(part, u)
-    resid = u - part.w @ dz - part.t @ dt
-    gap = _check_interpolation(resid, u.reshape(-1), part.w_svd, "auxiliary fit")
+    part = d.short
+    dz, dt = _partial_blocks(part, d.u)
+    resid = d.u - part.w @ dz - part.t @ dt
+    gap = _check_interpolation(resid, d.u.reshape(-1), part.w_svd, "auxiliary fit")
     return AuxFit(delta_z=_readonly(dz), delta_t=_readonly(dt), max_interp_residual=gap)
 
 
@@ -206,77 +196,32 @@ class CochranGaps(NamedTuple):
     coeff_gap: float
 
 
-def image_gap(d: CochranDesign, long_fit, short_fit, aux_fit) -> float:
+def image_gap(
+    d: CochranDesign, long_fit: LongFit, short_fit: ShortFit, aux_fit: AuxFit
+) -> float:
     """Sup-norm gap in the fitted-value identity, for arbitrary solution-set members.
 
-    Accepts the fit dataclasses or plain coefficient tuples
-    ``(alpha, gamma, tau)``, ``(alpha, tau)``, ``(delta_z, delta_t)`` so that
-    null-space-perturbed (non-minimum-norm) solutions can be checked too.
+    The identity holds for any members of the three solution sets, not only
+    the minimum-norm fits; to check a non-minimum-norm member, move a fit's
+    coefficients along the null space of its design, e.g.
+    ``dataclasses.replace(long_fit, alpha_hat=...)``.
     """
-    a1, g1, t1 = _long_coeffs(long_fit)
-    a2, t2 = _short_coeffs(short_fit)
-    dz, dt = _aux_coeffs(aux_fit)
-    lhs = d.z @ a2 + d.t @ t2
+    a1, g1, t1 = long_fit.alpha_hat, long_fit.gamma_hat, long_fit.tau_hat
+    dz, dt = aux_fit.delta_z, aux_fit.delta_t
+    lhs = d.z @ short_fit.alpha_tilde + d.t @ short_fit.tau_tilde
     rhs = d.z @ (a1 + dz @ g1) + d.t @ (t1 + dt @ g1)
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def _long_coeffs(fit):
-    if isinstance(fit, LongFit):
-        return fit.alpha_hat, fit.gamma_hat, fit.tau_hat
-    return tuple(np.asarray(v, dtype=np.float64) for v in fit)
-
-
-def _short_coeffs(fit):
-    if isinstance(fit, ShortFit):
-        return fit.alpha_tilde, fit.tau_tilde
-    return tuple(np.asarray(v, dtype=np.float64) for v in fit)
-
-
-def _aux_coeffs(fit):
-    if isinstance(fit, AuxFit):
-        return fit.delta_z, fit.delta_t
-    return tuple(np.asarray(v, dtype=np.float64) for v in fit)
-
-
-def _cochran_fits(d: CochranDesign, y) -> tuple[LongFit, ShortFit, AuxFit]:
-    """The long, short and auxiliary fits of one response, all under ``d.tol``.
-
-    The fits start from the kept ``d.z_svd`` and ``d.t_svd``, so neither
-    ``Z`` nor ``T`` is factored again.
-    """
-    return (
-        fit_long(d, y),
-        fit_short(d.z_svd, d.t_svd, y, d.tol),
-        fit_aux(d.z_svd, d.t_svd, d.u, d.tol),
-    )
-
-
 def _cochran_report(d: CochranDesign, y) -> tuple[CochranGaps, OvbDecomposition | None]:
     """Both identity gaps and, when ``T = [D, 1]``, the OVB decomposition, from one set of fits."""
-    long_fit, short_fit, aux_fit = _cochran_fits(d, y)
-    img = image_gap(d, long_fit, short_fit, aux_fit)
+    long_fit, short_fit, aux_fit = fit_long(d, y), fit_short(d, y), fit_aux(d)
+    g = long_fit.gamma_hat
     coeff = max(
-        float(
-            np.max(
-                np.abs(
-                    short_fit.alpha_tilde
-                    - long_fit.alpha_hat
-                    - aux_fit.delta_z @ long_fit.gamma_hat
-                )
-            )
-        ),
-        float(
-            np.max(
-                np.abs(
-                    short_fit.tau_tilde
-                    - long_fit.tau_hat
-                    - aux_fit.delta_t @ long_fit.gamma_hat
-                )
-            )
-        ),
+        float(np.max(np.abs(short_fit.alpha_tilde - long_fit.alpha_hat - aux_fit.delta_z @ g))),
+        float(np.max(np.abs(short_fit.tau_tilde - long_fit.tau_hat - aux_fit.delta_t @ g))),
     )
-    gaps = CochranGaps(image_gap=img, coeff_gap=coeff)
+    gaps = CochranGaps(image_gap=image_gap(d, long_fit, short_fit, aux_fit), coeff_gap=coeff)
     if _ovb_problem(d.t) is not None:
         return gaps, None
     tau_long_d = float(long_fit.tau_hat[0])

@@ -39,7 +39,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .exceptions import InvalidInputError, RankAssumptionError
-from .linalg import RankTolerance, Svd, as_matrix, as_vector
+from .linalg import Svd, as_matrix, as_vector
 
 __all__ = [
     "Seed",
@@ -242,9 +242,7 @@ def _draw_covariates(cfg: CovariateConfig, rng: np.random.Generator) -> Svd:
     return Svd.from_factors((left * svals) @ right, left, svals, right)
 
 
-def gen_covariates(
-    cfg: CovariateConfig, rng: np.random.Generator, tol: RankTolerance | None = None
-) -> Svd:
+def gen_covariates(cfg: CovariateConfig, rng: np.random.Generator) -> Svd:
     """Draw one covariate matrix as its thin SVD, resampling on (vanishingly rare) rank failure.
 
     The spiked and geometric models build the factors with the draw and
@@ -256,7 +254,7 @@ def gen_covariates(
     """
     for attempt in range(_MAX_REJECTIONS):
         f = _draw_covariates(cfg, rng)
-        if f.rank(tol) == cfg.n:
+        if f.rank() == cfg.n:
             if attempt:
                 logger.warning(
                     "resampled covariates %d time(s) after rank failures", attempt
@@ -289,9 +287,7 @@ def gen_response(
     return y
 
 
-def gen_ate_design(
-    n: int, q: int, rng: np.random.Generator, tol: RankTolerance | None = None
-) -> tuple[Svd, np.ndarray]:
+def gen_ate_design(n: int, q: int, rng: np.random.Generator) -> tuple[Svd, np.ndarray]:
     """Spiked covariates, as their kept thin SVD, plus a fair-coin treatment vector.
 
     A constant treatment would make ``[D, 1]`` rank one, so constant draws
@@ -300,7 +296,7 @@ def gen_ate_design(
     if not 1 <= n < q:
         raise InvalidInputError(f"need 1 <= n < q, got n={n}, q={q}")
     cfg = CovariateConfig(model="spiked", n=n, q=q)
-    w = gen_covariates(cfg, rng, tol)
+    w = gen_covariates(cfg, rng)
     for _ in range(_MAX_REJECTIONS):
         d = (rng.random(n) < 0.5).astype(np.float64)
         if 0.0 < d.mean() < 1.0:
@@ -311,29 +307,20 @@ def gen_ate_design(
 
 
 def gen_ate_dataset(
-    n: int,
-    q: int,
-    tau: float,
-    rng: np.random.Generator,
-    tol: RankTolerance | None = None,
-    noise_sd: float = 1.0,
+    n: int, q: int, tau: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One draw of the treatment-effect experiment.
 
     Covariates are spiked, the treatment is a fair coin, and the response is
     ``W alpha + tau D + 1 + eps`` with ``alpha = p^{-1/2} 1`` for
     ``p = q + 2`` (covariates + treatment + intercept) and unit-variance
-    noise.  ``noise_sd`` exists as a test hook for the noise-free path.
+    noise.
     """
-    if not 0.0 <= noise_sd < np.inf:
-        raise InvalidInputError("noise_sd must be nonnegative and finite")
     if not np.isfinite(tau):
         raise InvalidInputError("tau must be finite")
-    w_svd, d = gen_ate_design(n, q, rng, tol)
+    w_svd, d = gen_ate_design(n, q, rng)
     w = w_svd.a
     p = q + 2
     alpha = np.full(q, p ** -0.5)
-    y = w @ alpha + float(tau) * d + 1.0
-    if noise_sd > 0.0:
-        y = y + noise_sd * standard_normal(rng, n)
+    y = w @ alpha + float(tau) * d + 1.0 + standard_normal(rng, n)
     return w, d, y

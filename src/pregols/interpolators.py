@@ -34,7 +34,10 @@ exposed as named variants and used as cross-checks:
 * ``residual``:  lambda_hat = W^T G_W (y - T tau_hat)
 * ``gls``:       tau_hat = (T^T G_W T)^+ T^T G_W y
 
-where ``G_W = (W W^T)^+`` is the inverse row Gram matrix.
+where ``G_W = (W W^T)^+`` is the inverse row Gram matrix.  ``rowspace``
+computes ``lambda`` and ``tau`` apart, so the ``cond(W)^2 eps`` error of
+``tau`` is not absorbed by ``lambda`` and the fit misses ``y`` by up to
+that much; ``residual`` and ``gls`` lose as much through ``G_W``.
 """
 
 from __future__ import annotations
@@ -360,6 +363,14 @@ def _fit_split(d: DesignPartition, y, blocks, what: str) -> PartialFit:
 
 
 def _variant_rowspace(d, y):
+    """``lambda = P_{W^T} P_B^perp W^+ y`` and ``tau = B^+ W^+ y`` with ``B = W^+ T``, apart.
+
+    ``lambda`` is not the minimum-norm W-block for the computed ``tau``, so
+    the ``cond(W)^2 eps`` error of ``tau`` shows in the fit: with ``T`` in
+    the span of the two strongest left singular vectors of ``W`` it missed
+    the interpolation guard by 18 to 225 times on four of five designs at
+    cond(W) = 1e6 and by 62 to 4.9e4 times on all five at 1e8.
+    """
     wp = d.w_svd.pinv(d.tol)
     b = wp @ d.t
     bp = pinv(b, d.tol)
@@ -411,8 +422,13 @@ def fit_partial_variant(d: DesignPartition, y, variant: str) -> PartialFit:
     All are algebraically equal, not equally accurate.  Against the exact
     ``lambda`` over 400 random designs with cond(W) up to 5e3, ``direct``
     erred by at most ``8.8``, ``rowspace`` ``23``, ``residual`` ``175`` and
-    ``gls`` ``8.4e3`` times ``n cond(W) eps``: ``gls`` and ``residual`` go
-    through ``G_W`` and lose up to ``cond(W)^2 * eps``.
+    ``gls`` ``8.4e3`` times ``n cond(W) eps``.  All three alternatives lose
+    up to ``cond(W)^2 * eps`` where the condition number is larger:
+    ``gls`` and ``residual`` go through ``G_W``, and ``rowspace`` computes
+    ``lambda`` and ``tau`` apart, so the error of ``tau`` reaches the fit.
+    With ``T`` along the strong directions of ``W``, ``gls`` and
+    ``residual`` miss the interpolation guard at cond(W) = 1e6 and
+    ``rowspace`` at 1e8, and are refused.
     """
     if variant == "direct":
         return fit_partial(d, y)

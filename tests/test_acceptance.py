@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -107,9 +108,7 @@ def test_criterion_04_cochran_identities():
             assert gaps.image_gap <= 1e-8 * scale
             assert gaps.coeff_gap <= 1e-8 * scale
             if rep % 10 == 0:  # non-canonical members of each solution set
-                long_fit = pg.fit_long(d, y)
-                short_fit = pg.fit_short(d.z, d.t, y)
-                aux_fit = pg.fit_aux(d.z, d.t, d.u)
+                long_fit, short_fit, aux_fit = pg.fit_long(d, y), pg.fit_short(d, y), pg.fit_aux(d)
                 s_long = np.hstack([d.z, d.u, d.t])
                 s_short = np.hstack([d.z, d.t])
                 z1 = pg.nullspace_component(s_long, rng.standard_normal(ell + r + m))
@@ -117,13 +116,22 @@ def test_criterion_04_cochran_identities():
                 z3 = pg.nullspace_component(s_short, rng.standard_normal((ell + m, r)))
                 gap = pg.image_gap(
                     d,
-                    (
-                        long_fit.alpha_hat + z1[:ell],
-                        long_fit.gamma_hat + z1[ell : ell + r],
-                        long_fit.tau_hat + z1[ell + r :],
+                    replace(
+                        long_fit,
+                        alpha_hat=long_fit.alpha_hat + z1[:ell],
+                        gamma_hat=long_fit.gamma_hat + z1[ell : ell + r],
+                        tau_hat=long_fit.tau_hat + z1[ell + r :],
                     ),
-                    (short_fit.alpha_tilde + z2[:ell], short_fit.tau_tilde + z2[ell:]),
-                    (aux_fit.delta_z + z3[:ell], aux_fit.delta_t + z3[ell:]),
+                    replace(
+                        short_fit,
+                        alpha_tilde=short_fit.alpha_tilde + z2[:ell],
+                        tau_tilde=short_fit.tau_tilde + z2[ell:],
+                    ),
+                    replace(
+                        aux_fit,
+                        delta_z=aux_fit.delta_z + z3[:ell],
+                        delta_t=aux_fit.delta_t + z3[ell:],
+                    ),
                 )
                 assert gap <= 1e-8 * scale
     elapsed = time.monotonic() - start

@@ -172,6 +172,25 @@ def test_cochran_json(wide_files, capsys):
     assert abs(ovb["bias"] - np.dot(ovb["imbalance"], ovb["impact"])) <= 1e-8
 
 
+@pytest.mark.parametrize("block, message", [
+    ("z", "retained block z must have full row rank 8"),
+    ("td", "unpenalized block t must have full column rank 2"),
+])
+def test_cochran_rank_deficient_block_exits_2_and_names_it(wide_files, capsys, block, message):
+    a = np.loadtxt(wide_files / f"{block}.csv", delimiter=",", ndmin=2)
+    if block == "z":
+        a[7] = a[6]
+    else:
+        a[:, 0] = 1.0
+    write_matrix_csv(wide_files / f"{block}.csv", a)
+    code, out, err = run_cli(capsys, "cochran", *(
+        arg for name, stem in zip("zuty", ("z", "u", "td", "y"))
+        for arg in (f"--{name}", str(wide_files / f"{stem}.csv"))))
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_cochran_json_without_ovb(wide_files, capsys):
     # unpenalized block is a plain intercept: no treatment decomposition
     code, out, _ = run_cli(

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from pregols import (
     CochranDesign,
     InvalidInputError,
     RankAssumptionError,
+    RankTolerance,
     cochran_check,
     fit_aux,
     fit_long,
@@ -16,7 +19,6 @@ from pregols import (
     pinv,
     Seed,
 )
-from pregols.cochran import _cochran_fits
 
 from oracles import partial_blocks_projected, weak_constant_direction_w
 
@@ -52,7 +54,7 @@ def test_fit_long_interpolates():
 def test_fit_aux_matches_the_projected_form(n, ell, r, m):
     rng = np.random.default_rng(n)
     d = random_design(rng, n, ell, r, m)
-    fit = fit_aux(d.z, d.t, d.u)
+    fit = fit_aux(d)
     for got, want in zip((fit.delta_z, fit.delta_t), partial_blocks_projected(d.z, d.t, d.u)):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
@@ -71,15 +73,15 @@ def test_fit_long_linearity():
 
 def test_fit_short_mirrors_long_properties():
     rng = np.random.default_rng(3)
-    z = rng.standard_normal((8, 12))
-    t = rng.standard_normal((8, 1))
+    d = random_design(rng, 8, 12, 2, 1)
+    z, t = d.z, d.t
     c = np.array([-0.4])
-    fit = fit_short(z, t, t @ c)
+    fit = fit_short(d, t @ c)
     assert np.max(np.abs(fit.alpha_tilde)) <= 1e-10
     y = rng.standard_normal(8)
-    fit = fit_short(z, t, y)
+    fit = fit_short(d, y)
     assert np.max(np.abs(y - z @ fit.alpha_tilde - t @ fit.tau_tilde)) <= 1e-8
-    f2 = fit_short(z, t, 2.0 * y)
+    f2 = fit_short(d, 2.0 * y)
     assert np.allclose(f2.alpha_tilde, 2.0 * fit.alpha_tilde, atol=1e-8)
 
 
@@ -87,7 +89,7 @@ def test_fit_aux_copy_of_t_gives_identity():
     rng = np.random.default_rng(4)
     z = rng.standard_normal((8, 12))
     t = rng.standard_normal((8, 2))
-    aux = fit_aux(z, t, t)
+    aux = fit_aux(CochranDesign(z, t, t))
     assert np.max(np.abs(aux.delta_z)) <= 1e-10
     assert np.allclose(aux.delta_t, np.eye(2), atol=1e-10)
 
@@ -97,10 +99,10 @@ def test_fit_aux_interpolates_and_separates_columns():
     z = rng.standard_normal((8, 12))
     t = rng.standard_normal((8, 1))
     u = rng.standard_normal((8, 3))
-    aux = fit_aux(z, t, u)
+    aux = fit_aux(CochranDesign(z, u, t))
     assert np.max(np.abs(u - z @ aux.delta_z - t @ aux.delta_t)) <= 1e-8
     for j in range(3):
-        col = fit_aux(z, t, u[:, [j]])
+        col = fit_aux(CochranDesign(z, u[:, [j]], t))
         assert np.max(np.abs(col.delta_z[:, 0] - aux.delta_z[:, j])) <= 1e-10
         assert np.max(np.abs(col.delta_t[:, 0] - aux.delta_t[:, j])) <= 1e-10
 
@@ -133,22 +135,27 @@ def test_image_identity_for_perturbed_solutions():
     d = random_design(rng, 8, 12, 2, 1)
     ell, r, m = 12, 2, 1
     y = rng.standard_normal(8)
-    long_fit = fit_long(d, y)
-    short_fit = fit_short(d.z, d.t, y)
-    aux_fit = fit_aux(d.z, d.t, d.u)
+    long_fit, short_fit, aux_fit = fit_long(d, y), fit_short(d, y), fit_aux(d)
     stacked_long = np.hstack([d.z, d.u, d.t])
     stacked_short = np.hstack([d.z, d.t])
     for _ in range(20):
         z1 = nullspace_component(stacked_long, rng.standard_normal(ell + r + m))
         z2 = nullspace_component(stacked_short, rng.standard_normal(ell + m))
         z3 = nullspace_component(stacked_short, rng.standard_normal((ell + m, r)))
-        long_p = (
-            long_fit.alpha_hat + z1[:ell],
-            long_fit.gamma_hat + z1[ell : ell + r],
-            long_fit.tau_hat + z1[ell + r :],
+        long_p = replace(
+            long_fit,
+            alpha_hat=long_fit.alpha_hat + z1[:ell],
+            gamma_hat=long_fit.gamma_hat + z1[ell : ell + r],
+            tau_hat=long_fit.tau_hat + z1[ell + r :],
         )
-        short_p = (short_fit.alpha_tilde + z2[:ell], short_fit.tau_tilde + z2[ell:])
-        aux_p = (aux_fit.delta_z + z3[:ell], aux_fit.delta_t + z3[ell:])
+        short_p = replace(
+            short_fit,
+            alpha_tilde=short_fit.alpha_tilde + z2[:ell],
+            tau_tilde=short_fit.tau_tilde + z2[ell:],
+        )
+        aux_p = replace(
+            aux_fit, delta_z=aux_fit.delta_z + z3[:ell], delta_t=aux_fit.delta_t + z3[ell:]
+        )
         gap = image_gap(d, long_p, short_p, aux_p)
         assert gap <= 1e-8 * (1 + np.max(np.abs(y)))
 
@@ -168,15 +175,21 @@ def test_rank_validation():
 
 
 def test_rank_validation_of_a_wide_rank_deficient_z():
-    # the kept SVD of Z makes the same rank decision and the same error
+    # the short partition decides the rank of Z; the error still names z
     rng = np.random.default_rng(15)
     z = rng.standard_normal((8, 12))
     z[7] = z[6]
     with pytest.raises(RankAssumptionError, match="retained block z must have full row rank 8"):
         CochranDesign(z, rng.standard_normal((8, 2)), rng.standard_normal((8, 1)))
+    t = rng.standard_normal((8, 2))
+    t[:, 1] = t[:, 0]
+    with pytest.raises(RankAssumptionError, match="unpenalized block t must have full column"):
+        CochranDesign(rng.standard_normal((8, 12)), rng.standard_normal((8, 2)), t)
     d = random_design(rng, 8, 12, 2, 1)
-    assert d.z_svd.a is d.z
-    assert np.allclose((d.z_svd.u * d.z_svd.s) @ d.z_svd.vt, d.z, atol=1e-13)
+    assert d.short.w_svd.a is d.z and d.short.t is d.t
+    assert d.long.t_svd is d.short.t_svd
+    assert np.array_equal(d.long.w, np.hstack([d.z, d.u]))
+    assert np.allclose((d.short.w_svd.u * d.short.w_svd.s) @ d.short.w_svd.vt, d.z, atol=1e-13)
 
 
 def _cochran_designs():
@@ -198,31 +211,51 @@ def _assert_close(got, want):
     assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
 
 
-def test_shared_fits_match_the_separate_fits():
+def test_cochran_fits_are_readonly_and_interpolate():
     for d, y in _cochran_designs():
-        long_fit, short_fit, aux_fit = _cochran_fits(d, y)
-        want_long = fit_long(d, y)
-        want_short = fit_short(d.z, d.t, y)
-        want_aux = fit_aux(d.z, d.t, d.u)
-        for got, want in [
-            (long_fit.alpha_hat, want_long.alpha_hat),
-            (long_fit.gamma_hat, want_long.gamma_hat),
-            (long_fit.tau_hat, want_long.tau_hat),
-            (short_fit.alpha_tilde, want_short.alpha_tilde),
-            (short_fit.tau_tilde, want_short.tau_tilde),
-            (aux_fit.delta_z, want_aux.delta_z),
-            (aux_fit.delta_t, want_aux.delta_t),
-        ]:
-            _assert_close(got, want)
+        long_fit, short_fit, aux_fit = fit_long(d, y), fit_short(d, y), fit_aux(d)
+        for got in (long_fit.alpha_hat, long_fit.gamma_hat, long_fit.tau_hat,
+                    short_fit.alpha_tilde, short_fit.tau_tilde,
+                    aux_fit.delta_z, aux_fit.delta_t):
             assert not got.flags.writeable
         scale = 1.0 + np.max(np.abs(y))
+        assert long_fit.max_interp_residual <= 1e-8 * scale
         assert short_fit.max_interp_residual <= 1e-8 * scale
         assert aux_fit.max_interp_residual <= 1e-8 * (1.0 + np.max(np.abs(d.u)))
 
 
+def test_fits_reuse_the_design_partitions(monkeypatch):
+    # after construction the three fits factor only the n x m L^T T of their
+    # partitions: Z, T and [Z | U] are never factored again
+    for d, y in _cochran_designs():
+        factored, real_svd = [], np.linalg.svd
+
+        def counted_svd(a, *args, **kwargs):
+            factored.append(np.array(a))
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        fit_long(d, y), fit_short(d, y), fit_aux(d)
+        monkeypatch.undo()
+        assert [a.shape for a in factored] == [(d.n, d.n_unpenalized)] * 3
+        # L = U S^-1 from the SVD each partition kept at construction
+        for part, got in zip((d.long, d.short, d.short), factored):
+            assert np.array_equal(got, (part.w_svd.u / part.w_svd.s).T @ d.t)
+
+
+def test_design_partitions_keep_the_design_tolerance():
+    rng = np.random.default_rng(18)
+    tol = RankTolerance(relative_cutoff=1e-3)
+    d = CochranDesign(
+        rng.standard_normal((8, 12)), rng.standard_normal((8, 2)), rng.standard_normal((8, 1)),
+        tol=tol,
+    )
+    assert d.short.tol is d.long.tol is d.tol is tol
+
+
 def test_cochran_check_and_ovb_keep_their_values():
     for d, y in _cochran_designs():
-        fits = fit_long(d, y), fit_short(d.z, d.t, y), fit_aux(d.z, d.t, d.u)
+        fits = fit_long(d, y), fit_short(d, y), fit_aux(d)
         # both gaps are rounding noise, as they are from the separate fits
         gaps = cochran_check(d, y)
         noise = 1e-8 * (1.0 + np.max(np.abs(y)))
@@ -240,7 +273,7 @@ def test_cochran_check_and_ovb_keep_their_values():
 def test_wrong_length_response_names_the_length():
     rng = np.random.default_rng(17)
     d = binary_design(rng, 10, 16, 2)
-    for fn in (cochran_check, ovb_decompose, _cochran_fits):
+    for fn in (cochran_check, ovb_decompose, fit_long, fit_short):
         with pytest.raises(InvalidInputError, match="y has length 9, expected 10"):
             fn(d, rng.standard_normal(9))
 
@@ -282,7 +315,7 @@ def test_ovb_consistent_with_separate_fits():
     y = rng.standard_normal(10)
     ovb = ovb_decompose(d, y)
     long_fit = fit_long(d, y)
-    short_fit = fit_short(d.z, d.t, y)
+    short_fit = fit_short(d, y)
     assert abs(ovb.tau_long_d - long_fit.tau_hat[0]) <= 1e-12
     assert abs(ovb.tau_short_d - short_fit.tau_tilde[0]) <= 1e-12
 

@@ -320,8 +320,6 @@ def test_noise_scales_must_be_nonnegative_and_finite(bad):
     w = standard_normal(rng, (4, 6))
     with pytest.raises(InvalidInputError, match="sigma must be nonnegative and finite"):
         gen_response(w, np.ones(6), 0.0, bad, rng)
-    with pytest.raises(InvalidInputError, match="noise_sd must be nonnegative and finite"):
-        gen_ate_dataset(10, 20, 0.0, rng, noise_sd=bad)
     with pytest.raises(InvalidInputError, match="sigma2 must be positive and finite"):
         GaussMarkovTruth(np.ones(6), sigma2=bad)
     if not np.isfinite(bad):
@@ -332,11 +330,14 @@ def test_noise_scales_must_be_nonnegative_and_finite(bad):
             gen_ate_dataset(10, 20, bad, rng)
 
 
-def test_ate_dataset_noise_free_hook():
-    rng = Seed(14).rng(0)
-    w, d, y = gen_ate_dataset(10, 20, 0.0, rng, noise_sd=0.0)
+def test_ate_dataset_replays_its_stream():
+    # replaying the stream: the design draw, then n unit Gaussians of noise
+    rng, replay = Seed(14).rng(0), Seed(14).rng(0)
+    w, d, y = gen_ate_dataset(10, 20, 0.0, rng)
+    w_svd, d_replay = gen_ate_design(10, 20, replay)
     alpha = np.full(20, 22**-0.5)
-    assert np.array_equal(y, w @ alpha + 1.0)
+    assert np.array_equal(w, w_svd.a) and np.array_equal(d, d_replay)
+    assert np.array_equal(y, w @ alpha + 1.0 + standard_normal(replay, 10))
     assert set(np.unique(d)) <= {0.0, 1.0}
 
 

@@ -158,10 +158,12 @@ def test_interpolation_guard_scales_with_the_condition_of_the_design(cond, seed)
 
 
 @pytest.mark.parametrize("seed", range(5))
-@pytest.mark.parametrize("variant", ["gls", "residual"])
+@pytest.mark.parametrize("variant", ["gls", "residual", "rowspace"])
 def test_interpolation_guard_still_refuses_a_variant_that_loses_cond_squared(variant, seed):
-    # at cond(W) = 1e6 the G_W variants miss y by 5e2 to 8e3 times n cond eps
-    w, t, y = strong_direction_split(1e6, seed)
+    # at cond(W) = 1e6 the G_W variants miss y by 5e2 to 8e3 times n cond eps;
+    # rowspace, whose tau is not fed back into lambda, misses by 62 to 4.9e4
+    # times at cond(W) = 1e8 (and by 0.13 to 225 times at 1e6)
+    w, t, y = strong_direction_split(1e8 if variant == "rowspace" else 1e6, seed)
     d = DesignPartition(w, t)
     fit_partial_variant(d, y, "direct")
     with pytest.raises(RankAssumptionError, match="failed to interpolate"):
