@@ -65,7 +65,6 @@ __all__ = [
     "fit_full",
     "fit_partial",
     "fit_partial_variant",
-    "fit_partial_variants",
     "predict",
 ]
 
@@ -305,20 +304,20 @@ def _check_interpolation(residual: np.ndarray, y: np.ndarray, f: Svd, what: str)
     return gap
 
 
-def fit_full(x, y, tol: RankTolerance | None = None) -> FullFit:
+def fit_full(x, y) -> FullFit:
     """Fit the minimum l2-norm interpolator ``beta = X^+ y``.
 
-    Requires ``X`` to have full row rank so that an exact fit exists; the
-    returned coefficients are the smallest-norm element of the interpolating
-    set.
+    Requires ``X`` to have full row rank so that an exact fit exists, decided
+    under the context default tolerance; the returned coefficients are the
+    smallest-norm element of the interpolating set.
     """
     x = as_matrix(x, "x")
     y = as_vector(y, "y")
     n = x.shape[0]
     if y.size != n:
         raise InvalidInputError(f"y has length {y.size}, expected {n}")
-    f = full_row_rank_svd(x, tol)
-    beta = f.pinv(tol) @ y
+    f = full_row_rank_svd(x)
+    beta = f.pinv() @ y
     gap = _check_interpolation(y - x @ beta, y, f, "full fit")
     return FullFit(beta_hat=_readonly(beta), max_interp_residual=gap)
 
@@ -439,16 +438,6 @@ def fit_partial_variant(d: DesignPartition, y, variant: str) -> PartialFit:
             f"unknown variant {variant!r}; choose from {PARTIAL_VARIANTS}"
         ) from None
     return _fit_split(d, y, fn, f"partial fit ({variant})")
-
-
-def fit_partial_variants(d: DesignPartition, y) -> dict[str, PartialFit]:
-    """All three alternative coefficient expressions, keyed by variant name.
-
-    Each agrees with :func:`fit_partial` to numerical precision; disagreement
-    signals a tolerance or rank problem, which is exactly what the cross-check
-    is for.
-    """
-    return {name: fit_partial_variant(d, y, name) for name in _VARIANT_FNS}
 
 
 def predict(fit, w_new, t_new=None) -> float:

@@ -23,10 +23,8 @@ __all__ = [
     "RankTolerance",
     "get_default_tolerance",
     "set_default_tolerance",
+    "Svd",
     "pinv",
-    "projector",
-    "complement_projector",
-    "gram_inverse",
     "numeric_rank",
     "nullspace_component",
     "read_matrix_csv",
@@ -162,22 +160,24 @@ class Svd:
         return (vt.T / s) @ u.T
 
     def gram_inverse(self, tol: RankTolerance | None = None) -> np.ndarray:
+        """``(A A^T)^+ = U diag(s^-2) U^T`` from the factors of ``A``, keeping every
+        direction :meth:`rank` counts; forming ``A A^T`` would square cond(A)."""
         u, s, _ = self.kept(tol)
         return (u / s**2) @ u.T
 
     def projector(self, tol: RankTolerance | None = None) -> np.ndarray:
+        """Orthogonal projection onto the column space of ``a`` (symmetric, idempotent)."""
         u = self.kept(tol)[0]
         return u @ u.T
 
 
-def full_row_rank_svd(a: np.ndarray, tol: RankTolerance | None = None,
-                      name: str = "design") -> Svd:
+def full_row_rank_svd(a: np.ndarray, tol: RankTolerance | None = None) -> Svd:
     """The thin SVD of ``a``, raising :class:`RankAssumptionError` unless it has full row rank."""
     f = Svd(a)
     r = f.rank(tol)
     if r != a.shape[0]:
         raise RankAssumptionError(
-            f"rank assumption violated: {name} must have full row rank "
+            "rank assumption violated: design must have full row rank "
             f"{a.shape[0]}, numeric rank is {r}"
         )
     return f
@@ -203,30 +203,6 @@ def pinv(m, tol: RankTolerance | None = None) -> np.ndarray:
         The pseudoinverse, with shape transposed relative to ``m``.
     """
     return Svd(as_matrix(m)).pinv(tol)
-
-
-def projector(m, tol: RankTolerance | None = None) -> np.ndarray:
-    """Orthogonal projection onto the column space of ``m`` (symmetric, idempotent)."""
-    return Svd(as_matrix(m)).projector(tol)
-
-
-def complement_projector(m, tol: RankTolerance | None = None) -> np.ndarray:
-    """Projection onto the orthogonal complement of the column space of ``m``."""
-    a = as_matrix(m)
-    return np.eye(a.shape[0]) - projector(a, tol)
-
-
-def gram_inverse(m, tol: RankTolerance | None = None) -> np.ndarray:
-    """Pseudoinverse of the row Gram matrix, ``(M M^T)^+ = U diag(s^-2) U^T``.
-
-    Built from the SVD of ``M`` itself under the same cutoff as
-    :func:`numeric_rank` and :func:`pinv`, so it keeps every direction that
-    ``numeric_rank(M)`` counts.  Forming ``M M^T`` first would square the
-    condition number and drop directions of ``M`` that the cutoff accepts.
-    For a full-row-rank ``M`` this is the true inverse of ``M M^T`` and is
-    symmetric positive definite.
-    """
-    return Svd(as_matrix(m)).gram_inverse(tol)
 
 
 def numeric_rank(m, tol: RankTolerance | None = None) -> int:

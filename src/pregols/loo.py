@@ -3,9 +3,13 @@
 Dropping row ``i`` from a wide full-row-rank design does not require
 refitting: with ``k_i = W^+ e_i`` and ``g_ii = e_i^T G_W e_i > 0``, the rank-one
 projector ``P_i = k_i k_i^T / g_ii`` turns the full-sample pseudoinverse into
-its leave-one-out counterpart ``Wt_i = (I - P_i) W^+``.  Substituting ``Wt_i``
-for ``W^+`` in the split-design coefficient formulas yields the leave-i-out
-coefficients, and the prediction residual collapses to
+its leave-one-out counterpart ``Wt_i = (I - P_i) W^+``.  With ``W = U S V^T``
+kept by the :class:`DesignPartition` and ``L = U S^{-1}``, ``W^+ = V L^T``,
+``k_i = V l_i`` for the row ``l_i = L[i]`` and ``g_ii = ||l_i||^2``, so
+``Wt_i = V D_i L^T`` with ``D_i = I - l_i l_i^T / g_ii`` (n x n); neither
+``W^+`` nor ``Wt_i`` is formed.  Substituting ``Wt_i`` for ``W^+`` in the
+split-design coefficient formulas yields the leave-i-out coefficients
+(:func:`loo_fit`), and the prediction residual collapses to
 
     eps_i = e_i^T [diag(G_W)]^{-1} G_W (I - H_i) y,
     H_i   = T (Wt_i T)^+ Wt_i.
@@ -20,8 +24,7 @@ the m x m matrix ``M`` then gives every row of the residual map at once,
 
 ``Q`` is not formed by that subtraction, which loses about
 ``cond(W)^2 * eps`` when ``T`` lies along the weakest directions of ``W``.
-With ``L = U S^{-1}`` from the SVD the :class:`DesignPartition` keeps (so
-``G_W = L L^T``) and ``N`` an orthonormal basis of the complement of
+With ``G_W = L L^T`` and ``N`` an orthonormal basis of the complement of
 colsp(L^T T), it is the projection ``Q = (L N)(L N)^T``; the partition
 keeps ``F = L N`` (:meth:`DesignPartition.split_factor`), which the ``wc``
 variance estimator shares.  No per-index factorization is needed, and a
@@ -54,7 +57,7 @@ import numpy as np
 
 from .exceptions import InvalidInputError, RankAssumptionError
 from .interpolators import DesignPartition, _guard_rtol, fit_partial
-from .linalg import RankTolerance, as_matrix, as_vector, full_row_rank_svd, pinv
+from .linalg import as_matrix, as_vector, full_row_rank_svd, pinv
 
 __all__ = [
     "LooRecord",
@@ -62,7 +65,6 @@ __all__ = [
     "loo_fit",
     "loo_record",
     "loo_residual_partial",
-    "loo_residuals_partial",
     "gram_downdate",
     "brute_force_refit",
 ]
@@ -112,17 +114,20 @@ def _check_response(y, n: int) -> np.ndarray:
 
 
 def loo_fit(d: DesignPartition, y, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Leave-one-out coefficient pair ``(lambda_loo, tau_loo)`` without refitting."""
+    """Leave-one-out coefficient pair ``(lambda_loo, tau_loo)`` without refitting.
+
+    With ``Wt_i = V D_i L^T`` (module docstring), ``tau_loo = (D_i L^T T)^+ D_i L^T y``
+    and ``lambda_loo = V D_i L^T (y - T tau_loo)``, as in :func:`fit_partial`.
+    """
     y = _check_response(y, d.n)
     i = _check_index(i, d.n)
     _check_loo_rows(d, np.array([i]))
-    gw = d.w_svd.gram_inverse(d.tol)
-    wp = d.w_svd.pinv(d.tol)
-    w_tilde = wp - np.outer(wp[:, i], gw[i]) / gw[i, i]
-    wt_t = w_tilde @ d.t
-    wty = w_tilde @ y
-    tau_loo = pinv(wt_t, d.tol) @ wty
-    lam_loo = d.w.T @ (w_tilde.T @ (wty - wt_t @ tau_loo))
+    f = d.w_svd
+    lt = (f.u / f.s).T  # L^T, so W^+ = V L^T
+    li = lt[:, i]
+    dl = lt - np.outer(li, li @ lt) / (li @ li)  # D_i L^T
+    tau_loo = pinv(dl @ d.t, d.tol) @ (dl @ y)
+    lam_loo = f.vt.T @ (dl @ (y - d.t @ tau_loo))
     return lam_loo, tau_loo
 
 
@@ -185,12 +190,7 @@ class PartialLooSolver:
         return self.residual_matrix @ y
 
 
-def loo_residuals_partial(d: DesignPartition, y) -> np.ndarray:
-    """Leave-one-out residuals for every index of a split design."""
-    return PartialLooSolver(d).residuals(y)
-
-
-def gram_downdate(x, i: int, tol: RankTolerance | None = None) -> np.ndarray:
+def gram_downdate(x, i: int) -> np.ndarray:
     """Column-Gram pseudoinverse after deleting row ``i``, via a rank-one update.
 
     Returns ``[(X_del)^T X_del]^+`` computed from the full-sample
@@ -200,14 +200,15 @@ def gram_downdate(x, i: int, tol: RankTolerance | None = None) -> np.ndarray:
              + (e_i^T G_X^2 e_i / g_ii^2) e_i e_i^T} X^{+,T}
 
     For a full-row-rank ``X`` the deleted design keeps full row rank, so no
-    extra precondition is needed beyond the rank check.
+    extra precondition is needed beyond the rank check, which is made under
+    the context default tolerance.
     """
     x = as_matrix(x, "x")
     n = x.shape[0]
     i = _check_index(i, n)
-    f = full_row_rank_svd(x, tol)
-    xp = f.pinv(tol)
-    gx = f.gram_inverse(tol)
+    f = full_row_rank_svd(x)
+    xp = f.pinv()
+    gx = f.gram_inverse()
     gii = float(gx[i, i])
     gi = gx[i]
     mid = np.eye(n)

@@ -47,7 +47,7 @@ import numpy as np
 
 from .exceptions import InvalidInputError
 from .interpolators import DesignPartition
-from .linalg import as_matrix, as_vector, complement_projector, full_row_rank_svd
+from .linalg import as_matrix, as_vector, full_row_rank_svd
 from .loo import PartialLooSolver
 
 __all__ = [
@@ -216,15 +216,16 @@ def wc_operator(d: DesignPartition) -> ResidualOperator:
 def wc_normalizers(d: DesignPartition) -> tuple[float, float]:
     """Both candidate normalizers for ``wc``: (projected-space, sample-space).
 
-    The first is ``tr(P_B^perp (W^T W)^+)`` and is what :func:`wc_operator`
-    uses; the second is ``tr(P_T^perp G_W)``.  They differ in general.
+    The first is ``tr(P_B^perp (W^T W)^+) = ||F||_F^2``, the denominator of
+    :func:`wc_operator`; the second is ``tr(P_T^perp G_W) = ||P_T^perp L||_F^2``
+    with ``L = U S^{-1}`` from the kept SVD of ``W`` and ``P_T`` from that of
+    ``T``.  They differ in general.  Both stay in n-space: no ``W^+``, q x q
+    projector or ``(W^T W)^+`` is formed, so neither loses ``cond(W)^2 eps``.
     """
-    wp = d.w_svd.pinv(d.tol)
-    # (W^T W)^+ = W^+ W^{+T}
-    projected = float(np.trace(complement_projector(wp @ d.t, d.tol) @ (wp @ wp.T)))
-    p_t_perp = np.eye(d.n) - d.t_svd.projector(d.tol)
-    sample = float(np.trace(p_t_perp @ d.w_svd.gram_inverse(d.tol)))
-    return projected, sample
+    ell = d.w_svd.u / d.w_svd.s
+    ut = d.t_svd.u
+    rest = ell - ut @ (ut.T @ ell)  # P_T^perp L
+    return wc_operator(d).denominator, float(np.sum(rest * rest))
 
 
 def residual_operator(estimator_id: str, d: DesignPartition) -> ResidualOperator:

@@ -71,7 +71,7 @@ def min_norm_refit_full(x, y, i):
 
 
 def min_norm_refit_partial(w, t, y, i):
-    """Leave-one-out residual of the split-design fit, refit via numpy lstsq.
+    """``(lambda, tau)`` of the split-design fit with row ``i`` deleted, via numpy lstsq.
 
     ``tau = (W^+ T)^+ W^+ y`` and ``lambda = W^+ (y - T tau)`` on the design
     with row ``i`` deleted, each a full-rank least-squares solve.
@@ -81,7 +81,7 @@ def min_norm_refit_partial(w, t, y, i):
     wp_ty = np.linalg.lstsq(w[keep], np.column_stack([t[keep], y[keep]]), rcond=None)[0]
     tau = np.linalg.lstsq(wp_ty[:, :-1], wp_ty[:, -1], rcond=None)[0]
     lam = np.linalg.lstsq(w[keep], y[keep] - t[keep] @ tau, rcond=None)[0]
-    return float(y[i] - w[i] @ lam - t[i] @ tau)
+    return lam, tau
 
 
 def partial_blocks_projected(w, t, rhs):

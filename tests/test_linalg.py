@@ -9,12 +9,10 @@ import pregols
 from pregols import (
     InvalidInputError,
     RankTolerance,
-    complement_projector,
-    gram_inverse,
+    Svd,
     numeric_rank,
     nullspace_component,
     pinv,
-    projector,
     read_matrix_csv,
     write_matrix_csv,
 )
@@ -88,45 +86,44 @@ def test_pinv_rejects_nonfinite():
 
 def test_projector_ones_column():
     n = 6
-    p = projector(np.ones((n, 1)))
+    p = Svd(np.ones((n, 1))).projector()
     assert np.allclose(p, np.full((n, n), 1.0 / n), atol=1e-12)
 
 
 def test_projector_identity():
-    assert np.allclose(projector(np.eye(4)), np.eye(4), atol=1e-12)
+    assert np.allclose(Svd(np.eye(4)).projector(), np.eye(4), atol=1e-12)
 
 
 def test_projector_properties():
     rng = np.random.default_rng(5)
     m = rng.standard_normal((5, 2))
-    p = projector(m)
+    p = Svd(m).projector()
     assert np.max(np.abs(p @ p - p)) <= 1e-10
     assert np.max(np.abs(p - p.T)) <= 1e-10
     assert np.max(np.abs(p @ m - m)) <= 1e-10
-    assert np.max(np.abs(complement_projector(m) - (np.eye(5) - p))) <= 1e-14
 
 
 def test_gram_inverse_identity():
-    assert np.allclose(gram_inverse(np.eye(5)), np.eye(5), atol=1e-12)
+    assert np.allclose(Svd(np.eye(5)).gram_inverse(), np.eye(5), atol=1e-12)
 
 
 def test_gram_inverse_orthonormal_rows():
     # rows of a scaled DFT-like construction: orthonormal by design
     m = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
-    assert np.allclose(gram_inverse(m), np.eye(2), atol=1e-12)
+    assert np.allclose(Svd(m).gram_inverse(), np.eye(2), atol=1e-12)
 
 
 def test_gram_inverse_matches_lu_inverse():
     rng = np.random.default_rng(6)
     w = rng.standard_normal((4, 7))
     direct = np.linalg.solve(w @ w.T, np.eye(4))  # LU-based oracle
-    assert np.max(np.abs(gram_inverse(w) - direct)) <= 1e-8
+    assert np.max(np.abs(Svd(w).gram_inverse() - direct)) <= 1e-8
 
 
 def test_gram_inverse_symmetric_positive_diagonal():
     rng = np.random.default_rng(7)
     w = rng.standard_normal((5, 11))
-    g = gram_inverse(w)
+    g = Svd(w).gram_inverse()
     assert np.max(np.abs(g - g.T)) <= 1e-10
     assert np.all(np.diag(g) > 0)
 

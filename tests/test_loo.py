@@ -8,14 +8,13 @@ from pregols import (
     PartialLooSolver,
     RankAssumptionError,
     RankTolerance,
+    Svd,
     brute_force_refit,
     gram_downdate,
-    gram_inverse,
     loo_fit,
     loo_record,
     loo_residual_partial,
     loo_residuals_full,
-    loo_residuals_partial,
     pinv,
     predict,
 )
@@ -110,7 +109,6 @@ def test_solver_matches_per_index_ops():
     res = solver.residuals(y)
     for i in range(d.n):
         assert abs(res[i] - loo_residual_partial(d, y, i)) <= 1e-10
-    assert np.allclose(loo_residuals_partial(d, y), res, atol=1e-12)
     assert solver.denominator > 0
 
 
@@ -137,7 +135,7 @@ def test_loo_residuals_full_consistent_with_coefficient_shortcut():
     x = rng.standard_normal((6, 10))
     y = rng.standard_normal(6)
     xp = pinv(x)
-    gx = gram_inverse(x)
+    gx = Svd(x).gram_inverse()
     beta = xp @ y
     res = loo_residuals_full(x, y)
     for i in range(6):
@@ -183,7 +181,7 @@ def test_projector_pair_identities(shape):
     w = rng.standard_normal(shape)
     n, q = shape
     wp = pinv(w)
-    gw = gram_inverse(w)
+    gw = Svd(w).gram_inverse()
     dg = np.diag(gw)
     for i in range(n):
         p, qc, w_tilde, _ = loo_projector(w, i)
@@ -208,7 +206,7 @@ def test_projector_pair_identities(shape):
 def test_projector_denominator_positive():
     rng = np.random.default_rng(12)
     w = rng.standard_normal((5, 9))
-    gw = gram_inverse(w)
+    gw = Svd(w).gram_inverse()
     for i in range(5):
         gii = loo_projector(w, i)[3]
         assert gii > 0
@@ -271,12 +269,25 @@ def _geometric_design(cond, seed):
     return w, rng.standard_normal((10, 1)), rng.standard_normal(10)
 
 
-def _intercept_design(cond, seed):
+def _intercept_design(cond, seed, treatment=False):
     """10 x 20 ``W`` whose weakest direction, of singular value 1/cond, is the
-    constant vector; ``T = ones`` and a random y."""
+    constant vector; ``T = ones`` (``[d, 1]`` with an alternating dummy ``d``
+    when ``treatment``) and a random y."""
     rng = np.random.default_rng(seed)
     w, _ = weak_constant_direction_w(cond, rng)
-    return w, np.ones((10, 1)), rng.standard_normal(10)
+    t = np.ones((10, 1))
+    if treatment:
+        t = np.column_stack([np.tile([0.0, 1.0], 5), t])
+    return w, t, rng.standard_normal(10)
+
+
+def _treatment_design(cond, seed):
+    return _intercept_design(cond, seed, treatment=True)
+
+
+def _refit_residual(w, t, y, i):
+    lam, tau = min_norm_refit_partial(w, t, y, i)
+    return y[i] - w[i] @ lam - t[i] @ tau
 
 
 @pytest.mark.parametrize(
@@ -292,7 +303,7 @@ def _intercept_design(cond, seed):
 def test_ill_conditioned_loo_matches_refit_or_raises(make, cond):
     w, t, y = make(cond, seed=1)
     d = DesignPartition(w, t)
-    expected = np.array([min_norm_refit_partial(w, t, y, i) for i in range(10)])
+    expected = np.array([_refit_residual(w, t, y, i) for i in range(10)])
     scale = 1.0 + np.max(np.abs(expected))
     try:
         got = PartialLooSolver(d).residuals(y)
@@ -309,7 +320,7 @@ def test_ill_conditioned_loo_matches_refit_or_raises(make, cond):
         assert np.max(np.abs(got - expected)) <= 100 * cond * eps * scale
     # G_W keeps the weakest direction of W, whose eigenvalue is smin^-2
     smin = np.linalg.svd(w, compute_uv=False)[-1]
-    assert np.linalg.norm(gram_inverse(w), 2) == pytest.approx(smin**-2, rel=1e-6)
+    assert np.linalg.norm(Svd(w).gram_inverse(), 2) == pytest.approx(smin**-2, rel=1e-6)
 
 
 def test_loo_index_out_of_range():
@@ -347,17 +358,31 @@ def test_brute_force_refit_deterministic():
 
 
 @pytest.mark.parametrize("seed", range(5))
-@pytest.mark.parametrize("cond", [1e9, 1e12])
-def test_loo_record_consistency_guard_scales_with_the_condition_of_w(cond, seed):
-    # a fixed 1e-8 (1 + |y_i|) bound called these well-posed designs
-    # rank-marginal; the two closed forms agree to n cond(W) eps
-    w, t, y = strong_direction_split(cond, seed)
+@pytest.mark.parametrize(
+    "make, cond",
+    [
+        pytest.param(strong_direction_split, 1e9, id="1000000000.0"),
+        pytest.param(strong_direction_split, 1e12, id="1000000000000.0"),
+        *(
+            pytest.param(make, cond, id=f"{name}-{cond}")
+            for name, make in (("intercept", _intercept_design), ("treatment", _treatment_design))
+            for cond in (1e4, 1e6, 1e8)
+        ),
+    ],
+)
+def test_loo_record_consistency_guard_scales_with_the_condition_of_w(make, cond, seed):
+    # a fixed 1e-8 (1 + |y_i|) bound called the strong-direction designs
+    # rank-marginal; the two closed forms agree to n cond(W) eps, and the
+    # coefficients match a refit to as much
+    w, t, y = make(cond, seed)
     d = DesignPartition(w, t)
-    eps = np.finfo(float).eps
+    bound = d.n * np.linalg.cond(w) * np.finfo(float).eps
     for i in range(d.n):
         rec = loo_record(d, y, i)
         gap = abs(rec.residual - (y[i] - d.w[i] @ rec.lambda_loo - d.t[i] @ rec.tau_loo))
-        assert gap <= d.n * np.linalg.cond(w) * eps * (1.0 + abs(y[i]))
+        assert gap <= bound * (1.0 + abs(y[i]))
+        lam = min_norm_refit_partial(w, t, y, i)[0]
+        assert np.max(np.abs(rec.lambda_loo - lam)) <= bound * np.max(np.abs(lam))
 
 
 def _marginal_leverage_design():

@@ -11,7 +11,6 @@ PUBLIC_NAMES = {
     "cochran_check",
     "CochranDesign",
     "CochranGaps",
-    "complement_projector",
     "COVARIATE_MODELS",
     "CovariateConfig",
     "DEFAULT_GRIDS",
@@ -27,7 +26,6 @@ PUBLIC_NAMES = {
     "fit_long",
     "fit_partial",
     "fit_partial_variant",
-    "fit_partial_variants",
     "fit_short",
     "full_operator",
     "FullFit",
@@ -38,7 +36,6 @@ PUBLIC_NAMES = {
     "gen_response",
     "get_default_tolerance",
     "gram_downdate",
-    "gram_inverse",
     "image_gap",
     "InvalidInputError",
     "LongFit",
@@ -46,7 +43,6 @@ PUBLIC_NAMES = {
     "loo_record",
     "loo_residual_partial",
     "loo_residuals_full",
-    "loo_residuals_partial",
     "LooRecord",
     "nullspace_component",
     "numeric_rank",
@@ -60,7 +56,6 @@ PUBLIC_NAMES = {
     "pinv",
     "predict",
     "PregolsError",
-    "projector",
     "RankAssumptionError",
     "RankTolerance",
     "read_matrix_csv",
@@ -73,6 +68,7 @@ PUBLIC_NAMES = {
     "sigma2",
     "splitmix64",
     "standard_normal",
+    "Svd",
     "VarianceReport",
     "w_operator",
     "wc_normalizers",
@@ -83,7 +79,7 @@ PUBLIC_NAMES = {
 
 
 def test_public_names_are_pinned():
-    assert len(pregols.__all__) == len(set(pregols.__all__)) == 74
+    assert len(pregols.__all__) == len(set(pregols.__all__)) == 70
     assert set(pregols.__all__) == PUBLIC_NAMES
     for name in pregols.__all__:
         assert getattr(pregols, name) is not None, name
@@ -122,7 +118,8 @@ def test_no_operation_on_a_validated_design_takes_a_tolerance():
             "fit_short", "fit_aux", "image_gap",
             "DesignPartition.tau_map", "DesignPartition.full_gram_inverse"} <= set(takers)
     assert [n for n, fn in takers.items() if "tol" in inspect.signature(fn).parameters] == []
-    # the generators decide the covariates' rank under the context default,
-    # which a partition built on the draw then resolves again
-    for gen in (pregols.gen_covariates, pregols.gen_ate_design, pregols.gen_ate_dataset):
-        assert "tol" not in inspect.signature(gen).parameters
+    # the generators and the two operations on a plain array decide rank
+    # under the context default, which a partition built on a draw resolves again
+    for fn in (pregols.gen_covariates, pregols.gen_ate_design, pregols.gen_ate_dataset,
+               pregols.fit_full, pregols.gram_downdate):
+        assert "tol" not in inspect.signature(fn).parameters, fn.__name__

@@ -196,7 +196,7 @@ def test_ate_partial_exact_recovery_boundary():
     projection of that signal onto [d, 1] in the inverse-Gram inner product,
     and matches its closed form exactly.
     """
-    from pregols import DesignPartition, Seed, gen_ate_design, gram_inverse, pinv
+    from pregols import DesignPartition, Seed, Svd, gen_ate_design, pinv
 
     rng = Seed(123).rng(0)
     n, q, tau = 10, 20, 2.5
@@ -212,7 +212,7 @@ def test_ate_partial_exact_recovery_boundary():
     # with a covariate signal: deviation equals its closed form
     alpha = np.full(q, (q + 2) ** -0.5)
     y1 = w @ alpha + tau * dvec + 1.0
-    gw = gram_inverse(w)
+    gw = Svd(w).gram_inverse()
     correction = np.linalg.solve(t.T @ gw @ t, t.T @ gw @ (w @ alpha))
     assert abs(functional[0] @ y1 - (tau + correction[0])) <= 1e-8
 

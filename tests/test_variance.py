@@ -137,13 +137,32 @@ def test_operator_denominators_match_frobenius():
     assert abs(wop.denominator - np.sum(wop.matrix**2)) <= 1e-8
 
 
-def test_wc_normalizers_projected_vs_sample_space():
-    d = fixture_partition(seed=11, m=2)
+@pytest.mark.parametrize(
+    "c, seed",
+    [
+        pytest.param(None, 11, id="generic"),
+        *(pytest.param(c, s, id=f"weak-{c}-{s}") for c in (1e4, 1e6, 1e8) for s in range(5)),
+    ],
+)
+def test_wc_normalizers_projected_vs_sample_space(c, seed):
+    if c is None:
+        d = fixture_partition(seed=seed, m=2)
+    else:
+        # T = ones along the weakest direction of W, whose other singular
+        # values are 1: both traces are exactly n - 1, and a route through
+        # (W^T W)^+ or a q x q projector loses cond(W)^2 eps
+        w, _ = weak_constant_direction_w(c, np.random.default_rng(seed), n=12, q=24)
+        d = DesignPartition(w, np.ones((12, 1)))
     projected, sample = wc_normalizers(d)
     op = wc_operator(d)
     assert abs(projected - op.denominator) <= 1e-10 * projected
-    # the two renderings genuinely differ on generic designs
-    assert abs(projected - sample) > 1e-3
+    if c is None:
+        # the two renderings genuinely differ on generic designs
+        assert abs(projected - sample) > 1e-3
+    else:
+        bound = d.n * np.linalg.cond(d.w) * np.finfo(float).eps * (d.n - 1)
+        assert abs(projected - (d.n - 1)) <= bound
+        assert abs(sample - (d.n - 1)) <= bound
 
 
 def test_monte_carlo_means_match_exact_bias():
