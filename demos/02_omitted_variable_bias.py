@@ -11,7 +11,14 @@ where both factors come from auxiliary regressions you can actually run.
 
 import numpy as np
 
-from pregols import CochranDesign, Seed, cochran_check, ovb_decompose, standard_normal
+from pregols import (
+    CochranDesign,
+    Seed,
+    cochran_check,
+    fit_partial,
+    ovb_decompose,
+    standard_normal,
+)
 
 rng = Seed(42).rng(0)
 n, n_obs, n_hidden = 40, 60, 2
@@ -34,6 +41,16 @@ y = (
 )
 
 design = CochranDesign(z, u, t)
+
+# the three regressions are split fits on the design's two partitions:
+# long [Z U | T], short [Z | T], and auxiliary (each column of U on [Z | T])
+long_fit = fit_partial(design.long, y)
+short_fit = fit_partial(design.short, y)
+aux_fit = fit_partial(design.short, design.u)
+gamma_hat = long_fit.lambda_hat[design.n_retained:]  # long coefficients on U
+print(f"long fit:  tau_hat = {np.round(long_fit.tau_hat, 4)}, gamma_hat = {np.round(gamma_hat, 4)}")
+print(f"short fit: tau_tilde = {np.round(short_fit.tau_hat, 4)}")
+print(f"aux fit:   delta_t =\n{np.round(aux_fit.tau_hat, 4)}\n")
 
 # the algebraic identities hold regardless of any data-generating story
 gaps = cochran_check(design, y)

@@ -10,6 +10,12 @@ unpenalized block ``T``:
 * **auxiliary** — regress each column of U on (Z penalized; T free):
   matrices (delta_z, delta_t).
 
+Each is a :func:`~pregols.interpolators.fit_partial` on a partition of a
+:class:`CochranDesign` ``d``, whose ``(lambda_hat, tau_hat)`` are the pairs
+above: ``fit_partial(d.long, y)`` with ``lambda_hat`` split into
+``(alpha_hat, gamma_hat)`` at ``d.n_retained``, ``fit_partial(d.short, y)``
+and ``fit_partial(d.short, d.u)``.
+
 Two exact identities link them.  The fitted values agree for *any* members
 of the three solution sets:
 
@@ -35,25 +41,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import InvalidInputError, RankAssumptionError
-from .interpolators import (
-    DesignPartition,
-    _check_interpolation,
-    _partial_blocks,
-    _readonly,
-    fit_partial,
-)
+from .interpolators import DesignPartition, PartialFit, _readonly, fit_partial
 from .linalg import RankTolerance, as_matrix, numeric_rank
 
 __all__ = [
     "CochranDesign",
-    "LongFit",
-    "ShortFit",
-    "AuxFit",
     "CochranGaps",
     "OvbDecomposition",
-    "fit_long",
-    "fit_short",
-    "fit_aux",
     "cochran_check",
     "image_gap",
     "ovb_decompose",
@@ -69,9 +63,9 @@ class CochranDesign:
     Building ``short`` validates ``Z`` (wide, full row rank) and ``T``
     (skinny, full column rank); an error names the failed block as ``z`` or
     ``t``.  ``U`` must have full column rank with fewer columns than rows.
-    The fits (:func:`fit_long`, :func:`fit_short`, :func:`fit_aux`) read
-    the two partitions, so none of them factors ``Z``, ``T`` or ``[Z | U]``
-    again.
+    The three fits read the two partitions (module docstring), the
+    auxiliary one with the n x r matrix ``u`` as its responses, so none of
+    them factors ``Z``, ``T`` or ``[Z | U]`` again.
 
     The rank tolerance is resolved once, here (``tol=None`` means the context
     default at construction), and kept as ``tol``: the three blocks are
@@ -126,112 +120,51 @@ class CochranDesign:
         )
 
 
-@dataclass(frozen=True)
-class LongFit:
-    alpha_hat: np.ndarray
-    gamma_hat: np.ndarray
-    tau_hat: np.ndarray
-    max_interp_residual: float
-
-
-@dataclass(frozen=True)
-class ShortFit:
-    alpha_tilde: np.ndarray
-    tau_tilde: np.ndarray
-    max_interp_residual: float
-
-
-@dataclass(frozen=True)
-class AuxFit:
-    """Columnwise regression of U on (Z penalized, T unpenalized)."""
-
-    delta_z: np.ndarray  # shape (cols of Z, cols of U)
-    delta_t: np.ndarray  # shape (cols of T, cols of U)
-    max_interp_residual: float
-
-
-def fit_long(d: CochranDesign, y) -> LongFit:
-    """Joint regression including the omitted block, minimizing ||alpha||^2 + ||gamma||^2.
-
-    Fits the long partition ``d.long``, whose penalized block is ``[Z | U]``
-    (column order Z-then-U, so the joint l2 penalty is exactly the sum of
-    the two block penalties), and splits the coefficients back out.
-    """
-    fit = fit_partial(d.long, y)
-    ell = d.n_retained
-    return LongFit(
-        alpha_hat=_readonly(fit.lambda_hat[:ell]),
-        gamma_hat=_readonly(fit.lambda_hat[ell:]),
-        tau_hat=fit.tau_hat,
-        max_interp_residual=fit.max_interp_residual,
-    )
-
-
-def fit_short(d: CochranDesign, y) -> ShortFit:
-    """Regression omitting U, minimizing ||alpha||^2 with T unpenalized, on ``d.short``."""
-    fit = fit_partial(d.short, y)
-    return ShortFit(
-        alpha_tilde=fit.lambda_hat,
-        tau_tilde=fit.tau_hat,
-        max_interp_residual=fit.max_interp_residual,
-    )
-
-
-def fit_aux(d: CochranDesign) -> AuxFit:
-    """Regress each column of U on the short partition ``d.short`` (Z penalized, T free).
-
-    The Frobenius objective decomposes by column, so the joint minimum-norm
-    solution is the columnwise one; the solver handles the matrix right-hand
-    side directly.
-    """
-    part = d.short
-    dz, dt = _partial_blocks(part, d.u)
-    resid = d.u - part.w @ dz - part.t @ dt
-    gap = _check_interpolation(resid, d.u.reshape(-1), part.w_svd, "auxiliary fit")
-    return AuxFit(delta_z=_readonly(dz), delta_t=_readonly(dt), max_interp_residual=gap)
-
-
 class CochranGaps(NamedTuple):
     image_gap: float
     coeff_gap: float
 
 
 def image_gap(
-    d: CochranDesign, long_fit: LongFit, short_fit: ShortFit, aux_fit: AuxFit
+    d: CochranDesign, long_fit: PartialFit, short_fit: PartialFit, aux_fit: PartialFit
 ) -> float:
     """Sup-norm gap in the fitted-value identity, for arbitrary solution-set members.
 
-    The identity holds for any members of the three solution sets, not only
+    The fits are on ``d.long``, ``d.short`` and, for the responses ``d.u``,
+    ``d.short`` (module docstring).  The identity holds for any members of the three solution sets, not only
     the minimum-norm fits; to check a non-minimum-norm member, move a fit's
     coefficients along the null space of its design, e.g.
-    ``dataclasses.replace(long_fit, alpha_hat=...)``.
+    ``dataclasses.replace(long_fit, lambda_hat=...)``.
     """
-    a1, g1, t1 = long_fit.alpha_hat, long_fit.gamma_hat, long_fit.tau_hat
-    dz, dt = aux_fit.delta_z, aux_fit.delta_t
-    lhs = d.z @ short_fit.alpha_tilde + d.t @ short_fit.tau_tilde
-    rhs = d.z @ (a1 + dz @ g1) + d.t @ (t1 + dt @ g1)
+    ell = d.n_retained
+    alpha, gamma = long_fit.lambda_hat[:ell], long_fit.lambda_hat[ell:]
+    lhs = d.z @ short_fit.lambda_hat + d.t @ short_fit.tau_hat
+    rhs = (d.z @ (alpha + aux_fit.lambda_hat @ gamma)
+           + d.t @ (long_fit.tau_hat + aux_fit.tau_hat @ gamma))
     return float(np.max(np.abs(lhs - rhs)))
 
 
 def _cochran_report(d: CochranDesign, y) -> tuple[CochranGaps, OvbDecomposition | None]:
     """Both identity gaps and, when ``T = [D, 1]``, the OVB decomposition, from one set of fits."""
-    long_fit, short_fit, aux_fit = fit_long(d, y), fit_short(d, y), fit_aux(d)
-    g = long_fit.gamma_hat
+    long_fit, short_fit = fit_partial(d.long, y), fit_partial(d.short, y)
+    aux_fit = fit_partial(d.short, d.u)
+    ell = d.n_retained
+    alpha, gamma = long_fit.lambda_hat[:ell], long_fit.lambda_hat[ell:]
     coeff = max(
-        float(np.max(np.abs(short_fit.alpha_tilde - long_fit.alpha_hat - aux_fit.delta_z @ g))),
-        float(np.max(np.abs(short_fit.tau_tilde - long_fit.tau_hat - aux_fit.delta_t @ g))),
+        float(np.max(np.abs(short_fit.lambda_hat - alpha - aux_fit.lambda_hat @ gamma))),
+        float(np.max(np.abs(short_fit.tau_hat - long_fit.tau_hat - aux_fit.tau_hat @ gamma))),
     )
     gaps = CochranGaps(image_gap=image_gap(d, long_fit, short_fit, aux_fit), coeff_gap=coeff)
     if _ovb_problem(d.t) is not None:
         return gaps, None
     tau_long_d = float(long_fit.tau_hat[0])
-    tau_short_d = float(short_fit.tau_tilde[0])
+    tau_short_d = float(short_fit.tau_hat[0])
     ovb = OvbDecomposition(
         tau_long_d=tau_long_d,
         tau_short_d=tau_short_d,
         bias=tau_short_d - tau_long_d,
-        impact=long_fit.gamma_hat,
-        imbalance=_readonly(aux_fit.delta_t[0]),
+        impact=_readonly(gamma),
+        imbalance=_readonly(aux_fit.tau_hat[0]),
     )
     return gaps, ovb
 

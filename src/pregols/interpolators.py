@@ -274,7 +274,11 @@ class FullFit:
 
 @dataclass(frozen=True)
 class PartialFit:
-    """Coefficient pair for a split design: penalized lambda, free tau."""
+    """Coefficient pair for a split design: penalized lambda, free tau.
+
+    For an n x k matrix of responses both are k-column matrices, column j
+    the fit of column j, and ``max_interp_residual`` is the largest gap.
+    """
 
     lambda_hat: np.ndarray
     tau_hat: np.ndarray
@@ -345,15 +349,18 @@ def fit_partial(d: DesignPartition, y) -> PartialFit:
     exact ``lambda`` it erred by at most ``8.8 n cond(W) eps`` over 400
     random designs with cond(W) up to 5e3, and by ``1.4 n cond(W) eps``
     with ``T`` along the strong directions of a ``W`` of cond 1e4 to 1e8.
+
+    ``y`` may be an n x k matrix of responses, fitted column by column.
     """
     return _fit_split(d, y, _partial_blocks, "partial fit")
 
 
 def _fit_split(d: DesignPartition, y, blocks, what: str) -> PartialFit:
-    """The :class:`PartialFit` of ``(lambda, tau) = blocks(d, y)``, checked to interpolate."""
-    y = as_vector(y, "y")
-    if y.size != d.n:
-        raise InvalidInputError(f"y has length {y.size}, expected {d.n}")
+    """The checked :class:`PartialFit` of ``(lambda, tau) = blocks(d, y)``; ``y`` may be 2-D."""
+    y = np.asarray(y, dtype=np.float64)
+    y = as_matrix(y, "y") if y.ndim == 2 else as_vector(y, "y")
+    if len(y) != d.n:
+        raise InvalidInputError(f"y has length {len(y)}, expected {d.n}")
     lam, tau = blocks(d, y)
     gap = _check_interpolation(y - d.w @ lam - d.t @ tau, y, d.w_svd, what)
     return PartialFit(

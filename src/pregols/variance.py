@@ -61,7 +61,6 @@ __all__ = [
     "wc_operator",
     "wc_normalizers",
     "residual_operator",
-    "loo_residuals_full",
     "sigma2",
     "expected_bias",
 ]
@@ -167,20 +166,6 @@ def full_operator(x) -> ResidualOperator:
         gx = full_row_rank_svd(as_matrix(x, "x")).gram_inverse()
     r = gx / np.diag(gx)[:, None]
     return ResidualOperator("full", r, float(np.sum(r * r)))
-
-
-def loo_residuals_full(x, y) -> np.ndarray:
-    """Leave-one-out residuals of the fully regularized interpolator.
-
-    For a full-row-rank design the whole vector is ``[diag(G_X)]^{-1} G_X y``,
-    the :func:`full_operator` map applied to ``y``; no per-index correction
-    is needed because there is no unpenalized block.
-    """
-    x = as_matrix(x, "x")
-    y = as_vector(y, "y")
-    if y.size != x.shape[0]:
-        raise InvalidInputError(f"y has length {y.size}, expected {x.shape[0]}")
-    return full_operator(x).matrix @ y
 
 
 def partial_operator(d: DesignPartition) -> ResidualOperator:

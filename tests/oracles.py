@@ -255,3 +255,17 @@ def full_gram_inverse_exact(x):
     """
     xr = _rational(x)
     return np.array(_inverse(_mul(xr, _transpose(xr))), dtype=float)
+
+
+def gram_downdate_mp(x, i, dps=60):
+    """``X_d^T (X_d X_d^T)^{-2} X_d`` for ``X`` with row ``i`` deleted, in
+    ``dps``-digit mpmath arithmetic from the float64 entries, rounded once:
+    the oracle for ``gram_downdate``, free of any ``cond(X)`` loss at the
+    conditions the tests use.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        xd = mpmath.matrix(np.delete(np.asarray(x, dtype=float), i, axis=0).tolist())
+        a = (xd * xd.T) ** -1 * xd
+        return np.array((a.T * a).tolist(), dtype=float)

@@ -108,7 +108,8 @@ def test_criterion_04_cochran_identities():
             assert gaps.image_gap <= 1e-8 * scale
             assert gaps.coeff_gap <= 1e-8 * scale
             if rep % 10 == 0:  # non-canonical members of each solution set
-                long_fit, short_fit, aux_fit = pg.fit_long(d, y), pg.fit_short(d, y), pg.fit_aux(d)
+                long_fit, short_fit = pg.fit_partial(d.long, y), pg.fit_partial(d.short, y)
+                aux_fit = pg.fit_partial(d.short, d.u)
                 s_long = np.hstack([d.z, d.u, d.t])
                 s_short = np.hstack([d.z, d.t])
                 z1 = pg.nullspace_component(s_long, rng.standard_normal(ell + r + m))
@@ -118,19 +119,18 @@ def test_criterion_04_cochran_identities():
                     d,
                     replace(
                         long_fit,
-                        alpha_hat=long_fit.alpha_hat + z1[:ell],
-                        gamma_hat=long_fit.gamma_hat + z1[ell : ell + r],
+                        lambda_hat=long_fit.lambda_hat + z1[: ell + r],  # alpha then gamma
                         tau_hat=long_fit.tau_hat + z1[ell + r :],
                     ),
                     replace(
                         short_fit,
-                        alpha_tilde=short_fit.alpha_tilde + z2[:ell],
-                        tau_tilde=short_fit.tau_tilde + z2[ell:],
+                        lambda_hat=short_fit.lambda_hat + z2[:ell],
+                        tau_hat=short_fit.tau_hat + z2[ell:],
                     ),
                     replace(
                         aux_fit,
-                        delta_z=aux_fit.delta_z + z3[:ell],
-                        delta_t=aux_fit.delta_t + z3[ell:],
+                        lambda_hat=aux_fit.lambda_hat + z3[:ell],
+                        tau_hat=aux_fit.tau_hat + z3[ell:],
                     ),
                 )
                 assert gap <= 1e-8 * scale
@@ -168,7 +168,7 @@ def test_criterion_05_loo_oracle_equivalence():
     for trial in range(10):
         x = rng.standard_normal((6, 10))
         y = rng.standard_normal(6)
-        res = pg.loo_residuals_full(x, y)
+        res = pg.full_operator(x).matrix @ y
         for i in range(6):
             beta = min_norm_refit_full(x, y, i)
             expected = y[i] - x[i] @ beta

@@ -9,9 +9,7 @@ from pregols import (
     RankAssumptionError,
     RankTolerance,
     cochran_check,
-    fit_aux,
-    fit_long,
-    fit_short,
+    fit_partial,
     gen_ate_dataset,
     image_gap,
     nullspace_component,
@@ -23,6 +21,11 @@ from pregols import (
 from oracles import partial_blocks_projected, weak_constant_direction_w
 
 
+def cochran_fits(d, y):
+    """The long, short and auxiliary fits: split fits on the design's two partitions."""
+    return fit_partial(d.long, y), fit_partial(d.short, y), fit_partial(d.short, d.u)
+
+
 def random_design(rng, n, ell, r, m):
     return CochranDesign(
         rng.standard_normal((n, ell)),
@@ -31,80 +34,81 @@ def random_design(rng, n, ell, r, m):
     )
 
 
-def test_fit_long_response_in_t_span():
+def test_long_fit_response_in_t_span():
     rng = np.random.default_rng(0)
     d = random_design(rng, 8, 12, 2, 1)
     c = np.array([1.7])
-    fit = fit_long(d, d.t @ c)
-    assert np.max(np.abs(fit.alpha_hat)) <= 1e-10
-    assert np.max(np.abs(fit.gamma_hat)) <= 1e-10
+    fit = fit_partial(d.long, d.t @ c)
+    assert np.max(np.abs(fit.lambda_hat)) <= 1e-10  # alpha and gamma
     assert np.allclose(fit.tau_hat, pinv(d.t) @ (d.t @ c), atol=1e-10)
 
 
-def test_fit_long_interpolates():
+def test_long_fit_interpolates():
     rng = np.random.default_rng(1)
     d = random_design(rng, 8, 12, 2, 1)
     y = rng.standard_normal(8)
-    fit = fit_long(d, y)
-    resid = y - d.z @ fit.alpha_hat - d.u @ fit.gamma_hat - d.t @ fit.tau_hat
+    fit = fit_partial(d.long, y)
+    alpha, gamma = fit.lambda_hat[:d.n_retained], fit.lambda_hat[d.n_retained:]
+    resid = y - d.z @ alpha - d.u @ gamma - d.t @ fit.tau_hat
     assert np.max(np.abs(resid)) <= 1e-8 * (1 + np.max(np.abs(y)))
 
 
 @pytest.mark.parametrize("n, ell, r, m", [(8, 12, 2, 1), (20, 93, 5, 2)])
-def test_fit_aux_matches_the_projected_form(n, ell, r, m):
+def test_aux_fit_matches_the_projected_form(n, ell, r, m):
     rng = np.random.default_rng(n)
     d = random_design(rng, n, ell, r, m)
-    fit = fit_aux(d)
-    for got, want in zip((fit.delta_z, fit.delta_t), partial_blocks_projected(d.z, d.t, d.u)):
+    fit = fit_partial(d.short, d.u)
+    for got, want in zip((fit.lambda_hat, fit.tau_hat), partial_blocks_projected(d.z, d.t, d.u)):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
 
 
-def test_fit_long_linearity():
+def test_long_fit_linearity():
     rng = np.random.default_rng(2)
     d = random_design(rng, 8, 12, 2, 1)
     y = rng.standard_normal(8)
     c = -3.5
-    f1, f2 = fit_long(d, y), fit_long(d, c * y)
-    assert np.allclose(f2.alpha_hat, c * f1.alpha_hat, atol=1e-8)
-    assert np.allclose(f2.gamma_hat, c * f1.gamma_hat, atol=1e-8)
+    f1, f2 = fit_partial(d.long, y), fit_partial(d.long, c * y)
+    assert np.allclose(f2.lambda_hat, c * f1.lambda_hat, atol=1e-8)
     assert np.allclose(f2.tau_hat, c * f1.tau_hat, atol=1e-8)
 
 
-def test_fit_short_mirrors_long_properties():
+def test_short_fit_mirrors_long_properties():
     rng = np.random.default_rng(3)
     d = random_design(rng, 8, 12, 2, 1)
     z, t = d.z, d.t
     c = np.array([-0.4])
-    fit = fit_short(d, t @ c)
-    assert np.max(np.abs(fit.alpha_tilde)) <= 1e-10
+    fit = fit_partial(d.short, t @ c)
+    assert np.max(np.abs(fit.lambda_hat)) <= 1e-10
     y = rng.standard_normal(8)
-    fit = fit_short(d, y)
-    assert np.max(np.abs(y - z @ fit.alpha_tilde - t @ fit.tau_tilde)) <= 1e-8
-    f2 = fit_short(d, 2.0 * y)
-    assert np.allclose(f2.alpha_tilde, 2.0 * fit.alpha_tilde, atol=1e-8)
+    fit = fit_partial(d.short, y)
+    assert np.max(np.abs(y - z @ fit.lambda_hat - t @ fit.tau_hat)) <= 1e-8
+    f2 = fit_partial(d.short, 2.0 * y)
+    assert np.allclose(f2.lambda_hat, 2.0 * fit.lambda_hat, atol=1e-8)
 
 
-def test_fit_aux_copy_of_t_gives_identity():
+def test_aux_fit_copy_of_t_gives_identity():
     rng = np.random.default_rng(4)
     z = rng.standard_normal((8, 12))
     t = rng.standard_normal((8, 2))
-    aux = fit_aux(CochranDesign(z, t, t))
-    assert np.max(np.abs(aux.delta_z)) <= 1e-10
-    assert np.allclose(aux.delta_t, np.eye(2), atol=1e-10)
+    d = CochranDesign(z, t, t)
+    aux = fit_partial(d.short, d.u)
+    assert np.max(np.abs(aux.lambda_hat)) <= 1e-10
+    assert np.allclose(aux.tau_hat, np.eye(2), atol=1e-10)
 
 
-def test_fit_aux_interpolates_and_separates_columns():
+def test_aux_fit_interpolates_and_separates_columns():
     rng = np.random.default_rng(5)
     z = rng.standard_normal((8, 12))
     t = rng.standard_normal((8, 1))
     u = rng.standard_normal((8, 3))
-    aux = fit_aux(CochranDesign(z, u, t))
-    assert np.max(np.abs(u - z @ aux.delta_z - t @ aux.delta_t)) <= 1e-8
+    d = CochranDesign(z, u, t)
+    aux = fit_partial(d.short, d.u)
+    assert np.max(np.abs(u - z @ aux.lambda_hat - t @ aux.tau_hat)) <= 1e-8
     for j in range(3):
-        col = fit_aux(CochranDesign(z, u[:, [j]], t))
-        assert np.max(np.abs(col.delta_z[:, 0] - aux.delta_z[:, j])) <= 1e-10
-        assert np.max(np.abs(col.delta_t[:, 0] - aux.delta_t[:, j])) <= 1e-10
+        col = fit_partial(d.short, u[:, [j]])
+        assert np.max(np.abs(col.lambda_hat[:, 0] - aux.lambda_hat[:, j])) <= 1e-10
+        assert np.max(np.abs(col.tau_hat[:, 0] - aux.tau_hat[:, j])) <= 1e-10
 
 
 @pytest.mark.parametrize("shape", [(8, 12, 2, 1), (10, 20, 3, 2), (20, 40, 5, 2)])
@@ -135,7 +139,7 @@ def test_image_identity_for_perturbed_solutions():
     d = random_design(rng, 8, 12, 2, 1)
     ell, r, m = 12, 2, 1
     y = rng.standard_normal(8)
-    long_fit, short_fit, aux_fit = fit_long(d, y), fit_short(d, y), fit_aux(d)
+    long_fit, short_fit, aux_fit = cochran_fits(d, y)
     stacked_long = np.hstack([d.z, d.u, d.t])
     stacked_short = np.hstack([d.z, d.t])
     for _ in range(20):
@@ -144,17 +148,16 @@ def test_image_identity_for_perturbed_solutions():
         z3 = nullspace_component(stacked_short, rng.standard_normal((ell + m, r)))
         long_p = replace(
             long_fit,
-            alpha_hat=long_fit.alpha_hat + z1[:ell],
-            gamma_hat=long_fit.gamma_hat + z1[ell : ell + r],
+            lambda_hat=long_fit.lambda_hat + z1[: ell + r],  # alpha then gamma
             tau_hat=long_fit.tau_hat + z1[ell + r :],
         )
         short_p = replace(
             short_fit,
-            alpha_tilde=short_fit.alpha_tilde + z2[:ell],
-            tau_tilde=short_fit.tau_tilde + z2[ell:],
+            lambda_hat=short_fit.lambda_hat + z2[:ell],
+            tau_hat=short_fit.tau_hat + z2[ell:],
         )
         aux_p = replace(
-            aux_fit, delta_z=aux_fit.delta_z + z3[:ell], delta_t=aux_fit.delta_t + z3[ell:]
+            aux_fit, lambda_hat=aux_fit.lambda_hat + z3[:ell], tau_hat=aux_fit.tau_hat + z3[ell:]
         )
         gap = image_gap(d, long_p, short_p, aux_p)
         assert gap <= 1e-8 * (1 + np.max(np.abs(y)))
@@ -213,11 +216,11 @@ def _assert_close(got, want):
 
 def test_cochran_fits_are_readonly_and_interpolate():
     for d, y in _cochran_designs():
-        long_fit, short_fit, aux_fit = fit_long(d, y), fit_short(d, y), fit_aux(d)
-        for got in (long_fit.alpha_hat, long_fit.gamma_hat, long_fit.tau_hat,
-                    short_fit.alpha_tilde, short_fit.tau_tilde,
-                    aux_fit.delta_z, aux_fit.delta_t):
-            assert not got.flags.writeable
+        long_fit, short_fit, aux_fit = cochran_fits(d, y)
+        for fit in (long_fit, short_fit, aux_fit):
+            assert not fit.lambda_hat.flags.writeable and not fit.tau_hat.flags.writeable
+        assert aux_fit.lambda_hat.shape == (d.n_retained, d.n_omitted)
+        assert aux_fit.tau_hat.shape == (d.n_unpenalized, d.n_omitted)
         scale = 1.0 + np.max(np.abs(y))
         assert long_fit.max_interp_residual <= 1e-8 * scale
         assert short_fit.max_interp_residual <= 1e-8 * scale
@@ -235,7 +238,7 @@ def test_fits_reuse_the_design_partitions(monkeypatch):
             return real_svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
-        fit_long(d, y), fit_short(d, y), fit_aux(d)
+        cochran_fits(d, y)
         monkeypatch.undo()
         assert [a.shape for a in factored] == [(d.n, d.n_unpenalized)] * 3
         # L = U S^-1 from the SVD each partition kept at construction
@@ -255,7 +258,7 @@ def test_design_partitions_keep_the_design_tolerance():
 
 def test_cochran_check_and_ovb_keep_their_values():
     for d, y in _cochran_designs():
-        fits = fit_long(d, y), fit_short(d, y), fit_aux(d)
+        fits = cochran_fits(d, y)
         # both gaps are rounding noise, as they are from the separate fits
         gaps = cochran_check(d, y)
         noise = 1e-8 * (1.0 + np.max(np.abs(y)))
@@ -265,15 +268,16 @@ def test_cochran_check_and_ovb_keep_their_values():
             continue
         ovb = ovb_decompose(d, y)
         _assert_close(ovb.tau_long_d, fits[0].tau_hat[0])
-        _assert_close(ovb.tau_short_d, fits[1].tau_tilde[0])
-        _assert_close(ovb.impact, fits[0].gamma_hat)
-        _assert_close(ovb.imbalance, fits[2].delta_t[0])
+        _assert_close(ovb.tau_short_d, fits[1].tau_hat[0])
+        _assert_close(ovb.impact, fits[0].lambda_hat[d.n_retained:])
+        _assert_close(ovb.imbalance, fits[2].tau_hat[0])
 
 
 def test_wrong_length_response_names_the_length():
     rng = np.random.default_rng(17)
     d = binary_design(rng, 10, 16, 2)
-    for fn in (cochran_check, ovb_decompose, fit_long, fit_short):
+    for fn in (cochran_check, ovb_decompose,
+               lambda d, y: fit_partial(d.long, y), lambda d, y: fit_partial(d.short, y)):
         with pytest.raises(InvalidInputError, match="y has length 9, expected 10"):
             fn(d, rng.standard_normal(9))
 
@@ -314,10 +318,10 @@ def test_ovb_consistent_with_separate_fits():
     d = binary_design(rng, 10, 16, 2)
     y = rng.standard_normal(10)
     ovb = ovb_decompose(d, y)
-    long_fit = fit_long(d, y)
-    short_fit = fit_short(d, y)
+    long_fit = fit_partial(d.long, y)
+    short_fit = fit_partial(d.short, y)
     assert abs(ovb.tau_long_d - long_fit.tau_hat[0]) <= 1e-12
-    assert abs(ovb.tau_short_d - short_fit.tau_tilde[0]) <= 1e-12
+    assert abs(ovb.tau_short_d - short_fit.tau_hat[0]) <= 1e-12
 
 
 def test_ovb_on_treatment_experiment_draw():

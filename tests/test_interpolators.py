@@ -204,6 +204,20 @@ def test_fit_partial_linearity():
     assert np.allclose(f12.tau_hat, f1.tau_hat + c * f2.tau_hat, atol=1e-8)
 
 
+def test_fit_partial_matrix_of_responses_is_columnwise():
+    rng = np.random.default_rng(6)
+    d = random_partition(rng, 8, 14, 2)
+    ys = rng.standard_normal((8, 3))
+    fit = fit_partial(d, ys)
+    assert fit.lambda_hat.shape == (14, 3) and fit.tau_hat.shape == (2, 3)
+    cols = [fit_partial(d, ys[:, j]) for j in range(3)]
+    for got, want in ((fit.lambda_hat, np.column_stack([c.lambda_hat for c in cols])),
+                      (fit.tau_hat, np.column_stack([c.tau_hat for c in cols]))):
+        assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+    with pytest.raises(InvalidInputError, match="y has length 7, expected 8"):
+        fit_partial(d, ys[:7])
+
+
 # ------------------------------------------------------------ construction
 
 

@@ -10,16 +10,17 @@ from pregols import (
     RankTolerance,
     Svd,
     brute_force_refit,
+    full_operator,
     gram_downdate,
     loo_fit,
     loo_record,
     loo_residual_partial,
-    loo_residuals_full,
     pinv,
     predict,
 )
 
 from oracles import (
+    gram_downdate_mp,
     loo_projector,
     min_norm_refit_full,
     min_norm_refit_partial,
@@ -112,17 +113,22 @@ def test_solver_matches_per_index_ops():
     assert solver.denominator > 0
 
 
+def full_loo_residuals(x, y):
+    # the leave-one-out residuals of the unsplit interpolator are its residual map applied to y
+    return full_operator(x).matrix @ y
+
+
 def test_loo_residuals_full_zero_response():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((6, 10))
-    assert np.max(np.abs(loo_residuals_full(x, np.zeros(6)))) == 0.0
+    assert np.max(np.abs(full_loo_residuals(x, np.zeros(6)))) == 0.0
 
 
 def test_loo_residuals_full_matches_refit_oracle():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((6, 10))
     y = rng.standard_normal(6)
-    res = loo_residuals_full(x, y)
+    res = full_loo_residuals(x, y)
     for i in range(6):
         beta = min_norm_refit_full(x, y, i)
         expected = y[i] - x[i] @ beta
@@ -137,7 +143,7 @@ def test_loo_residuals_full_consistent_with_coefficient_shortcut():
     xp = pinv(x)
     gx = Svd(x).gram_inverse()
     beta = xp @ y
-    res = loo_residuals_full(x, y)
+    res = full_loo_residuals(x, y)
     for i in range(6):
         k = xp[:, i]
         beta_i = beta - k * (k @ beta) / gx[i, i]
@@ -161,6 +167,19 @@ def test_gram_downdate_random():
         x_del = np.delete(x, i, axis=0)
         direct = pinv(x_del.T @ x_del)
         assert np.max(np.abs(gram_downdate(x, i) - direct)) <= 1e-8
+
+
+@pytest.mark.parametrize("cond", [1e4, 1e6, 1e8, 1e10])
+def test_gram_downdate_within_condition_bound_of_oracle(cond):
+    # the weakest direction of X is the constant vector, so deleting a row
+    # moves it; an update of the full-sample G_X cancels terms of size cond^2
+    eps = np.finfo(np.float64).eps
+    for seed in range(3):
+        x, _ = weak_constant_direction_w(cond, np.random.default_rng(seed), n=12, q=24)
+        for i in (0, 5, 11):
+            want = gram_downdate_mp(x, i)
+            err = np.linalg.norm(gram_downdate(x, i) - want, 2) / np.linalg.norm(want, 2)
+            assert err <= x.shape[0] * np.linalg.cond(x) * eps, (seed, i, err)
 
 
 def test_gram_downdate_symmetric_psd():
@@ -330,10 +349,10 @@ def test_loo_index_out_of_range():
         loo_fit(d, rng.standard_normal(5), 5)
 
 
-def test_loo_residuals_full_rejects_rank_deficient():
+def test_full_operator_rejects_rank_deficient():
     x = np.vstack([np.ones((2, 4))])
     with pytest.raises(RankAssumptionError):
-        loo_residuals_full(x, np.ones(2))
+        full_operator(x)
 
 
 # ------------------------------------------------------------------- oracle

@@ -5,7 +5,6 @@ import inspect
 import pregols
 
 PUBLIC_NAMES = {
-    "AuxFit",
     "brute_force_refit",
     "CellResult",
     "cochran_check",
@@ -21,12 +20,9 @@ PUBLIC_NAMES = {
     "ExperimentConfig",
     "ExperimentReport",
     "EXPERIMENTS",
-    "fit_aux",
     "fit_full",
-    "fit_long",
     "fit_partial",
     "fit_partial_variant",
-    "fit_short",
     "full_operator",
     "FullFit",
     "GaussMarkovTruth",
@@ -38,11 +34,9 @@ PUBLIC_NAMES = {
     "gram_downdate",
     "image_gap",
     "InvalidInputError",
-    "LongFit",
     "loo_fit",
     "loo_record",
     "loo_residual_partial",
-    "loo_residuals_full",
     "LooRecord",
     "nullspace_component",
     "numeric_rank",
@@ -64,7 +58,6 @@ PUBLIC_NAMES = {
     "run_experiment",
     "Seed",
     "set_default_tolerance",
-    "ShortFit",
     "sigma2",
     "splitmix64",
     "standard_normal",
@@ -79,7 +72,7 @@ PUBLIC_NAMES = {
 
 
 def test_public_names_are_pinned():
-    assert len(pregols.__all__) == len(set(pregols.__all__)) == 70
+    assert len(pregols.__all__) == len(set(pregols.__all__)) == 63
     assert set(pregols.__all__) == PUBLIC_NAMES
     for name in pregols.__all__:
         assert getattr(pregols, name) is not None, name
@@ -99,10 +92,9 @@ def _takes_a_design(fn) -> bool:
 def test_no_operation_on_a_validated_design_takes_a_tolerance():
     # a design is validated under one tolerance and keeps it as .tol; an
     # operation with a tol of its own could decide rank under another cutoff.
-    # These four accept a DesignPartition through an unannotated parameter.
+    # These three accept a DesignPartition through an unannotated parameter.
     takers = {
-        name: getattr(pregols, name)
-        for name in ("full_operator", "loo_residuals_full", "sigma2", "expected_bias")
+        name: getattr(pregols, name) for name in ("full_operator", "sigma2", "expected_bias")
     }
     takers.update(
         (name, obj) for name in pregols.__all__
@@ -115,7 +107,7 @@ def test_no_operation_on_a_validated_design_takes_a_tolerance():
             if callable(obj) and not name.startswith("_")
         )
     assert {"fit_partial", "PartialLooSolver", "cochran_check", "brute_force_refit",
-            "fit_short", "fit_aux", "image_gap",
+            "image_gap", "ovb_decompose",
             "DesignPartition.tau_map", "DesignPartition.full_gram_inverse"} <= set(takers)
     assert [n for n, fn in takers.items() if "tol" in inspect.signature(fn).parameters] == []
     # the generators and the two operations on a plain array decide rank
