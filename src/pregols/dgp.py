@@ -1,4 +1,4 @@
-"""Seedable generators for covariates, responses, and the treatment experiment.
+"""Seedable generators for covariates and the treatment experiment.
 
 Reproducibility contract: a 64-bit root seed plus a stream index fully
 determine every draw.  Stream seeds are derived with one documented mixing
@@ -39,7 +39,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .exceptions import InvalidInputError, RankAssumptionError
-from .linalg import Svd, as_matrix, as_vector
+from .linalg import Svd
 
 __all__ = [
     "Seed",
@@ -49,7 +49,6 @@ __all__ = [
     "CovariateConfig",
     "COVARIATE_MODELS",
     "gen_covariates",
-    "gen_response",
     "gen_ate_design",
     "gen_ate_dataset",
 ]
@@ -154,6 +153,9 @@ class CovariateConfig:
             raise InvalidInputError(
                 f"unknown covariate model {self.model!r}; choose from {COVARIATE_MODELS}"
             )
+        if any(isinstance(v, bool) or not isinstance(v, numbers.Integral)
+               for v in (self.n, self.q)):
+            raise InvalidInputError(f"n and q must be integers, got n={self.n!r}, q={self.q!r}")
         if not (1 <= self.n <= self.q):
             raise InvalidInputError(
                 f"need 1 <= n <= q for a wide full-row-rank design, got n={self.n}, q={self.q}"
@@ -264,27 +266,6 @@ def gen_covariates(cfg: CovariateConfig, rng: np.random.Generator) -> Svd:
         f"covariate model {cfg.model!r} failed the full-row-rank check "
         f"{_MAX_REJECTIONS} times in a row"
     )
-
-
-def gen_response(
-    w, beta1, beta0: float, sigma: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Linear response with intercept and homoskedastic Gaussian noise."""
-    w = as_matrix(w, "w")
-    beta1 = as_vector(beta1, "beta1")
-    if beta1.size != w.shape[1]:
-        raise InvalidInputError(
-            f"beta1 has length {beta1.size}, expected {w.shape[1]}"
-        )
-    if not 0.0 <= sigma < np.inf:
-        raise InvalidInputError("sigma must be nonnegative and finite")
-    if not np.isfinite(beta0):
-        raise InvalidInputError("beta0 must be finite")
-    n = w.shape[0]
-    y = w @ beta1 + float(beta0)
-    if sigma > 0.0:
-        y = y + sigma * standard_normal(rng, n)
-    return y
 
 
 def gen_ate_design(n: int, q: int, rng: np.random.Generator) -> tuple[Svd, np.ndarray]:

@@ -55,6 +55,7 @@ from .linalg import (
     full_row_rank_svd,
     get_default_tolerance,
     pinv,
+    require_rank,
 )
 
 __all__ = [
@@ -85,12 +86,14 @@ class DesignPartition:
     fails.
 
     The thin SVDs that validation computes are kept as ``w_svd`` and
-    ``t_svd`` (see :class:`~pregols.linalg.Svd`); the fits, the leave-one-out
-    closed forms and the variance operators derive ``W^+``, ``G_W``,
-    ``P_T``, the map to the split fit's ``tau`` (:meth:`tau_map`), the
-    inverse Gram of ``[W | T]`` (:meth:`full_gram_inverse`) and the n-space
-    factor of the split estimators (:meth:`split_factor`, kept once built)
-    from them instead of factoring again.  ``w`` and ``t`` may each be
+    ``t_svd`` (see :class:`~pregols.linalg.Svd`), with ``ell``, the read-only
+    ``L = U S^{-1}`` of ``W = U S V^T`` (``W^+ = V L^T``, ``G_W = L L^T``); the
+    fits, the leave-one-out closed forms and the variance operators derive
+    ``W^+``, ``G_W``, ``P_T``, the map to the split fit's ``tau``
+    (:meth:`tau_map`), the inverse Gram of ``[W | T]``
+    (:meth:`full_gram_inverse`) and the n-space factor of the split
+    estimators (:meth:`split_factor`, kept once built) from them instead of
+    factoring again.  ``w`` and ``t`` may each be
     given as an ``Svd`` (the one a rank check has already computed, or
     factors known by construction), which is kept as it is.
 
@@ -106,7 +109,7 @@ class DesignPartition:
     and its variance map is :func:`~pregols.variance.full_operator`.
     """
 
-    __slots__ = ("w", "t", "w_svd", "t_svd", "tol", "_split_factor")
+    __slots__ = ("w", "t", "w_svd", "t_svd", "ell", "tol", "_split_factor")
 
     def __init__(self, w, t, *, tol: RankTolerance | None = None):
         self.tol = get_default_tolerance() if tol is None else tol
@@ -129,26 +132,18 @@ class DesignPartition:
                 f"penalized block w must be wide (cols >= rows), got {n}x{w.shape[1]}"
             )
         self.w = _readonly(w)
-        self.w_svd = Svd(self.w) if w_svd is None else w_svd
+        self.w_svd = require_rank(Svd(self.w) if w_svd is None else w_svd, n, self.tol,
+                                  "penalized block w must have full row rank")
+        self.ell = self.w_svd.u / self.w_svd.s  # U is n x n, as W has full row rank
+        self.ell.setflags(write=False)
         self._split_factor = None
-        rw = self.w_svd.rank(self.tol)
-        if rw != n:
-            raise RankAssumptionError(
-                f"rank assumption violated: penalized block w must have full row "
-                f"rank {n}, numeric rank is {rw}"
-            )
         if m >= n:
             raise RankAssumptionError(
                 f"unpenalized block t must have fewer columns than rows, got {n}x{m}"
             )
         self.t = _readonly(t)
-        self.t_svd = Svd(self.t) if t_svd is None else t_svd
-        rt = self.t_svd.rank(self.tol)
-        if rt != m:
-            raise RankAssumptionError(
-                f"rank assumption violated: unpenalized block t must have full "
-                f"column rank {m}, numeric rank is {rt}"
-            )
+        self.t_svd = require_rank(Svd(self.t) if t_svd is None else t_svd, m, self.tol,
+                                  "unpenalized block t must have full column rank")
 
     @property
     def n(self) -> int:
@@ -196,7 +191,7 @@ class DesignPartition:
           ``eps ||G_X||``.
         * **QR.**  With ``C = U^T T``, ``X X^T = U (S^2 + C C^T) U^T``, and
           the R factor of the (n + m) x n matrix ``[S; C^T]`` has
-          ``R^T R = S^2 + C C^T``, so ``G_X = L L^T`` with ``L = U R^{-1}``.
+          ``R^T R = S^2 + C C^T``, so ``G_X = (U R^{-1}) (U R^{-1})^T``.
           ``R`` has the singular values of ``X``.
         """
         f, n, m, tol = self.w_svd, self.n, self.m, self.tol
@@ -212,26 +207,25 @@ class DesignPartition:
             gx = -(q1 @ q1.T)
             gx[np.diag_indices(n)] += 1.0
             return gx / floor**2
-        ell = f.u @ np.linalg.inv(
+        ur = f.u @ np.linalg.inv(
             np.linalg.qr(np.vstack([np.diag(f.s), self.t.T @ f.u]), mode="r")
-        )  # LU of a triangular R swaps no rows
-        return ell @ ell.T
+        )  # U R^{-1}; LU of a triangular R swaps no rows
+        return ur @ ur.T
 
     def tau_map(self) -> np.ndarray:
         """``(L^T T)^+ L^T`` (m x n), the map from ``y`` to the split fit's ``tau``.
 
-        With ``W = U S V^T`` kept and ``L = U S^{-1}``, ``W^+ = V L^T`` and
-        ``V`` has orthonormal columns, so ``(W^+ T)^+ W^+ = (L^T T)^+ L^T``.
+        ``W^+ = V L^T`` and ``V`` has orthonormal columns, so
+        ``(W^+ T)^+ W^+ = (L^T T)^+ L^T`` (:func:`_tau_map` of ``L^T``).
         Only the n x m ``L^T T`` is factored, under ``self.tol``; the q x n
         ``W^+`` is never formed.  Not kept: each call factors ``L^T T``.
         """
-        ln = self.w_svd.u / self.w_svd.s
-        return Svd(ln.T @ self.t).pinv(self.tol) @ ln.T
+        return _tau_map(self.ell.T, self.t, self.tol)
 
     def split_factor(self) -> np.ndarray:
         """``F = L N`` (n x (n - m)), built once: the factor of the split estimators.
 
-        With ``W = U S V^T`` kept, ``L = U S^{-1}`` (so ``G_W = L L^T`` and
+        With ``L`` the kept ``ell`` (so ``G_W = L L^T`` and
         ``W^+ = V L^T``) and ``N`` the last n - m columns of the complete QR
         of ``K = L^T T``, an orthonormal basis of the complement of
         colsp(K).  Then ``F F^T = G_W - G_W T M^{-1} T^T G_W`` with
@@ -243,8 +237,8 @@ class DesignPartition:
         no tolerance.
         """
         if self._split_factor is None:
-            f = self.w_svd
-            ln = f.u / f.s  # L; W has full row rank, so U is n x n
+            # updated in place; order="K" keeps the layout of U, and with it the rounding
+            ln = self.ell.copy(order="K")
             # L times the complete Q factor of K, one Householder reflector
             # H_j = I - tau_j v_j v_j^T at a time; the last n - m columns of Q are N
             h, tau = np.linalg.qr(ln.T @ self.t, mode="raw")
@@ -316,28 +310,32 @@ def fit_full(x, y) -> FullFit:
     smallest-norm element of the interpolating set.
     """
     x = as_matrix(x, "x")
-    y = as_vector(y, "y")
-    n = x.shape[0]
-    if y.size != n:
-        raise InvalidInputError(f"y has length {y.size}, expected {n}")
+    y = as_vector(y, "y", x.shape[0])
     f = full_row_rank_svd(x)
     beta = f.pinv() @ y
     gap = _check_interpolation(y - x @ beta, y, f, "full fit")
     return FullFit(beta_hat=_readonly(beta), max_interp_residual=gap)
 
 
-def _partial_blocks(d: DesignPartition, rhs):
-    """The split fit ``(lambda, tau)``; ``rhs`` may be a vector or a matrix of columns.
+def _tau_map(lt: np.ndarray, t: np.ndarray, tol: RankTolerance) -> np.ndarray:
+    """``(lt T)^+ lt``, factoring only the n x m ``lt T`` under ``tol``."""
+    return Svd(lt @ t).pinv(tol) @ lt
 
-    ``tau = (L^T T)^+ L^T rhs`` (:meth:`DesignPartition.tau_map`), then
-    ``lambda = W^+ (rhs - T tau) = V L^T (rhs - T tau)`` from the kept
-    ``W = U S V^T``: the minimum-norm ``lambda`` for that ``tau``, so
-    ``W lambda + T tau`` reproduces ``rhs`` whatever the error in ``tau``.
+
+def _split_solve(lt, vt, t, tol: RankTolerance, rhs):
+    """``tau = (lt T)^+ lt rhs`` and ``lambda = V lt (rhs - T tau)``, for ``W^+ = V lt``.
+
+    ``lambda`` is minimum-norm for that ``tau``, so ``W lambda + T tau``
+    reproduces ``rhs`` (a vector or a matrix) whatever the error in ``tau``.
     """
-    f = d.w_svd
-    tau = d.tau_map() @ rhs
-    lam = f.vt.T @ ((f.u / f.s).T @ (rhs - d.t @ tau))
+    tau = _tau_map(lt, t, tol) @ rhs
+    lam = vt.T @ (lt @ (rhs - t @ tau))
     return lam, tau
+
+
+def _partial_blocks(d: DesignPartition, rhs):
+    """The split fit ``(lambda, tau)``: :func:`_split_solve` with ``lt = L^T``."""
+    return _split_solve(d.ell.T, d.w_svd.vt, d.t, d.tol, rhs)
 
 
 def fit_partial(d: DesignPartition, y) -> PartialFit:
@@ -357,8 +355,7 @@ def fit_partial(d: DesignPartition, y) -> PartialFit:
 
 def _fit_split(d: DesignPartition, y, blocks, what: str) -> PartialFit:
     """The checked :class:`PartialFit` of ``(lambda, tau) = blocks(d, y)``; ``y`` may be 2-D."""
-    y = np.asarray(y, dtype=np.float64)
-    y = as_matrix(y, "y") if y.ndim == 2 else as_vector(y, "y")
+    y = as_matrix(y, "y") if np.ndim(y) == 2 else as_vector(y, "y")
     if len(y) != d.n:
         raise InvalidInputError(f"y has length {len(y)}, expected {d.n}")
     lam, tau = blocks(d, y)
@@ -447,21 +444,25 @@ def fit_partial_variant(d: DesignPartition, y, variant: str) -> PartialFit:
     return _fit_split(d, y, fn, f"partial fit ({variant})")
 
 
-def predict(fit, w_new, t_new=None) -> float:
+def predict(fit, w_new, t_new=None) -> float | np.ndarray:
     """Predict at a new observation: ``w_new . lambda_hat + t_new . tau_hat``.
 
-    For a :class:`FullFit`, ``w_new`` (concatenated with ``t_new`` when given)
-    must match the full coefficient vector.
+    A float for a fit of one response vector; for a fit of an n x k matrix
+    of responses, the k predictions.  For a :class:`FullFit`, ``w_new``
+    (concatenated with ``t_new`` when given) must match the full
+    coefficient vector.
     """
     w_new = as_vector(w_new, "w_new")
     t_new = np.zeros(0) if t_new is None else as_vector(t_new, "t_new")
     if isinstance(fit, PartialFit):
-        if w_new.size != fit.lambda_hat.size or t_new.size != fit.tau_hat.size:
+        q, m = fit.lambda_hat.shape[0], fit.tau_hat.shape[0]
+        if w_new.size != q or t_new.size != m:
             raise InvalidInputError(
                 f"prediction inputs of lengths ({w_new.size}, {t_new.size}) do not "
-                f"match coefficient lengths ({fit.lambda_hat.size}, {fit.tau_hat.size})"
+                f"match coefficient lengths ({q}, {m})"
             )
-        return float(w_new @ fit.lambda_hat + t_new @ fit.tau_hat)
+        out = w_new @ fit.lambda_hat + t_new @ fit.tau_hat
+        return float(out) if out.ndim == 0 else out
     if isinstance(fit, FullFit):
         x_new = np.concatenate([w_new, t_new])
         if x_new.size != fit.beta_hat.size:

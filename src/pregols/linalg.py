@@ -96,11 +96,13 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def as_vector(v, name: str = "vector") -> np.ndarray:
-    """Coerce to a finite 1-D float64 array."""
+def as_vector(v, name: str = "vector", length: int | None = None) -> np.ndarray:
+    """Coerce to a finite 1-D float64 array, of ``length`` entries when it is given."""
     a = np.asarray(v, dtype=np.float64).reshape(-1)
     if a.size and not np.all(np.isfinite(a)):
         raise InvalidInputError(f"{name} contains non-finite entries")
+    if length is not None and a.size != length:
+        raise InvalidInputError(f"{name} has length {a.size}, expected {length}")
     return a
 
 
@@ -171,16 +173,19 @@ class Svd:
         return u @ u.T
 
 
-def full_row_rank_svd(a: np.ndarray, tol: RankTolerance | None = None) -> Svd:
-    """The thin SVD of ``a``, raising :class:`RankAssumptionError` unless it has full row rank."""
-    f = Svd(a)
+def require_rank(f: Svd, rank: int, tol: RankTolerance | None, what: str) -> Svd:
+    """``f``, or :class:`RankAssumptionError` naming ``what`` when its rank is not ``rank``."""
     r = f.rank(tol)
-    if r != a.shape[0]:
+    if r != rank:
         raise RankAssumptionError(
-            "rank assumption violated: design must have full row rank "
-            f"{a.shape[0]}, numeric rank is {r}"
+            f"rank assumption violated: {what} {rank}, numeric rank is {r}"
         )
     return f
+
+
+def full_row_rank_svd(a: np.ndarray, tol: RankTolerance | None = None) -> Svd:
+    """The thin SVD of ``a``, raising :class:`RankAssumptionError` unless it has full row rank."""
+    return require_rank(Svd(a), a.shape[0], tol, "design must have full row rank")
 
 
 def pinv(m, tol: RankTolerance | None = None) -> np.ndarray:

@@ -4,12 +4,14 @@ Dropping row ``i`` from a wide full-row-rank design does not require
 refitting: with ``k_i = W^+ e_i`` and ``g_ii = e_i^T G_W e_i > 0``, the rank-one
 projector ``P_i = k_i k_i^T / g_ii`` turns the full-sample pseudoinverse into
 its leave-one-out counterpart ``Wt_i = (I - P_i) W^+``.  With ``W = U S V^T``
-kept by the :class:`DesignPartition` and ``L = U S^{-1}``, ``W^+ = V L^T``,
-``k_i = V l_i`` for the row ``l_i = L[i]`` and ``g_ii = ||l_i||^2``, so
-``Wt_i = V D_i L^T`` with ``D_i = I - l_i l_i^T / g_ii`` (n x n); neither
-``W^+`` nor ``Wt_i`` is formed.  Substituting ``Wt_i`` for ``W^+`` in the
-split-design coefficient formulas yields the leave-i-out coefficients
-(:func:`loo_fit`), and the prediction residual collapses to
+kept by the :class:`DesignPartition` and ``L = U S^{-1}`` (its ``ell``),
+``W^+ = V L^T``, ``k_i = V l_i`` for the row ``l_i = L[i]`` and
+``g_ii = ||l_i||^2``, so ``Wt_i = V D_i L^T`` with
+``D_i = I - l_i l_i^T / g_ii`` (n x n); neither ``W^+`` nor ``Wt_i`` is
+formed.  Substituting ``Wt_i`` for ``W^+`` in the split-design coefficient
+formulas yields the leave-i-out coefficients, so :func:`loo_fit` is the
+split fit's one solve with ``D_i L^T`` in place of ``L^T``, and the
+prediction residual collapses to
 
     eps_i = e_i^T [diag(G_W)]^{-1} G_W (I - H_i) y,
     H_i   = T (Wt_i T)^+ Wt_i.
@@ -51,13 +53,14 @@ again.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import InvalidInputError, RankAssumptionError
-from .interpolators import DesignPartition, _guard_rtol, fit_partial
-from .linalg import Svd, as_matrix, as_vector, full_row_rank_svd, pinv
+from .interpolators import DesignPartition, _guard_rtol, _split_solve, fit_partial
+from .linalg import as_matrix, as_vector, full_row_rank_svd
 
 __all__ = [
     "LooRecord",
@@ -80,6 +83,8 @@ class LooRecord:
 
 
 def _check_index(i: int, n: int) -> int:
+    if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+        raise InvalidInputError(f"index must be an integer, got {i!r}")
     i = int(i)
     if not 0 <= i < n:
         raise InvalidInputError(f"index {i} out of range for {n} rows")
@@ -106,20 +111,13 @@ def _check_loo_rows(d: DesignPartition, rows: np.ndarray) -> None:
         )
 
 
-def _check_response(y, n: int) -> np.ndarray:
-    y = as_vector(y, "y")
-    if y.size != n:
-        raise InvalidInputError(f"y has length {y.size}, expected {n}")
-    return y
+def _downdated_lt(ell: np.ndarray, i: int) -> np.ndarray:
+    """``D_i L^T`` (n x n) from ``L = U S^{-1}`` of a full-row-rank block ``U S V^T``.
 
-
-def _downdated_lt(f: Svd, i: int) -> np.ndarray:
-    """``D_i L^T`` (n x n) from the kept SVD ``f`` of a full-row-rank block.
-
-    ``L^T = S^{-1} U^T``, so ``V D_i L^T`` is the pseudoinverse of the block
-    with row ``i`` deleted, with a zero column at ``i`` (module docstring).
+    ``V D_i L^T`` is the pseudoinverse of the block with row ``i`` deleted,
+    with a zero column at ``i`` (module docstring).
     """
-    lt = (f.u / f.s).T
+    lt = ell.T
     li = lt[:, i]
     return lt - np.outer(li, li @ lt) / (li @ li)
 
@@ -127,16 +125,14 @@ def _downdated_lt(f: Svd, i: int) -> np.ndarray:
 def loo_fit(d: DesignPartition, y, i: int) -> tuple[np.ndarray, np.ndarray]:
     """Leave-one-out coefficient pair ``(lambda_loo, tau_loo)`` without refitting.
 
-    With ``Wt_i = V D_i L^T`` (module docstring), ``tau_loo = (D_i L^T T)^+ D_i L^T y``
-    and ``lambda_loo = V D_i L^T (y - T tau_loo)``, as in :func:`fit_partial`.
+    The split solve of :func:`fit_partial` with ``D_i L^T`` in place of ``L^T``
+    (``Wt_i = V D_i L^T``, module docstring): ``tau_loo = (D_i L^T T)^+ D_i L^T y``
+    and ``lambda_loo = V D_i L^T (y - T tau_loo)``.
     """
-    y = _check_response(y, d.n)
+    y = as_vector(y, "y", d.n)
     i = _check_index(i, d.n)
     _check_loo_rows(d, np.array([i]))
-    dl = _downdated_lt(d.w_svd, i)
-    tau_loo = pinv(dl @ d.t, d.tol) @ (dl @ y)
-    lam_loo = d.w_svd.vt.T @ (dl @ (y - d.t @ tau_loo))
-    return lam_loo, tau_loo
+    return _split_solve(_downdated_lt(d.ell, i), d.w_svd.vt, d.t, d.tol, y)
 
 
 def loo_residual_partial(d: DesignPartition, y, i: int) -> float:
@@ -145,7 +141,7 @@ def loo_residual_partial(d: DesignPartition, y, i: int) -> float:
     Equals ``y_i`` minus the prediction of the model refit without row ``i``;
     it is row ``i`` of the residual map ``R`` applied to ``y``.
     """
-    y = _check_response(y, d.n)
+    y = as_vector(y, "y", d.n)
     i = _check_index(i, d.n)
     _check_loo_rows(d, np.array([i]))
     f = d.split_factor()
@@ -194,7 +190,7 @@ class PartialLooSolver:
 
     def residuals(self, y) -> np.ndarray:
         """All leave-one-out prediction residuals for one response vector."""
-        y = _check_response(y, self.design.n)
+        y = as_vector(y, "y", self.design.n)
         return self.residual_matrix @ y
 
 
@@ -213,7 +209,7 @@ def gram_downdate(x, i: int) -> np.ndarray:
     x = as_matrix(x, "x")
     i = _check_index(i, x.shape[0])
     f = full_row_rank_svd(x)
-    wt = f.vt.T @ _downdated_lt(f, i)
+    wt = f.vt.T @ _downdated_lt(f.u / f.s, i)
     return wt @ wt.T
 
 
@@ -224,7 +220,7 @@ def brute_force_refit(d: DesignPartition, y, i: int) -> tuple[np.ndarray, np.nda
     holds the closed forms to this oracle.  The reduced partition is
     validated under ``d.tol``.
     """
-    y = _check_response(y, d.n)
+    y = as_vector(y, "y", d.n)
     i = _check_index(i, d.n)
     part = DesignPartition(
         np.delete(d.w, i, axis=0), np.delete(d.t, i, axis=0), tol=d.tol

@@ -217,17 +217,7 @@ class ExperimentConfig:
         """Build from a parsed JSON document (see README for the schema)."""
         if not isinstance(data, dict):
             raise InvalidInputError("config document must be a JSON object")
-        known = {
-            "experiment",
-            "model",
-            "grid",
-            "trials",
-            "draws_per_trial",
-            "estimators",
-            "seed",
-            "covariate",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
         if "experiment" not in data:

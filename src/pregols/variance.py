@@ -41,6 +41,7 @@ verifies this.  :func:`wc_normalizers` exposes both for diagnostics.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +79,8 @@ class GaussMarkovTruth:
     def __post_init__(self) -> None:
         beta = as_vector(self.beta, "beta")
         object.__setattr__(self, "beta", beta)
+        if isinstance(self.sigma2, bool) or not isinstance(self.sigma2, numbers.Real):
+            raise InvalidInputError(f"sigma2 must be a real number, got {self.sigma2!r}")
         if not 0.0 < self.sigma2 < np.inf:
             raise InvalidInputError("sigma2 must be positive and finite")
 
@@ -125,11 +128,7 @@ class ResidualOperator:
         return np.einsum("ij,ij->i", r, r) / self.denominator
 
     def _one_row(self, v, name: str) -> float:
-        v = as_vector(v, name)
-        if v.size != self.matrix.shape[1]:
-            raise InvalidInputError(
-                f"{name} has length {v.size}, expected {self.matrix.shape[1]}"
-            )
+        v = as_vector(v, name, self.matrix.shape[1])
         return float(self.estimates(v[None, :])[0])
 
     def estimate(self, y) -> float:
@@ -203,12 +202,11 @@ def wc_normalizers(d: DesignPartition) -> tuple[float, float]:
 
     The first is ``tr(P_B^perp (W^T W)^+) = ||F||_F^2``, the denominator of
     :func:`wc_operator`; the second is ``tr(P_T^perp G_W) = ||P_T^perp L||_F^2``
-    with ``L = U S^{-1}`` from the kept SVD of ``W`` and ``P_T`` from that of
-    ``T``.  They differ in general.  Both stay in n-space: no ``W^+``, q x q
+    with ``L = U S^{-1}`` the partition's ``ell`` and ``P_T`` from the kept
+    SVD of ``T``.  They differ in general.  Both stay in n-space: no ``W^+``, q x q
     projector or ``(W^T W)^+`` is formed, so neither loses ``cond(W)^2 eps``.
     """
-    ell = d.w_svd.u / d.w_svd.s
-    ut = d.t_svd.u
+    ell, ut = d.ell, d.t_svd.u
     rest = ell - ut @ (ut.T @ ell)  # P_T^perp L
     return wc_operator(d).denominator, float(np.sum(rest * rest))
 

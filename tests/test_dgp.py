@@ -11,7 +11,6 @@ from pregols import (
     gen_ate_dataset,
     gen_ate_design,
     gen_covariates,
-    gen_response,
     numeric_rank,
     orthonormal_rows,
     residual_operator,
@@ -286,46 +285,21 @@ def test_covariate_config_validation():
             CovariateConfig(model="spiked", n=4, q=8, **bad)
 
 
-def test_gen_response_noise_free():
-    rng = Seed(11).rng(0)
-    w = standard_normal(rng, (5, 7))
-    beta1 = np.arange(7, dtype=float) / 7
-    y = gen_response(w, beta1, 2.0, 0.0, rng)
-    assert np.array_equal(y, w @ beta1 + 2.0)
-
-
-def test_gen_response_noise_is_centered():
-    rng = Seed(12).rng(0)
-    w = standard_normal(rng, (4, 6))
-    beta1 = np.full(6, 0.5)
-    draws = 10_000
-    acc = np.zeros(4)
-    for _ in range(draws):
-        acc += gen_response(w, beta1, 1.0, 1.0, rng) - (w @ beta1 + 1.0)
-    assert np.max(np.abs(acc / draws)) <= 3.0 / np.sqrt(draws)
-
-
-def test_gen_response_validates():
-    rng = Seed(13).rng(0)
-    w = standard_normal(rng, (4, 6))
-    with pytest.raises(InvalidInputError):
-        gen_response(w, np.ones(5), 0.0, 1.0, rng)
-    with pytest.raises(InvalidInputError):
-        gen_response(w, np.ones(6), 0.0, -1.0, rng)
+@pytest.mark.parametrize("bad", [2.5, 4.0, "4", True, None])
+def test_covariate_sizes_must_be_integers(bad):
+    for sizes in ({"n": bad, "q": 8}, {"n": 1, "q": bad}):
+        with pytest.raises(InvalidInputError, match="n and q must be integers"):
+            CovariateConfig(model="spiked", **sizes)
+    CovariateConfig(model="spiked", n=np.int64(4), q=8)  # numpy integers are integers
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
 def test_noise_scales_must_be_nonnegative_and_finite(bad):
     rng = Seed(13).rng(1)
-    w = standard_normal(rng, (4, 6))
-    with pytest.raises(InvalidInputError, match="sigma must be nonnegative and finite"):
-        gen_response(w, np.ones(6), 0.0, bad, rng)
     with pytest.raises(InvalidInputError, match="sigma2 must be positive and finite"):
         GaussMarkovTruth(np.ones(6), sigma2=bad)
     if not np.isfinite(bad):
-        # the intercept and the effect may be negative, but not non-finite
-        with pytest.raises(InvalidInputError, match="beta0 must be finite"):
-            gen_response(w, np.ones(6), bad, 1.0, rng)
+        # the effect may be negative, but not non-finite
         with pytest.raises(InvalidInputError, match="tau must be finite"):
             gen_ate_dataset(10, 20, bad, rng)
 

@@ -251,6 +251,35 @@ def test_partition_rejects_rank_deficient_t():
         DesignPartition(rng.standard_normal((6, 10)), t)
 
 
+def test_rank_errors_name_the_condition_and_both_ranks():
+    # the exact text reaches CLI stderr
+    rng = np.random.default_rng(9)
+    w = rng.standard_normal((4, 8))
+    w[3] = w[0]
+    cases = (
+        (lambda: fit_full(w, np.ones(4)),
+         "design must have full row rank 4, numeric rank is 3"),
+        (lambda: DesignPartition(w, np.ones((4, 1))),
+         "penalized block w must have full row rank 4, numeric rank is 3"),
+        (lambda: DesignPartition(rng.standard_normal((6, 10)), np.ones((6, 2))),
+         "unpenalized block t must have full column rank 2, numeric rank is 1"),
+    )
+    for build, condition in cases:
+        with pytest.raises(RankAssumptionError) as err:
+            build()
+        assert str(err.value) == f"rank assumption violated: {condition}"
+
+
+def test_partition_keeps_a_readonly_ell():
+    rng = np.random.default_rng(22)
+    d = random_partition(rng, 6, 11, 2)
+    assert np.array_equal(d.ell, d.w_svd.u / d.w_svd.s)
+    with pytest.raises(ValueError):
+        d.ell[0, 0] = 99.0
+    d.split_factor()
+    assert np.array_equal(d.ell, d.w_svd.u / d.w_svd.s)  # the in-place update works on a copy
+
+
 def test_partition_rejects_wide_t():
     rng = np.random.default_rng(11)
     with pytest.raises(RankAssumptionError, match="fewer columns"):
@@ -340,6 +369,20 @@ def test_predict_dimension_mismatch():
     fit = fit_partial(d, rng.standard_normal(5))
     with pytest.raises(InvalidInputError):
         predict(fit, np.zeros(8), np.zeros(1))
+
+
+def test_predict_on_a_fit_of_a_matrix_of_responses():
+    rng = np.random.default_rng(23)
+    d = random_partition(rng, 20, 40, 2)
+    ys = rng.standard_normal((20, 2))
+    fit = fit_partial(d, ys)
+    got = predict(fit, d.w[4], d.t[4])
+    assert got.shape == (2,) and np.all(np.abs(got - ys[4]) <= 1e-8 * (1 + np.abs(ys[4])))
+    one = predict(fit_partial(d, ys[:, :1]), d.w[4], d.t[4])
+    assert one.shape == (1,) and one[0] == pytest.approx(got[0], rel=1e-12)
+    assert isinstance(predict(fit_partial(d, ys[:, 0]), d.w[4], d.t[4]), float)
+    with pytest.raises(InvalidInputError, match=r"lengths \(39, 2\) do not match .* \(40, 2\)"):
+        predict(fit, d.w[4, :39], d.t[4])
 
 
 # ---------------------------------------------------------------- immutability

@@ -349,6 +349,29 @@ def test_loo_index_out_of_range():
         loo_fit(d, rng.standard_normal(5), 5)
 
 
+_INDEXED_CALLS = {
+    "loo_fit": loo_fit,
+    "loo_residual_partial": loo_residual_partial,
+    "loo_record": loo_record,
+    "brute_force_refit": brute_force_refit,
+    "gram_downdate": lambda d, y, i: gram_downdate(d.stacked(), i),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_INDEXED_CALLS))
+@pytest.mark.parametrize(
+    "bad", [2.7, 2.0, np.float64(2.0), True, "2", None],
+    ids=["float_2.7", "float_2.0", "float64_2.0", "True", "str_2", "None"],
+)
+def test_loo_index_must_be_an_integer(call, bad):
+    rng = np.random.default_rng(14)
+    d = random_partition(rng, 5, 9, 1)
+    y = rng.standard_normal(5)
+    with pytest.raises(InvalidInputError, match="index must be an integer"):
+        _INDEXED_CALLS[call](d, y, bad)
+    _INDEXED_CALLS[call](d, y, np.int64(2))  # numpy integers are integers
+
+
 def test_full_operator_rejects_rank_deficient():
     x = np.vstack([np.ones((2, 4))])
     with pytest.raises(RankAssumptionError):

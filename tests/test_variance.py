@@ -252,6 +252,12 @@ def test_truth_validation():
         GaussMarkovTruth(beta=np.array([np.inf, 0.0]), sigma2=1.0)
 
 
+@pytest.mark.parametrize("bad", ["1", None, True, np.ones(1)])
+def test_truth_sigma2_must_be_a_real_number(bad):
+    with pytest.raises(InvalidInputError, match="sigma2 must be a real number"):
+        GaussMarkovTruth(beta=np.zeros(3), sigma2=bad)
+
+
 def test_estimates_nonnegative():
     d = fixture_partition(seed=16)
     rng = np.random.default_rng(17)
