@@ -36,7 +36,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .exceptions import InvalidInputError, RankAssumptionError
 from .linalg import Svd
@@ -109,9 +108,24 @@ def standard_normal(rng: np.random.Generator, size=None) -> np.ndarray | float:
     ``j 2^-53`` for the same ``j`` that ``integers(0, 2^53)`` draws from the
     same 64-bit output, so ``random() + 2^-54`` is that uniform bit for bit
     (it rounds exactly like ``j + 0.5``) and consumes the stream identically.
+
+    ``ndtri`` is imported here, not with the module: importing
+    ``scipy.special`` takes about 0.2 s, and only the generators and
+    ``simulate`` draw Gaussians, so the one-shot ``fit``, ``loo``,
+    ``cochran`` and ``variance`` commands never load scipy.  An array draw
+    is transformed in place, one buffer per call: each temporary a simulate
+    trial frees can push the top of the heap past glibc's trim threshold
+    (128 KB unless an early large free raised it, as importing scipy with
+    the package did), and trimmed pages fault back in on the next trial.
     """
-    out = ndtri(rng.random(size) + 2.0**-54)
-    return float(out) if size is None else out
+    from scipy.special import ndtri
+
+    if size is None:
+        return float(ndtri(rng.random() + 2.0**-54))
+    u = rng.random(size)
+    u += 2.0**-54
+    ndtri(u, out=u)
+    return u if u.ndim else u[()]
 
 
 def orthonormal_rows(n: int, q: int, rng: np.random.Generator) -> np.ndarray:
@@ -127,6 +141,10 @@ def orthonormal_rows(n: int, q: int, rng: np.random.Generator) -> np.ndarray:
     signs = np.sign(np.diag(rmat))
     signs[signs == 0.0] = 1.0
     return (qmat * signs).T
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -156,6 +174,15 @@ class CovariateConfig:
         if any(isinstance(v, bool) or not isinstance(v, numbers.Integral)
                for v in (self.n, self.q)):
             raise InvalidInputError(f"n and q must be integers, got n={self.n!r}, q={self.q!r}")
+        lam = self.lambda_range
+        if not (isinstance(lam, (tuple, list)) and len(lam) == 2 and all(map(_is_real, lam))):
+            raise InvalidInputError(f"lambda_range must be a pair of real numbers, got {lam!r}")
+        object.__setattr__(self, "lambda_range", tuple(lam))
+        for name in ("sigma_x", "lambda_geo", "rho"):
+            if not _is_real(getattr(self, name)):
+                raise InvalidInputError(
+                    f"{name} must be a real number, got {getattr(self, name)!r}"
+                )
         if not (1 <= self.n <= self.q):
             raise InvalidInputError(
                 f"need 1 <= n <= q for a wide full-row-rank design, got n={self.n}, q={self.q}"

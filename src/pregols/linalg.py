@@ -12,6 +12,7 @@ uses headerless CSV, one row per line, dimensions inferred from the file.
 
 from __future__ import annotations
 
+import numbers
 from contextvars import ContextVar
 from dataclasses import dataclass
 
@@ -44,10 +45,15 @@ class RankTolerance:
     relative_cutoff: float | None = None
 
     def __post_init__(self) -> None:
+        rel = self.relative_cutoff
+        if rel is None:
+            return
+        if isinstance(rel, bool) or not isinstance(rel, numbers.Real):
+            raise InvalidInputError(f"relative_cutoff must be a real number, got {rel!r}")
         # a cutoff of 1 or more (or inf) would give every matrix rank 0
-        if self.relative_cutoff is not None and not (0.0 < self.relative_cutoff < 1.0):
+        if not 0.0 < rel < 1.0:
             raise InvalidInputError(
-                f"relative_cutoff must be finite with 0 < cutoff < 1, got {self.relative_cutoff!r}"
+                f"relative_cutoff must be finite with 0 < cutoff < 1, got {rel!r}"
             )
 
     def cutoff(self, shape: tuple[int, int], smax: float) -> float:

@@ -101,14 +101,11 @@ def _covariate_settings(model: str, cov: dict) -> dict:
         raise InvalidInputError(
             f"unknown covariate keys {unknown}; choose from {list(_COVARIATE_KEYS)}"
         )
-    cov = dict(cov)
     try:
-        if "lambda_range" in cov:
-            cov["lambda_range"] = tuple(cov["lambda_range"])
-        CovariateConfig(model=model, n=1, q=1, **cov)
-    except (TypeError, ValueError) as exc:
+        checked = CovariateConfig(model=model, n=1, q=1, **cov)
+    except InvalidInputError as exc:
         raise InvalidInputError(f"invalid covariate settings {cov}: {exc}") from None
-    return cov
+    return {key: getattr(checked, key) for key in cov}
 
 
 @dataclass(frozen=True)
@@ -286,12 +283,16 @@ def _response_blocks(rng, mean_y: np.ndarray, scale: float, draws: int):
 
     Consecutive ``standard_normal(rng, (k, n))`` calls continue one stream,
     so row ``j`` overall is the ``j``-th sequential draw whatever the block
-    size; memory stays O(_DRAW_BLOCK * n) for any ``draws``.
+    size; memory stays O(_DRAW_BLOCK * n) for any ``draws``.  Each block is
+    scaled and shifted in place, bit for bit ``mean_y + scale * z``, so it
+    is the only array a draw allocates (see :func:`standard_normal`).
     """
     n = mean_y.size
     for start in range(0, draws, _DRAW_BLOCK):
-        k = min(_DRAW_BLOCK, draws - start)
-        yield mean_y + scale * standard_normal(rng, (k, n))
+        ys = standard_normal(rng, (min(_DRAW_BLOCK, draws - start), n))
+        ys *= scale
+        ys += mean_y
+        yield ys
 
 
 def _sim_trial(cfg: ExperimentConfig, gi: int, ti: int, dump_dir=None):

@@ -511,6 +511,34 @@ def test_blank_csv_exits_1_with_one_line(hand_files, text):
     assert proc.stderr == f"pregols: matrix CSV {hand_files / 'y.csv'} is empty\n"
 
 
+def test_one_shot_commands_do_not_load_scipy(wide_files):
+    # importing scipy.special costs a one-shot process about 0.2 s, and
+    # scipy.linalg about 6 MB of resident set; numpy's LAPACK bindings
+    # suffice, and only the Gaussian generators need scipy's ndtri
+    write_matrix_csv(wide_files / "truth.csv", np.full((15, 1), 0.1))
+    f = {stem: str(wide_files / f"{stem}.csv") for stem in ("w", "t", "y", "z", "u", "td", "truth")}
+    wty = ["--w", f["w"], "--t", f["t"], "--y", f["y"]]
+    commands = [
+        ["fit", *wty],
+        ["loo", *wty],
+        ["cochran", "--z", f["z"], "--u", f["u"], "--t", f["td"], "--y", f["y"]],
+        ["variance", *wty, "--truth", f["truth"], "--sigma2", "1"],
+    ]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import pregols, pregols.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [pregols.cli.main(argv) for argv in {commands!r}]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('scipy'))]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pregols.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, 0, 0, 0], []]
+
+
 def test_variance_sigma2_requires_truth(wide_files, capsys):
     code, out, err = run_cli(
         capsys,

