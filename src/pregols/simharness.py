@@ -20,8 +20,13 @@ chunks of at most 1024 rows), and each estimator is applied to the whole
 block with one matrix product.
 
 Determinism: the block holds exactly the sequential draws of that stream,
-and the trials run one after another in the caller's thread in fixed
-(grid, trial) order, so results are byte-identical across runs.
+so a trial's outcome does not depend on where or when it runs.  The trials
+run in the caller and in forked workers, one process per CPU in the
+affinity mask and each on one BLAS thread, and their outcomes are put back
+in (grid, trial) order before a cell is aggregated.  So results are
+byte-identical across runs, CPU counts and BLAS thread settings.  Without
+numpy's OpenBLAS entry points or ``fork``, the trials run serially in the
+caller.
 """
 
 from __future__ import annotations
@@ -347,16 +352,165 @@ def _ate_trial(cfg: ExperimentConfig, gi: int, ti: int, dump_dir=None):
     return {est: s / cfg.draws_per_trial for est, s in sums.items()}
 
 
-def _collect_trials(cfg: ExperimentConfig, trial_fn, dump_dir):
-    """Run every (grid, trial) task in fixed order; a rank failure is kept as its reason."""
-    by_cell: list[list] = [[] for _ in cfg.grid]
-    for gi in range(len(cfg.grid)):
-        for ti in range(cfg.trials):
+def _outcome(cfg: ExperimentConfig, trial_fn, dump_dir, task):
+    """One (grid, trial) task's outcome; a rank failure is kept as its reason."""
+    try:
+        return trial_fn(cfg, *task, dump_dir)
+    except RankAssumptionError as exc:
+        return str(exc)
+
+
+def _claim(cfg: ExperimentConfig, trial_fn, dump_dir, tasks, counter) -> list:
+    """``(index, outcome)`` of each task this process claims from the shared ``counter``.
+
+    Each process takes the next unclaimed task until none is left, so one
+    that runs on a slower or busier CPU simply runs fewer trials.
+    """
+    done = []
+    while True:
+        with counter.get_lock():
+            k = counter.value
+            counter.value = k + 1
+        if k >= len(tasks):
+            return done
+        done.append((k, _outcome(cfg, trial_fn, dump_dir, tasks[k])))
+
+
+def _blas_threads():
+    """``(get, set)`` for the thread count of the OpenBLAS numpy calls, or ``None``.
+
+    The entry points are looked up through numpy's linalg extension, so they
+    belong to the BLAS numpy is linked against, not to another copy in the
+    process (scipy's, say).  ``None`` when that BLAS is not an OpenBLAS.
+    """
+    import ctypes
+
+    from numpy.linalg import _umath_linalg
+
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
             try:
-                by_cell[gi].append(trial_fn(cfg, gi, ti, dump_dir))
-            except RankAssumptionError as exc:
-                by_cell[gi].append(str(exc))
-    return by_cell
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = (), ctypes.c_int
+            put.argtypes, put.restype = (ctypes.c_int,), None
+            return get, put
+    return None
+
+
+def _worker(conn, cfg: ExperimentConfig, trial_fn, dump_dir, tasks, counter) -> None:
+    """A forked child's body: claim tasks, then send ``(claimed, None)`` or ``(error, traceback)``.
+
+    The child ignores SIGINT; the caller terminates it when it is interrupted.
+    An error that does not pickle ends the child, which the caller reports.
+    """
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        message = (_claim(cfg, trial_fn, dump_dir, tasks, counter), None)
+    except Exception as exc:
+        import traceback
+
+        message = (exc, traceback.format_exc())
+    conn.send(message)
+    conn.close()
+
+
+def _receive(proc, conn) -> list:
+    """One worker's claimed outcomes; its exception is raised here, with the worker's traceback as cause."""
+    try:
+        payload, trace = conn.recv()
+    except EOFError:
+        proc.join()
+        raise RuntimeError(
+            f"trial worker {proc.pid} exited with code {proc.exitcode} before returning its trials"
+        ) from None
+    if trace is not None:
+        raise payload from RuntimeError(f"in trial worker {proc.pid}:\n{trace}")
+    return payload
+
+
+def _run_forked(cfg: ExperimentConfig, trial_fn, dump_dir, tasks) -> list:
+    """Outcomes of ``tasks`` in task order, run by the caller and one forked child per further CPU.
+
+    One process per CPU of the affinity mask claims tasks one at a time
+    from a shared counter (:func:`_claim`), and the outcomes are put back by
+    task index.  Claimed, not dealt out as fixed shares ``tasks[k::workers]``:
+    the CPUs of a busy shared host do not run at one speed, and a fixed share
+    waits for the slowest (paper-scale sim1 on 2 busy vCPUs: 0.466 s a pass
+    for fixed shares, 0.401 s claimed, medians of 40).  ``fork``, not
+    ``spawn``: a spawned child would import numpy and scipy again before its
+    first trial.  A child inherits the caller's pinned BLAS and its context
+    (the default rank tolerance).  Serial where there is one CPU or no
+    ``fork``.  No child outlives the call, whether it returns or raises.
+    """
+    import multiprocessing
+
+    try:
+        workers = min(len(os.sched_getaffinity(0)), len(tasks))
+        ctx = multiprocessing.get_context("fork")
+    except (AttributeError, ValueError):  # no affinity mask, or no fork, on this platform
+        workers = 1
+    if workers < 2:
+        return [_outcome(cfg, trial_fn, dump_dir, task) for task in tasks]
+    counter = ctx.Value("q", 0)
+    children = []
+    try:
+        for _ in range(workers - 1):
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(
+                target=_worker, args=(send, cfg, trial_fn, dump_dir, tasks, counter),
+                daemon=True,
+            )
+            proc.start()
+            send.close()
+            children.append((proc, recv))
+        claimed = _claim(cfg, trial_fn, dump_dir, tasks, counter)
+        for proc, recv in children:
+            claimed += _receive(proc, recv)
+    except BaseException:
+        for proc, _ in children:
+            proc.terminate()
+        raise
+    finally:
+        for proc, recv in children:
+            proc.join()
+            recv.close()
+    outcomes = [None] * len(tasks)
+    for k, outcome in claimed:
+        outcomes[k] = outcome
+    return outcomes
+
+
+def _collect_trials(cfg: ExperimentConfig, trial_fn, dump_dir):
+    """Every (grid, trial) outcome, grouped by grid value in trial order.
+
+    numpy's OpenBLAS runs on one thread for the whole trial section, so a
+    trial's numbers do not depend on the BLAS thread count, and the forked
+    workers of :func:`_run_forked` do not oversubscribe the CPUs; the old
+    count is restored afterwards.  Without that OpenBLAS the trials run
+    serially in the caller, on the BLAS settings it has.
+    """
+    tasks = [(gi, ti) for gi in range(len(cfg.grid)) for ti in range(cfg.trials)]
+    blas = _blas_threads()
+    if blas is None:
+        outcomes = [_outcome(cfg, trial_fn, dump_dir, task) for task in tasks]
+    else:
+        get, put = blas
+        saved = get()
+        put(1)
+        try:
+            outcomes = _run_forked(cfg, trial_fn, dump_dir, tasks)
+        finally:
+            put(saved)
+    return [outcomes[gi * cfg.trials:(gi + 1) * cfg.trials] for gi in range(len(cfg.grid))]
 
 
 def _failure_summary(outcomes) -> str:

@@ -514,7 +514,8 @@ def test_blank_csv_exits_1_with_one_line(hand_files, text):
 def test_one_shot_commands_do_not_load_scipy(wide_files):
     # importing scipy.special costs a one-shot process about 0.2 s, and
     # scipy.linalg about 6 MB of resident set; numpy's LAPACK bindings
-    # suffice, and only the Gaussian generators need scipy's ndtri
+    # suffice, and only the Gaussian generators need scipy's ndtri.  Nor
+    # may they import multiprocessing (5-7 ms), which only simulate uses
     write_matrix_csv(wide_files / "truth.csv", np.full((15, 1), 0.1))
     f = {stem: str(wide_files / f"{stem}.csv") for stem in ("w", "t", "y", "z", "u", "td", "truth")}
     wty = ["--w", f["w"], "--t", f["t"], "--y", f["y"]]
@@ -529,7 +530,8 @@ def test_one_shot_commands_do_not_load_scipy(wide_files):
         "import pregols, pregols.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    codes = [pregols.cli.main(argv) for argv in {commands!r}]\n"
-        "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('scipy'))]))\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+        "                                 if m.split('.')[0] in ('scipy', 'multiprocessing'))]))\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(pregols.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -1,4 +1,5 @@
 import os
+import time
 
 import numpy as np
 import pytest
@@ -47,7 +48,8 @@ def test_run_is_deterministic():
 
 
 def test_run_experiment_starts_no_threads(monkeypatch):
-    # trials run serially in the caller's thread; PREGOLS_THREADS is not read
+    # trials run in the caller and in forked worker processes, never in a
+    # thread; PREGOLS_THREADS is not read
     import threading
 
     def refuse(self):
@@ -426,25 +428,107 @@ def test_dump_dir_writes_covariates(tmp_path):
     ]
 
 
+def _cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _slow_trial(outcome):
+    # workers claim trials as they go, so a trial must take long enough
+    # for a forked worker to start before the caller has claimed them all
+    def trial(cfg, gi, ti, dump_dir):
+        time.sleep(0.05)
+        return outcome(gi, ti)
+
+    return trial
+
+
 def test_trials_see_the_callers_rank_tolerance():
     # simulate --rank-tol sets the default tolerance in the command's copied
-    # context; every trial runs in that context and sees it
+    # context; every trial runs in that context and sees it, in the caller
+    # and in each forked worker
     import contextvars
 
     from pregols import RankTolerance, get_default_tolerance, set_default_tolerance
 
-    seen = []
-
-    def trial(cfg, gi, ti, dump_dir):
-        seen.append(get_default_tolerance())
-        return {}
-
+    trial = _slow_trial(lambda gi, ti: (get_default_tolerance(), os.getpid()))
     loose = RankTolerance(relative_cutoff=1e-3)
 
     def caller():
         set_default_tolerance(loose)
-        simharness._collect_trials(tiny_config(trials=8), trial, None)
+        return simharness._collect_trials(tiny_config(trials=8), trial, None)
 
-    contextvars.copy_context().run(caller)
-    assert seen == [loose] * 16
+    outcomes = [o for cell in contextvars.copy_context().run(caller) for o in cell]
+    assert [tol for tol, _ in outcomes] == [loose] * 16
     assert get_default_tolerance() == RankTolerance()
+    if _cpus() >= 2:
+        assert len({pid for _, pid in outcomes}) > 1
+
+
+def test_outcomes_come_back_in_task_order():
+    # 21 tasks, each run by whichever process claims it first
+    cfg = tiny_config(trials=7, grid=(1.0, 2.0, 3.0))
+    by_cell = simharness._collect_trials(cfg, _slow_trial(lambda gi, ti: (gi, ti)), None)
+    assert by_cell == [[(gi, ti) for ti in range(7)] for gi in range(3)]
+
+
+def test_without_openblas_every_trial_runs_in_the_caller(monkeypatch):
+    monkeypatch.setattr(simharness, "_blas_threads", lambda: None)
+    by_cell = simharness._collect_trials(tiny_config(), lambda *a: os.getpid(), None)
+    assert [pid for cell in by_cell for pid in cell] == [os.getpid()] * 8
+
+
+def test_trials_run_on_one_blas_thread_and_the_count_is_restored():
+    blas = simharness._blas_threads()
+    if blas is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS")
+    get, put = blas
+    saved = get()
+    put(2)
+    try:
+        by_cell = simharness._collect_trials(tiny_config(), lambda *a: get(), None)
+        assert get() == 2
+    finally:
+        put(saved)
+    assert [n for cell in by_cell for n in cell] == [1] * 8
+
+
+@pytest.mark.parametrize(
+    "where, error",
+    [("worker", LookupError), ("caller", LookupError), ("caller", KeyboardInterrupt)],
+)
+def test_an_error_in_a_trial_reaches_the_caller_and_no_worker_outlives_it(where, error):
+    import multiprocessing
+
+    if where == "worker" and _cpus() < 2:
+        pytest.skip("one CPU: every trial runs in the caller")
+    caller = os.getpid()
+
+    def fail(gi, ti):
+        if (os.getpid() == caller) == (where == "caller"):
+            raise error(f"synthetic failure at {gi}, {ti}")
+        return {}
+
+    trial = _slow_trial(fail)
+    with pytest.raises(error, match="synthetic failure") as info:
+        simharness._collect_trials(tiny_config(), trial, None)
+    if where == "worker":
+        assert "in trial worker" in str(info.value.__cause__)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_is_reported():
+    import multiprocessing
+
+    if _cpus() < 2:
+        pytest.skip("one CPU: every trial runs in the caller")
+    caller = os.getpid()
+
+    def die(gi, ti):
+        if os.getpid() != caller:
+            os._exit(3)
+        return {}
+
+    trial = _slow_trial(die)
+    with pytest.raises(RuntimeError, match="exited with code 3"):
+        simharness._collect_trials(tiny_config(), trial, None)
+    assert multiprocessing.active_children() == []
