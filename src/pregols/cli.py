@@ -23,7 +23,7 @@ from .exceptions import InvalidInputError, PregolsError, RankAssumptionError
 from .interpolators import PARTIAL_VARIANTS, DesignPartition, fit_partial_variant
 from .linalg import RankTolerance, read_matrix_csv
 from .loo import PartialLooSolver, brute_force_refit
-from .simharness import ExperimentConfig, run_experiment, write_report
+from .simharness import EXPERIMENTS, ExperimentConfig, run_experiment, write_report
 from .variance import ESTIMATOR_IDS, GaussMarkovTruth, residual_operator
 
 _MODEL_ALIASES = {
@@ -205,7 +205,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_variance)
 
     p = sub.add_parser("simulate", help="run a bias experiment")
-    p.add_argument("--experiment", choices=("sim1", "sim2", "sim3", "sim4", "ate"))
+    p.add_argument("--experiment", choices=EXPERIMENTS)
     p.add_argument("--model", choices=tuple(_MODEL_ALIASES))
     p.add_argument("--seed", type=int, default=None, metavar="U64")
     p.add_argument("--paper-scale", action="store_true", help="100 trials x 100 draws")

@@ -3,21 +3,23 @@
 Five experiments over a one-dimensional grid, each cell aggregating
 ``trials`` independent designs x ``draws_per_trial`` responses per design:
 
-* ``sim1`` — fixed p = 100, grid over the sample size n;
-* ``sim2`` — fixed aspect ratio n/p = 0.8, grid over p;
+* ``sim1`` — fixed p = 100, grid over the sample size n (integers);
+* ``sim2`` — fixed aspect ratio n/p = 0.8, grid over p (integers);
 * ``sim3`` — fixed (n, p) = (80, 100), grid over the noise level sigma;
 * ``sim4`` — fixed (n, p) = (80, 100), grid over the intercept magnitude;
 * ``ate``  — treatment-effect bias, grid over the true effect tau.
 
-The variance experiments record ``sigma2_hat - sigma^2`` per draw for each
-selected estimator; the treatment experiment records the error of the
-treatment coefficient for the unsplit and split fits.  A cell reports the
-mean of per-trial means and the standard error across trials.
+One table, ``_TABLE``, holds every per-experiment fact (grid, axis label,
+grid rule, settings, estimator names, design function).  The variance
+experiments record ``sigma2_hat - sigma^2`` per draw for each selected
+estimator; the treatment experiment records the error of the treatment
+coefficient for the unsplit and split fits.  A cell reports the mean of
+per-trial means and the standard error across trials.
 
-Each trial draws its design and then all its responses from stream
-``g * 2^20 + t`` of the root seed; the responses come as one block (in
-chunks of at most 1024 rows), and each estimator is applied to the whole
-block with one matrix product.
+Every experiment runs one trial skeleton: stream ``g * 2^20 + t`` of the
+root seed draws the design, through the table's design function, and then
+all its responses; the responses come as one block (in chunks of at most
+1024 rows), and each estimator is applied to the whole block at once.
 
 Determinism: the block holds exactly the sequential draws of that stream,
 so a trial's outcome does not depend on where or when it runs.  The trials
@@ -31,10 +33,12 @@ caller.
 
 from __future__ import annotations
 
+import functools
 import numbers
 import os
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
+from typing import Callable
 
 import numpy as np
 
@@ -69,16 +73,6 @@ __all__ = [
     "write_report",
 ]
 
-EXPERIMENTS = ("sim1", "sim2", "sim3", "sim4", "ate")
-
-DEFAULT_GRIDS: dict[str, tuple[float, ...]] = {
-    "sim1": (20.0, 40.0, 60.0, 80.0, 99.0),
-    "sim2": (50.0, 75.0, 100.0, 125.0, 150.0),
-    "sim3": (1.0, 2.0, 5.0, 7.0, 10.0),
-    "sim4": (1.0, 2.0, 5.0, 7.0, 10.0),
-    "ate": (-8.0, -6.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 6.0, 8.0),
-}
-
 _FIXED_P = 100
 _SIM2_RATIO = 0.8
 _ATE_N, _ATE_Q = 80, 98
@@ -86,8 +80,108 @@ _STREAM_STRIDE = 1 << 20
 _MAX_FAILURE_FRACTION = 0.05
 _DRAW_BLOCK = 1024  # most response rows one trial holds at a time
 
-_ATE_ESTIMATORS = ("full", "partial")
 
+@dataclass(frozen=True)
+class _Experiment:
+    """One study: default grid, axis label, grid rule, accepted settings and design.
+
+    ``design(cfg, value, rng)`` draws a trial's design at grid value
+    ``value`` and returns ``(mean_y, sigma, errors, blocks)``: the responses
+    are ``mean_y + sigma * z``, ``errors[est]`` maps a block of responses
+    (one per row) to their errors, and ``blocks`` are the matrices to dump.
+    """
+
+    grid: tuple[float, ...]
+    label: str
+    design: Callable
+    valid: Callable[[float], bool] = lambda v: True
+    rule: str = "finite"  # what ``valid`` asks of a grid value
+    models: tuple[str, ...] = COVARIATE_MODELS
+    covariates: bool = True  # whether the config may set ``covariate``
+    estimators: tuple[str, ...] = ESTIMATOR_IDS
+
+
+def _variance_design(cfg, rng, n: int, p: int, sigma: float = 1.0, beta0: float = 1.0):
+    """An ``n x (p - 1)`` covariate draw ``W`` and an intercept; ``y = W beta1 + beta0 + sigma z``.
+
+    Every slope is ``p^-1/2``; an estimator's error is ``sigma2_hat - sigma^2``.
+    """
+    w_svd = gen_covariates(CovariateConfig(model=cfg.model, n=n, q=p - 1, **cfg.covariate), rng)
+    part = DesignPartition(w_svd, np.ones((n, 1)))
+    errors = {
+        est: lambda ys, op=residual_operator(est, part): op.estimates(ys) - sigma**2
+        for est in cfg.estimators
+    }
+    return w_svd.a @ np.full(p - 1, p**-0.5) + beta0, sigma, errors, {"w": w_svd.a}
+
+
+def _treatment_rows(part: DesignPartition, fits=("full", "partial")) -> tuple[np.ndarray, ...]:
+    """Rows mapping ``y`` to the treatment coefficient of each named fit, built in order.
+
+    ``T = [d, 1]``.  The full fit's is row q of ``X^+ = X^T G_X``, that is
+    ``G_X d`` with ``G_X`` from :meth:`DesignPartition.full_gram_inverse`; the
+    split fit's is the first row of :meth:`DesignPartition.tau_map`.
+    """
+    rows = {
+        "full": lambda: part.full_gram_inverse() @ part.t[:, 0],
+        "partial": lambda: part.tau_map()[0],
+    }
+    return tuple(rows[fit]() for fit in fits)
+
+
+def _ate_design(cfg, tau: float, rng):
+    """An ``80 x 98`` spiked ``W`` and ``T = [d, 1]``; ``y = W alpha + tau d + 1 + z``.
+
+    Every ``alpha`` coordinate is ``(q + 2)^-1/2``; a fit's error is its
+    treatment coefficient minus ``tau``.
+    """
+    n, q = _ATE_N, _ATE_Q
+    w_svd, dvec = gen_ate_design(n, q, rng)
+    part = DesignPartition(w_svd, np.column_stack([dvec, np.ones(n)]))
+    rows = _treatment_rows(part, cfg.estimators)
+    errors = {est: lambda ys, row=row: ys @ row - tau for est, row in zip(cfg.estimators, rows)}
+    mean_y = w_svd.a @ np.full(q, (q + 2) ** -0.5) + tau * dvec + 1.0
+    return mean_y, 1.0, errors, {"w": w_svd.a, "d": dvec.reshape(-1, 1)}
+
+
+_TABLE: dict[str, _Experiment] = {
+    "sim1": _Experiment(
+        grid=(20.0, 40.0, 60.0, 80.0, 99.0),
+        label="sample size n",
+        design=lambda cfg, v, rng: _variance_design(cfg, rng, int(v), _FIXED_P),
+        valid=lambda v: v.is_integer() and 2 <= v < _FIXED_P,
+        rule=f"sample sizes, integers in [2, {_FIXED_P})",
+    ),
+    "sim2": _Experiment(
+        grid=(50.0, 75.0, 100.0, 125.0, 150.0),
+        label="covariate dimension p",
+        design=lambda cfg, v, rng: _variance_design(cfg, rng, round(_SIM2_RATIO * v), int(v)),
+        valid=lambda v: v.is_integer() and v >= 3,
+        rule="dimensions, integers >= 3",
+    ),
+    "sim3": _Experiment(
+        grid=(1.0, 2.0, 5.0, 7.0, 10.0),
+        label="noise standard deviation",
+        design=lambda cfg, v, rng: _variance_design(cfg, rng, 80, _FIXED_P, sigma=v),
+        valid=lambda v: v >= 0,
+        rule="noise levels >= 0",
+    ),
+    "sim4": _Experiment(
+        grid=(1.0, 2.0, 5.0, 7.0, 10.0),
+        label="intercept magnitude",
+        design=lambda cfg, v, rng: _variance_design(cfg, rng, 80, _FIXED_P, beta0=v),
+    ),
+    "ate": _Experiment(
+        grid=(-8.0, -6.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 6.0, 8.0),
+        label="true treatment effect",
+        design=_ate_design,
+        models=("spiked",),
+        covariates=False,
+        estimators=("full", "partial"),
+    ),
+}
+EXPERIMENTS = tuple(_TABLE)
+DEFAULT_GRIDS: dict[str, tuple[float, ...]] = {name: row.grid for name, row in _TABLE.items()}
 
 _COVARIATE_KEYS = tuple(
     f.name for f in fields(CovariateConfig) if f.name not in ("model", "n", "q")
@@ -122,6 +216,9 @@ class ExperimentConfig:
     structure of the original studies.  ``covariate`` holds
     :class:`CovariateConfig` parameters for ``sim1``-``sim4``, validated here
     once; ``ate`` always draws default spiked covariates and takes none.
+    ``estimators`` defaults to the study's own names: all four for
+    ``sim1``-``sim4`` and ``("full", "partial")`` for ``ate``; a given value
+    must be a nonempty subset of them.
     """
 
     experiment: str
@@ -129,7 +226,7 @@ class ExperimentConfig:
     grid: tuple[float, ...] | None = None
     trials: int = 25
     draws_per_trial: int = 25
-    estimators: tuple[str, ...] = ESTIMATOR_IDS
+    estimators: tuple[str, ...] | None = None
     seed: int = 0
     covariate: dict = field(default_factory=dict)
 
@@ -138,21 +235,21 @@ class ExperimentConfig:
             raise InvalidInputError(
                 f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}"
             )
-        if self.model not in COVARIATE_MODELS:
+        row = _TABLE[self.experiment]
+        if self.model not in row.models:
             raise InvalidInputError(
-                f"unknown covariate model {self.model!r}; choose from {COVARIATE_MODELS}"
+                f"the {self.experiment} experiment takes the covariate models "
+                f"{row.models}, got {self.model!r}"
             )
-        if self.experiment == "ate" and self.model != "spiked":
-            raise InvalidInputError("the ate experiment uses the spiked model only")
         if not isinstance(self.covariate, dict):
             raise InvalidInputError("covariate must be an object")
-        if self.experiment == "ate" and self.covariate:
+        if self.covariate and not row.covariates:
             raise InvalidInputError(
-                "the ate experiment uses the default spiked covariates; "
+                f"the {self.experiment} experiment uses the default {self.model} covariates; "
                 f"it takes no covariate settings, got {sorted(self.covariate)}"
             )
         object.__setattr__(self, "covariate", _covariate_settings(self.model, self.covariate))
-        raw = DEFAULT_GRIDS[self.experiment] if self.grid is None else self.grid
+        raw = row.grid if self.grid is None else self.grid
         if not isinstance(raw, (list, tuple)) or not all(
             isinstance(v, numbers.Real) and not isinstance(v, bool) for v in raw
         ):
@@ -162,6 +259,11 @@ class ExperimentConfig:
             raise InvalidInputError("grid must be nonempty")
         if not np.all(np.isfinite(grid)):
             raise InvalidInputError(f"grid values must be finite, got {list(grid)}")
+        bad = [v for v in grid if not row.valid(v)]
+        if bad:
+            raise InvalidInputError(
+                f"{self.experiment} grid values must be {row.rule}, got {bad}"
+            )
         object.__setattr__(self, "grid", grid)
         for name in ("trials", "draws_per_trial"):
             value = getattr(self, name)
@@ -171,28 +273,16 @@ class ExperimentConfig:
             raise InvalidInputError("trials and draws_per_trial must be >= 1")
         if self.trials > _STREAM_STRIDE:
             raise InvalidInputError(f"trials must be <= {_STREAM_STRIDE}")
-        ests = self.estimators
+        ests = row.estimators if self.estimators is None else self.estimators
         if not isinstance(ests, (list, tuple)) or not all(isinstance(e, str) for e in ests):
             raise InvalidInputError(f"estimators must be a list of names, got {ests!r}")
         ests = tuple(ests)
-        if not ests or any(e not in ESTIMATOR_IDS for e in ests):
+        if not ests or any(e not in row.estimators for e in ests):
             raise InvalidInputError(
-                f"estimators must be a nonempty subset of {ESTIMATOR_IDS}"
+                f"{self.experiment} estimators must be a nonempty subset of {row.estimators}"
             )
         object.__setattr__(self, "estimators", ests)
         Seed(self.seed)  # validates the root
-        if self.experiment == "sim1":
-            bad = [v for v in grid if not 2 <= v < _FIXED_P]
-            if bad:
-                raise InvalidInputError(
-                    f"sim1 grid values must be sample sizes in [2, {_FIXED_P}), got {bad}"
-                )
-        if self.experiment == "sim2":
-            bad = [v for v in grid if round(_SIM2_RATIO * v) < 2 or v < 3]
-            if bad:
-                raise InvalidInputError(f"sim2 grid values too small: {bad}")
-        if self.experiment == "sim3" and any(v < 0 for v in grid):
-            raise InvalidInputError("sim3 grid values are noise levels, must be >= 0")
 
     @classmethod
     def default(
@@ -205,14 +295,8 @@ class ExperimentConfig:
     ) -> "ExperimentConfig":
         """Config with the study's standard grid; 25 x 25 desk or 100 x 100 paper scale."""
         repeats = 100 if paper_scale else 25
-        base = cls(
-            experiment=experiment,
-            model=model,
-            seed=seed,
-            trials=repeats,
-            draws_per_trial=repeats,
-        )
-        return replace(base, **overrides) if overrides else base
+        settings = dict(model=model, seed=seed, trials=repeats, draws_per_trial=repeats)
+        return cls(experiment, **{**settings, **overrides})
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -262,27 +346,6 @@ class ExperimentReport:
         raise KeyError((grid_value, estimator))
 
 
-def _sim_parameters(experiment: str, grid_value: float) -> tuple[int, int, float, float]:
-    """(n, p, sigma, beta0) for one variance-experiment cell."""
-    if experiment == "sim1":
-        return int(grid_value), _FIXED_P, 1.0, 1.0
-    if experiment == "sim2":
-        p = int(grid_value)
-        return int(round(_SIM2_RATIO * p)), p, 1.0, 1.0
-    if experiment == "sim3":
-        return 80, _FIXED_P, float(grid_value), 1.0
-    if experiment == "sim4":
-        return 80, _FIXED_P, 1.0, float(grid_value)
-    raise InvalidInputError(f"not a variance experiment: {experiment!r}")
-
-
-def _dump(dump_dir, cfg, gi, ti, name, matrix) -> None:
-    path = os.path.join(
-        dump_dir, f"{cfg.experiment}_{cfg.model}_g{gi:02d}_t{ti:04d}_{name}.csv"
-    )
-    write_matrix_csv(path, matrix)
-
-
 def _response_blocks(rng, mean_y: np.ndarray, scale: float, draws: int):
     """A trial's responses ``mean_y + scale * z`` as blocks of at most ``_DRAW_BLOCK`` rows.
 
@@ -300,67 +363,30 @@ def _response_blocks(rng, mean_y: np.ndarray, scale: float, draws: int):
         yield ys
 
 
-def _sim_trial(cfg: ExperimentConfig, gi: int, ti: int, dump_dir=None):
-    """One design draw plus its response draws; returns per-estimator mean biases."""
+def _trial(cfg: ExperimentConfig, dump_dir, gi: int, ti: int) -> dict:
+    """Trial ``ti`` of grid cell ``gi``: each estimator's mean error over the trial's draws."""
     rng = Seed(cfg.seed).rng(gi * _STREAM_STRIDE + ti)
-    n, p, sigma, beta0 = _sim_parameters(cfg.experiment, cfg.grid[gi])
-    q = p - 1
-    cov = CovariateConfig(model=cfg.model, n=n, q=q, **cfg.covariate)
-    w_svd = gen_covariates(cov, rng)
-    w = w_svd.a
+    mean_y, sigma, errors, blocks = _TABLE[cfg.experiment].design(cfg, cfg.grid[gi], rng)
     if dump_dir is not None:
-        _dump(dump_dir, cfg, gi, ti, "w", w)
-    part = DesignPartition(w_svd, np.ones((n, 1)))
-    ops = {est: residual_operator(est, part) for est in cfg.estimators}
-    beta1 = np.full(q, p**-0.5)
-    mean_y = w @ beta1 + beta0
-    sums = {est: 0.0 for est in cfg.estimators}
+        stem = f"{cfg.experiment}_{cfg.model}_g{gi:02d}_t{ti:04d}"
+        for name, matrix in blocks.items():
+            write_matrix_csv(os.path.join(dump_dir, f"{stem}_{name}.csv"), matrix)
+    sums = dict.fromkeys(errors, 0.0)
     for ys in _response_blocks(rng, mean_y, sigma, cfg.draws_per_trial):
-        for est, op in ops.items():
-            sums[est] += float(np.sum(op.estimates(ys) - sigma**2))
+        for est, err in errors.items():
+            sums[est] += float(np.sum(err(ys)))
     return {est: s / cfg.draws_per_trial for est, s in sums.items()}
 
 
-def _treatment_rows(part: DesignPartition) -> tuple[np.ndarray, np.ndarray]:
-    """Rows mapping ``y`` to the treatment coefficient of the full and the split fit.
-
-    ``T = [d, 1]``.  The full fit's is row q of ``X^+ = X^T G_X``, that is
-    ``G_X d`` with ``G_X`` from :meth:`DesignPartition.full_gram_inverse`; the
-    split fit's is the first row of :meth:`DesignPartition.tau_map`.
-    """
-    return part.full_gram_inverse() @ part.t[:, 0], part.tau_map()[0]
-
-
-def _ate_trial(cfg: ExperimentConfig, gi: int, ti: int, dump_dir=None):
-    """One (covariates, treatment) draw; mean treatment-coefficient error per fit."""
-    rng = Seed(cfg.seed).rng(gi * _STREAM_STRIDE + ti)
-    tau = cfg.grid[gi]
-    n, q = _ATE_N, _ATE_Q
-    w_svd, dvec = gen_ate_design(n, q, rng)
-    w = w_svd.a
-    if dump_dir is not None:
-        _dump(dump_dir, cfg, gi, ti, "w", w)
-        _dump(dump_dir, cfg, gi, ti, "d", dvec.reshape(-1, 1))
-    part = DesignPartition(w_svd, np.column_stack([dvec, np.ones(n)]))
-    full_row, partial_row = _treatment_rows(part)
-    alpha = np.full(q, (q + 2) ** -0.5)
-    mean_y = w @ alpha + tau * dvec + 1.0
-    sums = {"full": 0.0, "partial": 0.0}
-    for ys in _response_blocks(rng, mean_y, 1.0, cfg.draws_per_trial):
-        sums["full"] += float(np.sum(ys @ full_row - tau))
-        sums["partial"] += float(np.sum(ys @ partial_row - tau))
-    return {est: s / cfg.draws_per_trial for est, s in sums.items()}
-
-
-def _outcome(cfg: ExperimentConfig, trial_fn, dump_dir, task):
-    """One (grid, trial) task's outcome; a rank failure is kept as its reason."""
+def _outcome(trial, task):
+    """One (grid, trial) task's outcome ``trial(*task)``; a rank failure is kept as its reason."""
     try:
-        return trial_fn(cfg, *task, dump_dir)
+        return trial(*task)
     except RankAssumptionError as exc:
         return str(exc)
 
 
-def _claim(cfg: ExperimentConfig, trial_fn, dump_dir, tasks, counter) -> list:
+def _claim(trial, tasks, counter) -> list:
     """``(index, outcome)`` of each task this process claims from the shared ``counter``.
 
     Each process takes the next unclaimed task until none is left, so one
@@ -373,7 +399,7 @@ def _claim(cfg: ExperimentConfig, trial_fn, dump_dir, tasks, counter) -> list:
             counter.value = k + 1
         if k >= len(tasks):
             return done
-        done.append((k, _outcome(cfg, trial_fn, dump_dir, tasks[k])))
+        done.append((k, _outcome(trial, tasks[k])))
 
 
 def _blas_threads():
@@ -404,7 +430,7 @@ def _blas_threads():
     return None
 
 
-def _worker(conn, cfg: ExperimentConfig, trial_fn, dump_dir, tasks, counter) -> None:
+def _worker(conn, trial, tasks, counter) -> None:
     """A forked child's body: claim tasks, then send ``(claimed, None)`` or ``(error, traceback)``.
 
     The child ignores SIGINT; the caller terminates it when it is interrupted.
@@ -414,7 +440,7 @@ def _worker(conn, cfg: ExperimentConfig, trial_fn, dump_dir, tasks, counter) -> 
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
-        message = (_claim(cfg, trial_fn, dump_dir, tasks, counter), None)
+        message = (_claim(trial, tasks, counter), None)
     except Exception as exc:
         import traceback
 
@@ -437,7 +463,7 @@ def _receive(proc, conn) -> list:
     return payload
 
 
-def _run_forked(cfg: ExperimentConfig, trial_fn, dump_dir, tasks) -> list:
+def _run_forked(trial, tasks) -> list:
     """Outcomes of ``tasks`` in task order, run by the caller and one forked child per further CPU.
 
     One process per CPU of the affinity mask claims tasks one at a time
@@ -447,9 +473,10 @@ def _run_forked(cfg: ExperimentConfig, trial_fn, dump_dir, tasks) -> list:
     waits for the slowest (paper-scale sim1 on 2 busy vCPUs: 0.466 s a pass
     for fixed shares, 0.401 s claimed, medians of 40).  ``fork``, not
     ``spawn``: a spawned child would import numpy and scipy again before its
-    first trial.  A child inherits the caller's pinned BLAS and its context
-    (the default rank tolerance).  Serial where there is one CPU or no
-    ``fork``.  No child outlives the call, whether it returns or raises.
+    first trial.  A child inherits ``trial``, so nothing is pickled on the way
+    in, and the caller's pinned BLAS and its context (the default rank
+    tolerance).  Serial where there is one CPU or no ``fork``.  No child
+    outlives the call, whether it returns or raises.
     """
     import multiprocessing
 
@@ -459,20 +486,19 @@ def _run_forked(cfg: ExperimentConfig, trial_fn, dump_dir, tasks) -> list:
     except (AttributeError, ValueError):  # no affinity mask, or no fork, on this platform
         workers = 1
     if workers < 2:
-        return [_outcome(cfg, trial_fn, dump_dir, task) for task in tasks]
+        return [_outcome(trial, task) for task in tasks]
     counter = ctx.Value("q", 0)
     children = []
     try:
         for _ in range(workers - 1):
             recv, send = ctx.Pipe(duplex=False)
             proc = ctx.Process(
-                target=_worker, args=(send, cfg, trial_fn, dump_dir, tasks, counter),
-                daemon=True,
+                target=_worker, args=(send, trial, tasks, counter), daemon=True
             )
             proc.start()
             send.close()
             children.append((proc, recv))
-        claimed = _claim(cfg, trial_fn, dump_dir, tasks, counter)
+        claimed = _claim(trial, tasks, counter)
         for proc, recv in children:
             claimed += _receive(proc, recv)
     except BaseException:
@@ -489,8 +515,8 @@ def _run_forked(cfg: ExperimentConfig, trial_fn, dump_dir, tasks) -> list:
     return outcomes
 
 
-def _collect_trials(cfg: ExperimentConfig, trial_fn, dump_dir):
-    """Every (grid, trial) outcome, grouped by grid value in trial order.
+def _collect_trials(cfg: ExperimentConfig, trial):
+    """Every outcome ``trial(gi, ti)`` of ``cfg``'s grid, grouped by grid value in trial order.
 
     numpy's OpenBLAS runs on one thread for the whole trial section, so a
     trial's numbers do not depend on the BLAS thread count, and the forked
@@ -501,13 +527,13 @@ def _collect_trials(cfg: ExperimentConfig, trial_fn, dump_dir):
     tasks = [(gi, ti) for gi in range(len(cfg.grid)) for ti in range(cfg.trials)]
     blas = _blas_threads()
     if blas is None:
-        outcomes = [_outcome(cfg, trial_fn, dump_dir, task) for task in tasks]
+        outcomes = [_outcome(trial, task) for task in tasks]
     else:
         get, put = blas
         saved = get()
         put(1)
         try:
-            outcomes = _run_forked(cfg, trial_fn, dump_dir, tasks)
+            outcomes = _run_forked(trial, tasks)
         finally:
             put(saved)
     return [outcomes[gi * cfg.trials:(gi + 1) * cfg.trials] for gi in range(len(cfg.grid))]
@@ -520,7 +546,7 @@ def _failure_summary(outcomes) -> str:
     return "; ".join(f"{reason} (x{n})" for reason, n in ranked)
 
 
-def _aggregate(cfg: ExperimentConfig, by_cell, estimators) -> ExperimentReport:
+def _aggregate(cfg: ExperimentConfig, by_cell) -> ExperimentReport:
     cells = []
     for gi, outcomes in enumerate(by_cell):
         means = [o for o in outcomes if isinstance(o, dict)]
@@ -530,7 +556,7 @@ def _aggregate(cfg: ExperimentConfig, by_cell, estimators) -> ExperimentReport:
                 f"{failures}/{cfg.trials} trials failed at grid value "
                 f"{cfg.grid[gi]} of {cfg.experiment}: {_failure_summary(outcomes)}"
             )
-        for est in estimators:
+        for est in cfg.estimators:
             vals = np.array([m[est] for m in means])
             se = (
                 float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
@@ -553,9 +579,7 @@ def run_experiment(cfg: ExperimentConfig, dump_dir=None) -> ExperimentReport:
     """Run one experiment to completion; deterministic given the config seed."""
     if dump_dir is not None:
         os.makedirs(dump_dir, exist_ok=True)
-    if cfg.experiment == "ate":
-        return _aggregate(cfg, _collect_trials(cfg, _ate_trial, dump_dir), _ATE_ESTIMATORS)
-    return _aggregate(cfg, _collect_trials(cfg, _sim_trial, dump_dir), cfg.estimators)
+    return _aggregate(cfg, _collect_trials(cfg, functools.partial(_trial, cfg, dump_dir)))
 
 
 # --------------------------------------------------------------------------
@@ -573,24 +597,6 @@ _COLORS = {
     "w": "#9467bd",
 }
 
-_X_LABELS = {
-    "sim1": "sample size n",
-    "sim2": "covariate dimension p",
-    "sim3": "noise standard deviation",
-    "sim4": "intercept magnitude",
-    "ate": "true treatment effect",
-}
-
-
-def _csv_rows(report: ExperimentReport):
-    cfg = report.config
-    for c in report.cells:
-        yield (
-            f"{cfg.experiment},{cfg.model},{c.grid_value!r},{c.estimator},"
-            f"{c.mean_bias!r},{c.std_error!r},{c.trials},{c.draws},{c.failures},"
-            f"{cfg.seed}"
-        )
-
 
 def write_report(reports, out_dir, include_w: bool = False) -> list[str]:
     """Emit ``report.csv`` (plus ``supplementary.csv``) and one SVG per report.
@@ -603,30 +609,27 @@ def write_report(reports, out_dir, include_w: bool = False) -> list[str]:
     if isinstance(reports, ExperimentReport):
         reports = [reports]
     os.makedirs(out_dir, exist_ok=True)
-    main_rows, supp_rows = [], []
+    tables = {"report.csv": [], "supplementary.csv": []}
     for report in reports:
-        for row in _csv_rows(report):
-            is_w = row.split(",")[3] == "w"
-            (supp_rows if (is_w and not include_w) else main_rows).append(row)
+        cfg = report.config
+        for c in report.cells:
+            table = "supplementary.csv" if c.estimator == "w" and not include_w else "report.csv"
+            tables[table].append(
+                f"{cfg.experiment},{cfg.model},{c.grid_value!r},{c.estimator},"
+                f"{c.mean_bias!r},{c.std_error!r},{c.trials},{c.draws},{c.failures},"
+                f"{cfg.seed}\n"
+            )
+    files = {
+        name: _CSV_HEADER + "\n" + "".join(rows)
+        for name, rows in tables.items()
+        if rows or name == "report.csv"
+    }
+    files.update({f"{r.experiment}_{r.model}.svg": _render_svg(r) for r in reports})
     written = []
-    main_path = os.path.join(out_dir, "report.csv")
-    with open(main_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_CSV_HEADER + "\n")
-        fh.writelines(r + "\n" for r in main_rows)
-    written.append(main_path)
-    if supp_rows:
-        supp_path = os.path.join(out_dir, "supplementary.csv")
-        with open(supp_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_CSV_HEADER + "\n")
-            fh.writelines(r + "\n" for r in supp_rows)
-        written.append(supp_path)
-    for report in reports:
-        svg_path = os.path.join(
-            out_dir, f"{report.experiment}_{report.model}.svg"
-        )
-        with open(svg_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_render_svg(report))
-        written.append(svg_path)
+    for name, text in files.items():
+        written.append(os.path.join(out_dir, name))
+        with open(written[-1], "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
     return written
 
 
@@ -635,10 +638,7 @@ def _render_svg(report: ExperimentReport, width: int = 800, height: int = 600) -
     left, right, top, bottom = 75.0, 25.0, 45.0, 65.0
     plot_w, plot_h = width - left - right, height - top - bottom
     grid = sorted({c.grid_value for c in report.cells})
-    estimators = []
-    for c in report.cells:
-        if c.estimator not in estimators:
-            estimators.append(c.estimator)
+    estimators = list(dict.fromkeys(c.estimator for c in report.cells))
     series = {
         est: (
             [report.cell(g, est).mean_bias for g in grid],
@@ -702,7 +702,7 @@ def _render_svg(report: ExperimentReport, width: int = 800, height: int = 600) -
         )
     out.append(
         f'<text x="{left + plot_w / 2:.2f}" y="{height - 15:.2f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{_X_LABELS[report.experiment]}</text>'
+        f'font-family="sans-serif" font-size="14">{_TABLE[report.experiment].label}</text>'
     )
     out.append(
         f'<text x="20" y="{top + plot_h / 2:.2f}" text-anchor="middle" '

@@ -277,6 +277,18 @@ def test_simulate_with_config(tmp_path, capsys):
     assert all(",7" in r for r in rows[1:])  # seed echoed
 
 
+def test_simulate_ate_estimator_subset(tmp_path, capsys):
+    cfg = {"experiment": "ate", "grid": [1.0, 2.0], "trials": 2, "draws_per_trial": 2}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**cfg, "estimators": ["partial"]}))
+    code, _, _ = run_cli(
+        capsys, "simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")
+    )
+    assert code == 0
+    rows = (tmp_path / "out/report.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[3] for r in rows] == ["partial", "partial"]
+
+
 def test_simulate_seed_overrides_config(tmp_path, capsys):
     cfg = {
         "experiment": "sim3",
@@ -336,6 +348,9 @@ def test_simulate_conflicting_selection(tmp_path, capsys):
         {"grid": [[20]]},
         {"estimators": "wc"},
         {"estimators": 5},
+        {"experiment": "sim1", "grid": [20.5]},
+        {"experiment": "sim2", "grid": [100.7]},
+        {"experiment": "ate", "grid": [1.0], "estimators": ["w"]},
     ],
 )
 def test_simulate_bad_config_exits_1(tmp_path, capsys, setting):

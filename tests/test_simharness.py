@@ -1,3 +1,4 @@
+import csv
 import os
 import time
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from pregols import (
+    COVARIATE_MODELS,
     CovariateConfig,
     DesignPartition,
     ExperimentAbortedError,
@@ -70,7 +72,7 @@ def test_aggregation_matches_streaming_recompute():
         mean = {e: 0.0 for e in cfg.estimators}
         m2 = {e: 0.0 for e in cfg.estimators}
         for ti in range(cfg.trials):
-            trial = simharness._sim_trial(cfg, gi, ti)
+            trial = simharness._trial(cfg, None, gi, ti)
             count += 1
             for e in cfg.estimators:
                 delta = trial[e] - mean[e]
@@ -90,8 +92,9 @@ def _close(got, expected):
 
 def _sim_trial_per_draw(cfg, gi, ti):
     """The trial as a loop of single draws and ``estimate`` calls."""
+    assert cfg.experiment == "sim1"  # n from the grid, p = 100, unit noise and intercept
     rng = Seed(cfg.seed).rng(gi * simharness._STREAM_STRIDE + ti)
-    n, p, sigma, beta0 = simharness._sim_parameters(cfg.experiment, cfg.grid[gi])
+    n, p, sigma, beta0 = int(cfg.grid[gi]), 100, 1.0, 1.0
     w = gen_covariates(CovariateConfig(model=cfg.model, n=n, q=p - 1, **cfg.covariate), rng).a
     d = DesignPartition(w, np.ones((n, 1)))
     ops = {est: residual_operator(est, d) for est in cfg.estimators}
@@ -135,8 +138,8 @@ def test_batched_trials_match_per_draw_loop(monkeypatch, block):
     )
     for gi in range(2):
         for ti in range(2):
-            _close(simharness._sim_trial(sim, gi, ti), _sim_trial_per_draw(sim, gi, ti))
-            _close(simharness._ate_trial(ate, gi, ti), _ate_trial_per_draw(ate, gi, ti))
+            _close(simharness._trial(sim, None, gi, ti), _sim_trial_per_draw(sim, gi, ti))
+            _close(simharness._trial(ate, None, gi, ti), _ate_trial_per_draw(ate, gi, ti))
 
 
 @pytest.mark.parametrize("scale", [1.0, 2.5, 0.0])
@@ -178,11 +181,11 @@ def test_each_trial_factors_only_its_small_blocks(monkeypatch):
         sim = tiny_config(experiment="sim1", model=model, grid=(20.0, 60.0), draws_per_trial=2)
         for gi in range(2):
             shapes.clear()
-            simharness._sim_trial(sim, gi, 0)
+            simharness._trial(sim, None, gi, 0)
             assert shapes == [(int(sim.grid[gi]), 1)]
     for gi in range(2):
         shapes.clear()
-        simharness._ate_trial(ate, gi, 0)
+        simharness._trial(ate, None, gi, 0)
         assert shapes == [(n, 2), (n, 2)]
 
 
@@ -193,7 +196,7 @@ def test_standard_normal_trial_factors_w_once(monkeypatch):
     )
     for gi in range(2):
         shapes.clear()
-        simharness._sim_trial(sim, gi, 0)
+        simharness._trial(sim, None, gi, 0)
         n = int(sim.grid[gi])
         assert shapes == [(n, 99), (n, 1)]
 
@@ -202,6 +205,17 @@ def test_ate_reports_full_and_partial():
     cfg = ExperimentConfig(experiment="ate", model="spiked", grid=(2.0,), **TINY)
     rep = run_experiment(cfg)
     assert {c.estimator for c in rep.cells} == {"full", "partial"}
+
+
+@pytest.mark.parametrize("subset", [("partial",), ("full",), ("partial", "full")])
+def test_ate_runs_an_estimator_subset(subset):
+    # each fit's error comes from the same draws whichever fits run, so a
+    # subset's cells equal the full run's, in the order the subset names them
+    both = run_experiment(ExperimentConfig(experiment="ate", grid=(-2.0, 4.0), **TINY))
+    cfg = ExperimentConfig(experiment="ate", grid=(-2.0, 4.0), estimators=subset, **TINY)
+    rep = run_experiment(cfg)
+    assert [c.estimator for c in rep.cells] == list(subset) * 2
+    assert all(c == both.cell(c.grid_value, c.estimator) for c in rep.cells)
 
 
 def test_ate_partial_exact_recovery_boundary():
@@ -237,14 +251,14 @@ def test_abort_on_excess_failures(monkeypatch):
     from pregols.exceptions import RankAssumptionError
 
     cfg = tiny_config(trials=10)
-    real_trial = simharness._sim_trial
+    real_trial = simharness._trial
 
-    def failing(cfg_, gi, ti, dump_dir=None):
+    def failing(cfg_, dump_dir, gi, ti):
         if ti < 3:  # 30% failure rate > 5%, from two distinct causes
             raise RankAssumptionError("synthetic failure A" if ti else "synthetic failure B")
-        return real_trial(cfg_, gi, ti, dump_dir)
+        return real_trial(cfg_, dump_dir, gi, ti)
 
-    monkeypatch.setattr(simharness, "_sim_trial", failing)
+    monkeypatch.setattr(simharness, "_trial", failing)
     with pytest.raises(ExperimentAbortedError) as info:
         run_experiment(cfg)
     # every distinct reason with its count, the most frequent first
@@ -266,6 +280,50 @@ def test_config_validation():
         ExperimentConfig(experiment="sim3", model="spiked", estimators=("ridge",))
     with pytest.raises(InvalidInputError):
         ExperimentConfig(experiment="ate", model="geometric")
+
+
+@pytest.mark.parametrize(
+    "experiment, grid, message",
+    [
+        # a size that is not an integer is refused, not truncated
+        ("sim1", (20.5,), r"sim1 grid values must be sample sizes, integers in \[2, 100\)"),
+        ("sim1", (40.0, 1.0, 99.5), r"got \[1.0, 99.5\]"),
+        ("sim2", (100.7,), "sim2 grid values must be dimensions, integers >= 3, got"),
+        ("sim2", (2.0,), "integers >= 3"),
+        ("sim3", (-1.0,), "sim3 grid values must be noise levels >= 0"),
+    ],
+)
+def test_config_rejects_grid_values_outside_the_experiments_rule(experiment, grid, message):
+    with pytest.raises(InvalidInputError, match=message):
+        ExperimentConfig(experiment=experiment, grid=grid)
+    with pytest.raises(InvalidInputError, match=message):
+        ExperimentConfig.from_dict({"experiment": experiment, "grid": list(grid)})
+
+
+def test_integral_grid_values_are_accepted_as_sizes():
+    assert ExperimentConfig(experiment="sim1", grid=(20, 99.0)).grid == (20.0, 99.0)
+    assert ExperimentConfig(experiment="sim2", grid=(3, 150.0)).grid == (3.0, 150.0)
+
+
+@pytest.mark.parametrize(
+    "experiment, estimators",
+    [
+        ("sim4", ("full", "partial", "w", "wc")),
+        ("ate", ("full", "partial")),
+    ],
+)
+def test_estimators_default_to_the_experiments_own(experiment, estimators):
+    assert ExperimentConfig(experiment=experiment).estimators == estimators
+    assert ExperimentConfig.default(experiment).estimators == estimators
+
+
+@pytest.mark.parametrize("estimators", [("w",), ("wc", "partial"), ()])
+def test_ate_rejects_estimators_it_does_not_have(estimators):
+    message = r"ate estimators must be a nonempty subset of \('full', 'partial'\)"
+    with pytest.raises(InvalidInputError, match=message):
+        ExperimentConfig(experiment="ate", estimators=estimators)
+    with pytest.raises(InvalidInputError, match=message):
+        ExperimentConfig.from_dict({"experiment": "ate", "estimators": list(estimators)})
 
 
 @pytest.mark.parametrize(
@@ -435,7 +493,7 @@ def _cpus():
 def _slow_trial(outcome):
     # workers claim trials as they go, so a trial must take long enough
     # for a forked worker to start before the caller has claimed them all
-    def trial(cfg, gi, ti, dump_dir):
+    def trial(gi, ti):
         time.sleep(0.05)
         return outcome(gi, ti)
 
@@ -455,7 +513,7 @@ def test_trials_see_the_callers_rank_tolerance():
 
     def caller():
         set_default_tolerance(loose)
-        return simharness._collect_trials(tiny_config(trials=8), trial, None)
+        return simharness._collect_trials(tiny_config(trials=8), trial)
 
     outcomes = [o for cell in contextvars.copy_context().run(caller) for o in cell]
     assert [tol for tol, _ in outcomes] == [loose] * 16
@@ -467,13 +525,13 @@ def test_trials_see_the_callers_rank_tolerance():
 def test_outcomes_come_back_in_task_order():
     # 21 tasks, each run by whichever process claims it first
     cfg = tiny_config(trials=7, grid=(1.0, 2.0, 3.0))
-    by_cell = simharness._collect_trials(cfg, _slow_trial(lambda gi, ti: (gi, ti)), None)
+    by_cell = simharness._collect_trials(cfg, _slow_trial(lambda gi, ti: (gi, ti)))
     assert by_cell == [[(gi, ti) for ti in range(7)] for gi in range(3)]
 
 
 def test_without_openblas_every_trial_runs_in_the_caller(monkeypatch):
     monkeypatch.setattr(simharness, "_blas_threads", lambda: None)
-    by_cell = simharness._collect_trials(tiny_config(), lambda *a: os.getpid(), None)
+    by_cell = simharness._collect_trials(tiny_config(), lambda *a: os.getpid())
     assert [pid for cell in by_cell for pid in cell] == [os.getpid()] * 8
 
 
@@ -485,7 +543,7 @@ def test_trials_run_on_one_blas_thread_and_the_count_is_restored():
     saved = get()
     put(2)
     try:
-        by_cell = simharness._collect_trials(tiny_config(), lambda *a: get(), None)
+        by_cell = simharness._collect_trials(tiny_config(), lambda *a: get())
         assert get() == 2
     finally:
         put(saved)
@@ -510,7 +568,7 @@ def test_an_error_in_a_trial_reaches_the_caller_and_no_worker_outlives_it(where,
 
     trial = _slow_trial(fail)
     with pytest.raises(error, match="synthetic failure") as info:
-        simharness._collect_trials(tiny_config(), trial, None)
+        simharness._collect_trials(tiny_config(), trial)
     if where == "worker":
         assert "in trial worker" in str(info.value.__cause__)
     assert multiprocessing.active_children() == []
@@ -530,5 +588,32 @@ def test_a_worker_that_dies_is_reported():
 
     trial = _slow_trial(die)
     with pytest.raises(RuntimeError, match="exited with code 3"):
-        simharness._collect_trials(tiny_config(), trial, None)
+        simharness._collect_trials(tiny_config(), trial)
     assert multiprocessing.active_children() == []
+
+
+# Every experiment x covariate model run at seed 314, desk scale (25 x 25):
+# the mean bias and standard error of each cell, recorded from the
+# per-experiment trial functions that the experiment table replaced.
+_REFERENCE = os.path.join(os.path.dirname(__file__), "seed314_desk_reference.csv")
+
+
+def test_seed_314_desk_runs_match_the_pinned_reference():
+    with open(_REFERENCE, newline="") as fh:
+        want = {
+            (r["experiment"], r["model"], float(r["grid_value"]), r["estimator"]): (
+                float(r["mean_bias"]),
+                float(r["std_error"]),
+            )
+            for r in csv.DictReader(fh)
+        }
+    runs = [(e, m) for e in ("sim1", "sim2", "sim3", "sim4") for m in COVARIATE_MODELS]
+    got = {}
+    for experiment, model in [*runs, ("ate", "spiked")]:
+        rep = run_experiment(ExperimentConfig.default(experiment, model=model, seed=314))
+        for c in rep.cells:
+            got[(experiment, model, c.grid_value, c.estimator)] = (c.mean_bias, c.std_error)
+    assert len(want) == 262 and got.keys() == want.keys()
+    for key, values in want.items():
+        for g, v in zip(got[key], values):
+            assert abs(g - v) <= 1e-12 * (1.0 + abs(v)), key
