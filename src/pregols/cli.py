@@ -11,6 +11,7 @@ import argparse
 import contextvars
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -84,30 +85,13 @@ def _cmd_cochran(args) -> int:
         read_matrix_csv(args.z), read_matrix_csv(args.u), read_matrix_csv(args.t)
     )
     gaps, ovb = _cochran_report(design, _read_vector(args.y))
-    payload = {
-        "image_gap": gaps.image_gap,
-        "coeff_gap": gaps.coeff_gap,
-        "ovb": None,
-    }
-    if ovb is not None:
-        payload["ovb"] = {
-            "tau_long_d": ovb.tau_long_d,
-            "tau_short_d": ovb.tau_short_d,
-            "bias": ovb.bias,
-            "impact": list(ovb.impact),
-            "imbalance": list(ovb.imbalance),
-        }
-    print(json.dumps(payload, indent=2))
+    _print_json({**gaps._asdict(), "ovb": None if ovb is None else asdict(ovb)})
     return 0
 
 
-def _report_payload(report) -> dict:
-    return {
-        "estimator_id": report.estimator_id,
-        "estimate": report.estimate,
-        "denominator": report.denominator,
-        "expected_bias": report.expected_bias,
-    }
+def _print_json(payload) -> None:
+    """The records' fields in order; ndarray fields (the OVB vectors) print as lists."""
+    print(json.dumps(payload, indent=2, default=list))
 
 
 def _cmd_variance(args) -> int:
@@ -122,22 +106,22 @@ def _cmd_variance(args) -> int:
         truth = GaussMarkovTruth(beta=_read_vector(args.truth), sigma2=args.sigma2)
         mean = truth.mean_response(part.stacked())
     ests = ESTIMATOR_IDS if args.estimator == "all" else (args.estimator,)
-    payload = [_report_payload(residual_operator(e, part).report(y, mean)) for e in ests]
-    print(json.dumps(payload if args.estimator == "all" else payload[0], indent=2))
+    payload = [asdict(residual_operator(e, part).report(y, mean)) for e in ests]
+    _print_json(payload if args.estimator == "all" else payload[0])
     return 0
 
 
 def _cmd_simulate(args) -> int:
     if args.config is not None:
-        if args.experiment is not None or args.model is not None:
-            raise InvalidInputError("--config replaces --experiment/--model")
+        if args.experiment is not None or args.model is not None or args.paper_scale:
+            raise InvalidInputError("--config replaces --experiment/--model/--paper-scale")
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise InvalidInputError(f"could not parse {args.config}: {exc}") from exc
-        if args.seed is not None:
-            data["seed"] = args.seed
+        if args.seed is not None and isinstance(data, dict):
+            data["seed"] = args.seed  # from_dict refuses any other document
         cfg = ExperimentConfig.from_dict(data)
     else:
         if args.experiment is None or args.model is None:

@@ -590,6 +590,7 @@ _CSV_HEADER = (
     "experiment,model,grid_value,estimator,mean_bias,std_error,trials,draws,failures,seed"
 )
 
+_WIDTH, _HEIGHT = 800, 600
 _COLORS = {
     "full": "#d62728",
     "partial": "#2ca02c",
@@ -608,6 +609,9 @@ def write_report(reports, out_dir, include_w: bool = False) -> list[str]:
     """
     if isinstance(reports, ExperimentReport):
         reports = [reports]
+    charts = [f"{r.experiment}_{r.model}.svg" for r in reports]
+    if len(set(charts)) < len(charts):
+        raise InvalidInputError(f"two reports would write the same chart, in {charts}")
     os.makedirs(out_dir, exist_ok=True)
     tables = {"report.csv": [], "supplementary.csv": []}
     for report in reports:
@@ -624,7 +628,7 @@ def write_report(reports, out_dir, include_w: bool = False) -> list[str]:
         for name, rows in tables.items()
         if rows or name == "report.csv"
     }
-    files.update({f"{r.experiment}_{r.model}.svg": _render_svg(r) for r in reports})
+    files.update({name: _render_svg(r) for name, r in zip(charts, reports)})
     written = []
     for name, text in files.items():
         written.append(os.path.join(out_dir, name))
@@ -633,21 +637,34 @@ def write_report(reports, out_dir, include_w: bool = False) -> list[str]:
     return written
 
 
-def _render_svg(report: ExperimentReport, width: int = 800, height: int = 600) -> str:
+def _line(x1, y1, x2, y2, stroke="black", extra="") -> str:
+    return f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" stroke="{stroke}"{extra}/>'
+
+
+def _text(x, y, body, size, anchor="middle") -> str:
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return (
+        f'<text x="{x:.2f}" y="{y:.2f}"{anchor} font-family="sans-serif" '
+        f'font-size="{size}">{body}</text>'
+    )
+
+
+def _points(xys) -> str:
+    return " ".join(f"{x:.2f},{y:.2f}" for x, y in xys)
+
+
+def _render_svg(report: ExperimentReport) -> str:
     """Static line chart with shaded +/- one-standard-error bands."""
     left, right, top, bottom = 75.0, 25.0, 45.0, 65.0
-    plot_w, plot_h = width - left - right, height - top - bottom
+    plot_w, plot_h = _WIDTH - left - right, _HEIGHT - top - bottom
     grid = sorted({c.grid_value for c in report.cells})
     estimators = list(dict.fromkeys(c.estimator for c in report.cells))
     series = {
-        est: (
-            [report.cell(g, est).mean_bias for g in grid],
-            [report.cell(g, est).std_error for g in grid],
-        )
+        est: [(g, report.cell(g, est).mean_bias, report.cell(g, est).std_error) for g in grid]
         for est in estimators
     }
-    lo = min(min(m - s for m, s in zip(*sv)) for sv in series.values())
-    hi = max(max(m + s for m, s in zip(*sv)) for sv in series.values())
+    lo = min(min(m - s for _, m, s in rows) for rows in series.values())
+    hi = max(max(m + s for _, m, s in rows) for rows in series.values())
     lo, hi = min(lo, 0.0), max(hi, 0.0)
     pad = 0.05 * (hi - lo) or 1.0
     lo, hi = lo - pad, hi + pad
@@ -661,76 +678,46 @@ def _render_svg(report: ExperimentReport, width: int = 800, height: int = 600) -
         return top + (hi - v) / (hi - lo) * plot_h
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.2f}" y="25" text-anchor="middle" font-family="sans-serif" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<text x="{_WIDTH / 2:.2f}" y="25" text-anchor="middle" font-family="sans-serif" '
         f'font-size="16">{report.experiment} bias profile ({report.model} model)</text>',
+        _line(left, top + plot_h, left + plot_w, top + plot_h),  # axes
+        _line(left, top, left, top + plot_h),
     ]
-    # axes
-    out.append(
-        f'<line x1="{left:.2f}" y1="{top + plot_h:.2f}" x2="{left + plot_w:.2f}" '
-        f'y2="{top + plot_h:.2f}" stroke="black"/>'
-    )
-    out.append(
-        f'<line x1="{left:.2f}" y1="{top:.2f}" x2="{left:.2f}" '
-        f'y2="{top + plot_h:.2f}" stroke="black"/>'
-    )
     if lo < 0.0 < hi:
-        out.append(
-            f'<line x1="{left:.2f}" y1="{sy(0):.2f}" x2="{left + plot_w:.2f}" '
-            f'y2="{sy(0):.2f}" stroke="#bbbbbb" stroke-dasharray="4,3"/>'
-        )
+        out.append(_line(left, sy(0), left + plot_w, sy(0), "#bbbbbb", ' stroke-dasharray="4,3"'))
     for g in grid:
-        out.append(
-            f'<line x1="{sx(g):.2f}" y1="{top + plot_h:.2f}" x2="{sx(g):.2f}" '
-            f'y2="{top + plot_h + 5:.2f}" stroke="black"/>'
-        )
-        out.append(
-            f'<text x="{sx(g):.2f}" y="{top + plot_h + 20:.2f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{g:g}</text>'
-        )
+        out += [
+            _line(sx(g), top + plot_h, sx(g), top + plot_h + 5),
+            _text(sx(g), top + plot_h + 20, f"{g:g}", 12),
+        ]
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         v = lo + frac * (hi - lo)
-        out.append(
-            f'<line x1="{left - 5:.2f}" y1="{sy(v):.2f}" x2="{left:.2f}" '
-            f'y2="{sy(v):.2f}" stroke="black"/>'
-        )
-        out.append(
-            f'<text x="{left - 9:.2f}" y="{sy(v) + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="12">{v:.3g}</text>'
-        )
-    out.append(
-        f'<text x="{left + plot_w / 2:.2f}" y="{height - 15:.2f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{_TABLE[report.experiment].label}</text>'
-    )
-    out.append(
+        out += [
+            _line(left - 5, sy(v), left, sy(v)),
+            _text(left - 9, sy(v) + 4, f"{v:.3g}", 12, "end"),
+        ]
+    out += [
+        _text(left + plot_w / 2, _HEIGHT - 15, _TABLE[report.experiment].label, 14),
         f'<text x="20" y="{top + plot_h / 2:.2f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14" '
-        f'transform="rotate(-90 20 {top + plot_h / 2:.2f})">mean bias</text>'
-    )
-    for est in estimators:
-        means, ses = series[est]
+        f'transform="rotate(-90 20 {top + plot_h / 2:.2f})">mean bias</text>',
+    ]
+    legend, lx = [], left + plot_w - 130
+    for idx, (est, rows) in enumerate(series.items()):
         color = _COLORS.get(est, "#333333")
-        band = [(sx(g), sy(m + s)) for g, m, s in zip(grid, means, ses)]
-        band += [(sx(g), sy(m - s)) for g, m, s in zip(reversed(grid), reversed(means), reversed(ses))]
-        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in band)
-        out.append(f'<polygon points="{pts}" fill="{color}" fill-opacity="0.18"/>')
-        pts = " ".join(f"{sx(g):.2f},{sy(m):.2f}" for g, m in zip(grid, means))
-        out.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="2"/>'
-        )
-    for idx, est in enumerate(estimators):
-        color = _COLORS.get(est, "#333333")
+        band = [(sx(g), sy(m + s)) for g, m, s in rows]
+        band += [(sx(g), sy(m - s)) for g, m, s in rows[::-1]]
+        out += [
+            f'<polygon points="{_points(band)}" fill="{color}" fill-opacity="0.18"/>',
+            f'<polyline points="{_points((sx(g), sy(m)) for g, m, _ in rows)}" fill="none" '
+            f'stroke="{color}" stroke-width="2"/>',
+        ]
         ly = top + 12 + 18 * idx
-        lx = left + plot_w - 130
-        out.append(
-            f'<line x1="{lx:.2f}" y1="{ly:.2f}" x2="{lx + 24:.2f}" y2="{ly:.2f}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        out.append(
-            f'<text x="{lx + 30:.2f}" y="{ly + 4:.2f}" font-family="sans-serif" '
-            f'font-size="12">{est}</text>'
-        )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+        legend += [
+            _line(lx, ly, lx + 24, ly, color, ' stroke-width="2"'),
+            _text(lx + 30, ly + 4, est, 12, anchor=None),
+        ]
+    return "\n".join([*out, *legend, "</svg>"]) + "\n"

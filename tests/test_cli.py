@@ -166,8 +166,10 @@ def test_cochran_json(wide_files, capsys):
     payload = json.loads(out)
     assert payload["image_gap"] <= 1e-8
     assert payload["coeff_gap"] <= 1e-8
+    assert list(payload) == ["image_gap", "coeff_gap", "ovb"]
     ovb = payload["ovb"]
     assert ovb is not None
+    assert list(ovb) == ["tau_long_d", "tau_short_d", "bias", "impact", "imbalance"]
     assert abs(ovb["bias"] - (ovb["tau_short_d"] - ovb["tau_long_d"])) <= 1e-12
     assert abs(ovb["bias"] - np.dot(ovb["imbalance"], ovb["impact"])) <= 1e-8
 
@@ -218,6 +220,7 @@ def test_variance_all_estimators(wide_files, capsys):
     reports = json.loads(out)
     assert [r["estimator_id"] for r in reports] == ["full", "partial", "w", "wc"]
     for r in reports:
+        assert list(r) == ["estimator_id", "estimate", "denominator", "expected_bias"]
         assert r["estimate"] >= 0.0
         assert r["denominator"] > 0.0
         assert r["expected_bias"] is None
@@ -312,17 +315,24 @@ def test_simulate_seed_overrides_config(tmp_path, capsys):
     assert rows[1].rstrip().endswith(",11")
 
 
-def test_simulate_conflicting_selection(tmp_path, capsys):
+@pytest.mark.parametrize("selection", ["--experiment sim3", "--model spiked", "--paper-scale"])
+def test_simulate_conflicting_selection(tmp_path, capsys, selection):
+    # a config that runs on its own, so only the refusal can exit 1
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text("{}")
-    code, _, err = run_cli(
+    cfg_path.write_text(json.dumps(
+        {"experiment": "ate", "grid": [1.0, 2.0], "trials": 2, "draws_per_trial": 2}
+    ))
+    code, out, err = run_cli(
         capsys,
         "simulate",
         "--config", str(cfg_path),
-        "--experiment", "sim3",
+        *selection.split(),
         "--out", str(tmp_path / "out"),
     )
     assert code == 1
+    assert out == ""
+    assert err == "pregols: --config replaces --experiment/--model/--paper-scale\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -363,6 +373,40 @@ def test_simulate_bad_config_exits_1(tmp_path, capsys, setting):
     assert code == 1
     assert out == ""
     assert err.startswith("pregols: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("document", ["[1, 2]", '"sim1"'])
+def test_simulate_seed_with_a_config_that_is_not_an_object_exits_1(tmp_path, capsys, document):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(document)
+    code, out, err = run_cli(
+        capsys, "simulate", "--config", str(cfg_path), "--seed", "5",
+        "--out", str(tmp_path / "out"),
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "pregols: config document must be a JSON object\n"
+
+
+def test_simulate_needs_a_model(tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys, "simulate", "--experiment", "sim1", "--out", str(tmp_path / "out")
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "pregols: simulate needs --experiment and --model (or --config)\n"
+
+
+def test_simulate_config_that_is_not_json_exits_1(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text("{experiment: sim1")
+    code, out, err = run_cli(
+        capsys, "simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"pregols: could not parse {cfg_path}: ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 

@@ -276,6 +276,8 @@ def test_config_validation():
         ExperimentConfig(experiment="sim1", model="spiked", grid=(100.0,))
     with pytest.raises(InvalidInputError):
         ExperimentConfig(experiment="sim3", model="spiked", trials=0)
+    with pytest.raises(InvalidInputError, match="trials must be <= 1048576"):
+        ExperimentConfig(experiment="sim3", model="spiked", trials=2**20 + 1)
     with pytest.raises(InvalidInputError):
         ExperimentConfig(experiment="sim3", model="spiked", estimators=("ridge",))
     with pytest.raises(InvalidInputError):
@@ -426,6 +428,19 @@ def test_config_from_dict_rejects_unknown_keys():
         ExperimentConfig.from_dict({"experiment": "sim3", "bogus": 1})
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([1, 2], "config document must be a JSON object"),
+        ("sim1", "config document must be a JSON object"),
+        ({"model": "spiked"}, "config must name an experiment"),
+    ],
+)
+def test_config_from_dict_rejects_a_document_it_cannot_read(data, message):
+    with pytest.raises(InvalidInputError, match=message):
+        ExperimentConfig.from_dict(data)
+
+
 # ----------------------------------------------------------------- reports
 
 
@@ -465,6 +480,13 @@ def test_write_report_byte_identical(tmp_path):
     ).read_bytes()
 
 
+def test_write_report_refuses_two_reports_of_one_chart(tmp_path):
+    a, b = (run_experiment(tiny_config(seed=seed, trials=2)) for seed in (1, 2))
+    with pytest.raises(InvalidInputError, match="sim3_spiked.svg"):
+        write_report([a, b], tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_svg_structure(tmp_path):
     cfg = tiny_config()
     rep = run_experiment(cfg)
@@ -474,6 +496,30 @@ def test_svg_structure(tmp_path):
     assert 'width="800" height="600"' in svg
     assert "polyline" in svg and "polygon" in svg
     assert "mean bias" in svg and "noise standard deviation" in svg
+
+
+_SVG_REFERENCE = os.path.join(os.path.dirname(__file__), "render_svg_reference.svg")
+
+
+def test_svg_bytes_match_the_pinned_chart():
+    # hand-built cells, so no BLAS rounding reaches the chart; the bands lie on
+    # both sides of 0, so the dashed zero line is drawn too
+    series = {
+        "full": ([0.5, 0.75, 1.25], [0.1, 0.05, 0.2]),
+        "partial": ([0.125, -0.0625, 0.25], [0.03125, 0.125, 0.0]),
+        "wc": ([-0.25, -0.5, -0.375], [0.0625, 0.1, 0.15]),
+        "w": ([2.0, 1.5, 3.0], [0.5, 0.25, 0.75]),
+    }
+    grid = (1.0, 2.0, 5.0)
+    cfg = ExperimentConfig(experiment="sim3", model="geometric", grid=grid, **TINY)
+    cells = tuple(
+        simharness.CellResult(g, est, m, s, trials=4, draws=3, failures=0)
+        for est, (means, ses) in series.items()
+        for g, m, s in zip(grid, means, ses)
+    )
+    svg = simharness._render_svg(simharness.ExperimentReport(config=cfg, cells=cells))
+    with open(_SVG_REFERENCE, "rb") as fh:
+        assert svg.encode() == fh.read()
 
 
 def test_dump_dir_writes_covariates(tmp_path):
