@@ -13,20 +13,23 @@ Three covariate models, all n x q with q >= n and full row rank:
 * ``standard_normal`` — i.i.d. unit Gaussians;
 * ``spiked`` — ``W = U Sigma^{1/2}`` with Haar-like orthonormal rows ``U`` and
   ``Sigma = sigma_x^2 (I + sum_l lambda_l v_l v_l^T)``: isotropic plus a few
-  large random spikes.  The symmetric root ``Sigma^{1/2}`` is built from the
-  r x r spike block (r = min(q, k)), never from a q x q eigendecomposition;
+  large random spikes.  The symmetric root ``Sigma^{1/2}`` is ``sigma_x I``
+  plus a rank-r term (r = min(q, k)) from an r x r spike block, and the
+  draw applies it to ``U`` as that update: no q x q matrix is formed;
 * ``geometric`` — a random matrix whose singular values are exactly
   ``lambda * rho^{l/2}``, synthesized as an SVD with Haar-like factors.
 
 :func:`gen_covariates` returns each draw as its thin
 :class:`~pregols.linalg.Svd`.  The spiked and geometric draws are born
-factored: the geometric synthesis is its SVD, and a spiked ``W`` has
-``W W^T = sigma_x^2 (I_n + K E K^T)`` with ``K = U_h C`` (n x r, ``U_h``
-the Haar-like rows, ``C`` the orthonormal spike directions) and ``E >= 0``,
-so a complete QR of ``K`` and an r x r eigenproblem give the left factor
-and the singular values, and ``V^T = S^{-1} U^T W`` is one product.  No
-SVD of ``W`` is taken for them; the standard normal model, which has no
-such structure, factors ``W`` once.
+factored: the geometric synthesis gives its left factor and singular
+values, and a spiked ``W`` has ``W W^T = sigma_x^2 (I_n + K E K^T)`` with
+``K = U_h C`` (n x r, ``U_h`` the Haar-like rows, ``C`` the orthonormal
+spike directions) and ``E >= 0``, so a complete QR of ``K`` and an r x r
+eigenproblem give the left factor and the singular values.  For both,
+``V^T = S^{-1} U^T W`` is one product, formed only if something reads it
+(:attr:`~pregols.linalg.Svd.vt`; a simulate trial never does).  No SVD of
+``W`` is taken for them; the standard normal model, which has no such
+structure, factors ``W`` once.
 """
 
 from __future__ import annotations
@@ -202,7 +205,7 @@ class CovariateConfig:
 
 
 def _spiked_covariance(cfg: CovariateConfig, rng: np.random.Generator):
-    """``(root, C, A)``: the root of the spiked covariance and its r x r spike block.
+    """``(C, A)``: the r x r spike block of the spiked covariance.
 
     With the thin QR ``V = B R`` (``B`` q x r orthonormal, r = min(q, k)),
     ``I + V Lambda V^T = (I - B B^T) + B (I_r + R Lambda R^T) B^T``.  ``A``
@@ -210,23 +213,21 @@ def _spiked_covariance(cfg: CovariateConfig, rng: np.random.Generator):
     ``C = B Z`` its eigenvectors, so ``C`` has orthonormal columns,
     ``Sigma = sigma_x^2 (I + C (diag(A) - I) C^T)`` and its unique symmetric
     root is ``sigma_x (I + C (diag(A)^{1/2} - I) C^T)``: an r x r
-    eigenproblem and O(q k^2 + q^2 k) work, no q x q factorization.
+    eigenproblem and O(q k^2) work.  The root itself is never formed
+    (:func:`_draw_covariates` applies it as a rank-r update).
     """
     lo, hi = cfg.lambda_range
     k = cfg.k_spikes
-    root = np.eye(cfg.q)
-    c, evals = np.zeros((cfg.q, 0)), np.zeros(0)
-    if k > 0:
-        lams = lo + (hi - lo) * rng.random(k)
-        v = standard_normal(rng, (cfg.q, k))
-        v = v / np.linalg.norm(v, axis=0)
-        b, r = np.linalg.qr(v)
-        evals, evecs = np.linalg.eigh(np.eye(b.shape[1]) + (r * lams) @ r.T)
-        if np.any(evals <= 0.0):
-            raise RankAssumptionError("spiked covariance is not positive definite")
-        c = b @ evecs
-        root += (c * (np.sqrt(evals) - 1.0)) @ c.T
-    return cfg.sigma_x * root, c, evals
+    if k == 0:
+        return np.zeros((cfg.q, 0)), np.zeros(0)
+    lams = lo + (hi - lo) * rng.random(k)
+    v = standard_normal(rng, (cfg.q, k))
+    v = v / np.linalg.norm(v, axis=0)
+    b, r = np.linalg.qr(v)
+    evals, evecs = np.linalg.eigh(np.eye(b.shape[1]) + (r * lams) @ r.T)
+    if np.any(evals <= 0.0):
+        raise RankAssumptionError("spiked covariance is not positive definite")
+    return b @ evecs, evals
 
 
 def _spiked_left_factors(k: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -255,20 +256,23 @@ def _draw_covariates(cfg: CovariateConfig, rng: np.random.Generator) -> Svd:
     if cfg.model == "standard_normal":
         return Svd(standard_normal(rng, (cfg.n, cfg.q)))
     if cfg.model == "spiked":
-        # W = U_h Sigma^{1/2} and W W^T = sigma_x^2 (I_n + K E K^T) with
-        # K = U_h C and E = diag(A) - I >= 0; then V^T = S^{-1} U^T W
-        root, c, evals = _spiked_covariance(cfg, rng)
+        # W = U_h Sigma^{1/2} = sigma_x (U_h + (K (A^{1/2} - 1)) C^T) with
+        # K = U_h C, no q x q root formed; W W^T = sigma_x^2 (I_n + K E K^T)
+        # with E = diag(A) - I >= 0, and V^T = S^{-1} U^T W is left to Svd.vt
+        c, evals = _spiked_covariance(cfg, rng)
         uh = orthonormal_rows(cfg.n, cfg.q, rng)
-        w = uh @ root
-        u, d = _spiked_left_factors(uh @ c, evals - 1.0)
-        s = cfg.sigma_x * np.sqrt(d)
-        return Svd.from_factors(w, u, s, (u.T @ w) / s[:, None])
+        k = uh @ c
+        w = (k * (np.sqrt(evals) - 1.0)) @ c.T
+        w += uh
+        w *= cfg.sigma_x
+        u, d = _spiked_left_factors(k, evals - 1.0)
+        return Svd.from_factors(w, u, cfg.sigma_x * np.sqrt(d))
     # geometric: exact SVD synthesis, so the top-n singular values are
     # lambda * rho^{l/2} by construction rather than approximately.
     svals = cfg.lambda_geo * cfg.rho ** (np.arange(1, cfg.n + 1) / 2.0)
     left = orthonormal_rows(cfg.n, cfg.n, rng)
     right = orthonormal_rows(cfg.n, cfg.q, rng)
-    return Svd.from_factors((left * svals) @ right, left, svals, right)
+    return Svd.from_factors((left * svals) @ right, left, svals)
 
 
 def gen_covariates(cfg: CovariateConfig, rng: np.random.Generator) -> Svd:

@@ -129,48 +129,56 @@ class Svd:
     accepts an ``Svd`` of ``W`` or ``T``).  An empty matrix has empty factors.
     """
 
-    __slots__ = ("a", "shape", "u", "s", "vt")
+    __slots__ = ("a", "shape", "u", "s", "_vt")
 
     def __init__(self, a: np.ndarray):
         self.a = a
         self.shape = a.shape
         if a.size == 0:
             self.u, self.s = np.zeros((a.shape[0], 0)), np.zeros(0)
-            self.vt = np.zeros((0, a.shape[1]))
+            self._vt = np.zeros((0, a.shape[1]))
         else:
-            self.u, self.s, self.vt = np.linalg.svd(a, full_matrices=False)
+            self.u, self.s, self._vt = np.linalg.svd(a, full_matrices=False)
 
     @classmethod
-    def from_factors(cls, a: np.ndarray, u: np.ndarray, s: np.ndarray,
-                     vt: np.ndarray) -> "Svd":
-        """An ``Svd`` of ``a`` from factors known by construction, with ``s`` descending.
+    def from_factors(cls, a: np.ndarray, u: np.ndarray, s: np.ndarray) -> "Svd":
+        """An ``Svd`` of ``a`` from its left factor and singular values, known by construction.
 
         Nothing is factored or checked: the caller guarantees
-        ``a = u diag(s) vt`` with orthonormal columns in ``u``, orthonormal
-        rows in ``vt`` and ``s`` in descending order, as :meth:`rank` reads
-        ``s[0]`` as the largest singular value.
+        ``a = u diag(s) vt`` for some ``vt`` with orthonormal rows, with
+        orthonormal columns in ``u`` and ``s`` positive and descending, as
+        :meth:`rank` reads ``s[0]`` as the largest singular value.  ``vt``
+        is then ``S^{-1} U^T a``, built on first read (:attr:`vt`).
         """
         self = object.__new__(cls)
         self.a, self.shape = a, a.shape
-        self.u, self.s, self.vt = u, s, vt
+        self.u, self.s, self._vt = u, s, None
         return self
 
+    @property
+    def vt(self) -> np.ndarray:
+        """The right factor ``V^T``, kept once built.  :meth:`rank`,
+        :meth:`gram_inverse` and :meth:`projector` never read it."""
+        if self._vt is None:
+            self._vt = (self.u.T @ self.a) / self.s[:, None]
+        return self._vt
+
     def kept(self, tol: RankTolerance | None = None):
-        """The singular triplets above the cutoff, ``(u_r, s_r, vt_r)``."""
+        """The left factor and singular values above the cutoff, ``(u_r, s_r)``."""
         r = self.rank(tol)
-        return self.u[:, :r], self.s[:r], self.vt[:r]
+        return self.u[:, :r], self.s[:r]
 
     def rank(self, tol: RankTolerance | None = None) -> int:
         return _rank(self.s, self.shape, tol)
 
     def pinv(self, tol: RankTolerance | None = None) -> np.ndarray:
-        u, s, vt = self.kept(tol)
-        return (vt.T / s) @ u.T
+        u, s = self.kept(tol)
+        return (self.vt[:s.size].T / s) @ u.T
 
     def gram_inverse(self, tol: RankTolerance | None = None) -> np.ndarray:
         """``(A A^T)^+ = U diag(s^-2) U^T`` from the factors of ``A``, keeping every
         direction :meth:`rank` counts; forming ``A A^T`` would square cond(A)."""
-        u, s, _ = self.kept(tol)
+        u, s = self.kept(tol)
         return (u / s**2) @ u.T
 
     def projector(self, tol: RankTolerance | None = None) -> np.ndarray:

@@ -19,7 +19,8 @@ estimator    R
 ===========  ==========================================================
 ``full``     ``[diag(G_X)]^{-1} G_X`` (leave-one-out residual map, X unsplit)
 ``partial``  rows ``e_i^T [diag(G_W)]^{-1} G_W (I - H_i)`` (split LOO map)
-``w``        ``P_T``, projection onto colsp(T); normalizer rank(T)
+``w``        ``U_T^T`` (m x n), equal to ``P_T``, the projection onto
+             colsp(T), up to a left isometry; normalizer rank(T)
 ``wc``       ``F^T``, equal to ``P_B^perp W^+`` (``B = W^+ T``) up to a
              left isometry
 ===========  ==========================================================
@@ -177,13 +178,17 @@ def w_operator(d: DesignPartition) -> ResidualOperator:
     """In-sample residual map from the penalized-block formulation.
 
     Regressing ``y`` (not its projection) on the projected penalized block
-    leaves the nontrivial residual ``P_T y``; the normalizer is rank(T),
-    the ``m`` the partition validated, which equals ``||P_T||_F^2`` exactly.
+    leaves the nontrivial residual ``P_T y``.  ``P_T = U_T U_T^T`` with
+    ``U_T`` the kept left factor of ``T`` and ``||P_T y|| = ||U_T^T y||``,
+    so the map is the m x n ``U_T^T``; the normalizer is rank(T), the ``m``
+    the partition validated, which equals ``||P_T||_F^2`` exactly.
     With ``T`` a lone intercept column the bias is
     ``(sum_i w_i . beta_W + n beta_0)^2 / n``, which grows with the sample
     mean of the signal; expect it to dominate the other three.
     """
-    return ResidualOperator("w", d.t_svd.projector(d.tol), float(d.m))
+    r = d.t_svd.u.T.view()
+    r.setflags(write=False)  # the partition's own factor, as for wc
+    return ResidualOperator("w", r, float(d.m))
 
 
 def wc_operator(d: DesignPartition) -> ResidualOperator:

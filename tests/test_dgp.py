@@ -9,6 +9,8 @@ from pregols import (
     GaussMarkovTruth,
     InvalidInputError,
     Seed,
+    Svd,
+    fit_partial,
     gen_ate_dataset,
     gen_ate_design,
     gen_covariates,
@@ -129,9 +131,13 @@ _ROOT_CASES = {
 
 
 def _assert_root_matches_oracle(cfg, seed):
-    got = dgp_module._spiked_covariance(cfg, Seed(seed).rng(0))[0]
-    want = spiked_root_eigh(cfg, Seed(seed).rng(0))
-    scale = np.linalg.norm(want, 2)
+    # the root is never formed: the drawn W = U_h Sigma^{1/2} is held to the
+    # rows U_h times the dense root, both drawn from one stream in order
+    got = dgp_module._draw_covariates(cfg, Seed(seed).rng(0)).a
+    ref_rng = Seed(seed).rng(0)
+    root = spiked_root_eigh(cfg, ref_rng)
+    want = orthonormal_rows(cfg.n, cfg.q, ref_rng) @ root
+    scale = np.linalg.norm(root, 2)
     assert np.linalg.norm(got - want, 2) <= 10 * cfg.q * np.finfo(float).eps * scale
 
 
@@ -144,7 +150,7 @@ def test_spiked_root_matches_eigh_oracle(case):
 
 def test_spiked_root_with_repeated_spike_direction(monkeypatch):
     # two equal columns of V make R singular; A = I + R Lambda R^T stays
-    # positive definite and the root still matches the dense one
+    # positive definite and the draw still matches the dense root's
     real = dgp_module.standard_normal
     repeats = []
 
@@ -207,8 +213,9 @@ def test_covariates_are_born_factored(case):
 @pytest.mark.parametrize("n", [20, 60, 80, 99])
 def test_factored_partition_matches_the_dense_svd_partition(model, n):
     # every operator and W^+ from the built factors equal those from an SVD
-    # of W; the wc map is compared through R^T R, since F^T is defined up to
-    # a left isometry (the spiked model repeats sigma_x n - k times)
+    # of W; the w and wc maps are compared through R^T R, since U_T^T is
+    # defined up to signs and F^T up to a left isometry (the spiked model
+    # repeats sigma_x n - k times)
     cfg = CovariateConfig(model=model, n=n, q=99)
     for seed in range(3):
         rng = Seed(seed).rng(n)
@@ -221,10 +228,32 @@ def test_factored_partition_matches_the_dense_svd_partition(model, n):
             got, want = residual_operator(est, built), residual_operator(est, dense)
             pairs.append((got.matrix.T @ got.matrix, want.matrix.T @ want.matrix))
             pairs.append((np.array(got.denominator), np.array(want.denominator)))
-            if est != "wc":
+            if est not in ("w", "wc"):
                 pairs.append((got.matrix, want.matrix))
         for got, want in pairs:
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("model", ["spiked", "geometric"])
+@pytest.mark.parametrize("n", [20, 80])
+def test_fit_on_the_built_factors_matches_the_fit_on_a_dense_svd(model, n):
+    # a born-factored draw, whose V^T = S^-1 U^T W is built when the fit
+    # first reads it, fits as the SVD of W does: lambda to the fit's own
+    # 8.8 n cond(W) eps (fit_partial), tau to the cond(W)^2 eps its problem
+    # carries, on the treatment model's response
+    cfg = CovariateConfig(model=model, n=n, q=99)
+    eps = np.finfo(float).eps
+    for seed in range(3):
+        rng = Seed(seed).rng(n)
+        f = gen_covariates(cfg, rng)
+        t = np.column_stack([rng.random(n) < 0.5, np.ones(n)]).astype(float)
+        y = f.a @ np.full(99, 101**-0.5) + t @ [2.0, 1.0] + standard_normal(rng, n)
+        got = fit_partial(DesignPartition(f, t), y)
+        want = fit_partial(DesignPartition(Svd(f.a), t), y)
+        cond = f.s[0] / f.s[-1]
+        for g, w, c in ((got.lambda_hat, want.lambda_hat, cond),
+                        (got.tau_hat, want.tau_hat, cond**2)):
+            assert np.linalg.norm(g - w) <= 10 * n * c * eps * np.linalg.norm(w)
 
 
 def test_geometric_singular_values_exact():

@@ -195,3 +195,17 @@ def test_matrix_csv_malformed(tmp_path):
         path.write_bytes(content)
         with pytest.raises(InvalidInputError):
             read_matrix_csv(path)
+
+
+def test_from_factors_builds_vt_on_first_read():
+    # vt is S^-1 U^T a, bit for bit, built once and kept; the rank, the
+    # inverse Gram and the projector read u and s alone and never build it
+    rng = np.random.default_rng(11)
+    u = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    s = np.array([5.0, 4.0, 3.0, 2.0, 1.5, 1.0])
+    a = (u * s) @ np.linalg.qr(rng.standard_normal((9, 6)))[0].T
+    f = Svd.from_factors(a, u, s)
+    f.rank(), f.gram_inverse(), f.projector()
+    assert f._vt is None
+    assert np.array_equal(f.vt, (u.T @ a) / s[:, None])
+    assert f.vt is f.vt

@@ -13,6 +13,7 @@ from pregols import (
     ExperimentConfig,
     InvalidInputError,
     Seed,
+    fit_partial,
     gen_ate_design,
     gen_covariates,
     pinv,
@@ -199,6 +200,34 @@ def test_standard_normal_trial_factors_w_once(monkeypatch):
         simharness._trial(sim, None, gi, 0)
         n = int(sim.grid[gi])
         assert shapes == [(n, 99), (n, 1)]
+
+
+def test_trials_never_build_the_right_factor_of_w(monkeypatch):
+    # a paper-scale trial reads U and s of the born-factored spiked W only;
+    # V^T = S^-1 U^T W is built on first read, so a trial that builds it is
+    # caught by a count, not by a clock
+    from pregols import linalg
+
+    builds = []
+    vt = linalg.Svd.vt
+
+    def counted(f):
+        if f._vt is None:
+            builds.append(f.shape)
+        return vt.fget(f)
+
+    monkeypatch.setattr(linalg.Svd, "vt", property(counted))
+    sim = ExperimentConfig.default("sim1", paper_scale=True)
+    ate = ExperimentConfig.default("ate", paper_scale=True)
+    for cfg in (sim, ate):
+        for gi in range(len(cfg.grid)):
+            simharness._trial(cfg, None, gi, 0)
+    assert builds == []
+    f, d = gen_ate_design(simharness._ATE_N, simharness._ATE_Q, Seed(1).rng(0))
+    part = DesignPartition(f, np.column_stack([d, np.ones(d.size)]))
+    fit_partial(part, d)
+    fit_partial(part, d)
+    assert builds == [(simharness._ATE_N, simharness._ATE_Q)]  # a fit builds it, once
 
 
 def test_ate_reports_full_and_partial():

@@ -84,6 +84,30 @@ def test_w_estimator_trivial_cases():
     assert abs(rep.estimate - d.n * c**2) <= 1e-9
 
 
+@pytest.mark.parametrize("t", ["ones", "treatment"])
+def test_w_map_is_the_left_factor_of_t(t):
+    # R = U_T^T (m x n) with R^T R = P_T, so its estimates and exact biases
+    # are those of the projector form ||P_T v||^2 / m
+    w = gen_covariates(CovariateConfig(model="spiked", n=40, q=99), Seed(3).rng(0))
+    rng = np.random.default_rng(4)
+    block = np.ones((40, 1))
+    if t == "treatment":
+        block = np.column_stack([rng.random(40) < 0.5, block]).astype(float)
+    d = DesignPartition(w, block)
+    op, proj = w_operator(d), d.t_svd.projector(d.tol)
+    assert op.matrix.shape == (d.m, d.n) and op.denominator == d.m
+    assert not op.matrix.flags.writeable  # a view of the partition's U_T
+    assert np.max(np.abs(op.matrix.T @ op.matrix - proj)) <= d.n * np.finfo(float).eps
+    ys = 3.0 + rng.standard_normal((5, d.n))
+    pys = ys @ proj
+    want = np.einsum("ij,ij->i", pys, pys) / d.m
+    assert np.max(np.abs(op.estimates(ys) - want) / want) <= 1e-13
+    mean_y = d.stacked() @ np.full(d.q + d.m, 0.3)
+    pm = proj @ mean_y
+    want_bias = float(pm @ pm) / d.m
+    assert abs(op.expected_bias(mean_y) - want_bias) <= 1e-13 * want_bias
+
+
 def test_wc_estimator_zero_on_t_span():
     d = fixture_partition(seed=4, m=2)
     y = d.t @ np.array([2.0, -1.0])
@@ -409,7 +433,7 @@ def _floor_partition(s, t, seed=5, q=20):
     rng = np.random.default_rng(seed)
     u, _ = np.linalg.qr(rng.standard_normal((n, n)))
     vt = np.linalg.qr(rng.standard_normal((q, n)))[0].T
-    w_svd = Svd.from_factors((u * s) @ vt, u, s, vt)
+    w_svd = Svd.from_factors((u * s) @ vt, u, s)
     if t == "floor":
         block = u[:, -1:]
     elif t == "top":
