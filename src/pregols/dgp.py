@@ -14,18 +14,18 @@ Three covariate models, all n x q with q >= n and full row rank:
 * ``spiked`` — ``W = U Sigma^{1/2}`` with Haar-like orthonormal rows ``U`` and
   ``Sigma = sigma_x^2 (I + sum_l lambda_l v_l v_l^T)``: isotropic plus a few
   large random spikes.  The symmetric root ``Sigma^{1/2}`` is ``sigma_x I``
-  plus a rank-r term (r = min(q, k)) from an r x r spike block, and the
-  draw applies it to ``U`` as that update: no q x q matrix is formed;
+  plus a rank-r term (r = min(q, k)) from an SVD of the q x k spikes, and
+  the draw applies it to ``U`` as that update: no q x q matrix is formed;
 * ``geometric`` — a random matrix whose singular values are exactly
   ``lambda * rho^{l/2}``, synthesized as an SVD with Haar-like factors.
 
 :func:`gen_covariates` returns each draw as its thin
 :class:`~pregols.linalg.Svd`.  The spiked and geometric draws are born
 factored: the geometric synthesis gives its left factor and singular
-values, and a spiked ``W`` has ``W W^T = sigma_x^2 (I_n + K E K^T)`` with
+values, and a spiked ``W`` has ``W W^T = sigma_x^2 (I_n + K E^2 K^T)`` with
 ``K = U_h C`` (n x r, ``U_h`` the Haar-like rows, ``C`` the orthonormal
-spike directions) and ``E >= 0``, so a complete QR of ``K`` and an r x r
-eigenproblem give the left factor and the singular values.  For both,
+spike directions) and ``E`` the spike strengths, so the full SVD of the
+n x r ``K E`` gives the left factor and the singular values.  For both,
 ``V^T = S^{-1} U^T W`` is one product, formed only if something reads it
 (:attr:`~pregols.linalg.Svd.vt`; a simulate trial never does).  No SVD of
 ``W`` is taken for them; the standard normal model, which has no such
@@ -34,6 +34,7 @@ structure, factors ``W`` once.
 
 from __future__ import annotations
 
+import functools
 import logging
 import numbers
 from dataclasses import dataclass
@@ -204,51 +205,43 @@ class CovariateConfig:
             raise InvalidInputError("lambda_geo must be positive and finite")
 
 
-def _spiked_covariance(cfg: CovariateConfig, rng: np.random.Generator):
-    """``(C, A)``: the r x r spike block of the spiked covariance.
+#: ``CovariateConfig(model, n, q, **settings)`` for hashable arguments, validated
+#: once per distinct arguments (their types included) and then shared, as a
+#: config is frozen: the simulate trials of one grid value validate it once.
+covariate_config = functools.lru_cache(maxsize=128, typed=True)(CovariateConfig)
 
-    With the thin QR ``V = B R`` (``B`` q x r orthonormal, r = min(q, k)),
-    ``I + V Lambda V^T = (I - B B^T) + B (I_r + R Lambda R^T) B^T``.  ``A``
-    holds the eigenvalues of ``I_r + R Lambda R^T`` (all >= 1) and
-    ``C = B Z`` its eigenvectors, so ``C`` has orthonormal columns,
-    ``Sigma = sigma_x^2 (I + C (diag(A) - I) C^T)`` and its unique symmetric
-    root is ``sigma_x (I + C (diag(A)^{1/2} - I) C^T)``: an r x r
-    eigenproblem and O(q k^2) work.  The root itself is never formed
-    (:func:`_draw_covariates` applies it as a rank-r update).
+
+def _spiked_covariance(cfg: CovariateConfig, rng: np.random.Generator):
+    """``(C, e)``: the orthonormal spike directions and their strengths.
+
+    The thin SVD ``V Lambda^{1/2} = C diag(e) Z^T`` (q x k, ``C`` q x r,
+    r = min(q, k)) gives ``V Lambda V^T = C diag(e^2) C^T``, so
+    ``Sigma = sigma_x^2 (I + C (diag(A) - I) C^T)`` with ``A = 1 + e^2``
+    (all >= 1) and its unique symmetric root is
+    ``sigma_x (I + C (diag(A)^{1/2} - I) C^T)``: one SVD and O(q k^2)
+    work.  The root itself is never formed (:func:`_draw_covariates`
+    applies it as a rank-r update).
     """
     lo, hi = cfg.lambda_range
     k = cfg.k_spikes
-    if k == 0:
-        return np.zeros((cfg.q, 0)), np.zeros(0)
     lams = lo + (hi - lo) * rng.random(k)
     v = standard_normal(rng, (cfg.q, k))
     v = v / np.linalg.norm(v, axis=0)
-    b, r = np.linalg.qr(v)
-    evals, evecs = np.linalg.eigh(np.eye(b.shape[1]) + (r * lams) @ r.T)
-    if np.any(evals <= 0.0):
+    c, e, _ = np.linalg.svd(v * np.sqrt(lams), full_matrices=False)
+    if not np.all(1.0 + e**2 > 0.0):  # A = 1 + e^2; a NaN strength fails too
         raise RankAssumptionError("spiked covariance is not positive definite")
-    return b @ evecs, evals
+    return c, e
 
 
 def _spiked_left_factors(k: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(U, d)`` with ``I_n + K diag(e) K^T = U diag(d) U^T``, ``d`` descending.
+    """``(U, d)`` with ``I_n + K diag(e^2) K^T = U diag(d) U^T``, ``d`` descending.
 
-    For r < n columns of ``K``, the complete QR ``K = Q R`` and the r x r
-    ``eigh`` of ``R_1 diag(e) R_1^T = Z Lambda Z^T`` give
-    the block-diagonal product ``U = Q diag(Z, I_{n-r})`` and
-    ``d = (1 + Lambda, 1, ..., 1)``; for r >= n the n x n matrix is
-    factored directly.
+    The full SVD ``K diag(e) = U diag(s) Z^T`` gives the complete n x n
+    ``U`` with ``s`` already descending, so ``d = 1 + s^2`` followed by
+    ``n - r`` ones when the n x r ``K`` has r < n columns.
     """
-    n, r = k.shape
-    if r >= n:
-        d, u = np.linalg.eigh(np.eye(n) + (k * e) @ k.T)
-        return u[:, ::-1], d[::-1]
-    u, rk = np.linalg.qr(k, mode="complete")
-    lam, z = np.linalg.eigh((rk[:r] * e) @ rk[:r].T)
-    u[:, :r] = u[:, :r] @ z
-    d = np.concatenate([1.0 + lam, np.ones(n - r)])
-    order = np.argsort(-d, kind="stable")
-    return u[:, order], d[order]
+    u, s, _ = np.linalg.svd(k * e)
+    return u, np.concatenate([1.0 + s**2, np.ones(k.shape[0] - s.size)])
 
 
 def _draw_covariates(cfg: CovariateConfig, rng: np.random.Generator) -> Svd:
@@ -256,16 +249,16 @@ def _draw_covariates(cfg: CovariateConfig, rng: np.random.Generator) -> Svd:
     if cfg.model == "standard_normal":
         return Svd(standard_normal(rng, (cfg.n, cfg.q)))
     if cfg.model == "spiked":
-        # W = U_h Sigma^{1/2} = sigma_x (U_h + (K (A^{1/2} - 1)) C^T) with
-        # K = U_h C, no q x q root formed; W W^T = sigma_x^2 (I_n + K E K^T)
-        # with E = diag(A) - I >= 0, and V^T = S^{-1} U^T W is left to Svd.vt
-        c, evals = _spiked_covariance(cfg, rng)
+        # W = U_h Sigma^{1/2} = sigma_x (U_h + (K (A^{1/2} - 1)) C^T) with K = U_h C
+        # and A = 1 + e^2, no q x q root formed; W W^T = sigma_x^2 (I_n + K E^2 K^T)
+        # with E = diag(e), and V^T = S^{-1} U^T W is left to Svd.vt
+        c, e = _spiked_covariance(cfg, rng)
         uh = orthonormal_rows(cfg.n, cfg.q, rng)
         k = uh @ c
-        w = (k * (np.sqrt(evals) - 1.0)) @ c.T
+        w = (k * (np.sqrt(1.0 + e**2) - 1.0)) @ c.T
         w += uh
         w *= cfg.sigma_x
-        u, d = _spiked_left_factors(k, evals - 1.0)
+        u, d = _spiked_left_factors(k, e)
         return Svd.from_factors(w, u, cfg.sigma_x * np.sqrt(d))
     # geometric: exact SVD synthesis, so the top-n singular values are
     # lambda * rho^{l/2} by construction rather than approximately.
@@ -307,8 +300,7 @@ def gen_ate_design(n: int, q: int, rng: np.random.Generator) -> tuple[Svd, np.nd
     """
     if not 1 <= n < q:
         raise InvalidInputError(f"need 1 <= n < q, got n={n}, q={q}")
-    cfg = CovariateConfig(model="spiked", n=n, q=q)
-    w = gen_covariates(cfg, rng)
+    w = gen_covariates(covariate_config("spiked", n, q), rng)
     for _ in range(_MAX_REJECTIONS):
         d = (rng.random(n) < 0.5).astype(np.float64)
         if 0.0 < d.mean() < 1.0:

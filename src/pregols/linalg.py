@@ -123,9 +123,9 @@ class Svd:
 
     Every quantity derived from it applies a :class:`RankTolerance` to the
     same singular values, so the pseudoinverse, the numeric rank, the inverse
-    Gram matrix and the column-space projector of one matrix always agree on
-    its rank.  The factored matrix is kept as ``a``, so a rank check can hand
-    the whole factorization on (a :class:`~pregols.interpolators.DesignPartition`
+    Gram matrix and the kept factors of one matrix always agree on its rank.
+    The factored matrix is kept as ``a``, so a rank check can hand the whole
+    factorization on (a :class:`~pregols.interpolators.DesignPartition`
     accepts an ``Svd`` of ``W`` or ``T``).  An empty matrix has empty factors.
     """
 
@@ -158,7 +158,7 @@ class Svd:
     @property
     def vt(self) -> np.ndarray:
         """The right factor ``V^T``, kept once built.  :meth:`rank`,
-        :meth:`gram_inverse` and :meth:`projector` never read it."""
+        :meth:`kept` and :meth:`gram_inverse` never read it."""
         if self._vt is None:
             self._vt = (self.u.T @ self.a) / self.s[:, None]
         return self._vt
@@ -180,11 +180,6 @@ class Svd:
         direction :meth:`rank` counts; forming ``A A^T`` would square cond(A)."""
         u, s = self.kept(tol)
         return (u / s**2) @ u.T
-
-    def projector(self, tol: RankTolerance | None = None) -> np.ndarray:
-        """Orthogonal projection onto the column space of ``a`` (symmetric, idempotent)."""
-        u = self.kept(tol)[0]
-        return u @ u.T
 
 
 def require_rank(f: Svd, rank: int, tol: RankTolerance | None, what: str) -> Svd:

@@ -46,13 +46,14 @@ from .dgp import (
     COVARIATE_MODELS,
     CovariateConfig,
     Seed,
+    covariate_config,
     gen_ate_design,
     gen_covariates,
     standard_normal,
 )
 from .exceptions import ExperimentAbortedError, InvalidInputError, RankAssumptionError
 from .interpolators import DesignPartition
-from .linalg import write_matrix_csv
+from .linalg import Svd, write_matrix_csv
 from .linalg import pinv  # noqa: F401  perfbench/workloads.py traces this name
 from .variance import (  # noqa: F401  perfbench/workloads.py traces these names
     ESTIMATOR_IDS,
@@ -87,8 +88,8 @@ class _Experiment:
 
     ``design(cfg, value, rng)`` draws a trial's design at grid value
     ``value`` and returns ``(mean_y, sigma, errors, blocks)``: the responses
-    are ``mean_y + sigma * z``, ``errors[est]`` maps a block of responses
-    (one per row) to their errors, and ``blocks`` are the matrices to dump.
+    are ``mean_y + sigma * z``, ``errors[est]`` sums the errors of a block
+    of responses (one per row), and ``blocks`` are the matrices to dump.
     """
 
     grid: tuple[float, ...]
@@ -105,11 +106,13 @@ def _variance_design(cfg, rng, n: int, p: int, sigma: float = 1.0, beta0: float 
     """An ``n x (p - 1)`` covariate draw ``W`` and an intercept; ``y = W beta1 + beta0 + sigma z``.
 
     Every slope is ``p^-1/2``; an estimator's error is ``sigma2_hat - sigma^2``.
+    The intercept is born factored, ``1 = (1 / sqrt(n)) sqrt(n)``: no SVD of it.
     """
-    w_svd = gen_covariates(CovariateConfig(model=cfg.model, n=n, q=p - 1, **cfg.covariate), rng)
-    part = DesignPartition(w_svd, np.ones((n, 1)))
+    w_svd = gen_covariates(covariate_config(cfg.model, n, p - 1, **cfg.covariate), rng)
+    ones = Svd.from_factors(np.ones((n, 1)), np.full((n, 1), n**-0.5), np.array([n**0.5]))
+    part = DesignPartition(w_svd, ones)
     errors = {
-        est: lambda ys, op=residual_operator(est, part): op.estimates(ys) - sigma**2
+        est: lambda ys, op=residual_operator(est, part): op.estimate_sum(ys) - len(ys) * sigma**2
         for est in cfg.estimators
     }
     return w_svd.a @ np.full(p - 1, p**-0.5) + beta0, sigma, errors, {"w": w_svd.a}
@@ -139,7 +142,8 @@ def _ate_design(cfg, tau: float, rng):
     w_svd, dvec = gen_ate_design(n, q, rng)
     part = DesignPartition(w_svd, np.column_stack([dvec, np.ones(n)]))
     rows = _treatment_rows(part, cfg.estimators)
-    errors = {est: lambda ys, row=row: ys @ row - tau for est, row in zip(cfg.estimators, rows)}
+    errors = {est: lambda ys, row=row: float(np.sum(ys @ row)) - len(ys) * tau
+              for est, row in zip(cfg.estimators, rows)}
     mean_y = w_svd.a @ np.full(q, (q + 2) ** -0.5) + tau * dvec + 1.0
     return mean_y, 1.0, errors, {"w": w_svd.a, "d": dvec.reshape(-1, 1)}
 
@@ -374,7 +378,7 @@ def _trial(cfg: ExperimentConfig, dump_dir, gi: int, ti: int) -> dict:
     sums = dict.fromkeys(errors, 0.0)
     for ys in _response_blocks(rng, mean_y, sigma, cfg.draws_per_trial):
         for est, err in errors.items():
-            sums[est] += float(np.sum(err(ys)))
+            sums[est] += err(ys)
     return {est: s / cfg.draws_per_trial for est, s in sums.items()}
 
 

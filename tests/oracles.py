@@ -188,6 +188,17 @@ def standard_normal_from_integers(rng, size=None):
     return float(out) if size is None else out
 
 
+def projector(f, tol=None):
+    """``P = U_r U_r^T``, the orthogonal projection onto the column space of ``f.a``.
+
+    ``f`` is a ``pregols.linalg.Svd``; ``U_r`` is its left factor kept under
+    ``tol``.  The oracle of the ``w`` estimator's m x n map ``U_T^T``, as
+    ``||P_T y|| = ||U_T^T y||``.
+    """
+    u = f.kept(tol)[0]
+    return u @ u.T
+
+
 def dense_svd(w):
     """The factored route: ``pregols.linalg.Svd`` of ``w``, one LAPACK thin SVD.
 

@@ -8,6 +8,7 @@ from pregols import (
     DesignPartition,
     GaussMarkovTruth,
     InvalidInputError,
+    RankAssumptionError,
     Seed,
     Svd,
     fit_partial,
@@ -165,6 +166,29 @@ def test_spiked_root_with_repeated_spike_direction(monkeypatch):
     cfg = CovariateConfig(model="spiked", n=20, q=40, k_spikes=4)
     _assert_root_matches_oracle(cfg, 3)
     assert len(repeats) == 2  # the library's draw and the oracle's
+
+
+def test_spiked_covariance_refuses_a_nan_strength(monkeypatch):
+    # Sigma is positive definite when every A = 1 + e^2 is; the guard reads
+    # the strengths e of the spike block's SVD, and a NaN one fails it
+    svd = np.linalg.svd
+
+    def nan_strengths(a, *args, **kwargs):
+        u, s, vt = svd(a, *args, **kwargs)
+        return u, np.full_like(s, np.nan), vt
+
+    monkeypatch.setattr(np.linalg, "svd", nan_strengths)
+    cfg = CovariateConfig(model="spiked", n=4, q=8)
+    with pytest.raises(RankAssumptionError, match="not positive definite"):
+        dgp_module._spiked_covariance(cfg, Seed(1).rng(0))
+
+
+def test_covariate_config_is_validated_once_and_shared():
+    a = dgp_module.covariate_config("spiked", 7, 9, sigma_x=2.0)
+    assert a is dgp_module.covariate_config("spiked", 7, 9, sigma_x=2.0)
+    assert a == CovariateConfig("spiked", 7, 9, sigma_x=2.0)
+    with pytest.raises(InvalidInputError):  # typed: 7.0 is not the cached 7
+        dgp_module.covariate_config("spiked", 7.0, 9, sigma_x=2.0)
 
 
 @pytest.mark.parametrize("case", sorted(_ROOT_CASES))

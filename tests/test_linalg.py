@@ -12,7 +12,7 @@ from pregols import (
     write_matrix_csv,
 )
 
-from oracles import elimination_rank
+from oracles import elimination_rank, projector
 
 
 def penrose_gaps(m, mp):
@@ -81,18 +81,18 @@ def test_pinv_rejects_nonfinite():
 
 def test_projector_ones_column():
     n = 6
-    p = Svd(np.ones((n, 1))).projector()
+    p = projector(Svd(np.ones((n, 1))))
     assert np.allclose(p, np.full((n, n), 1.0 / n), atol=1e-12)
 
 
 def test_projector_identity():
-    assert np.allclose(Svd(np.eye(4)).projector(), np.eye(4), atol=1e-12)
+    assert np.allclose(projector(Svd(np.eye(4))), np.eye(4), atol=1e-12)
 
 
 def test_projector_properties():
     rng = np.random.default_rng(5)
     m = rng.standard_normal((5, 2))
-    p = Svd(m).projector()
+    p = projector(Svd(m))
     assert np.max(np.abs(p @ p - p)) <= 1e-10
     assert np.max(np.abs(p - p.T)) <= 1e-10
     assert np.max(np.abs(p @ m - m)) <= 1e-10
@@ -199,13 +199,13 @@ def test_matrix_csv_malformed(tmp_path):
 
 def test_from_factors_builds_vt_on_first_read():
     # vt is S^-1 U^T a, bit for bit, built once and kept; the rank, the
-    # inverse Gram and the projector read u and s alone and never build it
+    # inverse Gram and the kept factors read u and s alone and never build it
     rng = np.random.default_rng(11)
     u = np.linalg.qr(rng.standard_normal((6, 6)))[0]
     s = np.array([5.0, 4.0, 3.0, 2.0, 1.5, 1.0])
     a = (u * s) @ np.linalg.qr(rng.standard_normal((9, 6)))[0].T
     f = Svd.from_factors(a, u, s)
-    f.rank(), f.gram_inverse(), f.projector()
+    f.rank(), f.gram_inverse(), projector(f)
     assert f._vt is None
     assert np.array_equal(f.vt, (u.T @ a) / s[:, None])
     assert f.vt is f.vt

@@ -170,24 +170,27 @@ def _record_svd_shapes(monkeypatch):
 
 
 def test_each_trial_factors_only_its_small_blocks(monkeypatch):
-    # spiked and geometric W are born factored, and wc, partial and the
-    # split row share one n-space factor: the sim trial factors T alone,
-    # the ATE trial T and L^T T; never W, [W | T] or B = W^+ T
+    # spiked and geometric W are born factored, the intercept too, and wc,
+    # partial and the split row share one n-space factor: a spiked draw takes
+    # one SVD of its q x 5 spike block and one of the n x 5 K diag(e), the
+    # geometric sim trial none, the ATE trial adds T and L^T T; never W,
+    # [W | T] or B = W^+ T
     shapes = _record_svd_shapes(monkeypatch)
     ate = ExperimentConfig(
         experiment="ate", grid=(-2.0, 4.0), trials=2, draws_per_trial=2, seed=5
     )
-    n = simharness._ATE_N
+    n, q = simharness._ATE_N, simharness._ATE_Q
+    want = {"spiked": lambda n: [(99, 5), (n, 5)], "geometric": lambda n: []}
     for model in ("spiked", "geometric"):
         sim = tiny_config(experiment="sim1", model=model, grid=(20.0, 60.0), draws_per_trial=2)
         for gi in range(2):
             shapes.clear()
             simharness._trial(sim, None, gi, 0)
-            assert shapes == [(int(sim.grid[gi]), 1)]
+            assert shapes == want[model](int(sim.grid[gi]))
     for gi in range(2):
         shapes.clear()
         simharness._trial(ate, None, gi, 0)
-        assert shapes == [(n, 2), (n, 2)]
+        assert shapes == [(q, 5), (n, 5), (n, 2), (n, 2)]
 
 
 def test_standard_normal_trial_factors_w_once(monkeypatch):
@@ -199,7 +202,30 @@ def test_standard_normal_trial_factors_w_once(monkeypatch):
         shapes.clear()
         simharness._trial(sim, None, gi, 0)
         n = int(sim.grid[gi])
-        assert shapes == [(n, 99), (n, 1)]
+        assert shapes == [(n, 99)]
+
+
+def test_trials_validate_each_grid_values_config_once(monkeypatch):
+    # a trial takes its grid value's CovariateConfig from a cache, so
+    # repeated trials validate it once: counted, not timed
+    from pregols import dgp
+
+    sim = tiny_config(experiment="sim1", grid=(20.0, 60.0), draws_per_trial=2)
+    ate = ExperimentConfig(experiment="ate", grid=(-2.0, 4.0), trials=2, draws_per_trial=2)
+    validated = []
+    post_init = CovariateConfig.__post_init__
+
+    def counted(cfg):
+        validated.append((cfg.model, cfg.n, cfg.q))
+        post_init(cfg)
+
+    monkeypatch.setattr(CovariateConfig, "__post_init__", counted)
+    dgp.covariate_config.cache_clear()
+    for cfg in (sim, ate):
+        for ti in range(3):
+            for gi in range(len(cfg.grid)):
+                simharness._trial(cfg, None, gi, ti)
+    assert validated == [("spiked", 20, 99), ("spiked", 60, 99), ("spiked", 80, 98)]
 
 
 def test_trials_never_build_the_right_factor_of_w(monkeypatch):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pregols import (
+    COVARIATE_MODELS,
     ESTIMATOR_IDS,
     CovariateConfig,
     DesignPartition,
@@ -22,7 +23,12 @@ from pregols import (
     wc_operator,
 )
 
-from oracles import full_gram_inverse_exact, split_qspace, weak_constant_direction_w
+from oracles import (
+    full_gram_inverse_exact,
+    projector,
+    split_qspace,
+    weak_constant_direction_w,
+)
 
 
 def fixture_partition(seed=0, n=12, q=18, m=1):
@@ -94,7 +100,7 @@ def test_w_map_is_the_left_factor_of_t(t):
     if t == "treatment":
         block = np.column_stack([rng.random(40) < 0.5, block]).astype(float)
     d = DesignPartition(w, block)
-    op, proj = w_operator(d), d.t_svd.projector(d.tol)
+    op, proj = w_operator(d), projector(d.t_svd, d.tol)
     assert op.matrix.shape == (d.m, d.n) and op.denominator == d.m
     assert not op.matrix.flags.writeable  # a view of the partition's U_T
     assert np.max(np.abs(op.matrix.T @ op.matrix - proj)) <= d.n * np.finfo(float).eps
@@ -326,6 +332,33 @@ def test_estimate_names_the_argument_of_wrong_length():
         op.expected_bias(np.ones(13))
     with pytest.raises(InvalidInputError, match="^rows of ys have length 11"):
         op.estimates(np.ones((3, 11)))
+
+
+@pytest.mark.parametrize("model", COVARIATE_MODELS)
+def test_estimate_sum_is_the_sum_of_the_estimates(model):
+    # the block reduction ||Y R^T||_F^2 / denominator, one product and one
+    # dot, adds up the per-row estimates; a one-row block is estimate()
+    n = 40
+    w = gen_covariates(CovariateConfig(model=model, n=n, q=99), Seed(8).rng(0))
+    d = DesignPartition(w, np.ones((n, 1)))
+    ys = 2.0 + standard_normal(Seed(8).rng(1), (25, n))
+    for est in ESTIMATOR_IDS:
+        op = residual_operator(est, d)
+        want = float(np.sum(op.estimates(ys)))
+        assert abs(op.estimate_sum(ys) - want) <= 1e-13 * want, est
+        assert op.estimate_sum(ys[:1]) == op.estimate(ys[0]), est
+
+
+@pytest.mark.parametrize("method", ["estimates", "estimate_sum"])
+def test_block_methods_refuse_a_bad_block(method):
+    apply = getattr(residual_operator("partial", fixture_partition()), method)
+    for bad in (np.nan, np.inf):
+        block = np.ones((3, 12))
+        block[1, 4] = bad
+        with pytest.raises(InvalidInputError, match="^ys contains non-finite entries"):
+            apply(block)
+    with pytest.raises(InvalidInputError, match="^rows of ys have length 11, expected 12"):
+        apply(np.ones((3, 11)))
 
 
 # ------------------------------------------------ full map from kept factors
