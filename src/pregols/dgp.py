@@ -205,10 +205,21 @@ class CovariateConfig:
             raise InvalidInputError("lambda_geo must be positive and finite")
 
 
-#: ``CovariateConfig(model, n, q, **settings)`` for hashable arguments, validated
-#: once per distinct arguments (their types included) and then shared, as a
-#: config is frozen: the simulate trials of one grid value validate it once.
-covariate_config = functools.lru_cache(maxsize=128, typed=True)(CovariateConfig)
+_cached_config = functools.lru_cache(maxsize=128, typed=True)(CovariateConfig)
+
+
+def covariate_config(model: str, n: int, q: int, **settings) -> CovariateConfig:
+    """``CovariateConfig(model, n, q, **settings)``, validated once per distinct arguments.
+
+    A config is frozen, so the one built for hashable arguments (their types
+    included) is shared: the simulate trials of one grid value validate it
+    once.  Arguments that do not hash are validated afresh, so they raise
+    :class:`~pregols.exceptions.InvalidInputError` as the constructor does.
+    """
+    try:
+        return _cached_config(model, n, q, **settings)
+    except TypeError:  # unhashable arguments never reach the constructor
+        return CovariateConfig(model, n, q, **settings)
 
 
 def _spiked_covariance(cfg: CovariateConfig, rng: np.random.Generator):

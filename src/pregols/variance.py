@@ -108,32 +108,23 @@ class VarianceReport:
 class ResidualOperator:
     """Matrix ``R`` and normalizer defining one estimator ``||R y||^2 / denominator``.
 
-    :meth:`estimates` and :meth:`estimate_sum` apply ``R`` to a block of
-    responses, one per row, with one matrix product: the per-row estimates,
-    or their sum ``||Y R^T||_F^2 / denominator`` by one more dot product, as
-    the simulation harness reduces each block of draws.  :meth:`estimate`
-    and :meth:`expected_bias` are the one-row case of :meth:`estimate_sum`.
+    :meth:`estimate_sum` applies ``R`` to a block of responses, one per row,
+    with one matrix product and sums their estimates with one dot product,
+    ``||Y R^T||_F^2 / denominator``, as the simulation harness reduces each
+    block of draws.  :meth:`estimate` and :meth:`expected_bias` are its
+    one-row case.
     """
 
     estimator_id: str
     matrix: np.ndarray
     denominator: float
 
-    def _apply(self, ys) -> np.ndarray:
-        """``Y R^T`` for a validated block ``Y`` of responses, one per row."""
+    def estimate_sum(self, ys) -> float:
+        """The sum of ``||R v||^2 / denominator`` over the rows ``v`` of the block ``ys``."""
         ys = as_matrix(ys, "ys")
         if ys.shape[1] != (n := self.matrix.shape[1]):
             raise InvalidInputError(f"rows of ys have length {ys.shape[1]}, expected {n}")
-        return ys @ self.matrix.T
-
-    def estimates(self, ys) -> np.ndarray:
-        """``||R v||^2 / denominator`` for every row ``v`` of the block ``ys``."""
-        r = self._apply(ys)
-        return np.einsum("ij,ij->i", r, r) / self.denominator
-
-    def estimate_sum(self, ys) -> float:
-        """The sum of :meth:`estimates` over the block ``ys``, ``||Y R^T||_F^2 / denominator``."""
-        r = self._apply(ys).ravel()
+        r = (ys @ self.matrix.T).ravel()
         return float(r @ r) / self.denominator
 
     def _one_row(self, v, name: str) -> float:

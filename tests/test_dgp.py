@@ -191,6 +191,17 @@ def test_covariate_config_is_validated_once_and_shared():
         dgp_module.covariate_config("spiked", 7.0, 9, sigma_x=2.0)
 
 
+def test_covariate_config_validates_unhashable_arguments_afresh():
+    # an argument the cache cannot hash is validated by the constructor, so a
+    # bad one raises the library's error and a good one gives the same config
+    cfg = dgp_module.covariate_config("spiked", 4, 9, lambda_range=[1.0, 2.0])
+    assert cfg == CovariateConfig("spiked", 4, 9, lambda_range=(1.0, 2.0))
+    with pytest.raises(InvalidInputError, match="must be integers"):
+        dgp_module.covariate_config("spiked", np.array(4), 9)
+    with pytest.raises(InvalidInputError, match="must be integers"):
+        gen_ate_design(np.array(4), 9, Seed(1).rng(0))
+
+
 @pytest.mark.parametrize("case", sorted(_ROOT_CASES))
 def test_spiked_draw_consumes_the_stream_like_the_dense_root(case):
     # the spikes, then the orthonormal rows: the generator ends where the

@@ -220,7 +220,7 @@ def test_trials_validate_each_grid_values_config_once(monkeypatch):
         post_init(cfg)
 
     monkeypatch.setattr(CovariateConfig, "__post_init__", counted)
-    dgp.covariate_config.cache_clear()
+    dgp._cached_config.cache_clear()
     for cfg in (sim, ate):
         for ti in range(3):
             for gi in range(len(cfg.grid)):

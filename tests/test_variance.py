@@ -107,7 +107,8 @@ def test_w_map_is_the_left_factor_of_t(t):
     ys = 3.0 + rng.standard_normal((5, d.n))
     pys = ys @ proj
     want = np.einsum("ij,ij->i", pys, pys) / d.m
-    assert np.max(np.abs(op.estimates(ys) - want) / want) <= 1e-13
+    got = np.array([op.estimate(y) for y in ys])
+    assert np.max(np.abs(got - want) / want) <= 1e-13
     mean_y = d.stacked() @ np.full(d.q + d.m, 0.3)
     pm = proj @ mean_y
     want_bias = float(pm @ pm) / d.m
@@ -331,7 +332,7 @@ def test_estimate_names_the_argument_of_wrong_length():
     with pytest.raises(InvalidInputError, match="^mean_response has length 13"):
         op.expected_bias(np.ones(13))
     with pytest.raises(InvalidInputError, match="^rows of ys have length 11"):
-        op.estimates(np.ones((3, 11)))
+        op.estimate_sum(np.ones((3, 11)))
 
 
 @pytest.mark.parametrize("model", COVARIATE_MODELS)
@@ -344,14 +345,13 @@ def test_estimate_sum_is_the_sum_of_the_estimates(model):
     ys = 2.0 + standard_normal(Seed(8).rng(1), (25, n))
     for est in ESTIMATOR_IDS:
         op = residual_operator(est, d)
-        want = float(np.sum(op.estimates(ys)))
+        want = float(np.sum([op.estimate(y) for y in ys]))
         assert abs(op.estimate_sum(ys) - want) <= 1e-13 * want, est
         assert op.estimate_sum(ys[:1]) == op.estimate(ys[0]), est
 
 
-@pytest.mark.parametrize("method", ["estimates", "estimate_sum"])
-def test_block_methods_refuse_a_bad_block(method):
-    apply = getattr(residual_operator("partial", fixture_partition()), method)
+def test_estimate_sum_refuses_a_bad_block():
+    apply = residual_operator("partial", fixture_partition()).estimate_sum
     for bad in (np.nan, np.inf):
         block = np.ones((3, 12))
         block[1, 4] = bad
@@ -531,7 +531,8 @@ def _assert_n_space_matches_q_space(d, bound):
     assert op.matrix.shape == (d.n - d.m, d.n)
     r = ys @ wc_map.T
     want = np.einsum("ij,ij->i", r, r) / np.sum(wc_map * wc_map)
-    assert np.max(np.abs(op.estimates(ys) - want)) <= bound * np.max(want)
+    got = np.array([op.estimate(y) for y in ys])
+    assert np.max(np.abs(got - want)) <= bound * np.max(want)
     want_row = split_rows[0]
     row = _treatment_rows(d)[1]
     assert np.max(np.abs(row - want_row)) <= bound * np.max(np.abs(want_row))
