@@ -5,7 +5,6 @@ Uses a reduced grid so the script finishes in seconds; swap in
 full study.  The written CSV and SVG are byte-reproducible for a fixed seed.
 """
 
-import pathlib
 import tempfile
 
 from pregols import ExperimentConfig, run_experiment, write_report
@@ -26,11 +25,11 @@ for cell in report.cells:
     print(f"{cell.grid_value:10g} {cell.estimator:>10s} "
           f"{cell.mean_bias:12.4f} {cell.std_error:10.4f}")
 
-out_dir = pathlib.Path(tempfile.mkdtemp(prefix="pregols_demo_"))
-paths = write_report(report, out_dir)
-print("\nwrote:")
-for p in paths:
-    print(f"  {p}")
+with tempfile.TemporaryDirectory(prefix="pregols_demo_") as out_dir:
+    paths = write_report(report, out_dir)
+    print("\nwrote (removed when the demo exits):")
+    for p in paths:
+        print(f"  {p}")
 print("\nnote how the unsplit estimator's bias climbs with the intercept while")
 print("the split-design estimators stay flat; the 'w' rows live in the")
 print("supplementary table because their bias is an order of magnitude larger.")

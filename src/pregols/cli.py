@@ -25,7 +25,7 @@ from .interpolators import PARTIAL_VARIANTS, DesignPartition, fit_partial_varian
 from .linalg import RankTolerance, read_matrix_csv
 from .loo import PartialLooSolver, brute_force_refit
 from .simharness import EXPERIMENTS, ExperimentConfig, run_experiment, write_report
-from .variance import ESTIMATOR_IDS, GaussMarkovTruth, residual_operator
+from .variance import ESTIMATOR_IDS, GaussMarkovTruth, sigma2
 
 _MODEL_ALIASES = {
     "normal": "standard_normal",
@@ -101,12 +101,11 @@ def _cmd_variance(args) -> int:
         raise InvalidInputError("--sigma2 requires --truth")
     part = _load_partition(args)
     y = _read_vector(args.y)
-    mean = None
+    truth = None
     if args.truth is not None:
         truth = GaussMarkovTruth(beta=_read_vector(args.truth), sigma2=args.sigma2)
-        mean = truth.mean_response(part.stacked())
     ests = ESTIMATOR_IDS if args.estimator == "all" else (args.estimator,)
-    payload = [asdict(residual_operator(e, part).report(y, mean)) for e in ests]
+    payload = [asdict(sigma2(e, part, y, truth)) for e in ests]
     _print_json(payload if args.estimator == "all" else payload[0])
     return 0
 
@@ -151,18 +150,16 @@ def build_parser() -> _Parser:
         help="relative singular-value cutoff applied to every rank decision",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    design = _Parser(add_help=False)
+    design.add_argument("--w", required=True, help="penalized block, CSV")
+    design.add_argument("--t", required=True, help="unpenalized block, CSV")
+    design.add_argument("--y", required=True, help="response vector, CSV")
 
-    p = sub.add_parser("fit", help="partially regularized interpolating fit")
-    p.add_argument("--w", required=True, help="penalized block, CSV")
-    p.add_argument("--t", required=True, help="unpenalized block, CSV")
-    p.add_argument("--y", required=True, help="response vector, CSV")
+    p = sub.add_parser("fit", parents=[design], help="partially regularized interpolating fit")
     p.add_argument("--variant", choices=PARTIAL_VARIANTS, default="direct")
     p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("loo", help="leave-one-out prediction residuals")
-    p.add_argument("--w", required=True)
-    p.add_argument("--t", required=True)
-    p.add_argument("--y", required=True)
+    p = sub.add_parser("loo", parents=[design], help="leave-one-out prediction residuals")
     p.add_argument(
         "--check-oracle",
         action="store_true",
@@ -177,10 +174,7 @@ def build_parser() -> _Parser:
     p.add_argument("--y", required=True)
     p.set_defaults(func=_cmd_cochran)
 
-    p = sub.add_parser("variance", help="noise-variance estimators")
-    p.add_argument("--w", required=True)
-    p.add_argument("--t", required=True)
-    p.add_argument("--y", required=True)
+    p = sub.add_parser("variance", parents=[design], help="noise-variance estimators")
     p.add_argument(
         "--estimator", choices=(*ESTIMATOR_IDS, "all"), default="all"
     )

@@ -85,7 +85,10 @@ class GaussMarkovTruth:
         if not 0.0 < self.sigma2 < np.inf:
             raise InvalidInputError("sigma2 must be positive and finite")
 
-    def mean_response(self, design: np.ndarray) -> np.ndarray:
+    def mean_response(self, design) -> np.ndarray:
+        """``E[y] = X beta`` for the unsplit design ``X``, an array or a partition's ``[W | T]``."""
+        if isinstance(design, DesignPartition):
+            design = design.stacked()
         design = as_matrix(design, "design")
         if design.shape[1] != self.beta.size:
             raise InvalidInputError(
@@ -136,16 +139,6 @@ class ResidualOperator:
     def expected_bias(self, mean_response) -> float:
         """Exact additive bias for a given ``E[y]``."""
         return self._one_row(mean_response, "mean_response")
-
-    def report(self, y, mean_response=None) -> VarianceReport:
-        return VarianceReport(
-            estimator_id=self.estimator_id,
-            estimate=self.estimate(y),
-            denominator=self.denominator,
-            expected_bias=None
-            if mean_response is None
-            else self.expected_bias(mean_response),
-        )
 
 
 def full_operator(x) -> ResidualOperator:
@@ -214,65 +207,52 @@ def wc_normalizers(d: DesignPartition) -> tuple[float, float]:
     return wc_operator(d).denominator, float(np.sum(rest * rest))
 
 
-def residual_operator(estimator_id: str, d: DesignPartition) -> ResidualOperator:
-    """The residual operator of one estimator on a split design.
+def residual_operator(estimator_id: str, design) -> ResidualOperator:
+    """The residual operator of one estimator on a design.
 
-    ``full`` is the map of the stacked design ``[W | T]``; it and the other
-    three are built from the partition's kept factors, under its tolerance.
-    """
-    if estimator_id == "full":
-        return full_operator(d)
-    if estimator_id == "partial":
-        return partial_operator(d)
-    if estimator_id == "w":
-        return w_operator(d)
-    if estimator_id == "wc":
-        return wc_operator(d)
-    raise InvalidInputError(
-        f"unknown estimator {estimator_id!r}; choose from {ESTIMATOR_IDS}"
-    )
-
-
-def _operator(estimator_id: str, design) -> tuple[ResidualOperator, np.ndarray]:
-    """``(R, X)``: one estimator's residual operator and the stacked design it maps.
-
-    ``full`` takes an unsplit array or a :class:`DesignPartition`; the other
-    three take a :class:`DesignPartition` only.
+    ``full`` takes the unsplit matrix or a :class:`DesignPartition`, whose
+    ``[W | T]`` it maps from the kept factors; the other three take a
+    :class:`DesignPartition` only.  Every operator of a partition is built
+    under the tolerance it was validated with (``design.tol``), the rank of
+    an unsplit matrix under the context default.
     """
     if estimator_id not in ESTIMATOR_IDS:
         raise InvalidInputError(
             f"unknown estimator {estimator_id!r}; choose from {ESTIMATOR_IDS}"
         )
-    if isinstance(design, DesignPartition):
-        return residual_operator(estimator_id, design), design.stacked()
-    if estimator_id != "full":
+    if not isinstance(design, DesignPartition):
+        if estimator_id == "full":
+            return full_operator(as_matrix(design, "design"))
         raise InvalidInputError(
             f"estimator {estimator_id!r} requires a DesignPartition"
         )
-    x = as_matrix(design, "design")
-    return full_operator(x), x
+    if estimator_id == "full":
+        return full_operator(design)
+    if estimator_id == "partial":
+        return partial_operator(design)
+    return w_operator(design) if estimator_id == "w" else wc_operator(design)
 
 
 def sigma2(estimator_id: str, design, y,
            truth: GaussMarkovTruth | None = None) -> VarianceReport:
     """One estimate ``||R y||^2 / ||R||_F^2``, with its exact bias when ``truth`` is given.
 
-    ``design`` is as for :func:`expected_bias`.  Build the operator once
+    ``design`` is as for :func:`residual_operator`.  Build the operator once
     (:func:`residual_operator`) to amortize the per-design work across many
     responses.
     """
-    op, x = _operator(estimator_id, design)
-    return op.report(y, None if truth is None else truth.mean_response(x))
+    # the truth is checked before the operator is built, so a beta of the
+    # wrong length is reported even on a design whose map fails a rank check
+    mu = None if truth is None else truth.mean_response(design)
+    op = residual_operator(estimator_id, design)
+    bias = None if mu is None else op.expected_bias(mu)
+    return VarianceReport(estimator_id, op.estimate(y), op.denominator, bias)
 
 
 def expected_bias(estimator_id: str, design, truth: GaussMarkovTruth) -> float:
     """Exact additive bias ``E[sigma2_hat] - sigma^2`` for a given truth.
 
-    ``design`` is the unsplit matrix or a :class:`DesignPartition` for
-    ``full`` and a :class:`DesignPartition` for the other three;
-    ``truth.beta`` is ordered W-block first, then T-block.  The rank of an
-    unsplit matrix is decided under the context default tolerance, that of
-    a partition under the one it was validated with (``design.tol``).
+    ``design`` is as for :func:`residual_operator`; ``truth.beta`` is
+    ordered W-block first, then T-block.
     """
-    op, x = _operator(estimator_id, design)
-    return op.expected_bias(truth.mean_response(x))
+    return residual_operator(estimator_id, design).expected_bias(truth.mean_response(design))

@@ -257,6 +257,42 @@ def test_variance_truth_requires_sigma2(wide_files, capsys):
     assert "--sigma2" in err
 
 
+@pytest.mark.parametrize("command", ["fit", "loo", "variance"])
+@pytest.mark.parametrize("missing", ["w", "t", "y"])
+def test_design_arguments_are_required(hand_files, capsys, command, missing):
+    argv = [a for k in "wty" if k != missing for a in (f"--{k}", str(hand_files / f"{k}.csv"))]
+    code, out, err = run_cli(capsys, command, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"pregols: error: the following arguments are required: --{missing}\n"
+
+
+@pytest.mark.parametrize("command", ["fit", "loo", "variance"])
+def test_design_arguments_share_one_help(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for text in ("penalized block, CSV", "unpenalized block, CSV", "response vector, CSV"):
+        assert text in out
+
+
+def test_variance_checks_the_truth_before_the_operator(wide_files, capsys):
+    # row 0 alone carries T's second column, so the leave-one-out map fails its
+    # rank check (exit 2); a beta of the wrong length is still the error reported
+    t = np.column_stack([np.ones(8), np.eye(8)[:, 0]])
+    write_matrix_csv(wide_files / "tlev.csv", t)
+    write_matrix_csv(wide_files / "beta.csv", np.zeros((3, 1)))
+    wty = ["--w", str(wide_files / "w.csv"), "--t", str(wide_files / "tlev.csv"),
+           "--y", str(wide_files / "y.csv"), "--estimator", "partial"]
+    code, _, err = run_cli(capsys, "variance", *wty)
+    assert code == 2 and "leave-one-out rank violation" in err
+    code, out, err = run_cli(
+        capsys, "variance", *wty, "--truth", str(wide_files / "beta.csv"), "--sigma2", "1"
+    )
+    assert (code, out) == (1, "")
+    assert err == "pregols: beta has length 3, design has 16 columns\n"
+
+
 def test_simulate_with_config(tmp_path, capsys):
     cfg = {
         "experiment": "sim3",

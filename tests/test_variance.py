@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -51,11 +53,25 @@ def test_sigma2_is_the_operator_report():
     y = np.random.default_rng(19).standard_normal(d.n)
     x = d.stacked()
     mu = truth.mean_response(x)
-    for est in ESTIMATOR_IDS:
-        assert sigma2(est, d, y, truth) == residual_operator(est, d).report(y, mu)
-        assert sigma2(est, d, y) == residual_operator(est, d).report(y)
-    assert sigma2("full", x, y, truth) == full_operator(x).report(y, mu)
-    assert sigma2("full", x, y) == full_operator(x).report(y)
+    for est, design in [*((est, d) for est in ESTIMATOR_IDS), ("full", x)]:
+        op = residual_operator(est, design)
+        fields = (est, op.estimate(y), op.denominator)
+        assert astuple(sigma2(est, design, y, truth)) == (*fields, op.expected_bias(mu))
+        assert astuple(sigma2(est, design, y)) == (*fields, None)
+
+
+def test_residual_operator_takes_an_unsplit_array_for_full():
+    x = fixture_partition(seed=20, m=2).stacked()
+    op, ref = residual_operator("full", x), full_operator(x)
+    assert op.estimator_id == ref.estimator_id == "full"
+    assert np.array_equal(op.matrix, ref.matrix)
+    assert op.denominator == ref.denominator
+
+
+def test_mean_response_takes_a_partition():
+    d = fixture_partition(seed=21, m=2)
+    truth = GaussMarkovTruth(beta=np.linspace(-1.0, 1.0, d.q + d.m), sigma2=1.0)
+    assert np.array_equal(truth.mean_response(d), truth.mean_response(d.stacked()))
 
 
 def test_zero_response_gives_zero_estimates():
@@ -260,20 +276,25 @@ def test_unbiased_when_signal_orthogonal_to_t():
 
 
 def test_expected_bias_validates_inputs():
-    # expected_bias and sigma2 share one dispatch
+    # residual_operator is the one dispatch; expected_bias and sigma2 raise what it raises
     d = fixture_partition(seed=15)
     truth = GaussMarkovTruth(beta=np.zeros(d.q + 1), sigma2=1.0)
     y = np.ones(d.n)
-    for design in (d, d.stacked()):
-        with pytest.raises(InvalidInputError, match="unknown estimator 'ridge'"):
-            expected_bias("ridge", design, truth)
-        with pytest.raises(InvalidInputError, match="unknown estimator 'ridge'"):
-            sigma2("ridge", design, y)
-    for est in ("partial", "w", "wc"):
-        with pytest.raises(InvalidInputError, match=f"'{est}' requires a DesignPartition"):
-            expected_bias(est, d.stacked(), truth)
-        with pytest.raises(InvalidInputError, match=f"'{est}' requires a DesignPartition"):
-            sigma2(est, d.stacked(), y)
+    calls = (
+        lambda est, design: residual_operator(est, design),
+        lambda est, design: expected_bias(est, design, truth),
+        lambda est, design: sigma2(est, design, y),
+        lambda est, design: sigma2(est, design, y, truth),
+    )
+    for call in calls:
+        for design in (d, d.stacked()):
+            with pytest.raises(InvalidInputError, match="unknown estimator 'ridge'"):
+                call("ridge", design)
+        for est in ("partial", "w", "wc"):
+            with pytest.raises(InvalidInputError, match=f"'{est}' requires a DesignPartition"):
+                call(est, d.stacked())
+        with pytest.raises(InvalidInputError, match="^design contains non-finite entries"):
+            call("full", np.full((d.n, d.q + 1), np.nan))
 
 
 def test_truth_validation():
