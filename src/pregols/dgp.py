@@ -25,11 +25,15 @@ factored: the geometric synthesis gives its left factor and singular
 values, and a spiked ``W`` has ``W W^T = sigma_x^2 (I_n + K E^2 K^T)`` with
 ``K = U_h C`` (n x r, ``U_h`` the Haar-like rows, ``C`` the orthonormal
 spike directions) and ``E`` the spike strengths, so the full SVD of the
-n x r ``K E`` gives the left factor and the singular values.  For both,
-``V^T = S^{-1} U^T W`` is one product, formed only if something reads it
-(:attr:`~pregols.linalg.Svd.vt`; a simulate trial never does).  No SVD of
+n x r ``K E`` gives the left factor and the singular values.  No SVD of
 ``W`` is taken for them; the standard normal model, which has no such
-structure, factors ``W`` once.
+structure, factors ``W`` once.  Their Haar-like rows ``U_h = Q^T``, for a
+q x n Gaussian ``g = Q R``, stay the n Householder reflectors of the QR
+(Golub & Van Loan 5.2), applied to k columns in O(q n k) by one LAPACK
+``dormqr`` call: a spiked draw's to ``[C | 1]`` for ``K`` and ``U_h 1``, a
+geometric draw's right factor to ``1``.  So a draw keeps ``W 1`` as
+``.ones``, and ``W`` (``.a``) and ``V^T = S^{-1} U^T W`` (``.vt``) are
+formed only if something reads them; a simulate trial never does.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidInputError, RankAssumptionError
-from .linalg import Svd
+from .linalg import Svd, _householder_qt
 
 __all__ = [
     "Seed",
@@ -61,6 +65,7 @@ logger = logging.getLogger(__name__)
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MAX_REJECTIONS = 100
+_TOP_UNIFORM = 1.0 - 2.0**-53
 
 COVARIATE_MODELS = ("standard_normal", "spiked", "geometric")
 
@@ -107,11 +112,13 @@ def standard_normal(rng: np.random.Generator, size=None) -> np.ndarray | float:
     """Standard normals via inverse CDF of 53-bit uniforms.
 
     The one pinned Gaussian transform for the whole package: uniforms are
-    ``(j + 0.5) / 2^53`` for a 53-bit integer ``j``, strictly inside (0, 1),
-    mapped through the normal quantile function.  ``Generator.random`` is
-    ``j 2^-53`` for the same ``j`` that ``integers(0, 2^53)`` draws from the
-    same 64-bit output, so ``random() + 2^-54`` is that uniform bit for bit
-    (it rounds exactly like ``j + 0.5``) and consumes the stream identically.
+    ``(j + 0.5) / 2^53`` for a 53-bit integer ``j``, mapped through the
+    normal quantile function.  ``Generator.random`` is ``j 2^-53`` for the
+    same ``j`` that ``integers(0, 2^53)`` draws from the same 64-bit output,
+    so ``random() + 2^-54`` is that uniform bit for bit (it rounds exactly
+    like ``j + 0.5``) and consumes the stream identically.  The top ``j``
+    rounds up to 1, where the quantile is infinite, so it is clamped to
+    ``1 - 2^-53``: every uniform lies strictly inside (0, 1).
 
     ``ndtri`` is imported here, not with the module: importing
     ``scipy.special`` takes about 0.2 s, and only the generators and
@@ -125,9 +132,10 @@ def standard_normal(rng: np.random.Generator, size=None) -> np.ndarray | float:
     from scipy.special import ndtri
 
     if size is None:
-        return float(ndtri(rng.random() + 2.0**-54))
+        return float(ndtri(min(rng.random() + 2.0**-54, _TOP_UNIFORM)))
     u = rng.random(size)
     u += 2.0**-54
+    np.minimum(u, _TOP_UNIFORM, out=u)
     ndtri(u, out=u)
     return u if u.ndim else u[()]
 
@@ -135,16 +143,13 @@ def standard_normal(rng: np.random.Generator, size=None) -> np.ndarray | float:
 def orthonormal_rows(n: int, q: int, rng: np.random.Generator) -> np.ndarray:
     """Random n x q matrix with orthonormal rows (Haar-like).
 
-    Orthogonalizes a q x n standard Gaussian draw by QR (signs fixed so the
-    distribution is rotation invariant) and transposes.
+    ``Q^T`` for a q x n standard Gaussian ``g = Q R`` with ``diag(R) >= 0``
+    (so rotation invariant): the explicit form of the rows a covariate draw
+    keeps in Householder form (module docstring).
     """
     if n > q:
         raise InvalidInputError(f"orthonormal rows require n <= q, got {n} > {q}")
-    g = standard_normal(rng, (q, n))
-    qmat, rmat = np.linalg.qr(g)
-    signs = np.sign(np.diag(rmat))
-    signs[signs == 0.0] = 1.0
-    return (qmat * signs).T
+    return _householder_qt(standard_normal(rng, (q, n)))()
 
 
 def _is_real(v) -> bool:
@@ -255,28 +260,42 @@ def _spiked_left_factors(k: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.n
     return u, np.concatenate([1.0 + s**2, np.ones(k.shape[0] - s.size)])
 
 
-def _draw_covariates(cfg: CovariateConfig, rng: np.random.Generator) -> Svd:
+class _Draw(Svd):
+    """A covariate draw's thin SVD and its row sums ``ones = W 1``."""
+
+    __slots__ = ("ones",)
+
+
+def _draw_covariates(cfg: CovariateConfig, rng: np.random.Generator) -> _Draw:
     """One covariate draw as its thin SVD; built, not computed, for spiked and geometric."""
+    n, q, sx = cfg.n, cfg.q, cfg.sigma_x
     if cfg.model == "standard_normal":
-        return Svd(standard_normal(rng, (cfg.n, cfg.q)))
+        f = _Draw(standard_normal(rng, (n, q)))
+        f.ones = f.a @ np.ones(q)
+        return f
     if cfg.model == "spiked":
         # W = U_h Sigma^{1/2} = sigma_x (U_h + (K (A^{1/2} - 1)) C^T) with K = U_h C
         # and A = 1 + e^2, no q x q root formed; W W^T = sigma_x^2 (I_n + K E^2 K^T)
         # with E = diag(e), and V^T = S^{-1} U^T W is left to Svd.vt
         c, e = _spiked_covariance(cfg, rng)
-        uh = orthonormal_rows(cfg.n, cfg.q, rng)
-        k = uh @ c
-        w = (k * (np.sqrt(1.0 + e**2) - 1.0)) @ c.T
-        w += uh
-        w *= cfg.sigma_x
+        uh = _householder_qt(standard_normal(rng, (q, n)))  # x -> U_h x
+        c1 = np.ones((q, c.shape[1] + 1))
+        c1[:, :-1] = c
+        kc = uh(c1)  # [K | U_h 1]
+        k, root = kc[:, :-1], np.sqrt(1.0 + e**2) - 1.0
         u, d = _spiked_left_factors(k, e)
-        return Svd.from_factors(w, u, cfg.sigma_x * np.sqrt(d))
+        f = _Draw.from_factors(((n, q), lambda: sx * ((k * root) @ c.T + uh())),
+                               u, sx * np.sqrt(d))
+        f.ones = sx * (kc[:, -1] + k @ (root * c.sum(axis=0)))
+        return f
     # geometric: exact SVD synthesis, so the top-n singular values are
     # lambda * rho^{l/2} by construction rather than approximately.
-    svals = cfg.lambda_geo * cfg.rho ** (np.arange(1, cfg.n + 1) / 2.0)
-    left = orthonormal_rows(cfg.n, cfg.n, rng)
-    right = orthonormal_rows(cfg.n, cfg.q, rng)
-    return Svd.from_factors((left * svals) @ right, left, svals)
+    svals = cfg.lambda_geo * cfg.rho ** (np.arange(1, n + 1) / 2.0)
+    left = orthonormal_rows(n, n, rng)
+    right = _householder_qt(standard_normal(rng, (q, n)))
+    f = _Draw.from_factors(((n, q), lambda: (left * svals) @ right()), left, svals)
+    f.ones = (left * svals) @ right(np.ones((q, 1)))[:, 0]
+    return f
 
 
 def gen_covariates(cfg: CovariateConfig, rng: np.random.Generator) -> Svd:
@@ -285,7 +304,7 @@ def gen_covariates(cfg: CovariateConfig, rng: np.random.Generator) -> Svd:
     The spiked and geometric models build the factors with the draw and
     the standard normal model factors ``W`` once; the rank check reads the
     singular values.  The returned :class:`~pregols.linalg.Svd` keeps ``W``
-    as ``.a`` and can be handed to
+    as ``.a`` and its row sums ``W 1`` as ``.ones``, and can be handed to
     :class:`~pregols.interpolators.DesignPartition`, which then does not
     factor ``W`` again.
     """

@@ -95,7 +95,9 @@ class DesignPartition:
     estimators (:meth:`split_factor`, kept once built) from them instead of
     factoring again.  ``w`` and ``t`` may each be
     given as an ``Svd`` (the one a rank check has already computed, or
-    factors known by construction), which is kept as it is.
+    factors known by construction), which is kept as it is; of a ``W``
+    given so, only ``u`` and ``s`` are read (and checked finite) until ``w``
+    is.
 
     The rank tolerance is resolved once, here: ``tol=None`` means the
     context default (:func:`~pregols.linalg.get_default_tolerance`) at
@@ -109,13 +111,13 @@ class DesignPartition:
     and its variance map is :func:`~pregols.variance.full_operator`.
     """
 
-    __slots__ = ("w", "t", "w_svd", "t_svd", "ell", "tol", "_split_factor")
+    __slots__ = ("_w", "t", "w_svd", "t_svd", "ell", "tol", "_split_factor")
 
     def __init__(self, w, t, *, tol: RankTolerance | None = None):
         self.tol = get_default_tolerance() if tol is None else tol
         w_svd = w if isinstance(w, Svd) else None
         t_svd = t if isinstance(t, Svd) else None
-        w = as_matrix(w.a if w_svd is not None else w, "w")
+        self._w = _readonly(as_matrix(w, "w")) if w_svd is None else None
         t = as_matrix(t.a if t_svd is not None else t, "t")
         if t.shape[1] == 0:
             raise InvalidInputError(
@@ -123,18 +125,18 @@ class DesignPartition:
                 "fit an unsplit design with fit_full"
             )
         n, m = t.shape
-        if w.shape[0] != n:
-            raise InvalidInputError(
-                f"w and t must have equal row counts, got {w.shape[0]} and {n}"
-            )
-        if w.shape[1] < n:
+        nw, q = self._w.shape if w_svd is None else w_svd.shape
+        if nw != n:
+            raise InvalidInputError(f"w and t must have equal row counts, got {nw} and {n}")
+        if q < n:
             raise RankAssumptionError(
-                f"penalized block w must be wide (cols >= rows), got {n}x{w.shape[1]}"
+                f"penalized block w must be wide (cols >= rows), got {n}x{q}"
             )
-        self.w = _readonly(w)
-        self.w_svd = require_rank(Svd(self.w) if w_svd is None else w_svd, n, self.tol,
+        self.w_svd = require_rank(Svd(self._w) if w_svd is None else w_svd, n, self.tol,
                                   "penalized block w must have full row rank")
         self.ell = self.w_svd.u / self.w_svd.s  # U is n x n, as W has full row rank
+        if w_svd is not None and not np.isfinite(self.ell).all():  # a kept Svd's, not W
+            raise InvalidInputError("w contains non-finite entries")
         self.ell.setflags(write=False)
         self._split_factor = None
         if m >= n:
@@ -146,12 +148,19 @@ class DesignPartition:
                                   "unpenalized block t must have full column rank")
 
     @property
+    def w(self) -> np.ndarray:
+        """``W``, read-only; of a kept ``Svd``, a copy of ``w_svd.a`` made on first read."""
+        if self._w is None:
+            self._w = _readonly(self.w_svd.a)
+        return self._w
+
+    @property
     def n(self) -> int:
-        return self.w.shape[0]
+        return self.w_svd.shape[0]
 
     @property
     def q(self) -> int:
-        return self.w.shape[1]
+        return self.w_svd.shape[1]
 
     @property
     def m(self) -> int:

@@ -12,6 +12,7 @@ uses headerless CSV, one row per line, dimensions inferred from the file.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -129,10 +130,10 @@ class Svd:
     accepts an ``Svd`` of ``W`` or ``T``).  An empty matrix has empty factors.
     """
 
-    __slots__ = ("a", "shape", "u", "s", "_vt")
+    __slots__ = ("_a", "shape", "u", "s", "_vt")
 
     def __init__(self, a: np.ndarray):
-        self.a = a
+        self._a = a
         self.shape = a.shape
         if a.size == 0:
             self.u, self.s = np.zeros((a.shape[0], 0)), np.zeros(0)
@@ -141,19 +142,29 @@ class Svd:
             self.u, self.s, self._vt = np.linalg.svd(a, full_matrices=False)
 
     @classmethod
-    def from_factors(cls, a: np.ndarray, u: np.ndarray, s: np.ndarray) -> "Svd":
+    def from_factors(cls, a, u: np.ndarray, s: np.ndarray) -> "Svd":
         """An ``Svd`` of ``a`` from its left factor and singular values, known by construction.
 
         Nothing is factored or checked: the caller guarantees
         ``a = u diag(s) vt`` for some ``vt`` with orthonormal rows, with
         orthonormal columns in ``u`` and ``s`` positive and descending, as
         :meth:`rank` reads ``s[0]`` as the largest singular value.  ``vt``
-        is then ``S^{-1} U^T a``, built on first read (:attr:`vt`).
+        is then ``S^{-1} U^T a``, built on first read (:attr:`vt`).  ``a``
+        may be ``(shape, build)`` instead, built by ``build()`` on first
+        read: a spiked or geometric draw keeps its Haar-like factor in
+        Householder form and forms no ``W`` unless it is read (:mod:`~pregols.dgp`).
         """
         self = object.__new__(cls)
-        self.a, self.shape = a, a.shape
+        self.shape, self._a = (a.shape, a) if isinstance(a, np.ndarray) else a
         self.u, self.s, self._vt = u, s, None
         return self
+
+    @property
+    def a(self) -> np.ndarray:
+        """The factored matrix, built once if it was given as a builder."""
+        if callable(self._a):
+            self._a = self._a()
+        return self._a
 
     @property
     def vt(self) -> np.ndarray:
@@ -180,6 +191,84 @@ class Svd:
         direction :meth:`rank` counts; forming ``A A^T`` would square cond(A)."""
         u, s = self.kept(tol)
         return (u / s**2) @ u.T
+
+
+@functools.cache
+def _numpy_function(name: str):
+    """The C function ``name`` of the BLAS/LAPACK numpy links, not of another copy, or ``None``."""
+    import ctypes
+
+    from numpy.linalg import _umath_linalg
+
+    try:
+        return getattr(ctypes.CDLL(_umath_linalg.__file__), name)
+    except (OSError, AttributeError):
+        return None
+
+
+@functools.cache
+def _dormqr():
+    """``apply(h, tau, c, trans)``, ``H^T c`` (``b"T"``) or ``H c`` (``b"N"``) by numpy's ``dormqr``.
+
+    ``(h, tau) = np.linalg.qr(g, mode="raw")`` of a q x n ``g`` keeps the
+    reflectors of ``H = H_1 ... H_n``, whose first n columns are the thin
+    ``Q``; ``c`` is q x k.  ``None`` without the symbol: ILP64 names are
+    tried first, then the plain one with C ints.  The conversions cost more
+    than the product at n = 20, so the addresses come from
+    ``ctypes.c_char.from_buffer``, a third of the time of ``.ctypes.data``:
+    8.4 us a call for k = 6, 4 us of it in LAPACK, where reading
+    ``.ctypes.data`` took 11 us.  Below 16 columns the least workspace picks
+    the unblocked code, in half the time of the blocked for 6 columns at
+    n = 99.
+    """
+    import ctypes
+
+    for name, int_t in (("scipy_dormqr_64_", np.int64), ("dormqr_64_", np.int64),
+                        ("dormqr_", np.intc)):
+        if (fn := _numpy_function(name)) is not None:
+            break
+    else:
+        return None
+    # SIDE, TRANS, M, N, K, A, LDA, TAU, C, LDC, WORK, LWORK, INFO, then the
+    # hidden lengths of the two strings
+    fn.argtypes = (ctypes.c_char_p,) * 2 + (ctypes.c_void_p,) * 11 + (ctypes.c_size_t,) * 2
+    fn.restype, step = None, np.dtype(int_t).itemsize
+
+    def at(a):  # refuses an array that is not C-contiguous and writable
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+
+    def apply(h, tau, c, trans):
+        (n, q), k = h.shape, c.shape[1]
+        lwork = k if k < 16 else 32 * k + 4160
+        a = np.array(h, order="C")  # LAPACK's column-major A is h^T
+        out = np.array(c.T, dtype=np.float64, order="C")  # c column-major, then H^T c
+        work, ints = np.empty(lwork), np.array([q, k, n, q, q, lwork, 0], dtype=int_t)
+        i = at(ints)
+        fn(b"L", trans, i, i + step, i + 2 * step, at(a), i + 3 * step, at(tau), at(out),
+           i + 4 * step, at(work), i + 5 * step, i + 6 * step, 1, 1)
+        if ints[6]:
+            raise ValueError(f"dormqr rejected argument {-ints[6]}")
+        return out.T
+
+    return apply
+
+
+def _householder_qt(g: np.ndarray):
+    """``qt(x) = Q^T x``, and ``qt() = Q^T``, for the thin ``Q`` of a tall ``g = Q R``, ``R_jj >= 0``.
+
+    ``Q`` stays n Householder reflectors (Golub & Van Loan 5.2), applied to
+    k columns in O(q n k) by :func:`_dormqr`; ``Q^T`` itself is ``H`` applied
+    to the first n columns of ``I_q``.  Without ``dormqr`` numpy forms ``Q``.
+    """
+    (q, n), apply = g.shape, _dormqr()
+    if apply is None:
+        qm, r = np.linalg.qr(g)
+        signs = np.copysign(1.0, r.diagonal())[:, None]
+        return lambda x=None: (qm * signs.T).T if x is None else (qm.T @ x) * signs
+    h, tau = np.linalg.qr(g, mode="raw")  # h is n x q, with R[j, j] = h[j, j]
+    signs = np.copysign(1.0, h.diagonal())[:, None]
+    return lambda x=None: ((apply(h, tau, np.eye(q, n), b"N") * signs.T).T if x is None
+                           else apply(h, tau, x, b"T")[:n] * signs)
 
 
 def require_rank(f: Svd, rank: int, tol: RankTolerance | None, what: str) -> Svd:

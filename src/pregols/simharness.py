@@ -53,7 +53,7 @@ from .dgp import (
 )
 from .exceptions import ExperimentAbortedError, InvalidInputError, RankAssumptionError
 from .interpolators import DesignPartition
-from .linalg import Svd, write_matrix_csv
+from .linalg import Svd, _numpy_function, as_vector, write_matrix_csv
 from .linalg import pinv  # noqa: F401  perfbench/workloads.py traces this name
 from .variance import (  # noqa: F401  perfbench/workloads.py traces these names
     ESTIMATOR_IDS,
@@ -89,7 +89,7 @@ class _Experiment:
     ``design(cfg, value, rng)`` draws a trial's design at grid value
     ``value`` and returns ``(mean_y, sigma, errors, blocks)``: the responses
     are ``mean_y + sigma * z``, ``errors[est]`` sums the errors of a block
-    of responses (one per row), and ``blocks`` are the matrices to dump.
+    of responses (one per row), and ``blocks`` build the matrices to dump.
     """
 
     grid: tuple[float, ...]
@@ -115,7 +115,7 @@ def _variance_design(cfg, rng, n: int, p: int, sigma: float = 1.0, beta0: float 
         est: lambda ys, op=residual_operator(est, part): op.estimate_sum(ys) - len(ys) * sigma**2
         for est in cfg.estimators
     }
-    return w_svd.a @ np.full(p - 1, p**-0.5) + beta0, sigma, errors, {"w": w_svd.a}
+    return p**-0.5 * w_svd.ones + beta0, sigma, errors, {"w": lambda: w_svd.a}
 
 
 def _treatment_rows(part: DesignPartition, fits=("full", "partial")) -> tuple[np.ndarray, ...]:
@@ -136,16 +136,16 @@ def _ate_design(cfg, tau: float, rng):
     """An ``80 x 98`` spiked ``W`` and ``T = [d, 1]``; ``y = W alpha + tau d + 1 + z``.
 
     Every ``alpha`` coordinate is ``(q + 2)^-1/2``; a fit's error is its
-    treatment coefficient minus ``tau``.
+    treatment coefficient minus ``tau``, and a non-finite one is refused.
     """
     n, q = _ATE_N, _ATE_Q
     w_svd, dvec = gen_ate_design(n, q, rng)
     part = DesignPartition(w_svd, np.column_stack([dvec, np.ones(n)]))
     rows = _treatment_rows(part, cfg.estimators)
-    errors = {est: lambda ys, row=row: float(np.sum(ys @ row)) - len(ys) * tau
+    errors = {est: lambda ys, row=row: float(as_vector(ys @ row, "ys").sum()) - len(ys) * tau
               for est, row in zip(cfg.estimators, rows)}
-    mean_y = w_svd.a @ np.full(q, (q + 2) ** -0.5) + tau * dvec + 1.0
-    return mean_y, 1.0, errors, {"w": w_svd.a, "d": dvec.reshape(-1, 1)}
+    mean_y = (q + 2) ** -0.5 * w_svd.ones + tau * dvec + 1.0
+    return mean_y, 1.0, errors, {"w": lambda: w_svd.a, "d": lambda: dvec.reshape(-1, 1)}
 
 
 _TABLE: dict[str, _Experiment] = {
@@ -374,7 +374,7 @@ def _trial(cfg: ExperimentConfig, dump_dir, gi: int, ti: int) -> dict:
     if dump_dir is not None:
         stem = f"{cfg.experiment}_{cfg.model}_g{gi:02d}_t{ti:04d}"
         for name, matrix in blocks.items():
-            write_matrix_csv(os.path.join(dump_dir, f"{stem}_{name}.csv"), matrix)
+            write_matrix_csv(os.path.join(dump_dir, f"{stem}_{name}.csv"), matrix())
     sums = dict.fromkeys(errors, 0.0)
     for ys in _response_blocks(rng, mean_y, sigma, cfg.draws_per_trial):
         for est, err in errors.items():
@@ -409,24 +409,16 @@ def _claim(trial, tasks, counter) -> list:
 def _blas_threads():
     """``(get, set)`` for the thread count of the OpenBLAS numpy calls, or ``None``.
 
-    The entry points are looked up through numpy's linalg extension, so they
-    belong to the BLAS numpy is linked against, not to another copy in the
-    process (scipy's, say).  ``None`` when that BLAS is not an OpenBLAS.
+    The entry points are numpy's own (:func:`~pregols.linalg._numpy_function`).
+    ``None`` when that BLAS is not an OpenBLAS.
     """
     import ctypes
 
-    from numpy.linalg import _umath_linalg
-
-    try:
-        lib = ctypes.CDLL(_umath_linalg.__file__)
-    except OSError:
-        return None
     for prefix in ("scipy_openblas", "openblas"):
         for suffix in ("64_", ""):
-            try:
-                get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
-                put = getattr(lib, f"{prefix}_set_num_threads{suffix}")
-            except AttributeError:
+            get = _numpy_function(f"{prefix}_get_num_threads{suffix}")
+            put = _numpy_function(f"{prefix}_set_num_threads{suffix}")
+            if get is None or put is None:
                 continue
             get.argtypes, get.restype = (), ctypes.c_int
             put.argtypes, put.restype = (ctypes.c_int,), None

@@ -180,10 +180,12 @@ def standard_normal_from_integers(rng, size=None):
     """Standard normals from the uniforms ``(j + 0.5) / 2^53``, ``j = integers(0, 2^53)``.
 
     The formula ``pregols.dgp.standard_normal`` is pinned to, written out
-    with a 53-bit integer draw and an explicit half-step offset.
+    with a 53-bit integer draw and an explicit half-step offset.  The top
+    ``j = 2^53 - 1`` rounds to 1, so it is held at ``1 - 2^-53``, the
+    largest double below 1, by the same rule.
     """
     j = rng.integers(0, 1 << 53, size=size)
-    u = (np.asarray(j, dtype=np.float64) + 0.5) / float(1 << 53)
+    u = np.minimum((np.asarray(j, dtype=np.float64) + 0.5) / float(1 << 53), 1.0 - 2.0**-53)
     out = ndtri(u)
     return float(out) if size is None else out
 

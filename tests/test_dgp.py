@@ -324,14 +324,14 @@ def test_gen_covariates_resamples_on_rank_failure(monkeypatch, caplog):
     cfg = CovariateConfig(model="standard_normal", n=4, q=6)
     calls = {"n": 0}
 
-    class FlakySvd(dgp_module.Svd):
+    class FlakyDraw(dgp_module._Draw):
         __slots__ = ()
 
         def rank(self, tol=None):
             calls["n"] += 1
             return 0 if calls["n"] == 1 else super().rank(tol)
 
-    monkeypatch.setattr(dgp_module, "Svd", FlakySvd)
+    monkeypatch.setattr(dgp_module, "_Draw", FlakyDraw)
     with caplog.at_level("WARNING", logger="pregols.dgp"):
         w = dgp_module.gen_covariates(cfg, Seed(10).rng(0))
     assert w.a.shape == (4, 6)
@@ -429,3 +429,84 @@ def test_ate_design_never_constant_treatment():
 def test_ate_requires_wide():
     with pytest.raises(InvalidInputError):
         gen_ate_dataset(8, 8, 1.0, Seed(17).rng(0))
+
+
+class _FixedUniforms:
+    """A stand-in generator whose ``random`` returns ``j 2^-53`` for the given 53-bit ``j``."""
+
+    def __init__(self, js):
+        self.u = np.array(js, dtype=np.float64) * 2.0**-53
+
+    def random(self, size=None):
+        return float(self.u[0]) if size is None else self.u.reshape(size).copy()
+
+
+def test_the_top_uniform_is_held_below_one():
+    # j = 2^53 - 1 would round to u = 1.0 and give ndtri(1) = inf; it is held
+    # at 1 - 2^-53 instead, and every other j keeps its bits
+    top = (1 << 53) - 1
+    js = [0, 1, 1 << 52, top - 1, top]
+    got = standard_normal(_FixedUniforms(js), (5,))
+    want = ndtri(np.array(js, dtype=np.float64) * 2.0**-53 + 2.0**-54)
+    assert np.isinf(want[-1])
+    assert np.array_equal(got[:-1].view(np.uint64), want[:-1].view(np.uint64))
+    assert got[-1] == ndtri(1.0 - 2.0**-53) and np.isfinite(got[-1])
+    assert standard_normal(_FixedUniforms([top])) == got[-1]
+
+    class TopIntegers:
+        def integers(self, lo, hi, size=None):
+            return np.full(size, top) if size is not None else top
+
+    assert standard_normal_from_integers(TopIntegers(), (2,))[0] == got[-1]
+
+
+@pytest.mark.parametrize("model", ["spiked", "geometric"])
+def test_a_factored_draw_forms_w_only_when_read(model, w_builds):
+    # the partition and every operator read u and s; the first read of w
+    # builds W, once, and its row sums are the draw's ones
+    f = gen_covariates(CovariateConfig(model=model, n=30, q=99), Seed(4).rng(0))
+    part = DesignPartition(f, np.ones((30, 1)))
+    ops = [residual_operator(est, part) for est in ESTIMATOR_IDS]
+    assert w_builds == [] and (part.n, part.q) == (30, 99) and len(ops) == 4
+    w = part.w
+    assert w_builds == [(30, 99)] and np.array_equal(w, f.a) and not w.flags.writeable
+    assert part.w is w and w_builds == [(30, 99)]
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(f.ones - w.sum(axis=1))) <= 10 * 99 * eps * np.abs(w).max()
+
+
+def test_a_partition_checks_the_factors_it_reads_in_place_of_w():
+    f = gen_covariates(CovariateConfig(model="spiked", n=6, q=12), Seed(1).rng(0))
+    u = f.u.copy()
+    u[2, 3] = np.nan
+
+    def forbidden():
+        raise AssertionError("W was formed")
+
+    bad = Svd.from_factors(((6, 12), forbidden), u, f.s)
+    with pytest.raises(InvalidInputError, match="w contains non-finite entries"):
+        DesignPartition(bad, np.ones((6, 1)))
+
+
+@pytest.mark.parametrize("model", ["spiked", "geometric"])
+@pytest.mark.parametrize("n", [20, 80])
+def test_draws_without_dormqr_match_the_lapack_path(model, n, monkeypatch):
+    # with no dormqr in numpy's library, Q is formed by np.linalg.qr and
+    # multiplied; the draw's factors, row sums and W agree with the
+    # Householder path to 10 q eps ||W||, and the stream is consumed alike
+    from pregols import linalg
+
+    if linalg._dormqr() is None:
+        pytest.skip("numpy's LAPACK exports no dormqr")
+    cfg = CovariateConfig(model=model, n=n, q=99)
+    fast_rng, slow_rng = Seed(8).rng(n), Seed(8).rng(n)
+    fast = gen_covariates(cfg, fast_rng)
+    monkeypatch.setattr(linalg, "_dormqr", lambda: None)
+    slow = gen_covariates(cfg, slow_rng)
+    assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+    scale = np.linalg.norm(slow.a, 2)
+    bound = 10 * cfg.q * np.finfo(float).eps * scale
+    for got, want in ((fast.a, slow.a), (fast.s, slow.s), (fast.ones, slow.ones)):
+        assert np.max(np.abs(got - want)) <= bound
+    gram = [(f.u * f.s**2) @ f.u.T for f in (fast, slow)]  # W W^T, whatever basis u takes
+    assert np.max(np.abs(gram[0] - gram[1])) <= bound * scale

@@ -209,3 +209,60 @@ def test_from_factors_builds_vt_on_first_read():
     assert f._vt is None
     assert np.array_equal(f.vt, (u.T @ a) / s[:, None])
     assert f.vt is f.vt
+
+
+def test_from_factors_builds_a_on_first_read():
+    # a matrix given as (shape, build) is built once, when a (or vt) is
+    # first read; the rank, the inverse Gram and the kept factors never build it
+    rng = np.random.default_rng(12)
+    u = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    s = np.array([5.0, 4.0, 3.0, 2.0, 1.5, 1.0])
+    a = (u * s) @ np.linalg.qr(rng.standard_normal((9, 6)))[0].T
+    calls = []
+    f = Svd.from_factors(((6, 9), lambda: calls.append(1) or a), u, s)
+    f.rank(), f.gram_inverse(), f.kept(), projector(f)
+    assert calls == [] and f.shape == (6, 9)
+    assert np.array_equal(f.vt, (u.T @ a) / s[:, None])
+    assert f.a is a and f.a is a and calls == [1]
+
+
+def test_householder_helper_without_dormqr_matches_lapack(monkeypatch):
+    # the lookup finds no symbol and returns None; numpy's explicit Q then
+    # gives the same signed Q^T x, and Q^T, as the reflectors, to 10 q eps ||x||
+    from pregols import linalg
+
+    if linalg._dormqr() is None:
+        pytest.skip("numpy's LAPACK exports no dormqr")
+    rng = np.random.default_rng(13)
+    cases = [(rng.standard_normal((q, n)), rng.standard_normal((q, k)))
+             for q, n, k in [(99, 99, 6), (98, 80, 1), (99, 20, 99), (7, 7, 3), (10, 3, 20)]]
+    fast = [(linalg._householder_qt(g)(x), linalg._householder_qt(g)()) for g, x in cases]
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "_numpy_function", lambda name: None)
+        assert linalg._dormqr.__wrapped__() is None
+    monkeypatch.setattr(linalg, "_dormqr", lambda: None)
+    for (g, x), (got, got_rows) in zip(cases, fast):
+        want, want_rows = linalg._householder_qt(g)(x), linalg._householder_qt(g)()
+        q, n = g.shape
+        assert got.shape == want.shape == (n, x.shape[1])
+        assert got_rows.shape == want_rows.shape == (n, q)
+        bound = 10 * q * np.finfo(float).eps
+        assert np.max(np.abs(got - want)) <= bound * np.abs(x).sum(axis=0).max()
+        assert np.max(np.abs(got_rows - want_rows)) <= bound
+
+
+def test_householder_helper_signs_r_nonnegative():
+    # Q^T g is the R factor, upper triangular with a nonnegative diagonal;
+    # the explicit Q^T has orthonormal rows and gives the same product
+    from pregols import linalg
+
+    rng = np.random.default_rng(14)
+    for q, n in [(99, 99), (98, 80), (40, 7)]:
+        g = rng.standard_normal((q, n))
+        qt = linalg._householder_qt(g)
+        r, rows = qt(g), qt()
+        bound = 10 * q * np.finfo(float).eps
+        assert np.all(np.diag(r) > 0)
+        assert np.max(np.abs(np.tril(r, -1))) <= bound * np.linalg.norm(g, 2)
+        assert np.max(np.abs(rows @ rows.T - np.eye(n))) <= bound
+        assert np.max(np.abs(rows @ g - r)) <= bound * np.linalg.norm(g, 2)

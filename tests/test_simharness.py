@@ -718,3 +718,47 @@ def test_seed_314_desk_runs_match_the_pinned_reference():
     for key, values in want.items():
         for g, v in zip(got[key], values):
             assert abs(g - v) <= 1e-12 * (1.0 + abs(v)), key
+
+
+@pytest.mark.parametrize("experiment", ["sim1", "ate"])
+def test_paper_scale_trials_never_form_w(experiment, w_builds):
+    # every grid value of paper-scale sim1 (all five n) and ate (all 11
+    # effects): the trial reads W only through its factors and row sums
+    cfg = ExperimentConfig.default(experiment, seed=314, paper_scale=True)
+    for gi in range(len(cfg.grid)):
+        simharness._trial(cfg, None, gi, 0)
+    assert w_builds == []
+
+
+def test_a_dumped_trial_builds_w_once_and_writes_the_explicit_w(tmp_path, w_builds):
+    # the dump forms W once; it matches the draw formed the explicit way
+    # (Q from np.linalg.qr, the dense root from eigh) to 10 q eps ||W||
+    from oracles import spiked_root_eigh
+    from pregols import read_matrix_csv
+
+    cfg = ExperimentConfig.default("sim1", seed=314, paper_scale=True)
+    simharness._trial(cfg, str(tmp_path), 4, 0)
+    assert w_builds == [(99, 99)]
+    got = read_matrix_csv(tmp_path / "sim1_spiked_g04_t0000_w.csv")
+    rng = Seed(314).rng(4 * simharness._STREAM_STRIDE)
+    root = spiked_root_eigh(CovariateConfig(model="spiked", n=99, q=99), rng)
+    qmat, rmat = np.linalg.qr(standard_normal(rng, (99, 99)))
+    want = (qmat * np.sign(np.diag(rmat))).T @ root
+    eps = np.finfo(float).eps
+    assert np.linalg.norm(got - want, 2) <= 10 * 99 * eps * np.linalg.norm(want, 2)
+
+
+def test_an_infinite_response_stops_the_treatment_trial(monkeypatch):
+    # the ate error map checks its block as estimate_sum does for sim
+    real = simharness.standard_normal
+
+    def with_inf(rng, size=None):
+        out = real(rng, size)
+        out[0, 0] = np.inf
+        return out
+
+    monkeypatch.setattr(simharness, "standard_normal", with_inf)
+    for est in ("full", "partial"):
+        cfg = ExperimentConfig("ate", grid=(1.0,), trials=1, draws_per_trial=3, estimators=[est])
+        with pytest.raises(InvalidInputError, match="ys contains non-finite entries"):
+            simharness._trial(cfg, None, 0, 0)
