@@ -28,7 +28,7 @@ from pregols import (
 rng = Seed(11).rng(0)
 n, p = 40, 50
 q = p - 1
-w = gen_covariates(CovariateConfig(model="spiked", n=n, q=q), rng)
+w = gen_covariates(CovariateConfig(model="spiked"), n, q, rng)
 part = DesignPartition(w, np.ones((n, 1)))
 x = part.stacked()
 

@@ -8,7 +8,8 @@ by inverse-CDF transform of 53-bit uniforms — no reliance on the default
 normal algorithm, so streams are stable across platforms for a fixed
 generator version.
 
-Three covariate models, all n x q with q >= n and full row rank:
+Three covariate models, each a :class:`CovariateConfig` drawn at an n x q
+shape given per draw (q >= n), with full row rank:
 
 * ``standard_normal`` — i.i.d. unit Gaussians;
 * ``spiked`` — ``W = U Sigma^{1/2}`` with Haar-like orthonormal rows ``U`` and
@@ -38,10 +39,9 @@ formed only if something reads them; a simulate trial never does.
 
 from __future__ import annotations
 
-import functools
 import logging
 import numbers
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
@@ -158,17 +158,18 @@ def _is_real(v) -> bool:
 
 @dataclass(frozen=True)
 class CovariateConfig:
-    """Declarative covariate model: which process and its parameters.
+    """Declarative covariate model: which process and its parameters, not the shape.
 
     ``sigma_x``, ``k_spikes``, ``lambda_range`` apply to the spiked model;
-    ``lambda_geo``, ``rho`` to the geometric model.  Defaults match the
-    simulation studies (five spikes with strengths uniform on [10, 20],
-    geometric decay 0.95).
+    ``lambda_geo``, ``rho`` to the geometric model; all are keyword-only.
+    Defaults match the simulation studies (five spikes with strengths
+    uniform on [10, 20], geometric decay 0.95).  The n x q shape is chosen
+    per draw (:func:`gen_covariates`), so one checked model serves a whole
+    grid of shapes.
     """
 
     model: str
-    n: int
-    q: int
+    _: KW_ONLY
     sigma_x: float = 1.0
     k_spikes: int = 5
     lambda_range: tuple[float, float] = (10.0, 20.0)
@@ -180,9 +181,6 @@ class CovariateConfig:
             raise InvalidInputError(
                 f"unknown covariate model {self.model!r}; choose from {COVARIATE_MODELS}"
             )
-        if any(isinstance(v, bool) or not isinstance(v, numbers.Integral)
-               for v in (self.n, self.q)):
-            raise InvalidInputError(f"n and q must be integers, got n={self.n!r}, q={self.q!r}")
         lam = self.lambda_range
         if not (isinstance(lam, (tuple, list)) and len(lam) == 2 and all(map(_is_real, lam))):
             raise InvalidInputError(f"lambda_range must be a pair of real numbers, got {lam!r}")
@@ -192,10 +190,6 @@ class CovariateConfig:
                 raise InvalidInputError(
                     f"{name} must be a real number, got {getattr(self, name)!r}"
                 )
-        if not (1 <= self.n <= self.q):
-            raise InvalidInputError(
-                f"need 1 <= n <= q for a wide full-row-rank design, got n={self.n}, q={self.q}"
-            )
         if not 0.0 < self.sigma_x < np.inf:
             raise InvalidInputError("sigma_x must be positive and finite")
         k = self.k_spikes
@@ -210,25 +204,11 @@ class CovariateConfig:
             raise InvalidInputError("lambda_geo must be positive and finite")
 
 
-_cached_config = functools.lru_cache(maxsize=128, typed=True)(CovariateConfig)
+_ATE_COVARIATES = CovariateConfig("spiked")  # the model gen_ate_design draws from
 
 
-def covariate_config(model: str, n: int, q: int, **settings) -> CovariateConfig:
-    """``CovariateConfig(model, n, q, **settings)``, validated once per distinct arguments.
-
-    A config is frozen, so the one built for hashable arguments (their types
-    included) is shared: the simulate trials of one grid value validate it
-    once.  Arguments that do not hash are validated afresh, so they raise
-    :class:`~pregols.exceptions.InvalidInputError` as the constructor does.
-    """
-    try:
-        return _cached_config(model, n, q, **settings)
-    except TypeError:  # unhashable arguments never reach the constructor
-        return CovariateConfig(model, n, q, **settings)
-
-
-def _spiked_covariance(cfg: CovariateConfig, rng: np.random.Generator):
-    """``(C, e)``: the orthonormal spike directions and their strengths.
+def _spiked_covariance(cfg: CovariateConfig, q: int, rng: np.random.Generator):
+    """``(C, e)``: the orthonormal spike directions in q-space and their strengths.
 
     The thin SVD ``V Lambda^{1/2} = C diag(e) Z^T`` (q x k, ``C`` q x r,
     r = min(q, k)) gives ``V Lambda V^T = C diag(e^2) C^T``, so
@@ -241,7 +221,7 @@ def _spiked_covariance(cfg: CovariateConfig, rng: np.random.Generator):
     lo, hi = cfg.lambda_range
     k = cfg.k_spikes
     lams = lo + (hi - lo) * rng.random(k)
-    v = standard_normal(rng, (cfg.q, k))
+    v = standard_normal(rng, (q, k))
     v = v / np.linalg.norm(v, axis=0)
     c, e, _ = np.linalg.svd(v * np.sqrt(lams), full_matrices=False)
     if not np.all(1.0 + e**2 > 0.0):  # A = 1 + e^2; a NaN strength fails too
@@ -266,9 +246,9 @@ class _Draw(Svd):
     __slots__ = ("ones",)
 
 
-def _draw_covariates(cfg: CovariateConfig, rng: np.random.Generator) -> _Draw:
-    """One covariate draw as its thin SVD; built, not computed, for spiked and geometric."""
-    n, q, sx = cfg.n, cfg.q, cfg.sigma_x
+def _draw_covariates(cfg: CovariateConfig, n: int, q: int, rng: np.random.Generator) -> _Draw:
+    """One n x q covariate draw as its thin SVD; built, not computed, for spiked and geometric."""
+    sx = cfg.sigma_x
     if cfg.model == "standard_normal":
         f = _Draw(standard_normal(rng, (n, q)))
         f.ones = f.a @ np.ones(q)
@@ -277,7 +257,7 @@ def _draw_covariates(cfg: CovariateConfig, rng: np.random.Generator) -> _Draw:
         # W = U_h Sigma^{1/2} = sigma_x (U_h + (K (A^{1/2} - 1)) C^T) with K = U_h C
         # and A = 1 + e^2, no q x q root formed; W W^T = sigma_x^2 (I_n + K E^2 K^T)
         # with E = diag(e), and V^T = S^{-1} U^T W is left to Svd.vt
-        c, e = _spiked_covariance(cfg, rng)
+        c, e = _spiked_covariance(cfg, q, rng)
         uh = _householder_qt(standard_normal(rng, (q, n)))  # x -> U_h x
         c1 = np.ones((q, c.shape[1] + 1))
         c1[:, :-1] = c
@@ -298,19 +278,26 @@ def _draw_covariates(cfg: CovariateConfig, rng: np.random.Generator) -> _Draw:
     return f
 
 
-def gen_covariates(cfg: CovariateConfig, rng: np.random.Generator) -> Svd:
-    """Draw one covariate matrix as its thin SVD, resampling on (vanishingly rare) rank failure.
+def gen_covariates(cfg: CovariateConfig, n: int, q: int, rng: np.random.Generator) -> Svd:
+    """One n x q draw of ``cfg`` as its thin SVD, resampling on (vanishingly rare) rank failure.
 
-    The spiked and geometric models build the factors with the draw and
-    the standard normal model factors ``W`` once; the rank check reads the
-    singular values.  The returned :class:`~pregols.linalg.Svd` keeps ``W``
-    as ``.a`` and its row sums ``W 1`` as ``.ones``, and can be handed to
+    ``n`` and ``q`` must be integers with ``1 <= n <= q``.  The spiked and
+    geometric models build the factors with the draw and the standard normal
+    model factors ``W`` once; the rank check reads the singular values.  The
+    returned :class:`~pregols.linalg.Svd` keeps ``W`` as ``.a`` and its row
+    sums ``W 1`` as ``.ones``, and can be handed to
     :class:`~pregols.interpolators.DesignPartition`, which then does not
     factor ``W`` again.
     """
+    if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in (n, q)):
+        raise InvalidInputError(f"n and q must be integers, got n={n!r}, q={q!r}")
+    if not 1 <= n <= q:
+        raise InvalidInputError(
+            f"need 1 <= n <= q for a wide full-row-rank design, got n={n}, q={q}"
+        )
     for attempt in range(_MAX_REJECTIONS):
-        f = _draw_covariates(cfg, rng)
-        if f.rank() == cfg.n:
+        f = _draw_covariates(cfg, n, q, rng)
+        if f.rank() == n:
             if attempt:
                 logger.warning(
                     "resampled covariates %d time(s) after rank failures", attempt
@@ -330,7 +317,7 @@ def gen_ate_design(n: int, q: int, rng: np.random.Generator) -> tuple[Svd, np.nd
     """
     if not 1 <= n < q:
         raise InvalidInputError(f"need 1 <= n < q, got n={n}, q={q}")
-    w = gen_covariates(covariate_config("spiked", n, q), rng)
+    w = gen_covariates(_ATE_COVARIATES, n, q, rng)
     for _ in range(_MAX_REJECTIONS):
         d = (rng.random(n) < 0.5).astype(np.float64)
         if 0.0 < d.mean() < 1.0:

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidInputError, RankAssumptionError
-from .interpolators import DesignPartition, _guard_rtol, _split_solve, fit_partial
+from .interpolators import DesignPartition, _guard_rtol, _readonly, _split_solve, fit_partial
 from .linalg import as_matrix, as_vector, full_row_rank_svd
 
 __all__ = [
@@ -123,7 +123,7 @@ def _downdated_lt(ell: np.ndarray, i: int) -> np.ndarray:
 
 
 def loo_fit(d: DesignPartition, y, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Leave-one-out coefficient pair ``(lambda_loo, tau_loo)`` without refitting.
+    """Leave-one-out coefficient pair ``(lambda_loo, tau_loo)``, read-only, without refitting.
 
     The split solve of :func:`fit_partial` with ``D_i L^T`` in place of ``L^T``
     (``Wt_i = V D_i L^T``, module docstring): ``tau_loo = (D_i L^T T)^+ D_i L^T y``
@@ -132,7 +132,7 @@ def loo_fit(d: DesignPartition, y, i: int) -> tuple[np.ndarray, np.ndarray]:
     y = as_vector(y, "y", d.n)
     i = _check_index(i, d.n)
     _check_loo_rows(d, np.array([i]))
-    return _split_solve(_downdated_lt(d.ell, i), d.w_svd.vt, d.t, d.tol, y)
+    return tuple(map(_readonly, _split_solve(_downdated_lt(d.ell, i), d.w_svd.vt, d.t, d.tol, y)))
 
 
 def loo_residual_partial(d: DesignPartition, y, i: int) -> float:
@@ -167,6 +167,13 @@ def loo_record(d: DesignPartition, y, i: int) -> LooRecord:
     return LooRecord(index=i, lambda_loo=lam_loo, tau_loo=tau_loo, residual=resid)
 
 
+def _loo_map(g: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(R, ||R||_F^2)`` for the leave-one-out map ``R = [diag(G)]^{-1} G``, ``R`` read-only."""
+    r = g / np.diag(g)[:, None]
+    r.setflags(write=False)
+    return r, float(np.sum(r * r))
+
+
 class PartialLooSolver:
     """Per-design cache turning leave-one-out residuals into one matrix apply.
 
@@ -182,11 +189,7 @@ class PartialLooSolver:
         self.design = d
         _check_loo_rows(d, np.arange(d.n))
         f = d.split_factor()
-        q = f @ f.T
-        rows = q / np.diag(q)[:, None]
-        rows.setflags(write=False)
-        self.residual_matrix = rows
-        self.denominator = float(np.sum(rows * rows))
+        self.residual_matrix, self.denominator = _loo_map(f @ f.T)
 
     def residuals(self, y) -> np.ndarray:
         """All leave-one-out prediction residuals for one response vector."""

@@ -17,9 +17,10 @@ coefficient for the unsplit and split fits.  A cell reports the mean of
 per-trial means and the standard error across trials.
 
 Every experiment runs one trial skeleton: stream ``g * 2^20 + t`` of the
-root seed draws the design, through the table's design function, and then
-all its responses; the responses come as one block (in chunks of at most
-1024 rows), and each estimator is applied to the whole block at once.
+root seed draws the design, through the table's design function, from the
+run's one covariate model at the grid value's shape, and then all its
+responses, as one block (in chunks of at most 1024 rows) to which each
+estimator is applied at once.
 
 Determinism: the block holds exactly the sequential draws of that stream,
 so a trial's outcome does not depend on where or when it runs.  The trials
@@ -46,7 +47,7 @@ from .dgp import (
     COVARIATE_MODELS,
     CovariateConfig,
     Seed,
-    covariate_config,
+    _is_real,
     gen_ate_design,
     gen_covariates,
     standard_normal,
@@ -108,7 +109,7 @@ def _variance_design(cfg, rng, n: int, p: int, sigma: float = 1.0, beta0: float 
     Every slope is ``p^-1/2``; an estimator's error is ``sigma2_hat - sigma^2``.
     The intercept is born factored, ``1 = (1 / sqrt(n)) sqrt(n)``: no SVD of it.
     """
-    w_svd = gen_covariates(covariate_config(cfg.model, n, p - 1, **cfg.covariate), rng)
+    w_svd = gen_covariates(cfg._covariates, n, p - 1, rng)
     ones = Svd.from_factors(np.ones((n, 1)), np.full((n, 1), n**-0.5), np.array([n**0.5]))
     part = DesignPartition(w_svd, ones)
     errors = {
@@ -187,13 +188,11 @@ _TABLE: dict[str, _Experiment] = {
 EXPERIMENTS = tuple(_TABLE)
 DEFAULT_GRIDS: dict[str, tuple[float, ...]] = {name: row.grid for name, row in _TABLE.items()}
 
-_COVARIATE_KEYS = tuple(
-    f.name for f in fields(CovariateConfig) if f.name not in ("model", "n", "q")
-)
+_COVARIATE_KEYS = tuple(f.name for f in fields(CovariateConfig) if f.name != "model")
 
 
-def _covariate_settings(model: str, cov: dict) -> dict:
-    """A copy of ``cov`` checked once as the parameters of a :class:`CovariateConfig`."""
+def _covariate_model(model: str, cov: dict) -> CovariateConfig:
+    """The :class:`CovariateConfig` of ``model`` with the parameters ``cov``, checked once."""
     fixed = sorted(set(cov) & {"model", "n", "q"})
     if fixed:
         raise InvalidInputError(
@@ -205,10 +204,9 @@ def _covariate_settings(model: str, cov: dict) -> dict:
             f"unknown covariate keys {unknown}; choose from {list(_COVARIATE_KEYS)}"
         )
     try:
-        checked = CovariateConfig(model=model, n=1, q=1, **cov)
+        return CovariateConfig(model, **cov)
     except InvalidInputError as exc:
         raise InvalidInputError(f"invalid covariate settings {cov}: {exc}") from None
-    return {key: getattr(checked, key) for key in cov}
 
 
 @dataclass(frozen=True)
@@ -217,9 +215,9 @@ class ExperimentConfig:
 
     The desk-scale defaults (25 x 25) keep a full run under a few minutes;
     ``paper_scale=True`` in :meth:`default` switches to the 100 x 100 repeat
-    structure of the original studies.  ``covariate`` holds
-    :class:`CovariateConfig` parameters for ``sim1``-``sim4``, validated here
-    once; ``ate`` always draws default spiked covariates and takes none.
+    structure of the original studies.  ``covariate`` holds the parameters
+    of the one :class:`CovariateConfig` that every trial of ``sim1``-``sim4``
+    draws from, checked here; ``ate`` draws default spiked covariates only.
     ``estimators`` defaults to the study's own names: all four for
     ``sim1``-``sim4`` and ``("full", "partial")`` for ``ate``; a given value
     must be a nonempty subset of them.
@@ -252,11 +250,11 @@ class ExperimentConfig:
                 f"the {self.experiment} experiment uses the default {self.model} covariates; "
                 f"it takes no covariate settings, got {sorted(self.covariate)}"
             )
-        object.__setattr__(self, "covariate", _covariate_settings(self.model, self.covariate))
+        cov = _covariate_model(self.model, self.covariate)
+        object.__setattr__(self, "covariate", {key: getattr(cov, key) for key in self.covariate})
+        object.__setattr__(self, "_covariates", cov)  # the one model every trial draws from
         raw = row.grid if self.grid is None else self.grid
-        if not isinstance(raw, (list, tuple)) or not all(
-            isinstance(v, numbers.Real) and not isinstance(v, bool) for v in raw
-        ):
+        if not isinstance(raw, (list, tuple)) or not all(map(_is_real, raw)):
             raise InvalidInputError(f"grid must be a list of numbers, got {raw!r}")
         grid = tuple(float(v) for v in raw)
         if not grid:

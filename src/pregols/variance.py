@@ -50,7 +50,7 @@ import numpy as np
 from .exceptions import InvalidInputError
 from .interpolators import DesignPartition
 from .linalg import as_matrix, as_vector, full_row_rank_svd
-from .loo import PartialLooSolver
+from .loo import PartialLooSolver, _loo_map
 
 __all__ = [
     "ESTIMATOR_IDS",
@@ -155,8 +155,7 @@ def full_operator(x) -> ResidualOperator:
         gx = x.full_gram_inverse()
     else:
         gx = full_row_rank_svd(as_matrix(x, "x")).gram_inverse()
-    r = gx / np.diag(gx)[:, None]
-    return ResidualOperator("full", r, float(np.sum(r * r)))
+    return ResidualOperator("full", *_loo_map(gx))
 
 
 def partial_operator(d: DesignPartition) -> ResidualOperator:

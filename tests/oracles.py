@@ -154,8 +154,8 @@ def strong_direction_split(cond, seed, n=12, q=24):
     return w, t, rng.standard_normal(n)
 
 
-def spiked_root_eigh(cfg, rng):
-    """Spiked-covariance root by a full q x q eigendecomposition.
+def spiked_root_eigh(cfg, q, rng):
+    """Spiked-covariance root of the model ``cfg`` by a full q x q eigendecomposition.
 
     Draws the spike strengths and directions from ``rng`` in the library's
     order (``pregols.dgp.standard_normal`` is looked up at call time, so a
@@ -164,7 +164,7 @@ def spiked_root_eigh(cfg, rng):
     """
     from pregols import dgp
 
-    q, k = cfg.q, cfg.k_spikes
+    k = cfg.k_spikes
     lo, hi = cfg.lambda_range
     sigma = cfg.sigma_x**2 * np.eye(q)
     if k > 0:

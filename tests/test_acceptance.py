@@ -219,7 +219,7 @@ def test_criterion_07_exact_bias_validation():
     rng = pg.Seed(701).rng(0)
     n, p = 80, 100
     q = p - 1
-    w = pg.gen_covariates(pg.CovariateConfig(model="spiked", n=n, q=q), rng).a
+    w = pg.gen_covariates(pg.CovariateConfig(model="spiked"), n, q, rng).a
     part = pg.DesignPartition(w, np.ones((n, 1)))
     x = part.stacked()
     beta1 = np.full(q, p**-0.5)

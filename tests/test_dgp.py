@@ -117,8 +117,8 @@ def test_orthonormal_rows_requires_wide():
 
 
 def test_spiked_no_spikes_is_isotropic():
-    cfg = CovariateConfig(model="spiked", n=6, q=12, k_spikes=0, sigma_x=1.5)
-    w = gen_covariates(cfg, Seed(6).rng(0)).a
+    cfg = CovariateConfig(model="spiked", k_spikes=0, sigma_x=1.5)
+    w = gen_covariates(cfg, 6, 12, Seed(6).rng(0)).a
     assert np.max(np.abs(w @ w.T - 1.5**2 * np.eye(6))) <= 1e-8
 
 
@@ -131,22 +131,27 @@ _ROOT_CASES = {
 }
 
 
-def _assert_root_matches_oracle(cfg, seed):
+def _model_and_shape(n, q, model="spiked", **settings):
+    """A case's covariate model and the n x q shape it is drawn at."""
+    return CovariateConfig(model, **settings), n, q
+
+
+def _assert_root_matches_oracle(cfg, n, q, seed):
     # the root is never formed: the drawn W = U_h Sigma^{1/2} is held to the
     # rows U_h times the dense root, both drawn from one stream in order
-    got = dgp_module._draw_covariates(cfg, Seed(seed).rng(0)).a
+    got = dgp_module._draw_covariates(cfg, n, q, Seed(seed).rng(0)).a
     ref_rng = Seed(seed).rng(0)
-    root = spiked_root_eigh(cfg, ref_rng)
-    want = orthonormal_rows(cfg.n, cfg.q, ref_rng) @ root
+    root = spiked_root_eigh(cfg, q, ref_rng)
+    want = orthonormal_rows(n, q, ref_rng) @ root
     scale = np.linalg.norm(root, 2)
-    assert np.linalg.norm(got - want, 2) <= 10 * cfg.q * np.finfo(float).eps * scale
+    assert np.linalg.norm(got - want, 2) <= 10 * q * np.finfo(float).eps * scale
 
 
 @pytest.mark.parametrize("case", sorted(_ROOT_CASES))
 def test_spiked_root_matches_eigh_oracle(case):
-    cfg = CovariateConfig(model="spiked", **_ROOT_CASES[case])
+    cfg, n, q = _model_and_shape(**_ROOT_CASES[case])
     for seed in range(5):
-        _assert_root_matches_oracle(cfg, seed)
+        _assert_root_matches_oracle(cfg, n, q, seed)
 
 
 def test_spiked_root_with_repeated_spike_direction(monkeypatch):
@@ -163,8 +168,8 @@ def test_spiked_root_with_repeated_spike_direction(monkeypatch):
         return out
 
     monkeypatch.setattr(dgp_module, "standard_normal", repeated)
-    cfg = CovariateConfig(model="spiked", n=20, q=40, k_spikes=4)
-    _assert_root_matches_oracle(cfg, 3)
+    cfg = CovariateConfig(model="spiked", k_spikes=4)
+    _assert_root_matches_oracle(cfg, 20, 40, 3)
     assert len(repeats) == 2  # the library's draw and the oracle's
 
 
@@ -178,28 +183,35 @@ def test_spiked_covariance_refuses_a_nan_strength(monkeypatch):
         return u, np.full_like(s, np.nan), vt
 
     monkeypatch.setattr(np.linalg, "svd", nan_strengths)
-    cfg = CovariateConfig(model="spiked", n=4, q=8)
+    cfg = CovariateConfig(model="spiked")
     with pytest.raises(RankAssumptionError, match="not positive definite"):
-        dgp_module._spiked_covariance(cfg, Seed(1).rng(0))
+        dgp_module._spiked_covariance(cfg, 8, Seed(1).rng(0))
 
 
-def test_covariate_config_is_validated_once_and_shared():
-    a = dgp_module.covariate_config("spiked", 7, 9, sigma_x=2.0)
-    assert a is dgp_module.covariate_config("spiked", 7, 9, sigma_x=2.0)
-    assert a == CovariateConfig("spiked", 7, 9, sigma_x=2.0)
-    with pytest.raises(InvalidInputError):  # typed: 7.0 is not the cached 7
-        dgp_module.covariate_config("spiked", 7.0, 9, sigma_x=2.0)
+def test_a_draw_refuses_a_shape_before_drawing():
+    # the shape is the draw's, checked before the stream is read: n must be
+    # an integer (not a float, a bool or a 0-d array) and at most q
+    rng = Seed(1).rng(0)
+    state = rng.bit_generator.state
+    for n in (7.0, True, np.array(4)):
+        with pytest.raises(InvalidInputError, match="n and q must be integers"):
+            gen_covariates(CovariateConfig("spiked"), n, 9, rng)
+    with pytest.raises(InvalidInputError, match="need 1 <= n <= q"):
+        gen_covariates(CovariateConfig("spiked"), 10, 9, rng)
+    with pytest.raises(InvalidInputError, match="n and q must be integers"):
+        gen_ate_design(np.array(4), 9, rng)
+    assert rng.bit_generator.state == state
 
 
-def test_covariate_config_validates_unhashable_arguments_afresh():
-    # an argument the cache cannot hash is validated by the constructor, so a
-    # bad one raises the library's error and a good one gives the same config
-    cfg = dgp_module.covariate_config("spiked", 4, 9, lambda_range=[1.0, 2.0])
-    assert cfg == CovariateConfig("spiked", 4, 9, lambda_range=(1.0, 2.0))
-    with pytest.raises(InvalidInputError, match="must be integers"):
-        dgp_module.covariate_config("spiked", np.array(4), 9)
-    with pytest.raises(InvalidInputError, match="must be integers"):
-        gen_ate_design(np.array(4), 9, Seed(1).rng(0))
+def test_covariate_config_is_the_model_alone():
+    # the settings are keyword-only, so an old positional shape cannot be
+    # read as sigma_x and k_spikes
+    with pytest.raises(TypeError):
+        CovariateConfig("spiked", 80, 98)
+    cfg = CovariateConfig("spiked", lambda_range=[1.0, 2.0])
+    assert cfg == CovariateConfig("spiked", lambda_range=(1.0, 2.0))
+    assert isinstance(cfg.lambda_range, tuple)
+    assert not {"n", "q"} & set(vars(cfg))
 
 
 @pytest.mark.parametrize("case", sorted(_ROOT_CASES))
@@ -207,16 +219,16 @@ def test_spiked_draw_consumes_the_stream_like_the_dense_root(case):
     # the spikes, then the orthonormal rows: the generator ends where the
     # dense construction leaves it, so every later draw is unchanged; the
     # public generator keeps the draw's W bit for bit
-    cfg = CovariateConfig(model="spiked", **_ROOT_CASES[case])
+    cfg, n, q = _model_and_shape(**_ROOT_CASES[case])
     lib_rng, ref_rng, pub_rng = Seed(21).rng(2), Seed(21).rng(2), Seed(21).rng(2)
-    w = dgp_module._draw_covariates(cfg, lib_rng).a
-    root = spiked_root_eigh(cfg, ref_rng)
-    want = orthonormal_rows(cfg.n, cfg.q, ref_rng) @ root
+    w = dgp_module._draw_covariates(cfg, n, q, lib_rng).a
+    root = spiked_root_eigh(cfg, q, ref_rng)
+    want = orthonormal_rows(n, q, ref_rng) @ root
     assert lib_rng.bit_generator.state == ref_rng.bit_generator.state
-    assert np.array_equal(gen_covariates(cfg, pub_rng).a, w)
+    assert np.array_equal(gen_covariates(cfg, n, q, pub_rng).a, w)
     assert pub_rng.bit_generator.state == lib_rng.bit_generator.state
     scale = np.linalg.norm(root, 2)
-    assert np.linalg.norm(w - want, 2) <= 10 * cfg.q * np.finfo(float).eps * scale
+    assert np.linalg.norm(w - want, 2) <= 10 * q * np.finfo(float).eps * scale
 
 
 _FACTOR_CASES = {
@@ -231,15 +243,15 @@ _FACTOR_CASES = {
 def test_covariates_are_born_factored(case):
     # the spiked and geometric draws build their thin SVD; it reconstructs
     # W, has orthonormal factors and the singular values of a dense SVD
-    cfg = CovariateConfig(**_FACTOR_CASES[case])
+    cfg, n, q = _model_and_shape(**_FACTOR_CASES[case])
     eps = np.finfo(float).eps
     for seed in range(5):
-        f = gen_covariates(cfg, Seed(seed).rng(0))
-        bound = 10 * cfg.q * eps * np.linalg.norm(f.a, 2)
-        assert f.u.shape == (cfg.n, cfg.n) and f.vt.shape == (cfg.n, cfg.q)
+        f = gen_covariates(cfg, n, q, Seed(seed).rng(0))
+        bound = 10 * q * eps * np.linalg.norm(f.a, 2)
+        assert f.u.shape == (n, n) and f.vt.shape == (n, q)
         assert np.linalg.norm((f.u * f.s) @ f.vt - f.a, 2) <= bound
-        assert np.linalg.norm(f.u.T @ f.u - np.eye(cfg.n), 2) <= bound
-        assert np.linalg.norm(f.vt @ f.vt.T - np.eye(cfg.n), 2) <= bound
+        assert np.linalg.norm(f.u.T @ f.u - np.eye(n), 2) <= bound
+        assert np.linalg.norm(f.vt @ f.vt.T - np.eye(n), 2) <= bound
         assert np.all(np.diff(f.s) <= 0.0)
         assert np.max(np.abs(f.s - dense_svd(f.a).s)) <= bound
 
@@ -251,10 +263,10 @@ def test_factored_partition_matches_the_dense_svd_partition(model, n):
     # of W; the w and wc maps are compared through R^T R, since U_T^T is
     # defined up to signs and F^T up to a left isometry (the spiked model
     # repeats sigma_x n - k times)
-    cfg = CovariateConfig(model=model, n=n, q=99)
+    cfg = CovariateConfig(model=model)
     for seed in range(3):
         rng = Seed(seed).rng(n)
-        f = gen_covariates(cfg, rng)
+        f = gen_covariates(cfg, n, 99, rng)
         t = np.column_stack([rng.random(n) < 0.5, np.ones(n)]).astype(float)
         built = DesignPartition(f, t)
         dense = DesignPartition(dense_svd(f.a), t)
@@ -276,11 +288,11 @@ def test_fit_on_the_built_factors_matches_the_fit_on_a_dense_svd(model, n):
     # first reads it, fits as the SVD of W does: lambda to the fit's own
     # 8.8 n cond(W) eps (fit_partial), tau to the cond(W)^2 eps its problem
     # carries, on the treatment model's response
-    cfg = CovariateConfig(model=model, n=n, q=99)
+    cfg = CovariateConfig(model=model)
     eps = np.finfo(float).eps
     for seed in range(3):
         rng = Seed(seed).rng(n)
-        f = gen_covariates(cfg, rng)
+        f = gen_covariates(cfg, n, 99, rng)
         t = np.column_stack([rng.random(n) < 0.5, np.ones(n)]).astype(float)
         y = f.a @ np.full(99, 101**-0.5) + t @ [2.0, 1.0] + standard_normal(rng, n)
         got = fit_partial(DesignPartition(f, t), y)
@@ -292,8 +304,8 @@ def test_fit_on_the_built_factors_matches_the_fit_on_a_dense_svd(model, n):
 
 
 def test_geometric_singular_values_exact():
-    cfg = CovariateConfig(model="geometric", n=5, q=11, lambda_geo=1.3, rho=0.9)
-    w = gen_covariates(cfg, Seed(7).rng(0)).a
+    cfg = CovariateConfig(model="geometric", lambda_geo=1.3, rho=0.9)
+    w = gen_covariates(cfg, 5, 11, Seed(7).rng(0)).a
     target = 1.3 * 0.9 ** (np.arange(1, 6) / 2.0)
     got = np.sort(np.linalg.svd(w, compute_uv=False))[::-1]
     assert np.max(np.abs(got - target)) <= 1e-8
@@ -302,26 +314,26 @@ def test_geometric_singular_values_exact():
 def test_spiked_spectrum_has_k_large_eigenvalues():
     # at (n, q) = (80, 99) with spikes in [10, 20], exactly k compressed
     # spikes exceed 5 while the isotropic bulk stays at sigma_x^2 = 1
-    cfg = CovariateConfig(model="spiked", n=80, q=99)
+    cfg = CovariateConfig(model="spiked")
     rng = Seed(8).rng(0)
     counts = []
     for _ in range(10):
-        w = gen_covariates(cfg, rng).a
+        w = gen_covariates(cfg, 80, 99, rng).a
         evals = np.linalg.eigvalsh(w @ w.T)
         counts.append(int(np.sum(evals > 5.0)))
     assert np.mean(counts) == cfg.k_spikes
 
 
 def test_standard_normal_model_full_rank():
-    cfg = CovariateConfig(model="standard_normal", n=10, q=15)
+    cfg = CovariateConfig(model="standard_normal")
     rng = Seed(9).rng(0)
     for _ in range(20):
-        assert numeric_rank(gen_covariates(cfg, rng).a) == 10
+        assert numeric_rank(gen_covariates(cfg, 10, 15, rng).a) == 10
 
 
 def test_gen_covariates_resamples_on_rank_failure(monkeypatch, caplog):
     # the rank check is the rank of the thin SVD that the design keeps
-    cfg = CovariateConfig(model="standard_normal", n=4, q=6)
+    cfg = CovariateConfig(model="standard_normal")
     calls = {"n": 0}
 
     class FlakyDraw(dgp_module._Draw):
@@ -333,7 +345,7 @@ def test_gen_covariates_resamples_on_rank_failure(monkeypatch, caplog):
 
     monkeypatch.setattr(dgp_module, "_Draw", FlakyDraw)
     with caplog.at_level("WARNING", logger="pregols.dgp"):
-        w = dgp_module.gen_covariates(cfg, Seed(10).rng(0))
+        w = dgp_module.gen_covariates(cfg, 4, 6, Seed(10).rng(0))
     assert w.a.shape == (4, 6)
     assert calls["n"] == 2
     assert caplog.messages == ["resampled covariates 1 time(s) after rank failures"]
@@ -341,18 +353,18 @@ def test_gen_covariates_resamples_on_rank_failure(monkeypatch, caplog):
 
 def test_covariate_config_validation():
     with pytest.raises(InvalidInputError):
-        CovariateConfig(model="lognormal", n=4, q=8)
+        CovariateConfig(model="lognormal")
     with pytest.raises(InvalidInputError):
-        CovariateConfig(model="spiked", n=9, q=8)
+        gen_covariates(CovariateConfig(model="spiked"), 9, 8, Seed(1).rng(0))
     with pytest.raises(InvalidInputError):
-        CovariateConfig(model="geometric", n=4, q=8, rho=1.0)
+        CovariateConfig(model="geometric", rho=1.0)
     with pytest.raises(InvalidInputError):
-        CovariateConfig(model="spiked", n=4, q=8, sigma_x=0.0)
+        CovariateConfig(model="spiked", sigma_x=0.0)
     for bad in ({"sigma_x": np.inf}, {"sigma_x": np.nan}, {"k_spikes": True},
                 {"lambda_range": (0.0, np.inf)}, {"lambda_range": (np.nan, 1.0)},
                 {"lambda_geo": np.inf}, {"lambda_geo": np.nan}):
         with pytest.raises(InvalidInputError):
-            CovariateConfig(model="spiked", n=4, q=8, **bad)
+            CovariateConfig(model="spiked", **bad)
 
 
 @pytest.mark.parametrize(
@@ -372,20 +384,21 @@ def test_covariate_config_validation():
 )
 def test_covariate_parameters_must_be_real(bad, message):
     with pytest.raises(InvalidInputError, match=message):
-        CovariateConfig(model="spiked", n=4, q=8, **bad)
+        CovariateConfig(model="spiked", **bad)
 
 
 def test_covariate_lambda_range_is_kept_as_a_tuple():
-    cfg = CovariateConfig(model="spiked", n=4, q=8, lambda_range=[1, np.float64(2.5)])
+    cfg = CovariateConfig(model="spiked", lambda_range=[1, np.float64(2.5)])
     assert cfg.lambda_range == (1, 2.5) and isinstance(cfg.lambda_range, tuple)
 
 
 @pytest.mark.parametrize("bad", [2.5, 4.0, "4", True, None])
 def test_covariate_sizes_must_be_integers(bad):
-    for sizes in ({"n": bad, "q": 8}, {"n": 1, "q": bad}):
+    cfg = CovariateConfig(model="spiked")
+    for n, q in ((bad, 8), (1, bad)):
         with pytest.raises(InvalidInputError, match="n and q must be integers"):
-            CovariateConfig(model="spiked", **sizes)
-    CovariateConfig(model="spiked", n=np.int64(4), q=8)  # numpy integers are integers
+            gen_covariates(cfg, n, q, Seed(1).rng(0))
+    gen_covariates(cfg, np.int64(4), 8, Seed(1).rng(0))  # numpy integers are integers
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
@@ -464,7 +477,7 @@ def test_the_top_uniform_is_held_below_one():
 def test_a_factored_draw_forms_w_only_when_read(model, w_builds):
     # the partition and every operator read u and s; the first read of w
     # builds W, once, and its row sums are the draw's ones
-    f = gen_covariates(CovariateConfig(model=model, n=30, q=99), Seed(4).rng(0))
+    f = gen_covariates(CovariateConfig(model=model), 30, 99, Seed(4).rng(0))
     part = DesignPartition(f, np.ones((30, 1)))
     ops = [residual_operator(est, part) for est in ESTIMATOR_IDS]
     assert w_builds == [] and (part.n, part.q) == (30, 99) and len(ops) == 4
@@ -476,7 +489,7 @@ def test_a_factored_draw_forms_w_only_when_read(model, w_builds):
 
 
 def test_a_partition_checks_the_factors_it_reads_in_place_of_w():
-    f = gen_covariates(CovariateConfig(model="spiked", n=6, q=12), Seed(1).rng(0))
+    f = gen_covariates(CovariateConfig(model="spiked"), 6, 12, Seed(1).rng(0))
     u = f.u.copy()
     u[2, 3] = np.nan
 
@@ -498,14 +511,14 @@ def test_draws_without_dormqr_match_the_lapack_path(model, n, monkeypatch):
 
     if linalg._dormqr() is None:
         pytest.skip("numpy's LAPACK exports no dormqr")
-    cfg = CovariateConfig(model=model, n=n, q=99)
+    cfg = CovariateConfig(model=model)
     fast_rng, slow_rng = Seed(8).rng(n), Seed(8).rng(n)
-    fast = gen_covariates(cfg, fast_rng)
+    fast = gen_covariates(cfg, n, 99, fast_rng)
     monkeypatch.setattr(linalg, "_dormqr", lambda: None)
-    slow = gen_covariates(cfg, slow_rng)
+    slow = gen_covariates(cfg, n, 99, slow_rng)
     assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
     scale = np.linalg.norm(slow.a, 2)
-    bound = 10 * cfg.q * np.finfo(float).eps * scale
+    bound = 10 * 99 * np.finfo(float).eps * scale
     for got, want in ((fast.a, slow.a), (fast.s, slow.s), (fast.ones, slow.ones)):
         assert np.max(np.abs(got - want)) <= bound
     gram = [(f.u * f.s**2) @ f.u.T for f in (fast, slow)]  # W W^T, whatever basis u takes

@@ -44,6 +44,18 @@ def test_loo_fit_response_in_t_span():
         assert np.allclose(tau, c, atol=1e-9)
 
 
+def test_loo_coefficients_are_readonly():
+    # as the fit records are: the pair loo_fit returns and the record's copy
+    rng = np.random.default_rng(5)
+    d = random_partition(rng, 8, 14, 2)
+    y = rng.standard_normal(8)
+    rec = loo_record(d, y, 3)
+    for arr in (*loo_fit(d, y, 3), rec.lambda_loo, rec.tau_loo):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 99.0
+    assert np.array_equal(rec.lambda_loo, loo_fit(d, y, 3)[0])
+
+
 def test_loo_fit_matches_brute_force():
     rng = np.random.default_rng(1)
     d = random_partition(rng, 8, 14, 1)

@@ -96,7 +96,7 @@ def _sim_trial_per_draw(cfg, gi, ti):
     assert cfg.experiment == "sim1"  # n from the grid, p = 100, unit noise and intercept
     rng = Seed(cfg.seed).rng(gi * simharness._STREAM_STRIDE + ti)
     n, p, sigma, beta0 = int(cfg.grid[gi]), 100, 1.0, 1.0
-    w = gen_covariates(CovariateConfig(model=cfg.model, n=n, q=p - 1, **cfg.covariate), rng).a
+    w = gen_covariates(CovariateConfig(model=cfg.model, **cfg.covariate), n, p - 1, rng).a
     d = DesignPartition(w, np.ones((n, 1)))
     ops = {est: residual_operator(est, d) for est in cfg.estimators}
     mean_y = w @ np.full(p - 1, p**-0.5) + beta0
@@ -205,27 +205,27 @@ def test_standard_normal_trial_factors_w_once(monkeypatch):
         assert shapes == [(n, 99)]
 
 
-def test_trials_validate_each_grid_values_config_once(monkeypatch):
-    # a trial takes its grid value's CovariateConfig from a cache, so
-    # repeated trials validate it once: counted, not timed
-    from pregols import dgp
-
-    sim = tiny_config(experiment="sim1", grid=(20.0, 60.0), draws_per_trial=2)
+def test_trials_build_no_covariate_config(monkeypatch):
+    # the run's covariate model is checked once, when its config is built;
+    # a trial draws from it at its grid value's shape: counted, not timed
+    sim = tiny_config(experiment="sim1", grid=(20.0, 60.0), draws_per_trial=2,
+                      covariate={"k_spikes": 3})
     ate = ExperimentConfig(experiment="ate", grid=(-2.0, 4.0), trials=2, draws_per_trial=2)
     validated = []
     post_init = CovariateConfig.__post_init__
 
     def counted(cfg):
-        validated.append((cfg.model, cfg.n, cfg.q))
+        validated.append(cfg.model)
         post_init(cfg)
 
     monkeypatch.setattr(CovariateConfig, "__post_init__", counted)
-    dgp._cached_config.cache_clear()
     for cfg in (sim, ate):
         for ti in range(3):
             for gi in range(len(cfg.grid)):
                 simharness._trial(cfg, None, gi, ti)
-    assert validated == [("spiked", 20, 99), ("spiked", 60, 99), ("spiked", 80, 98)]
+    assert validated == []
+    ExperimentConfig(experiment="sim2", model="geometric", covariate={"rho": 0.9})
+    assert validated == ["geometric"]  # once, when the config is built
 
 
 def test_trials_never_build_the_right_factor_of_w(monkeypatch):
@@ -741,7 +741,7 @@ def test_a_dumped_trial_builds_w_once_and_writes_the_explicit_w(tmp_path, w_buil
     assert w_builds == [(99, 99)]
     got = read_matrix_csv(tmp_path / "sim1_spiked_g04_t0000_w.csv")
     rng = Seed(314).rng(4 * simharness._STREAM_STRIDE)
-    root = spiked_root_eigh(CovariateConfig(model="spiked", n=99, q=99), rng)
+    root = spiked_root_eigh(CovariateConfig(model="spiked"), 99, rng)
     qmat, rmat = np.linalg.qr(standard_normal(rng, (99, 99)))
     want = (qmat * np.sign(np.diag(rmat))).T @ root
     eps = np.finfo(float).eps

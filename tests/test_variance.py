@@ -106,11 +106,25 @@ def test_w_estimator_trivial_cases():
     assert abs(rep.estimate - d.n * c**2) <= 1e-9
 
 
+@pytest.mark.parametrize(
+    "estimator_id, unsplit", [(est, False) for est in ESTIMATOR_IDS] + [("full", True)]
+)
+def test_operator_matrices_refuse_writes(estimator_id, unsplit):
+    # an operator is built per design and applied to every response, so a
+    # write into its matrix would change every later estimate
+    d = fixture_partition(seed=9)
+    op = residual_operator(estimator_id, d.stacked() if unsplit else d)
+    before = op.estimate(np.arange(1.0, d.n + 1))
+    with pytest.raises(ValueError, match="read-only"):
+        op.matrix[...] = 0.0
+    assert op.estimate(np.arange(1.0, d.n + 1)) == before
+
+
 @pytest.mark.parametrize("t", ["ones", "treatment"])
 def test_w_map_is_the_left_factor_of_t(t):
     # R = U_T^T (m x n) with R^T R = P_T, so its estimates and exact biases
     # are those of the projector form ||P_T v||^2 / m
-    w = gen_covariates(CovariateConfig(model="spiked", n=40, q=99), Seed(3).rng(0))
+    w = gen_covariates(CovariateConfig(model="spiked"), 40, 99, Seed(3).rng(0))
     rng = np.random.default_rng(4)
     block = np.ones((40, 1))
     if t == "treatment":
@@ -338,7 +352,7 @@ def _count_svds(monkeypatch):
 
 def test_one_design_is_factored_a_handful_of_times(monkeypatch):
     # the SVDs of W and T; not [W | T] or B = W^+ T, nothing per held-out row
-    w = gen_covariates(CovariateConfig(model="spiked", n=40, q=99), Seed(314).rng(0)).a
+    w = gen_covariates(CovariateConfig(model="spiked"), 40, 99, Seed(314).rng(0)).a
     shapes = _count_svds(monkeypatch)
     d = DesignPartition(w, np.ones((40, 1)))
     for est in ESTIMATOR_IDS:
@@ -361,7 +375,7 @@ def test_estimate_sum_is_the_sum_of_the_estimates(model):
     # the block reduction ||Y R^T||_F^2 / denominator, one product and one
     # dot, adds up the per-row estimates; a one-row block is estimate()
     n = 40
-    w = gen_covariates(CovariateConfig(model=model, n=n, q=99), Seed(8).rng(0))
+    w = gen_covariates(CovariateConfig(model=model), n, 99, Seed(8).rng(0))
     d = DesignPartition(w, np.ones((n, 1)))
     ys = 2.0 + standard_normal(Seed(8).rng(1), (25, n))
     for est in ESTIMATOR_IDS:
@@ -449,7 +463,7 @@ def _count_stacked_qrs(monkeypatch, d):
 
 def _spiked_partition(n, q, t, seed=0):
     rng = Seed(seed).rng(n)
-    w_svd = gen_covariates(CovariateConfig(model="spiked", n=n, q=q), rng)
+    w_svd = gen_covariates(CovariateConfig(model="spiked"), n, q, rng)
     if t == "ones":
         block = np.ones((n, 1))
     else:
@@ -519,7 +533,7 @@ def test_full_gram_inverse_on_a_floor_matches_the_exact_inverse(monkeypatch, c, 
 def _qr_route_partitions():
     rng = Seed(8).rng(0)
     for model in ("standard_normal", "geometric"):
-        w_svd = gen_covariates(CovariateConfig(model=model, n=12, q=20), rng)
+        w_svd = gen_covariates(CovariateConfig(model=model), 12, 20, rng)
         yield model, DesignPartition(w_svd, np.ones((12, 1)))
     yield "weak direction", DesignPartition(*_weak_direction_design(1e6))
     # a floor of multiplicity exactly m = 2 is not an eigenvalue of X X^T
