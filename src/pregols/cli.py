@@ -19,7 +19,6 @@ from . import linalg
 # cochran_check and ovb_decompose are not called here; perfbench/workloads.py
 # traces the Cochran layers under these names on this module.
 from .cochran import CochranDesign, _cochran_report, cochran_check, ovb_decompose  # noqa: F401
-from .dgp import Seed
 from .exceptions import InvalidInputError, PregolsError, RankAssumptionError
 from .interpolators import PARTIAL_VARIANTS, DesignPartition, fit_partial_variant
 from .linalg import RankTolerance, read_matrix_csv
@@ -222,8 +221,6 @@ def main(argv=None) -> int:
 def _run(args) -> int:
     if args.rank_tol is not None:
         linalg.set_default_tolerance(RankTolerance(relative_cutoff=args.rank_tol))
-    if getattr(args, "seed", None) is not None:
-        Seed(args.seed)  # validate range before running anything
     return args.func(args)
 
 

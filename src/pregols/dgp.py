@@ -40,13 +40,12 @@ formed only if something reads them; a simulate trial never does.
 from __future__ import annotations
 
 import logging
-import numbers
 from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
 from .exceptions import InvalidInputError, RankAssumptionError
-from .linalg import Svd, _householder_qt
+from .linalg import Svd, _householder_qt, as_choice, as_int, as_real, is_int, is_real
 
 __all__ = [
     "Seed",
@@ -72,7 +71,7 @@ COVARIATE_MODELS = ("standard_normal", "spiked", "geometric")
 
 def splitmix64(z: int) -> int:
     """One round of the SplitMix64 finalizer (a 64-bit bijection)."""
-    z = (z + _GOLDEN) & _MASK64
+    z = (as_int(z, "splitmix64 input") + _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
@@ -91,15 +90,13 @@ class Seed:
     root: int
 
     def __post_init__(self) -> None:
-        root = self.root
-        if isinstance(root, bool) or not isinstance(root, numbers.Integral):
-            raise InvalidInputError(f"seed root must be an integer, got {root!r}")
+        root = as_int(self.root, "seed root")
         if not 0 <= root <= _MASK64:
             raise InvalidInputError("seed root must be an unsigned 64-bit integer")
-        object.__setattr__(self, "root", int(root))
+        object.__setattr__(self, "root", root)
 
     def stream_seed(self, k: int) -> int:
-        if k < 0:
+        if (k := as_int(k, "stream index")) < 0:
             raise InvalidInputError("stream index must be nonnegative")
         return splitmix64((self.root + k * _GOLDEN) & _MASK64)
 
@@ -121,7 +118,7 @@ def standard_normal(rng: np.random.Generator, size=None) -> np.ndarray | float:
     ``1 - 2^-53``: every uniform lies strictly inside (0, 1).
 
     ``ndtri`` is imported here, not with the module: importing
-    ``scipy.special`` takes about 0.2 s, and only the generators and
+    ``scipy.special`` takes about 0.1 s, and only the generators and
     ``simulate`` draw Gaussians, so the one-shot ``fit``, ``loo``,
     ``cochran`` and ``variance`` commands never load scipy.  An array draw
     is transformed in place, one buffer per call: each temporary a simulate
@@ -147,13 +144,15 @@ def orthonormal_rows(n: int, q: int, rng: np.random.Generator) -> np.ndarray:
     (so rotation invariant): the explicit form of the rows a covariate draw
     keeps in Householder form (module docstring).
     """
+    _check_shape(n, q)
     if n > q:
         raise InvalidInputError(f"orthonormal rows require n <= q, got {n} > {q}")
     return _householder_qt(standard_normal(rng, (q, n)))()
 
 
-def _is_real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+def _check_shape(n, q) -> None:
+    if not (is_int(n) and is_int(q)):
+        raise InvalidInputError(f"n and q must be integers, got n={n!r}, q={q!r}")
 
 
 @dataclass(frozen=True)
@@ -177,23 +176,16 @@ class CovariateConfig:
     rho: float = 0.95
 
     def __post_init__(self) -> None:
-        if self.model not in COVARIATE_MODELS:
-            raise InvalidInputError(
-                f"unknown covariate model {self.model!r}; choose from {COVARIATE_MODELS}"
-            )
+        as_choice(self.model, COVARIATE_MODELS, "covariate model")
         lam = self.lambda_range
-        if not (isinstance(lam, (tuple, list)) and len(lam) == 2 and all(map(_is_real, lam))):
+        if not (isinstance(lam, (tuple, list)) and len(lam) == 2 and all(map(is_real, lam))):
             raise InvalidInputError(f"lambda_range must be a pair of real numbers, got {lam!r}")
-        object.__setattr__(self, "lambda_range", tuple(lam))
+        object.__setattr__(self, "lambda_range", tuple(as_real(v, "lambda_range") for v in lam))
         for name in ("sigma_x", "lambda_geo", "rho"):
-            if not _is_real(getattr(self, name)):
-                raise InvalidInputError(
-                    f"{name} must be a real number, got {getattr(self, name)!r}"
-                )
+            as_real(getattr(self, name), name)
         if not 0.0 < self.sigma_x < np.inf:
             raise InvalidInputError("sigma_x must be positive and finite")
-        k = self.k_spikes
-        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
+        if not is_int(self.k_spikes) or self.k_spikes < 0:
             raise InvalidInputError("k_spikes must be a nonnegative integer")
         lo, hi = self.lambda_range
         if not (0.0 <= lo <= hi < np.inf):
@@ -289,8 +281,7 @@ def gen_covariates(cfg: CovariateConfig, n: int, q: int, rng: np.random.Generato
     :class:`~pregols.interpolators.DesignPartition`, which then does not
     factor ``W`` again.
     """
-    if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in (n, q)):
-        raise InvalidInputError(f"n and q must be integers, got n={n!r}, q={q!r}")
+    _check_shape(n, q)
     if not 1 <= n <= q:
         raise InvalidInputError(
             f"need 1 <= n <= q for a wide full-row-rank design, got n={n}, q={q}"
@@ -315,6 +306,7 @@ def gen_ate_design(n: int, q: int, rng: np.random.Generator) -> tuple[Svd, np.nd
     A constant treatment would make ``[D, 1]`` rank one, so constant draws
     are rejected and redrawn.
     """
+    _check_shape(n, q)
     if not 1 <= n < q:
         raise InvalidInputError(f"need 1 <= n < q, got n={n}, q={q}")
     w = gen_covariates(_ATE_COVARIATES, n, q, rng)
@@ -337,11 +329,11 @@ def gen_ate_dataset(
     ``p = q + 2`` (covariates + treatment + intercept) and unit-variance
     noise.
     """
-    if not np.isfinite(tau):
+    if not np.isfinite(tau := as_real(tau, "tau")):
         raise InvalidInputError("tau must be finite")
     w_svd, d = gen_ate_design(n, q, rng)
     w = w_svd.a
     p = q + 2
     alpha = np.full(q, p ** -0.5)
-    y = w @ alpha + float(tau) * d + 1.0 + standard_normal(rng, n)
+    y = w @ alpha + tau * d + 1.0 + standard_normal(rng, n)
     return w, d, y

@@ -18,7 +18,12 @@ class PregolsError(Exception):
 
 
 class InvalidInputError(PregolsError, ValueError):
-    """Input is malformed: non-finite entries, wrong shapes, bad options."""
+    """Input is malformed: non-finite entries, wrong shapes, bad options.
+
+    Every public boundary applies :mod:`~pregols.linalg`'s rule: arrays finite,
+    names known, integers and reals real ones; a ``bool`` is neither, so
+    ``Seed.rng(True)`` and ``gen_ate_dataset(tau=True)`` are refused.
+    """
 
 
 class RankAssumptionError(PregolsError, ValueError):

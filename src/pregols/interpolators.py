@@ -50,6 +50,7 @@ from .exceptions import InvalidInputError, RankAssumptionError
 from .linalg import (
     RankTolerance,
     Svd,
+    as_choice,
     as_matrix,
     as_vector,
     full_row_rank_svd,
@@ -442,15 +443,9 @@ def fit_partial_variant(d: DesignPartition, y, variant: str) -> PartialFit:
     ``residual`` miss the interpolation guard at cond(W) = 1e6 and
     ``rowspace`` at 1e8, and are refused.
     """
-    if variant == "direct":
+    if as_choice(variant, PARTIAL_VARIANTS, "variant") == "direct":
         return fit_partial(d, y)
-    try:
-        fn = _VARIANT_FNS[variant]
-    except KeyError:
-        raise InvalidInputError(
-            f"unknown variant {variant!r}; choose from {PARTIAL_VARIANTS}"
-        ) from None
-    return _fit_split(d, y, fn, f"partial fit ({variant})")
+    return _fit_split(d, y, _VARIANT_FNS[variant], f"partial fit ({variant})")
 
 
 def predict(fit, w_new, t_new=None) -> float | np.ndarray:

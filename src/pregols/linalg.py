@@ -49,10 +49,8 @@ class RankTolerance:
         rel = self.relative_cutoff
         if rel is None:
             return
-        if isinstance(rel, bool) or not isinstance(rel, numbers.Real):
-            raise InvalidInputError(f"relative_cutoff must be a real number, got {rel!r}")
         # a cutoff of 1 or more (or inf) would give every matrix rank 0
-        if not 0.0 < rel < 1.0:
+        if not 0.0 < as_real(rel, "relative_cutoff") < 1.0:
             raise InvalidInputError(
                 f"relative_cutoff must be finite with 0 < cutoff < 1, got {rel!r}"
             )
@@ -111,6 +109,40 @@ def as_vector(v, name: str = "vector", length: int | None = None) -> np.ndarray:
     if length is not None and a.size != length:
         raise InvalidInputError(f"{name} has length {a.size}, expected {length}")
     return a
+
+
+def is_int(v) -> bool:
+    """Whether ``v`` is an integer: a :class:`numbers.Integral` other than a ``bool``."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def is_real(v) -> bool:
+    """Whether ``v`` is a real number: a :class:`numbers.Real` other than a ``bool``."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def as_int(v, name: str) -> int:
+    """``int(v)``, or :class:`InvalidInputError` naming ``name`` unless :func:`is_int`."""
+    if not is_int(v):
+        raise InvalidInputError(f"{name} must be an integer, got {v!r}")
+    return int(v)
+
+
+def as_real(v, name: str) -> float:
+    """``float(v)``, or :class:`InvalidInputError` naming ``name`` unless it is a real in range."""
+    if is_real(v):
+        try:
+            return float(v)
+        except OverflowError:  # an int or Fraction beyond 1.8e308
+            pass
+    raise InvalidInputError(f"{name} must be a real number, got {v!r}")
+
+
+def as_choice(v, choices: tuple[str, ...] | list[str], what: str) -> str:
+    """``v``, or :class:`InvalidInputError` unless it is a string among ``choices``."""
+    if not isinstance(v, str) or v not in choices:
+        raise InvalidInputError(f"unknown {what} {v!r}; choose from {choices}")
+    return v
 
 
 def _rank(s: np.ndarray, shape: tuple[int, int], tol: RankTolerance | None) -> int:
@@ -346,9 +378,7 @@ def read_matrix_csv(path) -> np.ndarray:
             raise InvalidInputError(f"could not parse matrix CSV {path}: {exc}") from exc
     if a.size == 0:
         raise InvalidInputError(f"matrix CSV {path} is empty")
-    if not np.all(np.isfinite(a)):
-        raise InvalidInputError(f"matrix CSV {path} contains non-finite entries")
-    return a
+    return as_matrix(a, f"matrix CSV {path}")
 
 
 def write_matrix_csv(path, m) -> None:

@@ -53,14 +53,13 @@ again.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import InvalidInputError, RankAssumptionError
 from .interpolators import DesignPartition, _guard_rtol, _readonly, _split_solve, fit_partial
-from .linalg import as_matrix, as_vector, full_row_rank_svd
+from .linalg import as_int, as_matrix, as_vector, full_row_rank_svd
 
 __all__ = [
     "LooRecord",
@@ -83,10 +82,7 @@ class LooRecord:
 
 
 def _check_index(i: int, n: int) -> int:
-    if isinstance(i, bool) or not isinstance(i, numbers.Integral):
-        raise InvalidInputError(f"index must be an integer, got {i!r}")
-    i = int(i)
-    if not 0 <= i < n:
+    if not 0 <= (i := as_int(i, "index")) < n:
         raise InvalidInputError(f"index {i} out of range for {n} rows")
     return i
 

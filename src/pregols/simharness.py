@@ -35,7 +35,6 @@ caller.
 from __future__ import annotations
 
 import functools
-import numbers
 import os
 from collections import Counter
 from dataclasses import dataclass, field, fields
@@ -47,14 +46,14 @@ from .dgp import (
     COVARIATE_MODELS,
     CovariateConfig,
     Seed,
-    _is_real,
     gen_ate_design,
     gen_covariates,
     standard_normal,
 )
 from .exceptions import ExperimentAbortedError, InvalidInputError, RankAssumptionError
 from .interpolators import DesignPartition
-from .linalg import Svd, _numpy_function, as_vector, write_matrix_csv
+from .linalg import Svd, _numpy_function, as_choice, as_int, as_real, as_vector, is_real
+from .linalg import write_matrix_csv
 from .linalg import pinv  # noqa: F401  perfbench/workloads.py traces this name
 from .variance import (  # noqa: F401  perfbench/workloads.py traces these names
     ESTIMATOR_IDS,
@@ -199,10 +198,8 @@ def _covariate_model(model: str, cov: dict) -> CovariateConfig:
             f"covariate may not set {fixed}: the experiment and its grid choose them"
         )
     unknown = sorted(set(cov) - set(_COVARIATE_KEYS))
-    if unknown:
-        raise InvalidInputError(
-            f"unknown covariate keys {unknown}; choose from {list(_COVARIATE_KEYS)}"
-        )
+    if unknown:  # a list is never a choice, so this names every unknown key
+        as_choice(unknown, list(_COVARIATE_KEYS), "covariate keys")
     try:
         return CovariateConfig(model, **cov)
     except InvalidInputError as exc:
@@ -233,11 +230,7 @@ class ExperimentConfig:
     covariate: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.experiment not in EXPERIMENTS:
-            raise InvalidInputError(
-                f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}"
-            )
-        row = _TABLE[self.experiment]
+        row = _TABLE[as_choice(self.experiment, EXPERIMENTS, "experiment")]
         if self.model not in row.models:
             raise InvalidInputError(
                 f"the {self.experiment} experiment takes the covariate models "
@@ -254,9 +247,9 @@ class ExperimentConfig:
         object.__setattr__(self, "covariate", {key: getattr(cov, key) for key in self.covariate})
         object.__setattr__(self, "_covariates", cov)  # the one model every trial draws from
         raw = row.grid if self.grid is None else self.grid
-        if not isinstance(raw, (list, tuple)) or not all(map(_is_real, raw)):
+        if not isinstance(raw, (list, tuple)) or not all(map(is_real, raw)):
             raise InvalidInputError(f"grid must be a list of numbers, got {raw!r}")
-        grid = tuple(float(v) for v in raw)
+        grid = tuple(as_real(v, "grid value") for v in raw)
         if not grid:
             raise InvalidInputError("grid must be nonempty")
         if not np.all(np.isfinite(grid)):
@@ -268,9 +261,7 @@ class ExperimentConfig:
             )
         object.__setattr__(self, "grid", grid)
         for name in ("trials", "draws_per_trial"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+            as_int(getattr(self, name), name)
         if self.trials < 1 or self.draws_per_trial < 1:
             raise InvalidInputError("trials and draws_per_trial must be >= 1")
         if self.trials > _STREAM_STRIDE:

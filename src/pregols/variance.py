@@ -42,14 +42,13 @@ verifies this.  :func:`wc_normalizers` exposes both for diagnostics.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import InvalidInputError
 from .interpolators import DesignPartition
-from .linalg import as_matrix, as_vector, full_row_rank_svd
+from .linalg import as_choice, as_matrix, as_real, as_vector, full_row_rank_svd
 from .loo import PartialLooSolver, _loo_map
 
 __all__ = [
@@ -80,9 +79,7 @@ class GaussMarkovTruth:
     def __post_init__(self) -> None:
         beta = as_vector(self.beta, "beta")
         object.__setattr__(self, "beta", beta)
-        if isinstance(self.sigma2, bool) or not isinstance(self.sigma2, numbers.Real):
-            raise InvalidInputError(f"sigma2 must be a real number, got {self.sigma2!r}")
-        if not 0.0 < self.sigma2 < np.inf:
+        if not 0.0 < as_real(self.sigma2, "sigma2") < np.inf:
             raise InvalidInputError("sigma2 must be positive and finite")
 
     def mean_response(self, design) -> np.ndarray:
@@ -215,10 +212,7 @@ def residual_operator(estimator_id: str, design) -> ResidualOperator:
     under the tolerance it was validated with (``design.tol``), the rank of
     an unsplit matrix under the context default.
     """
-    if estimator_id not in ESTIMATOR_IDS:
-        raise InvalidInputError(
-            f"unknown estimator {estimator_id!r}; choose from {ESTIMATOR_IDS}"
-        )
+    as_choice(estimator_id, ESTIMATOR_IDS, "estimator")
     if not isinstance(design, DesignPartition):
         if estimator_id == "full":
             return full_operator(as_matrix(design, "design"))

@@ -42,6 +42,8 @@ def test_seed_streams_deterministic_and_distinct():
     assert not np.array_equal(a, c)
     assert Seed(42).stream_seed(7) == Seed(42).stream_seed(7)
     assert Seed(42).stream_seed(7) != Seed(43).stream_seed(7)
+    # a numpy integer index is that index (the stride product stays a Python int)
+    assert Seed(42).stream_seed(np.int64(7)) == Seed(42).stream_seed(7)
 
 
 def test_seed_validation():

@@ -197,6 +197,18 @@ def test_matrix_csv_malformed(tmp_path):
             read_matrix_csv(path)
 
 
+def test_matrix_csv_refuses_empty_and_non_finite_files(tmp_path):
+    # the empty check comes first; the finite check is as_matrix's, named by the path
+    path = tmp_path / "m.csv"
+    for content, problem in (("# only a comment\n", "is empty"),
+                             ("1.0,nan\n2.0,3.0\n", "contains non-finite entries"),
+                             ("1.0,2.0\n-inf,3.0\n", "contains non-finite entries")):
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(InvalidInputError) as info:
+            read_matrix_csv(path)
+        assert str(info.value) == f"matrix CSV {path} {problem}"
+
+
 def test_from_factors_builds_vt_on_first_read():
     # vt is S^-1 U^T a, bit for bit, built once and kept; the rank, the
     # inverse Gram and the kept factors read u and s alone and never build it

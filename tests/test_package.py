@@ -1,8 +1,22 @@
 """The package's public surface: the names ``from pregols import *`` gives."""
 
+import ast
 import inspect
+import pathlib
+
+import numpy as np
+import pytest
 
 import pregols
+from pregols import (
+    CovariateConfig,
+    DesignPartition,
+    ExperimentConfig,
+    GaussMarkovTruth,
+    InvalidInputError,
+    RankTolerance,
+    Seed,
+)
 
 PUBLIC_NAMES = {
     "brute_force_refit",
@@ -77,15 +91,16 @@ def test_public_names_are_pinned():
         assert getattr(pregols, name) is not None, name
 
 
-def _takes_a_design(fn) -> bool:
+def _annotations(fn) -> list[str]:
+    """The parameter annotations of ``fn``, none for a class without a signature."""
     try:
-        params = inspect.signature(fn).parameters.values()
+        return [str(p.annotation) for p in inspect.signature(fn).parameters.values()]
     except (TypeError, ValueError):
-        return False
-    return any(
-        "DesignPartition" in str(p.annotation) or "CochranDesign" in str(p.annotation)
-        for p in params
-    )
+        return []
+
+
+def _takes_a_design(fn) -> bool:
+    return any("DesignPartition" in a or "CochranDesign" in a for a in _annotations(fn))
 
 
 def test_no_operation_on_a_validated_design_takes_a_tolerance():
@@ -114,3 +129,127 @@ def test_no_operation_on_a_validated_design_takes_a_tolerance():
     for fn in (pregols.gen_covariates, pregols.gen_ate_design, pregols.gen_ate_dataset,
                pregols.fit_full, pregols.gram_downdate):
         assert "tol" not in inspect.signature(fn).parameters, fn.__name__
+
+
+# Every public callable that takes an integer, a real number or a name from
+# its caller, as ``(label, kind, good, call)``: ``call(v, rng)`` passes ``v``
+# where ``good`` would be valid.  The records the package builds itself
+# (fits, reports, cells) and lookups on them are not boundaries.
+_D = DesignPartition(np.random.default_rng(0).standard_normal((6, 9)), np.ones((6, 1)))
+_Y = np.arange(6.0)
+_SPIKED = CovariateConfig("spiked")
+_TRUTH = GaussMarkovTruth(np.ones(10), 1.0)
+_SCALAR_ARGUMENTS = [
+    ("Seed", "int", 1, lambda v, rng: Seed(v)),
+    ("Seed.stream_seed", "int", 1, lambda v, rng: Seed(1).stream_seed(v)),
+    ("Seed.rng", "int", 1, lambda v, rng: Seed(1).rng(v)),
+    ("splitmix64", "int", 1, lambda v, rng: pregols.splitmix64(v)),
+    ("orthonormal_rows n", "int", 3, lambda v, rng: pregols.orthonormal_rows(v, 5, rng)),
+    ("orthonormal_rows q", "int", 5, lambda v, rng: pregols.orthonormal_rows(3, v, rng)),
+    ("CovariateConfig model", "name", "spiked", lambda v, rng: CovariateConfig(v)),
+    ("CovariateConfig sigma_x", "real", 1.0,
+     lambda v, rng: CovariateConfig("spiked", sigma_x=v)),
+    ("CovariateConfig k_spikes", "int", 5,
+     lambda v, rng: CovariateConfig("spiked", k_spikes=v)),
+    ("CovariateConfig lambda_range", "real", 20.0,
+     lambda v, rng: CovariateConfig("spiked", lambda_range=(10.0, v))),
+    ("CovariateConfig lambda_geo", "real", 1.0,
+     lambda v, rng: CovariateConfig("geometric", lambda_geo=v)),
+    ("CovariateConfig rho", "real", 0.5, lambda v, rng: CovariateConfig("geometric", rho=v)),
+    ("gen_covariates n", "int", 3, lambda v, rng: pregols.gen_covariates(_SPIKED, v, 9, rng)),
+    ("gen_covariates q", "int", 9, lambda v, rng: pregols.gen_covariates(_SPIKED, 3, v, rng)),
+    ("gen_ate_design n", "int", 4, lambda v, rng: pregols.gen_ate_design(v, 9, rng)),
+    ("gen_ate_design q", "int", 9, lambda v, rng: pregols.gen_ate_design(4, v, rng)),
+    ("gen_ate_dataset n", "int", 4, lambda v, rng: pregols.gen_ate_dataset(v, 9, 1.0, rng)),
+    ("gen_ate_dataset q", "int", 9, lambda v, rng: pregols.gen_ate_dataset(4, v, 1.0, rng)),
+    ("gen_ate_dataset tau", "real", 1.0,
+     lambda v, rng: pregols.gen_ate_dataset(4, 9, v, rng)),
+    ("fit_partial_variant", "name", "direct",
+     lambda v, rng: pregols.fit_partial_variant(_D, _Y, v)),
+    ("RankTolerance", "real or None", 0.5, lambda v, rng: RankTolerance(v)),
+    ("loo_fit", "int", 0, lambda v, rng: pregols.loo_fit(_D, _Y, v)),
+    ("loo_record", "int", 0, lambda v, rng: pregols.loo_record(_D, _Y, v)),
+    ("loo_residual_partial", "int", 0,
+     lambda v, rng: pregols.loo_residual_partial(_D, _Y, v)),
+    ("brute_force_refit", "int", 0, lambda v, rng: pregols.brute_force_refit(_D, _Y, v)),
+    ("gram_downdate", "int", 0, lambda v, rng: pregols.gram_downdate(_D.w, v)),
+    ("ExperimentConfig experiment", "name", "sim3", lambda v, rng: ExperimentConfig(v)),
+    ("ExperimentConfig model", "name", "spiked",
+     lambda v, rng: ExperimentConfig("sim3", model=v)),
+    ("ExperimentConfig grid", "real", 1.0, lambda v, rng: ExperimentConfig("sim3", grid=[v])),
+    ("ExperimentConfig trials", "int", 2, lambda v, rng: ExperimentConfig("sim3", trials=v)),
+    ("ExperimentConfig draws_per_trial", "int", 2,
+     lambda v, rng: ExperimentConfig("sim3", draws_per_trial=v)),
+    ("ExperimentConfig estimators", "name", "full",
+     lambda v, rng: ExperimentConfig("sim3", estimators=[v])),
+    ("ExperimentConfig seed", "int", 0, lambda v, rng: ExperimentConfig("sim3", seed=v)),
+    ("ExperimentConfig.default experiment", "name", "sim3",
+     lambda v, rng: ExperimentConfig.default(v)),
+    ("ExperimentConfig.default model", "name", "spiked",
+     lambda v, rng: ExperimentConfig.default("sim3", model=v)),
+    ("ExperimentConfig.default seed", "int", 0,
+     lambda v, rng: ExperimentConfig.default("sim3", seed=v)),
+    ("GaussMarkovTruth", "real", 1.0, lambda v, rng: GaussMarkovTruth(np.ones(10), v)),
+    ("residual_operator", "name", "full", lambda v, rng: pregols.residual_operator(v, _D)),
+    ("sigma2", "name", "full", lambda v, rng: pregols.sigma2(v, _D, _Y)),
+    ("expected_bias", "name", "full", lambda v, rng: pregols.expected_bias(v, _D, _TRUTH)),
+]
+# and a list holding the good value, which is not that value; 10**400 is a
+# real number no float holds
+_WRONG = {
+    "int": (True, 2.5, "3", None),
+    "real": (True, "1.0", None, 10**400),
+    "real or None": (True, "1.0", 10**400),
+    "name": (True, "bogus", 2.5, None),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, good, call",
+    [row[1:] for row in _SCALAR_ARGUMENTS],
+    ids=[row[0] for row in _SCALAR_ARGUMENTS],
+)
+def test_scalar_arguments_are_refused_with_a_named_error(kind, good, call):
+    # a bool is neither an integer nor a real number; a generator refuses
+    # before it reads its stream
+    call(good, Seed(1).rng(0))
+    unread = Seed(1).rng(0).bit_generator.state
+    for v in (*_WRONG[kind], [good]):
+        rng = Seed(1).rng(0)
+        with pytest.raises(InvalidInputError):
+            call(v, rng)
+        assert rng.bit_generator.state == unread, v
+
+
+def test_the_scalar_table_covers_every_public_callable():
+    # each public callable or method with a parameter annotated int, float or
+    # str is in the table, or is a record the package fills in itself
+    records = {"CochranGaps", "OvbDecomposition", "FullFit", "PartialFit", "LooRecord",
+               "CellResult", "VarianceReport", "ResidualOperator", "RankTolerance.cutoff",
+               "ExperimentReport.cell"}
+    found = set()
+    for name in pregols.__all__:
+        obj = getattr(pregols, name)
+        members = [(f"{name}.{key}", getattr(obj, key)) for key in vars(obj)
+                   if not key.startswith("_")] if inspect.isclass(obj) else []
+        found.update(label for label, fn in [(name, obj), *members]
+                     if callable(fn) and any(t in a for a in _annotations(fn)
+                                             for t in ("int", "float", "str")))
+    assert found - records == {row[0].split(" ")[0] for row in _SCALAR_ARGUMENTS}
+
+
+def test_only_linalg_decides_what_a_scalar_is():
+    # the scalar input policy lives beside as_matrix: no other module imports
+    # numbers or writes an "unknown ...; choose from ..." message of its own
+    for path in sorted(pathlib.Path(pregols.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        source = path.read_text(encoding="utf-8")
+        modules = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                modules.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                modules.add(node.module)
+        assert "numbers" not in modules, path.name
+        assert "choose from" not in source, path.name
