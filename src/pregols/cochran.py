@@ -41,8 +41,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import InvalidInputError, RankAssumptionError
-from .interpolators import DesignPartition, PartialFit, _readonly, fit_partial
-from .linalg import RankTolerance, as_matrix, numeric_rank
+from .interpolators import DesignPartition, PartialFit, fit_partial
+from .linalg import RankTolerance, Svd, _readonly, as_matrix, numeric_rank
 
 __all__ = [
     "CochranDesign",
@@ -77,7 +77,7 @@ class CochranDesign:
     __slots__ = ("z", "u", "t", "short", "long", "tol")
 
     def __init__(self, z, u, t, *, tol: RankTolerance | None = None):
-        z, u, t = as_matrix(z, "z"), as_matrix(u, "u"), as_matrix(t, "t")
+        z, u, t = as_matrix(z, "z"), as_matrix(np.array(u, dtype=float), "u"), as_matrix(t, "t")
         n = z.shape[0]
         if u.shape[0] != n or t.shape[0] != n:
             raise InvalidInputError("z, u, t must have equal row counts")
@@ -95,7 +95,7 @@ class CochranDesign:
             )
         self.short = short
         self.z, self.u, self.t, self.tol = short.w, _readonly(u), short.t, short.tol
-        self.long = DesignPartition(np.hstack([self.z, self.u]), short.t_svd, tol=short.tol)
+        self.long = DesignPartition(Svd(np.hstack([self.z, self.u])), short.t_svd, tol=short.tol)
 
     @property
     def n(self) -> int:
@@ -163,8 +163,8 @@ def _cochran_report(d: CochranDesign, y) -> tuple[CochranGaps, OvbDecomposition 
         tau_long_d=tau_long_d,
         tau_short_d=tau_short_d,
         bias=tau_short_d - tau_long_d,
-        impact=_readonly(gamma),
-        imbalance=_readonly(aux_fit.tau_hat[0]),
+        impact=gamma,
+        imbalance=aux_fit.tau_hat[0],
     )
     return gaps, ovb
 

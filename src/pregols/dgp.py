@@ -45,7 +45,7 @@ from dataclasses import KW_ONLY, dataclass
 import numpy as np
 
 from .exceptions import InvalidInputError, RankAssumptionError
-from .linalg import Svd, _householder_qt, as_choice, as_int, as_real, is_int, is_real
+from .linalg import Svd, _householder_qt, _readonly, as_choice, as_int, as_real, is_int, is_real
 
 __all__ = [
     "Seed",
@@ -105,7 +105,8 @@ class Seed:
         return np.random.Generator(np.random.PCG64(self.stream_seed(k)))
 
 
-def standard_normal(rng: np.random.Generator, size=None) -> np.ndarray | float:
+def standard_normal(rng: np.random.Generator,
+                    size: int | tuple[int, ...] | None = None) -> np.ndarray | float:
     """Standard normals via inverse CDF of 53-bit uniforms.
 
     The one pinned Gaussian transform for the whole package: uniforms are
@@ -125,9 +126,17 @@ def standard_normal(rng: np.random.Generator, size=None) -> np.ndarray | float:
     trial frees can push the top of the heap past glibc's trim threshold
     (128 KB unless an early large free raised it, as importing scipy with
     the package did), and trimmed pages fault back in on the next trial.
+
+    ``size`` is ``None``, a nonnegative integer or a tuple of them; any
+    other raises :class:`InvalidInputError` before the stream is read.
     """
     from scipy.special import ndtri
 
+    dims = () if size is None else size if isinstance(size, tuple) else (size,)
+    if not all(is_int(k) and k >= 0 for k in dims):
+        raise InvalidInputError(
+            f"size must be None, a nonnegative integer or a tuple of them, got {size!r}"
+        )
     if size is None:
         return float(ndtri(min(rng.random() + 2.0**-54, _TOP_UNIFORM)))
     u = rng.random(size)
@@ -233,7 +242,7 @@ def _spiked_left_factors(k: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 class _Draw(Svd):
-    """A covariate draw's thin SVD and its row sums ``ones = W 1``."""
+    """A covariate draw's thin SVD and its row sums ``ones = W 1``, read-only."""
 
     __slots__ = ("ones",)
 
@@ -243,7 +252,7 @@ def _draw_covariates(cfg: CovariateConfig, n: int, q: int, rng: np.random.Genera
     sx = cfg.sigma_x
     if cfg.model == "standard_normal":
         f = _Draw(standard_normal(rng, (n, q)))
-        f.ones = f.a @ np.ones(q)
+        f.ones = _readonly(f.a @ np.ones(q))
         return f
     if cfg.model == "spiked":
         # W = U_h Sigma^{1/2} = sigma_x (U_h + (K (A^{1/2} - 1)) C^T) with K = U_h C
@@ -258,7 +267,7 @@ def _draw_covariates(cfg: CovariateConfig, n: int, q: int, rng: np.random.Genera
         u, d = _spiked_left_factors(k, e)
         f = _Draw.from_factors(((n, q), lambda: sx * ((k * root) @ c.T + uh())),
                                u, sx * np.sqrt(d))
-        f.ones = sx * (kc[:, -1] + k @ (root * c.sum(axis=0)))
+        f.ones = _readonly(sx * (kc[:, -1] + k @ (root * c.sum(axis=0))))
         return f
     # geometric: exact SVD synthesis, so the top-n singular values are
     # lambda * rho^{l/2} by construction rather than approximately.
@@ -266,7 +275,7 @@ def _draw_covariates(cfg: CovariateConfig, n: int, q: int, rng: np.random.Genera
     left = orthonormal_rows(n, n, rng)
     right = _householder_qt(standard_normal(rng, (q, n)))
     f = _Draw.from_factors(((n, q), lambda: (left * svals) @ right()), left, svals)
-    f.ones = (left * svals) @ right(np.ones((q, 1)))[:, 0]
+    f.ones = _readonly((left * svals) @ right(np.ones((q, 1)))[:, 0])
     return f
 
 
@@ -277,7 +286,7 @@ def gen_covariates(cfg: CovariateConfig, n: int, q: int, rng: np.random.Generato
     geometric models build the factors with the draw and the standard normal
     model factors ``W`` once; the rank check reads the singular values.  The
     returned :class:`~pregols.linalg.Svd` keeps ``W`` as ``.a`` and its row
-    sums ``W 1`` as ``.ones``, and can be handed to
+    sums ``W 1`` as ``.ones``, all read-only, and can be handed to
     :class:`~pregols.interpolators.DesignPartition`, which then does not
     factor ``W`` again.
     """
@@ -332,7 +341,7 @@ def gen_ate_dataset(
     if not np.isfinite(tau := as_real(tau, "tau")):
         raise InvalidInputError("tau must be finite")
     w_svd, d = gen_ate_design(n, q, rng)
-    w = w_svd.a
+    w = w_svd.a.copy()  # the draw's W is read-only; the dataset is the caller's to write
     p = q + 2
     alpha = np.full(q, p ** -0.5)
     y = w @ alpha + tau * d + 1.0 + standard_normal(rng, n)

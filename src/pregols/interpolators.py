@@ -50,6 +50,7 @@ from .exceptions import InvalidInputError, RankAssumptionError
 from .linalg import (
     RankTolerance,
     Svd,
+    _readonly,
     as_choice,
     as_matrix,
     as_vector,
@@ -98,7 +99,9 @@ class DesignPartition:
     given as an ``Svd`` (the one a rank check has already computed, or
     factors known by construction), which is kept as it is; of a ``W``
     given so, only ``u`` and ``s`` are read (and checked finite) until ``w``
-    is.
+    is.  ``W`` and ``T`` live in the kept SVDs: ``w`` is ``w_svd.a`` and
+    ``t`` is ``t_svd.a``, both read-only.  An array the caller passes is
+    copied once, here, so writing it later changes nothing.
 
     The rank tolerance is resolved once, here: ``tol=None`` means the
     context default (:func:`~pregols.linalg.get_default_tolerance`) at
@@ -112,48 +115,45 @@ class DesignPartition:
     and its variance map is :func:`~pregols.variance.full_operator`.
     """
 
-    __slots__ = ("_w", "t", "w_svd", "t_svd", "ell", "tol", "_split_factor")
+    __slots__ = ("t", "w_svd", "t_svd", "ell", "tol", "_split_factor")
 
     def __init__(self, w, t, *, tol: RankTolerance | None = None):
         self.tol = get_default_tolerance() if tol is None else tol
         w_svd = w if isinstance(w, Svd) else None
         t_svd = t if isinstance(t, Svd) else None
-        self._w = _readonly(as_matrix(w, "w")) if w_svd is None else None
-        t = as_matrix(t.a if t_svd is not None else t, "t")
+        w = w_svd if w_svd is not None else as_matrix(np.array(w, dtype=float), "w")
+        t = as_matrix(t.a if t_svd is not None else np.array(t, dtype=float), "t")
         if t.shape[1] == 0:
             raise InvalidInputError(
                 "unpenalized block t must have at least one column; "
                 "fit an unsplit design with fit_full"
             )
         n, m = t.shape
-        nw, q = self._w.shape if w_svd is None else w_svd.shape
+        nw, q = w.shape
         if nw != n:
             raise InvalidInputError(f"w and t must have equal row counts, got {nw} and {n}")
         if q < n:
             raise RankAssumptionError(
                 f"penalized block w must be wide (cols >= rows), got {n}x{q}"
             )
-        self.w_svd = require_rank(Svd(self._w) if w_svd is None else w_svd, n, self.tol,
+        self.w_svd = require_rank(Svd(w) if w_svd is None else w_svd, n, self.tol,
                                   "penalized block w must have full row rank")
-        self.ell = self.w_svd.u / self.w_svd.s  # U is n x n, as W has full row rank
+        self.ell = _readonly(self.w_svd.u / self.w_svd.s)  # U is n x n, as W has full row rank
         if w_svd is not None and not np.isfinite(self.ell).all():  # a kept Svd's, not W
             raise InvalidInputError("w contains non-finite entries")
-        self.ell.setflags(write=False)
         self._split_factor = None
         if m >= n:
             raise RankAssumptionError(
                 f"unpenalized block t must have fewer columns than rows, got {n}x{m}"
             )
-        self.t = _readonly(t)
-        self.t_svd = require_rank(Svd(self.t) if t_svd is None else t_svd, m, self.tol,
+        self.t_svd = require_rank(Svd(t) if t_svd is None else t_svd, m, self.tol,
                                   "unpenalized block t must have full column rank")
+        self.t = self.t_svd.a
 
     @property
     def w(self) -> np.ndarray:
-        """``W``, read-only; of a kept ``Svd``, a copy of ``w_svd.a`` made on first read."""
-        if self._w is None:
-            self._w = _readonly(self.w_svd.a)
-        return self._w
+        """``W``: ``w_svd.a``, read-only, built on first read for a factored draw."""
+        return self.w_svd.a
 
     @property
     def n(self) -> int:
@@ -260,12 +260,6 @@ class DesignPartition:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DesignPartition(n={self.n}, q={self.q}, m={self.m})"
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=np.float64)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)

@@ -113,7 +113,7 @@ def as_vector(v, name: str = "vector", length: int | None = None) -> np.ndarray:
 
 def is_int(v) -> bool:
     """Whether ``v`` is an integer: a :class:`numbers.Integral` other than a ``bool``."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+    return type(v) is int or isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def is_real(v) -> bool:
@@ -138,11 +138,25 @@ def as_real(v, name: str) -> float:
     raise InvalidInputError(f"{name} must be a real number, got {v!r}")
 
 
+def as_flag(v, name: str) -> bool:
+    """``bool(v)``, or :class:`InvalidInputError` naming ``name`` unless a bool or numpy bool."""
+    if not isinstance(v, (bool, np.bool_)):
+        raise InvalidInputError(f"{name} must be a boolean, got {v!r}")
+    return bool(v)
+
+
 def as_choice(v, choices: tuple[str, ...] | list[str], what: str) -> str:
     """``v``, or :class:`InvalidInputError` unless it is a string among ``choices``."""
     if not isinstance(v, str) or v not in choices:
         raise InvalidInputError(f"unknown {what} {v!r}; choose from {choices}")
     return v
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a``: nothing is copied, and ``a``'s own flags are left as they are."""
+    view = a.view()
+    view.setflags(write=False)
+    return view
 
 
 def _rank(s: np.ndarray, shape: tuple[int, int], tol: RankTolerance | None) -> int:
@@ -159,19 +173,21 @@ class Svd:
     Gram matrix and the kept factors of one matrix always agree on its rank.
     The factored matrix is kept as ``a``, so a rank check can hand the whole
     factorization on (a :class:`~pregols.interpolators.DesignPartition`
-    accepts an ``Svd`` of ``W`` or ``T``).  An empty matrix has empty factors.
+    accepts an ``Svd`` of ``W`` or ``T``; ``W`` lives there only as
+    ``w_svd.a``).  An empty matrix has empty factors.  ``a``, ``u``, ``s`` and
+    ``vt`` are read-only views, so a kept factorization cannot be written.
     """
 
     __slots__ = ("_a", "shape", "u", "s", "_vt")
 
     def __init__(self, a: np.ndarray):
-        self._a = a
+        self._a = _readonly(a)
         self.shape = a.shape
         if a.size == 0:
-            self.u, self.s = np.zeros((a.shape[0], 0)), np.zeros(0)
-            self._vt = np.zeros((0, a.shape[1]))
+            u, s, vt = np.zeros((a.shape[0], 0)), np.zeros(0), np.zeros((0, a.shape[1]))
         else:
-            self.u, self.s, self._vt = np.linalg.svd(a, full_matrices=False)
+            u, s, vt = np.linalg.svd(a, full_matrices=False)
+        self.u, self.s, self._vt = _readonly(u), _readonly(s), _readonly(vt)
 
     @classmethod
     def from_factors(cls, a, u: np.ndarray, s: np.ndarray) -> "Svd":
@@ -187,15 +203,15 @@ class Svd:
         Householder form and forms no ``W`` unless it is read (:mod:`~pregols.dgp`).
         """
         self = object.__new__(cls)
-        self.shape, self._a = (a.shape, a) if isinstance(a, np.ndarray) else a
-        self.u, self.s, self._vt = u, s, None
+        self.shape, self._a = (a.shape, _readonly(a)) if isinstance(a, np.ndarray) else a
+        self.u, self.s, self._vt = _readonly(u), _readonly(s), None
         return self
 
     @property
     def a(self) -> np.ndarray:
         """The factored matrix, built once if it was given as a builder."""
         if callable(self._a):
-            self._a = self._a()
+            self._a = _readonly(self._a())
         return self._a
 
     @property
@@ -203,7 +219,7 @@ class Svd:
         """The right factor ``V^T``, kept once built.  :meth:`rank`,
         :meth:`kept` and :meth:`gram_inverse` never read it."""
         if self._vt is None:
-            self._vt = (self.u.T @ self.a) / self.s[:, None]
+            self._vt = _readonly((self.u.T @ self.a) / self.s[:, None])
         return self._vt
 
     def kept(self, tol: RankTolerance | None = None):

@@ -58,8 +58,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidInputError, RankAssumptionError
-from .interpolators import DesignPartition, _guard_rtol, _readonly, _split_solve, fit_partial
-from .linalg import as_int, as_matrix, as_vector, full_row_rank_svd
+from .interpolators import DesignPartition, _guard_rtol, _split_solve, fit_partial
+from .linalg import _readonly, as_int, as_matrix, as_vector, full_row_rank_svd
 
 __all__ = [
     "LooRecord",
@@ -165,8 +165,7 @@ def loo_record(d: DesignPartition, y, i: int) -> LooRecord:
 
 def _loo_map(g: np.ndarray) -> tuple[np.ndarray, float]:
     """``(R, ||R||_F^2)`` for the leave-one-out map ``R = [diag(G)]^{-1} G``, ``R`` read-only."""
-    r = g / np.diag(g)[:, None]
-    r.setflags(write=False)
+    r = _readonly(g / np.diag(g)[:, None])
     return r, float(np.sum(r * r))
 
 

@@ -35,6 +35,7 @@ caller.
 from __future__ import annotations
 
 import functools
+import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field, fields
@@ -52,7 +53,7 @@ from .dgp import (
 )
 from .exceptions import ExperimentAbortedError, InvalidInputError, RankAssumptionError
 from .interpolators import DesignPartition
-from .linalg import Svd, _numpy_function, as_choice, as_int, as_real, as_vector, is_real
+from .linalg import Svd, _numpy_function, as_choice, as_flag, as_int, as_real, as_vector, is_real
 from .linalg import write_matrix_csv
 from .linalg import pinv  # noqa: F401  perfbench/workloads.py traces this name
 from .variance import (  # noqa: F401  perfbench/workloads.py traces these names
@@ -108,11 +109,15 @@ def _variance_design(cfg, rng, n: int, p: int, sigma: float = 1.0, beta0: float 
     Every slope is ``p^-1/2``; an estimator's error is ``sigma2_hat - sigma^2``.
     The intercept is born factored, ``1 = (1 / sqrt(n)) sqrt(n)``: no SVD of it.
     """
+    try:
+        var = sigma**2
+    except OverflowError:  # every error is then infinite, which the trial refuses
+        var = math.inf
     w_svd = gen_covariates(cfg._covariates, n, p - 1, rng)
     ones = Svd.from_factors(np.ones((n, 1)), np.full((n, 1), n**-0.5), np.array([n**0.5]))
     part = DesignPartition(w_svd, ones)
     errors = {
-        est: lambda ys, op=residual_operator(est, part): op.estimate_sum(ys) - len(ys) * sigma**2
+        est: lambda ys, op=residual_operator(est, part): op.estimate_sum(ys) - len(ys) * var
         for est in cfg.estimators
     }
     return p**-0.5 * w_svd.ones + beta0, sigma, errors, {"w": lambda: w_svd.a}
@@ -287,7 +292,7 @@ class ExperimentConfig:
         **overrides,
     ) -> "ExperimentConfig":
         """Config with the study's standard grid; 25 x 25 desk or 100 x 100 paper scale."""
-        repeats = 100 if paper_scale else 25
+        repeats = 100 if as_flag(paper_scale, "paper_scale") else 25
         settings = dict(model=model, seed=seed, trials=repeats, draws_per_trial=repeats)
         return cls(experiment, **{**settings, **overrides})
 
@@ -357,7 +362,10 @@ def _response_blocks(rng, mean_y: np.ndarray, scale: float, draws: int):
 
 
 def _trial(cfg: ExperimentConfig, dump_dir, gi: int, ti: int) -> dict:
-    """Trial ``ti`` of grid cell ``gi``: each estimator's mean error over the trial's draws."""
+    """Trial ``ti`` of grid cell ``gi``: each estimator's mean error over the trial's draws.
+
+    An overflow stops the run: :class:`InvalidInputError` names the experiment and grid value.
+    """
     rng = Seed(cfg.seed).rng(gi * _STREAM_STRIDE + ti)
     mean_y, sigma, errors, blocks = _TABLE[cfg.experiment].design(cfg, cfg.grid[gi], rng)
     if dump_dir is not None:
@@ -365,9 +373,17 @@ def _trial(cfg: ExperimentConfig, dump_dir, gi: int, ti: int) -> dict:
         for name, matrix in blocks.items():
             write_matrix_csv(os.path.join(dump_dir, f"{stem}_{name}.csv"), matrix())
     sums = dict.fromkeys(errors, 0.0)
-    for ys in _response_blocks(rng, mean_y, sigma, cfg.draws_per_trial):
-        for est, err in errors.items():
-            sums[est] += err(ys)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan is refused instead
+            for ys in _response_blocks(rng, mean_y, sigma, cfg.draws_per_trial):
+                for est, err in errors.items():
+                    sums[est] += err(ys)
+        if not all(map(math.isfinite, sums.values())):
+            raise InvalidInputError(f"the summed errors {sums} are not all finite")
+    except InvalidInputError as exc:
+        raise InvalidInputError(
+            f"{cfg.experiment} trial at grid value {cfg.grid[gi]!r}: {exc}"
+        ) from None
     return {est: s / cfg.draws_per_trial for est, s in sums.items()}
 
 
@@ -543,14 +559,19 @@ def _aggregate(cfg: ExperimentConfig, by_cell) -> ExperimentReport:
             )
         for est in cfg.estimators:
             vals = np.array([m[est] for m in means])
-            se = (
-                float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
-            )
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+                mean = float(vals.mean())
+                se = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
+            if not (math.isfinite(mean) and math.isfinite(se)):
+                raise InvalidInputError(
+                    f"{cfg.experiment} at grid value {cfg.grid[gi]!r}: the {est} trial means "
+                    "overflow the cell's mean or standard error"
+                )
             cells.append(
                 CellResult(
                     grid_value=cfg.grid[gi],
                     estimator=est,
-                    mean_bias=float(vals.mean()),
+                    mean_bias=mean,
                     std_error=se,
                     trials=int(vals.size),
                     draws=cfg.draws_per_trial,
@@ -592,6 +613,7 @@ def write_report(reports, out_dir, include_w: bool = False) -> list[str]:
     orders of magnitude and would dominate any shared axis.  Output is
     byte-identical across reruns of the same seed.
     """
+    include_w = as_flag(include_w, "include_w")
     if isinstance(reports, ExperimentReport):
         reports = [reports]
     charts = [f"{r.experiment}_{r.model}.svg" for r in reports]

@@ -42,13 +42,14 @@ verifies this.  :func:`wc_normalizers` exposes both for diagnostics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import InvalidInputError
 from .interpolators import DesignPartition
-from .linalg import as_choice, as_matrix, as_real, as_vector, full_row_rank_svd
+from .linalg import _readonly, as_choice, as_matrix, as_real, as_vector, full_row_rank_svd
 from .loo import PartialLooSolver, _loo_map
 
 __all__ = [
@@ -77,8 +78,8 @@ class GaussMarkovTruth:
     sigma2: float
 
     def __post_init__(self) -> None:
-        beta = as_vector(self.beta, "beta")
-        object.__setattr__(self, "beta", beta)
+        beta = as_vector(np.array(self.beta, dtype=float), "beta")
+        object.__setattr__(self, "beta", _readonly(beta))
         if not 0.0 < as_real(self.sigma2, "sigma2") < np.inf:
             raise InvalidInputError("sigma2 must be positive and finite")
 
@@ -112,7 +113,7 @@ class ResidualOperator:
     with one matrix product and sums their estimates with one dot product,
     ``||Y R^T||_F^2 / denominator``, as the simulation harness reduces each
     block of draws.  :meth:`estimate` and :meth:`expected_bias` are its
-    one-row case.
+    one-row case.  An estimate that overflows raises :class:`InvalidInputError`.
     """
 
     estimator_id: str
@@ -125,7 +126,12 @@ class ResidualOperator:
         if ys.shape[1] != (n := self.matrix.shape[1]):
             raise InvalidInputError(f"rows of ys have length {ys.shape[1]}, expected {n}")
         r = (ys @ self.matrix.T).ravel()
-        return float(r @ r) / self.denominator
+        total = float(np.vdot(r, r)) / self.denominator  # r @ r, which would warn on overflow
+        if not math.isfinite(total):
+            raise InvalidInputError(
+                f"the {self.estimator_id} estimate overflows: the responses are too large"
+            )
+        return total
 
     def _one_row(self, v, name: str) -> float:
         return self.estimate_sum(as_vector(v, name, self.matrix.shape[1])[None, :])
@@ -173,9 +179,7 @@ def w_operator(d: DesignPartition) -> ResidualOperator:
     ``(sum_i w_i . beta_W + n beta_0)^2 / n``, which grows with the sample
     mean of the signal; expect it to dominate the other three.
     """
-    r = d.t_svd.u.T.view()
-    r.setflags(write=False)  # the partition's own factor, as for wc
-    return ResidualOperator("w", r, float(d.m))
+    return ResidualOperator("w", d.t_svd.u.T, float(d.m))
 
 
 def wc_operator(d: DesignPartition) -> ResidualOperator:

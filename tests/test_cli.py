@@ -606,6 +606,27 @@ def test_blank_csv_exits_1_with_one_line(hand_files, text):
     assert proc.stderr == f"pregols: matrix CSV {hand_files / 'y.csv'} is empty\n"
 
 
+@pytest.mark.parametrize("command", ["sim3", "sim4", "variance"])
+def test_an_overflow_exits_1_with_one_line(wide_files, command):
+    # a subprocess, so that a warning numpy prints would reach stderr
+    if command == "variance":
+        write_matrix_csv(wide_files / "y.csv", 1e200 * np.ones((8, 1)))
+        args = ["variance", *(f"--{b}={wide_files / b}.csv" for b in ("w", "t", "y"))]
+    else:
+        (wide_files / "cfg.json").write_text(json.dumps(
+            {"experiment": command, "grid": [1e200], "trials": 2, "draws_per_trial": 2}))
+        args = ["simulate", "--config", str(wide_files / "cfg.json"),
+                "--out", str(wide_files / "out")]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pregols.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-m", "pregols.cli", *args],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("pregols: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "overflows" in proc.stderr and not (wide_files / "out").exists()
+
+
 def test_one_shot_commands_do_not_load_scipy(wide_files):
     # importing scipy.special costs a one-shot process about 0.2 s, and
     # scipy.linalg about 6 MB of resident set; numpy's LAPACK bindings

@@ -235,7 +235,9 @@ def test_from_factors_builds_a_on_first_read():
     f.rank(), f.gram_inverse(), f.kept(), projector(f)
     assert calls == [] and f.shape == (6, 9)
     assert np.array_equal(f.vt, (u.T @ a) / s[:, None])
-    assert f.a is a and f.a is a and calls == [1]
+    # built once, kept as a read-only view of what the builder returned
+    assert f.a is f.a and calls == [1]
+    assert np.shares_memory(f.a, a) and not f.a.flags.writeable
 
 
 def test_householder_helper_without_dormqr_matches_lapack(monkeypatch):

@@ -3,19 +3,24 @@
 import ast
 import inspect
 import pathlib
+import tempfile
 
 import numpy as np
 import pytest
 
 import pregols
 from pregols import (
+    CellResult,
+    CochranDesign,
     CovariateConfig,
     DesignPartition,
     ExperimentConfig,
+    ExperimentReport,
     GaussMarkovTruth,
     InvalidInputError,
     RankTolerance,
     Seed,
+    Svd,
 )
 
 PUBLIC_NAMES = {
@@ -131,14 +136,24 @@ def test_no_operation_on_a_validated_design_takes_a_tolerance():
         assert "tol" not in inspect.signature(fn).parameters, fn.__name__
 
 
-# Every public callable that takes an integer, a real number or a name from
-# its caller, as ``(label, kind, good, call)``: ``call(v, rng)`` passes ``v``
-# where ``good`` would be valid.  The records the package builds itself
-# (fits, reports, cells) and lookups on them are not boundaries.
+# Every public callable that takes an integer, a real number, a name, a flag
+# or a draw's shape from its caller, as ``(label, kind, good, call)``:
+# ``call(v, rng)`` passes ``v`` where ``good`` would be valid.  The records
+# the package builds itself (fits, reports, cells) and lookups on them are
+# not boundaries.
 _D = DesignPartition(np.random.default_rng(0).standard_normal((6, 9)), np.ones((6, 1)))
 _Y = np.arange(6.0)
 _SPIKED = CovariateConfig("spiked")
 _TRUTH = GaussMarkovTruth(np.ones(10), 1.0)
+_REPORT = ExperimentReport(ExperimentConfig("sim3", grid=[1.0], trials=1, draws_per_trial=1),
+                           (CellResult(1.0, "full", 0.0, 0.0, 1, 1, 0),))
+
+
+def _write_report(include_w):
+    with tempfile.TemporaryDirectory() as out:
+        return pregols.write_report(_REPORT, out, include_w=include_w)
+
+
 _SCALAR_ARGUMENTS = [
     ("Seed", "int", 1, lambda v, rng: Seed(v)),
     ("Seed.stream_seed", "int", 1, lambda v, rng: Seed(1).stream_seed(v)),
@@ -146,6 +161,7 @@ _SCALAR_ARGUMENTS = [
     ("splitmix64", "int", 1, lambda v, rng: pregols.splitmix64(v)),
     ("orthonormal_rows n", "int", 3, lambda v, rng: pregols.orthonormal_rows(v, 5, rng)),
     ("orthonormal_rows q", "int", 5, lambda v, rng: pregols.orthonormal_rows(3, v, rng)),
+    ("standard_normal size", "size", (2, 3), lambda v, rng: pregols.standard_normal(rng, v)),
     ("CovariateConfig model", "name", "spiked", lambda v, rng: CovariateConfig(v)),
     ("CovariateConfig sigma_x", "real", 1.0,
      lambda v, rng: CovariateConfig("spiked", sigma_x=v)),
@@ -189,6 +205,9 @@ _SCALAR_ARGUMENTS = [
      lambda v, rng: ExperimentConfig.default("sim3", model=v)),
     ("ExperimentConfig.default seed", "int", 0,
      lambda v, rng: ExperimentConfig.default("sim3", seed=v)),
+    ("ExperimentConfig.default paper_scale", "flag", False,
+     lambda v, rng: ExperimentConfig.default("sim3", paper_scale=v)),
+    ("write_report include_w", "flag", np.True_, lambda v, rng: _write_report(v)),
     ("GaussMarkovTruth", "real", 1.0, lambda v, rng: GaussMarkovTruth(np.ones(10), v)),
     ("residual_operator", "name", "full", lambda v, rng: pregols.residual_operator(v, _D)),
     ("sigma2", "name", "full", lambda v, rng: pregols.sigma2(v, _D, _Y)),
@@ -201,6 +220,8 @@ _WRONG = {
     "real": (True, "1.0", None, 10**400),
     "real or None": (True, "1.0", 10**400),
     "name": (True, "bogus", 2.5, None),
+    "flag": (1, 0, "no", None),
+    "size": (True, 2.5, "3", -1, (2, -1), (2, "3"), (True,)),
 }
 
 
@@ -222,8 +243,8 @@ def test_scalar_arguments_are_refused_with_a_named_error(kind, good, call):
 
 
 def test_the_scalar_table_covers_every_public_callable():
-    # each public callable or method with a parameter annotated int, float or
-    # str is in the table, or is a record the package fills in itself
+    # each public callable or method with a parameter annotated int, float,
+    # str or bool is in the table, or is a record the package fills in itself
     records = {"CochranGaps", "OvbDecomposition", "FullFit", "PartialFit", "LooRecord",
                "CellResult", "VarianceReport", "ResidualOperator", "RankTolerance.cutoff",
                "ExperimentReport.cell"}
@@ -234,7 +255,7 @@ def test_the_scalar_table_covers_every_public_callable():
                    if not key.startswith("_")] if inspect.isclass(obj) else []
         found.update(label for label, fn in [(name, obj), *members]
                      if callable(fn) and any(t in a for a in _annotations(fn)
-                                             for t in ("int", "float", "str")))
+                                             for t in ("int", "float", "str", "bool")))
     assert found - records == {row[0].split(" ")[0] for row in _SCALAR_ARGUMENTS}
 
 
@@ -253,3 +274,58 @@ def test_only_linalg_decides_what_a_scalar_is():
                 modules.add(node.module)
         assert "numbers" not in modules, path.name
         assert "choose from" not in source, path.name
+
+
+def test_only_linalg_makes_an_array_read_only():
+    # the read-only rule is linalg._readonly, a view: no other module sets
+    # an array's flags or keeps a copying helper of its own
+    for path in sorted(pathlib.Path(pregols.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        source = path.read_text(encoding="utf-8")
+        assert "setflags" not in source and "writeable" not in source, path.name
+        defined = {node.name for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.FunctionDef)}
+        assert "_readonly" not in defined, path.name
+    assert "_w" not in DesignPartition.__slots__
+
+
+def test_what_the_package_keeps_cannot_be_written():
+    # every factor of a kept SVD, computed, given or drawn, the arrays a
+    # partition reads, a draw's row sums and a truth's coefficients
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((4, 7))
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    svds = [Svd(a), Svd.from_factors(a, u, s)]
+    svds += [pregols.gen_covariates(CovariateConfig(model), 4, 7, Seed(1).rng(0))
+             for model in pregols.COVARIATE_MODELS]
+    d = DesignPartition(svds[2], np.ones((4, 1)))
+    kept = [getattr(f, key) for f in svds for key in ("u", "s", "vt", "a")]
+    kept += [f.ones for f in svds[2:]]
+    kept += [d.w, d.t, d.ell, d.split_factor(), GaussMarkovTruth(np.ones(8), 1.0).beta]
+    for arr in kept:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 99.0
+
+
+def test_a_callers_array_is_never_frozen_and_a_record_copies_it():
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((4, 7))
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    Svd(a).vt, Svd.from_factors(a, u, s).vt
+    assert a.flags.writeable and u.flags.writeable and s.flags.writeable
+    w, y = rng.standard_normal((8, 13)), rng.standard_normal(8)
+    t = np.column_stack([np.tile([0.0, 1.0], 4), np.ones(8)])
+    z, omitted, beta = w[:, :10].copy(), w[:, 10:].copy(), np.full(15, 0.5)
+    d, c, truth = DesignPartition(w, t), CochranDesign(z, omitted, t), GaussMarkovTruth(beta, 1.0)
+
+    def results():
+        fit = pregols.fit_partial(d, y)
+        return (fit.lambda_hat.tolist(), fit.tau_hat.tolist(), pregols.cochran_check(c, y),
+                pregols.ovb_decompose(c, y).bias, truth.mean_response(d).tolist(),
+                pregols.sigma2("wc", d, y, truth), d.w.tolist(), c.u.tolist())
+
+    before = results()
+    for arr in (w, t, z, omitted, beta):
+        arr[...] = 7.0
+    assert results() == before

@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 import time
 
 import numpy as np
@@ -762,3 +763,28 @@ def test_an_infinite_response_stops_the_treatment_trial(monkeypatch):
         cfg = ExperimentConfig("ate", grid=(1.0,), trials=1, draws_per_trial=3, estimators=[est])
         with pytest.raises(InvalidInputError, match="ys contains non-finite entries"):
             simharness._trial(cfg, None, 0, 0)
+
+
+@pytest.mark.parametrize("experiment, value, cause", [
+    ("sim3", 1e200, "the full estimate overflows"),
+    ("sim4", 1e200, "the full estimate overflows"),
+    ("sim3", 1.36e154, "the full estimate overflows"),  # sigma^2 overflows too
+    ("ate", 1e308, "the summed errors .* are not all finite"),  # 2 tau is beyond the range
+    ("sim4", 1e100, "the full trial means overflow"),  # each trial's mean is finite
+    ("ate", 1e200, "the full trial means overflow"),
+])
+def test_an_overflow_stops_the_run_and_names_the_grid_value(experiment, value, cause):
+    # nothing is reported as inf or nan, and no overflow warning is raised
+    cfg = ExperimentConfig(experiment, grid=[1.0, value], trials=2, draws_per_trial=2)
+    where = re.escape(f"at grid value {value!r}: ")
+    with pytest.raises(InvalidInputError, match=f"^{experiment} (trial )?{where}{cause}"):
+        run_experiment(cfg)
+
+
+def test_a_noise_level_whose_square_overflows_makes_every_error_infinite():
+    # sigma^2 is beyond the float range, so the trial refuses the error sum
+    # instead of dying in the power
+    cfg = ExperimentConfig("sim3", grid=[1.35e154])
+    _, _, errors, _ = simharness._variance_design(cfg, Seed(1).rng(0), 20, 30, sigma=1.35e154)
+    ys = standard_normal(Seed(2).rng(0), (2, 20))
+    assert [err(ys) for err in errors.values()] == [-np.inf] * 4

@@ -396,6 +396,23 @@ def test_estimate_sum_refuses_a_bad_block():
         apply(np.ones((3, 11)))
 
 
+def test_an_estimate_that_overflows_is_refused():
+    # ||R y||^2 of a 1e200-scale y is beyond the float range: refused, with
+    # no overflow warning on the way (the suite turns warnings into errors)
+    d = fixture_partition()
+    y = 1e200 * np.random.default_rng(3).standard_normal(d.n)
+    truth = GaussMarkovTruth(np.full(d.q + d.m, 1e200), 1.0)
+    for est in ESTIMATOR_IDS:
+        op = residual_operator(est, d)
+        calls = (lambda: op.estimate_sum(np.vstack([y, y])), lambda: op.estimate(y),
+                 lambda: op.expected_bias(y), lambda: sigma2(est, d, y),
+                 lambda: expected_bias(est, d, truth))
+        for call in calls:
+            with pytest.raises(InvalidInputError, match=f"^the {est} estimate overflows"):
+                call()
+        assert np.isfinite(op.estimate(1e100 * y / 1e200))
+
+
 # ------------------------------------------------ full map from kept factors
 
 
