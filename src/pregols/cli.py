@@ -8,14 +8,12 @@ preconditions (the message names the failed condition).
 from __future__ import annotations
 
 import argparse
-import contextvars
 import json
 import sys
 from dataclasses import asdict
 
 import numpy as np
 
-from . import linalg
 # cochran_check and ovb_decompose are not called here; perfbench/workloads.py
 # traces the Cochran layers under these names on this module.
 from .cochran import CochranDesign, _cochran_report, cochran_check, ovb_decompose  # noqa: F401
@@ -47,7 +45,7 @@ def _read_vector(path) -> np.ndarray:
 
 
 def _load_partition(args) -> DesignPartition:
-    return DesignPartition(read_matrix_csv(args.w), read_matrix_csv(args.t))
+    return DesignPartition(read_matrix_csv(args.w), read_matrix_csv(args.t), tol=args.tol)
 
 
 def _csv_line(values) -> str:
@@ -81,7 +79,7 @@ def _cmd_loo(args) -> int:
 
 def _cmd_cochran(args) -> int:
     design = CochranDesign(
-        read_matrix_csv(args.z), read_matrix_csv(args.u), read_matrix_csv(args.t)
+        read_matrix_csv(args.z), read_matrix_csv(args.u), read_matrix_csv(args.t), tol=args.tol
     )
     gaps, ovb = _cochran_report(design, _read_vector(args.y))
     _print_json({**gaps._asdict(), "ovb": None if ovb is None else asdict(ovb)})
@@ -118,8 +116,9 @@ def _cmd_simulate(args) -> int:
                 data = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise InvalidInputError(f"could not parse {args.config}: {exc}") from exc
-        if args.seed is not None and isinstance(data, dict):
-            data["seed"] = args.seed  # from_dict refuses any other document
+        if isinstance(data, dict):  # from_dict refuses any other document
+            flags = {"seed": args.seed, "rank_tol": args.rank_tol}
+            data.update({k: v for k, v in flags.items() if v is not None})  # a flag wins
         cfg = ExperimentConfig.from_dict(data)
     else:
         if args.experiment is None or args.model is None:
@@ -131,6 +130,7 @@ def _cmd_simulate(args) -> int:
             model=_MODEL_ALIASES[args.model],
             seed=args.seed if args.seed is not None else 0,
             paper_scale=args.paper_scale,
+            rank_tol=args.rank_tol,
         )
     report = run_experiment(cfg, dump_dir=args.dump_dir)
     written = write_report(report, args.out, include_w=args.include_w)
@@ -146,7 +146,8 @@ def build_parser() -> _Parser:
         type=float,
         default=None,
         metavar="REL",
-        help="relative singular-value cutoff applied to every rank decision",
+        help="relative singular-value cutoff applied to every rank decision "
+        "(simulate records it in its config)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     design = _Parser(add_help=False)
@@ -208,20 +209,14 @@ def main(argv=None) -> int:
         print(f"pregols: error: {exc}", file=sys.stderr)
         return 1
     try:
-        # the command's --rank-tol stays in a context of its own
-        return contextvars.copy_context().run(_run, args)
+        args.tol = RankTolerance(args.rank_tol)  # the one cutoff of every rank decision
+        return args.func(args)
     except RankAssumptionError as exc:
         print(f"pregols: {exc}", file=sys.stderr)
         return 2
     except (PregolsError, OSError, ValueError) as exc:
         print(f"pregols: {exc}", file=sys.stderr)
         return 1
-
-
-def _run(args) -> int:
-    if args.rank_tol is not None:
-        linalg.set_default_tolerance(RankTolerance(relative_cutoff=args.rank_tol))
-    return args.func(args)
 
 
 if __name__ == "__main__":

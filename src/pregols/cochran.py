@@ -67,8 +67,8 @@ class CochranDesign:
     auxiliary one with the n x r matrix ``u`` as its responses, so none of
     them factors ``Z``, ``T`` or ``[Z | U]`` again.
 
-    The rank tolerance is resolved once, here (``tol=None`` means the context
-    default at construction), and kept as ``tol``: the three blocks are
+    The rank tolerance is fixed once, here (``tol=None`` means
+    ``RankTolerance()``), and kept as ``tol``: the three blocks are
     validated under it, both partitions keep it, and the long, short and
     auxiliary fits of every operation on the design decide rank under it
     too.

@@ -45,7 +45,8 @@ from dataclasses import KW_ONLY, dataclass
 import numpy as np
 
 from .exceptions import InvalidInputError, RankAssumptionError
-from .linalg import Svd, _householder_qt, _readonly, as_choice, as_int, as_real, is_int, is_real
+from .linalg import RankTolerance, Svd, _householder_qt, _readonly, as_choice, as_int, as_real
+from .linalg import is_int, is_real
 
 __all__ = [
     "Seed",
@@ -279,12 +280,15 @@ def _draw_covariates(cfg: CovariateConfig, n: int, q: int, rng: np.random.Genera
     return f
 
 
-def gen_covariates(cfg: CovariateConfig, n: int, q: int, rng: np.random.Generator) -> Svd:
+def gen_covariates(cfg: CovariateConfig, n: int, q: int, rng: np.random.Generator,
+                   tol: RankTolerance | None = None) -> Svd:
     """One n x q draw of ``cfg`` as its thin SVD, resampling on (vanishingly rare) rank failure.
 
     ``n`` and ``q`` must be integers with ``1 <= n <= q``.  The spiked and
     geometric models build the factors with the draw and the standard normal
-    model factors ``W`` once; the rank check reads the singular values.  The
+    model factors ``W`` once; the rank check reads the singular values under
+    ``tol`` (``None`` means ``RankTolerance()``), so a looser cutoff resamples
+    draws that the default would keep.  The
     returned :class:`~pregols.linalg.Svd` keeps ``W`` as ``.a`` and its row
     sums ``W 1`` as ``.ones``, all read-only, and can be handed to
     :class:`~pregols.interpolators.DesignPartition`, which then does not
@@ -297,7 +301,7 @@ def gen_covariates(cfg: CovariateConfig, n: int, q: int, rng: np.random.Generato
         )
     for attempt in range(_MAX_REJECTIONS):
         f = _draw_covariates(cfg, n, q, rng)
-        if f.rank() == n:
+        if f.rank(tol) == n:
             if attempt:
                 logger.warning(
                     "resampled covariates %d time(s) after rank failures", attempt
@@ -309,16 +313,18 @@ def gen_covariates(cfg: CovariateConfig, n: int, q: int, rng: np.random.Generato
     )
 
 
-def gen_ate_design(n: int, q: int, rng: np.random.Generator) -> tuple[Svd, np.ndarray]:
+def gen_ate_design(n: int, q: int, rng: np.random.Generator,
+                   tol: RankTolerance | None = None) -> tuple[Svd, np.ndarray]:
     """Spiked covariates, as their kept thin SVD, plus a fair-coin treatment vector.
 
+    The covariates' rank is decided under ``tol`` (:func:`gen_covariates`).
     A constant treatment would make ``[D, 1]`` rank one, so constant draws
     are rejected and redrawn.
     """
     _check_shape(n, q)
     if not 1 <= n < q:
         raise InvalidInputError(f"need 1 <= n < q, got n={n}, q={q}")
-    w = gen_covariates(_ATE_COVARIATES, n, q, rng)
+    w = gen_covariates(_ATE_COVARIATES, n, q, rng, tol)
     for _ in range(_MAX_REJECTIONS):
         d = (rng.random(n) < 0.5).astype(np.float64)
         if 0.0 < d.mean() < 1.0:

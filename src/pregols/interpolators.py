@@ -55,7 +55,6 @@ from .linalg import (
     as_matrix,
     as_vector,
     full_row_rank_svd,
-    get_default_tolerance,
     pinv,
     require_rank,
 )
@@ -103,10 +102,9 @@ class DesignPartition:
     ``t`` is ``t_svd.a``, both read-only.  An array the caller passes is
     copied once, here, so writing it later changes nothing.
 
-    The rank tolerance is resolved once, here: ``tol=None`` means the
-    context default (:func:`~pregols.linalg.get_default_tolerance`) at
-    construction.  Both blocks are validated under it and it is kept as
-    ``tol``; every operation on the partition (the fits, the leave-one-out
+    The rank tolerance is fixed once, here: ``tol=None`` means
+    ``RankTolerance()``.  Both blocks are validated under it and it is kept
+    as ``tol``; every operation on the partition (the fits, the leave-one-out
     closed forms, the variance operators) decides rank under it and takes
     no tolerance of its own, so a partition cannot be used under a cutoff
     it was not validated against.
@@ -118,7 +116,7 @@ class DesignPartition:
     __slots__ = ("t", "w_svd", "t_svd", "ell", "tol", "_split_factor")
 
     def __init__(self, w, t, *, tol: RankTolerance | None = None):
-        self.tol = get_default_tolerance() if tol is None else tol
+        self.tol = RankTolerance() if tol is None else tol
         w_svd = w if isinstance(w, Svd) else None
         t_svd = t if isinstance(t, Svd) else None
         w = w_svd if w_svd is not None else as_matrix(np.array(w, dtype=float), "w")
@@ -310,7 +308,7 @@ def fit_full(x, y) -> FullFit:
     """Fit the minimum l2-norm interpolator ``beta = X^+ y``.
 
     Requires ``X`` to have full row rank so that an exact fit exists, decided
-    under the context default tolerance; the returned coefficients are the
+    under ``RankTolerance()``; the returned coefficients are the
     smallest-norm element of the interpolating set.
     """
     x = as_matrix(x, "x")

@@ -4,7 +4,8 @@ Everything downstream (interpolators, leave-one-out closed forms, variance
 estimators, the simulation harness) funnels its rank decisions through the
 thin SVD held by :class:`Svd`, governed by a single :class:`RankTolerance`.
 Keeping one cutoff makes rank decisions reproducible across operations
-instead of depending on per-call epsilons.
+instead of depending on per-call epsilons.  ``tol=None`` always means
+``RankTolerance()``: a caller that wants another cutoff passes it.
 
 Matrices are plain two-dimensional float64 ``numpy`` arrays.  File exchange
 uses headerless CSV, one row per line, dimensions inferred from the file.
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import numbers
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,12 +23,9 @@ from .exceptions import InvalidInputError, RankAssumptionError
 
 __all__ = [
     "RankTolerance",
-    "get_default_tolerance",
-    "set_default_tolerance",
     "Svd",
     "pinv",
     "numeric_rank",
-    "nullspace_component",
     "read_matrix_csv",
     "write_matrix_csv",
 ]
@@ -63,30 +60,7 @@ class RankTolerance:
         return rel * smax
 
 
-_default_tolerance: ContextVar[RankTolerance] = ContextVar(
-    "pregols_default_tolerance", default=RankTolerance()
-)
-
-
-def get_default_tolerance() -> RankTolerance:
-    """Tolerance used whenever an operation receives ``tol=None``."""
-    return _default_tolerance.get()
-
-
-def set_default_tolerance(tol: RankTolerance) -> None:
-    """Replace the default tolerance in the current context (e.g. from the CLI ``--rank-tol``).
-
-    The default is a :class:`~contextvars.ContextVar`: a change made in one
-    thread, or inside :meth:`contextvars.Context.run`, is not seen by
-    another thread or outside that context.
-    """
-    if not isinstance(tol, RankTolerance):
-        raise InvalidInputError("tol must be a RankTolerance")
-    _default_tolerance.set(tol)
-
-
-def _resolve(tol: RankTolerance | None) -> RankTolerance:
-    return _default_tolerance.get() if tol is None else tol
+_DEFAULT_TOL = RankTolerance()  # what ``tol=None`` means, built once
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -161,7 +135,10 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 def _rank(s: np.ndarray, shape: tuple[int, int], tol: RankTolerance | None) -> int:
     """Number of the descending singular values ``s`` above the cutoff."""
-    cut = _resolve(tol).cutoff(shape, float(s[0]) if s.size else 0.0)
+    tol = _DEFAULT_TOL if tol is None else tol
+    if not isinstance(tol, RankTolerance):  # every rank decision comes through here
+        raise InvalidInputError(f"tol must be a RankTolerance or None, got {tol!r}")
+    cut = tol.cutoff(shape, float(s[0]) if s.size else 0.0)
     return int(np.sum(s > cut))
 
 
@@ -346,7 +323,7 @@ def pinv(m, tol: RankTolerance | None = None) -> np.ndarray:
     m : array_like
         Matrix to invert, any shape.
     tol : RankTolerance, optional
-        Cutoff policy; defaults to the shared package tolerance.
+        Cutoff policy; ``None`` means ``RankTolerance()``.
 
     Returns
     -------
@@ -366,17 +343,6 @@ def numeric_rank(m, tol: RankTolerance | None = None) -> int:
     if a.size == 0:
         return 0
     return _rank(np.linalg.svd(a, compute_uv=False), a.shape, tol)
-
-
-def nullspace_component(m, v, tol: RankTolerance | None = None) -> np.ndarray:
-    """Project ``v`` (vector or matrix of columns) onto the null space of ``m``.
-
-    Used to sample non-canonical members of a least-squares solution set:
-    adding any null-space vector to a solution keeps it a solution.
-    """
-    a = as_matrix(m)
-    w = np.asarray(v, dtype=np.float64)
-    return w - pinv(a, tol) @ (a @ w)
 
 
 def read_matrix_csv(path) -> np.ndarray:

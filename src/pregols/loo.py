@@ -201,8 +201,8 @@ def gram_downdate(x, i: int) -> np.ndarray:
     ``cond(X)^2`` term is subtracted.  Against a 60-digit oracle it erred
     by less than ``n cond(X) eps`` relative in the 2-norm at cond(X) 1e4 to
     1e10.  A full-row-rank ``X`` keeps full row rank when a row is deleted,
-    so the rank check, made under the context default tolerance, is the
-    only precondition.
+    so the rank check, made under ``RankTolerance()``, is the only
+    precondition.
     """
     x = as_matrix(x, "x")
     i = _check_index(i, x.shape[0])

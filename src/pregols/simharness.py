@@ -53,7 +53,8 @@ from .dgp import (
 )
 from .exceptions import ExperimentAbortedError, InvalidInputError, RankAssumptionError
 from .interpolators import DesignPartition
-from .linalg import Svd, _numpy_function, as_choice, as_flag, as_int, as_real, as_vector, is_real
+from .linalg import RankTolerance, Svd, _numpy_function, as_choice, as_flag, as_int, as_real
+from .linalg import as_vector, is_real
 from .linalg import write_matrix_csv
 from .linalg import pinv  # noqa: F401  perfbench/workloads.py traces this name
 from .variance import (  # noqa: F401  perfbench/workloads.py traces these names
@@ -113,9 +114,9 @@ def _variance_design(cfg, rng, n: int, p: int, sigma: float = 1.0, beta0: float 
         var = sigma**2
     except OverflowError:  # every error is then infinite, which the trial refuses
         var = math.inf
-    w_svd = gen_covariates(cfg._covariates, n, p - 1, rng)
+    w_svd = gen_covariates(cfg._covariates, n, p - 1, rng, cfg._tol)
     ones = Svd.from_factors(np.ones((n, 1)), np.full((n, 1), n**-0.5), np.array([n**0.5]))
-    part = DesignPartition(w_svd, ones)
+    part = DesignPartition(w_svd, ones, tol=cfg._tol)
     errors = {
         est: lambda ys, op=residual_operator(est, part): op.estimate_sum(ys) - len(ys) * var
         for est in cfg.estimators
@@ -144,8 +145,8 @@ def _ate_design(cfg, tau: float, rng):
     treatment coefficient minus ``tau``, and a non-finite one is refused.
     """
     n, q = _ATE_N, _ATE_Q
-    w_svd, dvec = gen_ate_design(n, q, rng)
-    part = DesignPartition(w_svd, np.column_stack([dvec, np.ones(n)]))
+    w_svd, dvec = gen_ate_design(n, q, rng, cfg._tol)
+    part = DesignPartition(w_svd, np.column_stack([dvec, np.ones(n)]), tol=cfg._tol)
     rows = _treatment_rows(part, cfg.estimators)
     errors = {est: lambda ys, row=row: float(as_vector(ys @ row, "ys").sum()) - len(ys) * tau
               for est, row in zip(cfg.estimators, rows)}
@@ -222,7 +223,10 @@ class ExperimentConfig:
     draws from, checked here; ``ate`` draws default spiked covariates only.
     ``estimators`` defaults to the study's own names: all four for
     ``sim1``-``sim4`` and ``("full", "partial")`` for ``ate``; a given value
-    must be a nonempty subset of them.
+    must be a nonempty subset of them.  ``rank_tol`` is the relative cutoff
+    of every rank decision of a trial (:class:`~pregols.linalg.RankTolerance`;
+    ``None`` is its default): a looser one resamples more covariate draws, so
+    it is part of what a run's report depends on.
     """
 
     experiment: str
@@ -233,6 +237,7 @@ class ExperimentConfig:
     estimators: tuple[str, ...] | None = None
     seed: int = 0
     covariate: dict = field(default_factory=dict)
+    rank_tol: float | None = None
 
     def __post_init__(self) -> None:
         row = _TABLE[as_choice(self.experiment, EXPERIMENTS, "experiment")]
@@ -281,6 +286,11 @@ class ExperimentConfig:
             )
         object.__setattr__(self, "estimators", ests)
         Seed(self.seed)  # validates the root
+        try:
+            tol = RankTolerance(self.rank_tol)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"invalid rank_tol: {exc}") from None
+        object.__setattr__(self, "_tol", tol)  # the one tolerance every trial decides rank under
 
     @classmethod
     def default(
@@ -475,9 +485,8 @@ def _run_forked(trial, tasks) -> list:
     for fixed shares, 0.401 s claimed, medians of 40).  ``fork``, not
     ``spawn``: a spawned child would import numpy and scipy again before its
     first trial.  A child inherits ``trial``, so nothing is pickled on the way
-    in, and the caller's pinned BLAS and its context (the default rank
-    tolerance).  Serial where there is one CPU or no ``fork``.  No child
-    outlives the call, whether it returns or raises.
+    in, and the caller's pinned BLAS.  Serial where there is one CPU or no
+    ``fork``.  No child outlives the call, whether it returns or raises.
     """
     import multiprocessing
 

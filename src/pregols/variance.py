@@ -84,7 +84,10 @@ class GaussMarkovTruth:
             raise InvalidInputError("sigma2 must be positive and finite")
 
     def mean_response(self, design) -> np.ndarray:
-        """``E[y] = X beta`` for the unsplit design ``X``, an array or a partition's ``[W | T]``."""
+        """``E[y] = X beta`` for the unsplit design ``X``, an array or a partition's ``[W | T]``.
+
+        An ``X beta`` that overflows raises :class:`InvalidInputError`.
+        """
         if isinstance(design, DesignPartition):
             design = design.stacked()
         design = as_matrix(design, "design")
@@ -92,7 +95,11 @@ class GaussMarkovTruth:
             raise InvalidInputError(
                 f"beta has length {self.beta.size}, design has {design.shape[1]} columns"
             )
-        return design @ self.beta
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+            mu = design @ self.beta
+        if not np.isfinite(mu).all():
+            raise InvalidInputError("the truth's mean response X beta overflows")
+        return mu
 
 
 @dataclass(frozen=True)
@@ -149,7 +156,7 @@ def full_operator(x) -> ResidualOperator:
 
     For a full-row-rank ``X`` it is ``[diag(G_X)]^{-1} G_X``, and
     ``g_ii >= 1 / smax^2 > 0``.  For an array ``x`` the rank and ``G_X``
-    come from one SVD of ``X`` under the context default tolerance; for a
+    come from one SVD of ``X`` under ``RankTolerance()``; for a
     :class:`DesignPartition` ``G_X`` comes from its kept factors under its
     own tolerance (:meth:`DesignPartition.full_gram_inverse`), with
     ``X = [W | T]`` never factored unless its rank certificate fails.
@@ -214,7 +221,7 @@ def residual_operator(estimator_id: str, design) -> ResidualOperator:
     ``[W | T]`` it maps from the kept factors; the other three take a
     :class:`DesignPartition` only.  Every operator of a partition is built
     under the tolerance it was validated with (``design.tol``), the rank of
-    an unsplit matrix under the context default.
+    an unsplit matrix under ``RankTolerance()``.
     """
     as_choice(estimator_id, ESTIMATOR_IDS, "estimator")
     if not isinstance(design, DesignPartition):

@@ -201,6 +201,20 @@ def projector(f, tol=None):
     return u @ u.T
 
 
+def nullspace_component(m, v, tol=None):
+    """Project ``v`` (vector or matrix of columns) onto the null space of ``m``.
+
+    Samples non-canonical members of a least-squares solution set: adding
+    any null-space vector to a solution keeps it a solution.  The
+    pseudoinverse is ``pregols.linalg.Svd(m).pinv(tol)``.
+    """
+    from pregols.linalg import Svd
+
+    a = np.asarray(m, dtype=float)
+    w = np.asarray(v, dtype=float)
+    return w - Svd(a).pinv(tol) @ (a @ w)
+
+
 def dense_svd(w):
     """The factored route: ``pregols.linalg.Svd`` of ``w``, one LAPACK thin SVD.
 

@@ -15,7 +15,7 @@ import numpy as np
 
 import pregols as pg
 
-from oracles import loo_projector, min_norm_refit_full, ridge_solve
+from oracles import loo_projector, min_norm_refit_full, nullspace_component, ridge_solve
 
 SEED = 314  # pinned seed for the statistical criteria
 
@@ -112,9 +112,9 @@ def test_criterion_04_cochran_identities():
                 aux_fit = pg.fit_partial(d.short, d.u)
                 s_long = np.hstack([d.z, d.u, d.t])
                 s_short = np.hstack([d.z, d.t])
-                z1 = pg.nullspace_component(s_long, rng.standard_normal(ell + r + m))
-                z2 = pg.nullspace_component(s_short, rng.standard_normal(ell + m))
-                z3 = pg.nullspace_component(s_short, rng.standard_normal((ell + m, r)))
+                z1 = nullspace_component(s_long, rng.standard_normal(ell + r + m))
+                z2 = nullspace_component(s_short, rng.standard_normal(ell + m))
+                z3 = nullspace_component(s_short, rng.standard_normal((ell + m, r)))
                 gap = pg.image_gap(
                     d,
                     replace(

@@ -351,6 +351,43 @@ def test_simulate_seed_overrides_config(tmp_path, capsys):
     assert rows[1].rstrip().endswith(",11")
 
 
+_SIM1_NORMAL = ["simulate", "--experiment", "sim1", "--model", "normal", "--seed", "314"]
+
+
+def test_simulate_rank_tol_flag_and_config_write_the_same_report(tmp_path, capsys):
+    # 1e-3 resamples one n = 99 draw that the default keeps; the flag fills
+    # the config's rank_tol and, like --seed, overrides a document's value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"experiment": "sim1", "model": "standard_normal", "seed": 314, "rank_tol": 1e-2}))
+    runs = {
+        "default": _SIM1_NORMAL,
+        "flag": ["--rank-tol", "1e-3", *_SIM1_NORMAL],
+        "config": ["--rank-tol", "1e-3", "simulate", "--config", str(cfg_path)],
+    }
+    reports = {}
+    for name, argv in runs.items():
+        code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / name))
+        assert code == 0, name
+        reports[name] = (tmp_path / name / "report.csv").read_text()
+    assert reports["flag"] == reports["config"] != reports["default"]
+
+
+def test_simulate_aborts_under_a_loose_rank_tol_forked_and_alone(tmp_path, monkeypatch, capsys):
+    # at 1e-2 four n = 99 trials fail their draw 100 times, over the 5% allowed
+    from pregols import simharness
+
+    for case in ("forked", "alone"):
+        if case == "alone":
+            monkeypatch.setattr(simharness.os, "sched_getaffinity", lambda pid: {0})
+        code, out, err = run_cli(
+            capsys, "--rank-tol", "1e-2", *_SIM1_NORMAL, "--out", str(tmp_path / case))
+        assert code == 2, case
+        assert out == ""
+        assert err.splitlines()[-1].startswith(
+            "pregols: 4/25 trials failed at grid value 99.0 of sim1: "), case
+
+
 @pytest.mark.parametrize("selection", ["--experiment sim3", "--model spiked", "--paper-scale"])
 def test_simulate_conflicting_selection(tmp_path, capsys, selection):
     # a config that runs on its own, so only the refusal can exit 1
@@ -397,6 +434,9 @@ def test_simulate_conflicting_selection(tmp_path, capsys, selection):
         {"experiment": "sim1", "grid": [20.5]},
         {"experiment": "sim2", "grid": [100.7]},
         {"experiment": "ate", "grid": [1.0], "estimators": ["w"]},
+        {"rank_tol": 1.5},
+        {"rank_tol": "1e-3"},
+        {"rank_tol": True},
     ],
 )
 def test_simulate_bad_config_exits_1(tmp_path, capsys, setting):
@@ -468,18 +508,16 @@ def test_simulate_dump_dir(tmp_path, capsys):
     assert len(os.listdir(tmp_path / "dump")) == 2
 
 
-def test_rank_tol_flag_changes_rank_decision(tmp_path, capsys):
+def _near_collinear_fit_args(folder):
     # nearly collinear rows pass at the default cutoff, fail at a loose one
-    eps = 1e-4
-    write_matrix_csv(tmp_path / "w.csv", [[1.0, 0, 0], [1.0, eps, 0]])
-    write_matrix_csv(tmp_path / "t.csv", [[1.0], [0.0]])
-    write_matrix_csv(tmp_path / "y.csv", [[1.0], [2.0]])
-    args = [
-        "fit",
-        "--w", str(tmp_path / "w.csv"),
-        "--t", str(tmp_path / "t.csv"),
-        "--y", str(tmp_path / "y.csv"),
-    ]
+    write_matrix_csv(folder / "w.csv", [[1.0, 0, 0], [1.0, 1e-4, 0]])
+    write_matrix_csv(folder / "t.csv", [[1.0], [0.0]])
+    write_matrix_csv(folder / "y.csv", [[1.0], [2.0]])
+    return ["fit", *(arg for name in "wty" for arg in (f"--{name}", str(folder / f"{name}.csv")))]
+
+
+def test_rank_tol_flag_changes_rank_decision(tmp_path, capsys):
+    args = _near_collinear_fit_args(tmp_path)
     code, _, _ = run_cli(capsys, *args)
     assert code == 0
     code, _, err = run_cli(capsys, "--rank-tol", "1e-3", *args)
@@ -493,40 +531,39 @@ def test_help_exits_zero(capsys):
     assert exc.value.code == 0
 
 
-def test_rank_tol_flag_stays_in_its_own_thread(hand_files, monkeypatch, capsys):
-    # the CLI's --rank-tol is a context-local default: another thread keeps
-    # its own while the command runs, and the command's thread is restored
+def test_rank_tol_flag_stays_with_its_own_command(tmp_path, monkeypatch, capsys):
+    # two commands run at once in two threads: the one given --rank-tol 1e-3
+    # fails its rank check, and the other still decides under the default
     import threading
 
-    from pregols import RankTolerance, cli, get_default_tolerance
+    from pregols import cli
 
-    inside, release, seen = threading.Event(), threading.Event(), []
-    real_read = cli.read_matrix_csv
+    args = _near_collinear_fit_args(tmp_path)
+    code, alone, _ = run_cli(capsys, *args)
+    assert code == 0
+    both_reading, real_read = threading.Barrier(2, timeout=10), cli.read_matrix_csv
 
-    def blocking_read(path):
-        seen.append(get_default_tolerance())
-        inside.set()
-        release.wait(timeout=10)
+    def read_together(path):  # each command waits at W until the other has started
+        if str(path).endswith("w.csv"):
+            both_reading.wait()
         return real_read(path)
 
-    monkeypatch.setattr(cli, "read_matrix_csv", blocking_read)
-    codes = []
+    monkeypatch.setattr(cli, "read_matrix_csv", read_together)
+    codes = {}
 
-    def command():
-        codes.append(main(["--rank-tol", "1e-3", "fit", "--w", str(hand_files / "w.csv"),
-                           "--t", str(hand_files / "t.csv"), "--y", str(hand_files / "y.csv")]))
-        seen.append(get_default_tolerance())
+    def command(key, flags):
+        codes[key] = main([*flags, *args])
 
-    worker = threading.Thread(target=command)
-    worker.start()
-    assert inside.wait(timeout=10)
-    assert get_default_tolerance() == RankTolerance()
-    release.set()
-    worker.join(timeout=10)
-    assert codes == [0]
-    assert seen[0] == RankTolerance(relative_cutoff=1e-3)
-    assert seen[-1] == RankTolerance()
-    assert get_default_tolerance() == RankTolerance()
+    threads = [threading.Thread(target=command, args=("loose", ["--rank-tol", "1e-3"])),
+               threading.Thread(target=command, args=("default", []))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=20)
+    out = capsys.readouterr()
+    assert codes == {"loose": 2, "default": 0}
+    assert out.out == alone
+    assert out.err.count("\n") == 1 and "rank" in out.err
 
 
 @pytest.fixture()
@@ -606,12 +643,16 @@ def test_blank_csv_exits_1_with_one_line(hand_files, text):
     assert proc.stderr == f"pregols: matrix CSV {hand_files / 'y.csv'} is empty\n"
 
 
-@pytest.mark.parametrize("command", ["sim3", "sim4", "variance"])
+@pytest.mark.parametrize("command", ["sim3", "sim4", "variance", "truth"])
 def test_an_overflow_exits_1_with_one_line(wide_files, command):
     # a subprocess, so that a warning numpy prints would reach stderr
     if command == "variance":
         write_matrix_csv(wide_files / "y.csv", 1e200 * np.ones((8, 1)))
         args = ["variance", *(f"--{b}={wide_files / b}.csv" for b in ("w", "t", "y"))]
+    elif command == "truth":  # X beta overflows
+        write_matrix_csv(wide_files / "truth.csv", np.full((15, 1), 1e308))
+        args = ["variance", *(f"--{b}={wide_files / b}.csv" for b in ("w", "t", "y", "truth")),
+                "--sigma2=1"]
     else:
         (wide_files / "cfg.json").write_text(json.dumps(
             {"experiment": command, "grid": [1e200], "trials": 2, "draws_per_trial": 2}))

@@ -12,13 +12,12 @@ from pregols import (
     fit_partial,
     gen_ate_dataset,
     image_gap,
-    nullspace_component,
     ovb_decompose,
     pinv,
     Seed,
 )
 
-from oracles import partial_blocks_projected, weak_constant_direction_w
+from oracles import nullspace_component, partial_blocks_projected, weak_constant_direction_w
 
 
 def cochran_fits(d, y):

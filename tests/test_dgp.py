@@ -9,6 +9,7 @@ from pregols import (
     GaussMarkovTruth,
     InvalidInputError,
     RankAssumptionError,
+    RankTolerance,
     Seed,
     Svd,
     fit_partial,
@@ -351,6 +352,18 @@ def test_gen_covariates_resamples_on_rank_failure(monkeypatch, caplog):
     assert w.a.shape == (4, 6)
     assert calls["n"] == 2
     assert caplog.messages == ["resampled covariates 1 time(s) after rank failures"]
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng, tol: gen_covariates(CovariateConfig("standard_normal"), 3, 5, rng, tol),
+    lambda rng, tol: gen_ate_design(3, 5, rng, tol),
+])
+def test_the_generators_decide_rank_under_the_tolerance_they_are_given(draw):
+    # no 3 x 5 draw has all three singular values within 0.1% of each other,
+    # so every draw fails a 0.999 cutoff and the generator gives up
+    draw(Seed(2).rng(0), None)
+    with pytest.raises(RankAssumptionError, match="failed the full-row-rank check 100 times"):
+        draw(Seed(2).rng(0), RankTolerance(0.999))
 
 
 def test_covariate_config_validation():

@@ -9,11 +9,11 @@ from pregols import (
     fit_full,
     fit_partial,
     fit_partial_variant,
-    nullspace_component,
     predict,
 )
 
 from oracles import (
+    nullspace_component,
     partial_blocks_projected,
     ridge_solve,
     split_qspace,

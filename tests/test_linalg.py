@@ -6,13 +6,12 @@ from pregols import (
     RankTolerance,
     Svd,
     numeric_rank,
-    nullspace_component,
     pinv,
     read_matrix_csv,
     write_matrix_csv,
 )
 
-from oracles import elimination_rank, projector
+from oracles import elimination_rank, nullspace_component, projector
 
 
 def penrose_gaps(m, mp):
@@ -166,6 +165,22 @@ def test_rank_tolerance_controls_rank():
     m = np.diag([1.0, 1e-6])
     assert numeric_rank(m) == 2
     assert numeric_rank(m, RankTolerance(relative_cutoff=1e-3)) == 1
+
+
+def test_a_tolerance_that_is_not_a_rank_tolerance_is_refused():
+    # a bare cutoff is not a tolerance: it is refused by every rank decision,
+    # a design's and a generator's too, not read as a relative cutoff
+    from pregols import CovariateConfig, DesignPartition, Seed, gen_covariates
+
+    m = np.diag([1.0, 1e-6])
+    calls = [lambda tol: numeric_rank(m, tol), lambda tol: pinv(m, tol),
+             lambda tol: Svd(m).rank(tol),
+             lambda tol: DesignPartition(np.eye(2, 3), np.ones((2, 1)), tol=tol),
+             lambda tol: gen_covariates(CovariateConfig("spiked"), 2, 3, Seed(1).rng(0), tol)]
+    for call in calls:
+        for tol in (1e-3, "1e-3", True):
+            with pytest.raises(InvalidInputError, match="^tol must be a RankTolerance or None"):
+                call(tol)
 
 
 def test_nullspace_component_annihilated():

@@ -460,20 +460,11 @@ def test_leave_one_out_checks_run_under_the_partitions_own_tolerance():
         loo_residual_partial(d, np.ones(10), 0)
 
 
-def test_partition_keeps_the_default_tolerance_of_its_construction():
-    import contextvars
-
-    from pregols import get_default_tolerance, set_default_tolerance
-
+def test_a_partition_given_no_tolerance_takes_the_default_one():
+    # tol=None means RankTolerance(), whatever cutoff an earlier partition
+    # was built under
     w, t = _marginal_leverage_design()
-    loose = RankTolerance(relative_cutoff=1e-3)
-
-    def build():
-        set_default_tolerance(loose)
-        return DesignPartition(w, t)
-
-    d = contextvars.copy_context().run(build)
-    assert get_default_tolerance() == RankTolerance()
-    assert d.tol is loose
-    with pytest.raises(RankAssumptionError, match="leave-one-out rank violation at index 0"):
-        PartialLooSolver(d)
+    DesignPartition(w, t, tol=RankTolerance(relative_cutoff=1e-3))
+    d = DesignPartition(w, t)
+    assert d.tol == RankTolerance()
+    PartialLooSolver(d)

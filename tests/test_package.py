@@ -48,7 +48,6 @@ PUBLIC_NAMES = {
     "gen_ate_dataset",
     "gen_ate_design",
     "gen_covariates",
-    "get_default_tolerance",
     "gram_downdate",
     "image_gap",
     "InvalidInputError",
@@ -56,7 +55,6 @@ PUBLIC_NAMES = {
     "loo_record",
     "loo_residual_partial",
     "LooRecord",
-    "nullspace_component",
     "numeric_rank",
     "orthonormal_rows",
     "ovb_decompose",
@@ -75,7 +73,6 @@ PUBLIC_NAMES = {
     "ResidualOperator",
     "run_experiment",
     "Seed",
-    "set_default_tolerance",
     "sigma2",
     "splitmix64",
     "standard_normal",
@@ -90,7 +87,7 @@ PUBLIC_NAMES = {
 
 
 def test_public_names_are_pinned():
-    assert len(pregols.__all__) == len(set(pregols.__all__)) == 62
+    assert len(pregols.__all__) == len(set(pregols.__all__)) == 59
     assert set(pregols.__all__) == PUBLIC_NAMES
     for name in pregols.__all__:
         assert getattr(pregols, name) is not None, name
@@ -129,10 +126,13 @@ def test_no_operation_on_a_validated_design_takes_a_tolerance():
             "image_gap", "ovb_decompose",
             "DesignPartition.tau_map", "DesignPartition.full_gram_inverse"} <= set(takers)
     assert [n for n, fn in takers.items() if "tol" in inspect.signature(fn).parameters] == []
-    # the generators and the two operations on a plain array decide rank
-    # under the context default, which a partition built on a draw resolves again
-    for fn in (pregols.gen_covariates, pregols.gen_ate_design, pregols.gen_ate_dataset,
-               pregols.fit_full, pregols.gram_downdate):
+    # the two generators decide the draw's rank under the tolerance they are
+    # given, which the simulation harness also validates its partition under;
+    # the dataset generator and the two operations on a plain array decide
+    # rank under RankTolerance() and take none
+    for fn in (pregols.gen_covariates, pregols.gen_ate_design):
+        assert "tol" in inspect.signature(fn).parameters, fn.__name__
+    for fn in (pregols.gen_ate_dataset, pregols.fit_full, pregols.gram_downdate):
         assert "tol" not in inspect.signature(fn).parameters, fn.__name__
 
 
@@ -199,6 +199,8 @@ _SCALAR_ARGUMENTS = [
     ("ExperimentConfig estimators", "name", "full",
      lambda v, rng: ExperimentConfig("sim3", estimators=[v])),
     ("ExperimentConfig seed", "int", 0, lambda v, rng: ExperimentConfig("sim3", seed=v)),
+    ("ExperimentConfig rank_tol", "cutoff", 1e-3,
+     lambda v, rng: ExperimentConfig("sim3", rank_tol=v)),
     ("ExperimentConfig.default experiment", "name", "sim3",
      lambda v, rng: ExperimentConfig.default(v)),
     ("ExperimentConfig.default model", "name", "spiked",
@@ -214,11 +216,12 @@ _SCALAR_ARGUMENTS = [
     ("expected_bias", "name", "full", lambda v, rng: pregols.expected_bias(v, _D, _TRUTH)),
 ]
 # and a list holding the good value, which is not that value; 10**400 is a
-# real number no float holds
+# real number no float holds, and a cutoff lies strictly inside (0, 1)
 _WRONG = {
     "int": (True, 2.5, "3", None),
     "real": (True, "1.0", None, 10**400),
     "real or None": (True, "1.0", 10**400),
+    "cutoff": (True, "1e-3", 0, 1.5, 10**400),
     "name": (True, "bogus", 2.5, None),
     "flag": (1, 0, "no", None),
     "size": (True, 2.5, "3", -1, (2, -1), (2, "3"), (True,)),
@@ -240,6 +243,12 @@ def test_scalar_arguments_are_refused_with_a_named_error(kind, good, call):
         with pytest.raises(InvalidInputError):
             call(v, rng)
         assert rng.bit_generator.state == unread, v
+
+
+@pytest.mark.parametrize("value", [True, "1e-3", 0, 1.5])
+def test_a_bad_rank_tol_is_refused_by_name(value):
+    with pytest.raises(InvalidInputError, match="^invalid rank_tol: "):
+        ExperimentConfig("sim3", rank_tol=value)
 
 
 def test_the_scalar_table_covers_every_public_callable():

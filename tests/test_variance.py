@@ -413,6 +413,19 @@ def test_an_estimate_that_overflows_is_refused():
         assert np.isfinite(op.estimate(1e100 * y / 1e200))
 
 
+def test_a_truth_whose_mean_response_overflows_is_refused_by_name():
+    # X beta beyond the float range: refused before any operator is built,
+    # with no overflow warning on the way (the suite turns warnings into errors)
+    d = fixture_partition()
+    truth = GaussMarkovTruth(np.full(d.q + d.m, 1e308), 1.0)
+    calls = [lambda: truth.mean_response(d), lambda: truth.mean_response(d.stacked())]
+    calls += [lambda est=est: sigma2(est, d, np.ones(d.n), truth) for est in ESTIMATOR_IDS]
+    calls += [lambda est=est: expected_bias(est, d, truth) for est in ESTIMATOR_IDS]
+    for call in calls:
+        with pytest.raises(InvalidInputError, match="^the truth's mean response X beta overflows"):
+            call()
+
+
 # ------------------------------------------------ full map from kept factors
 
 
