@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 
 from pregols import (
+    CovariateConfig,
+    DesignPartition,
     InvalidInputError,
     RankTolerance,
+    Seed,
     Svd,
+    gen_covariates,
     numeric_rank,
     pinv,
     read_matrix_csv,
@@ -170,8 +174,6 @@ def test_rank_tolerance_controls_rank():
 def test_a_tolerance_that_is_not_a_rank_tolerance_is_refused():
     # a bare cutoff is not a tolerance: it is refused by every rank decision,
     # a design's and a generator's too, not read as a relative cutoff
-    from pregols import CovariateConfig, DesignPartition, Seed, gen_covariates
-
     m = np.diag([1.0, 1e-6])
     calls = [lambda tol: numeric_rank(m, tol), lambda tol: pinv(m, tol),
              lambda tol: Svd(m).rank(tol),
