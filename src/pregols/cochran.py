@@ -42,7 +42,7 @@ import numpy as np
 
 from .exceptions import InvalidInputError, RankAssumptionError
 from .interpolators import DesignPartition, PartialFit, fit_partial
-from .linalg import RankTolerance, Svd, _readonly, as_matrix, numeric_rank
+from .linalg import RankTolerance, Svd, _readonly, as_matrix
 
 __all__ = [
     "CochranDesign",
@@ -88,7 +88,7 @@ class CochranDesign:
             raise RankAssumptionError(
                 str(e).replace("penalized block w", "retained block z")
             ) from None
-        if u.shape[1] >= n or numeric_rank(u, short.tol) != u.shape[1]:
+        if u.shape[1] >= n or Svd(u).rank(short.tol) != u.shape[1]:
             raise RankAssumptionError(
                 "rank assumption violated: omitted block u must have full column rank "
                 f"with fewer columns than rows, got shape {u.shape}"

@@ -73,7 +73,7 @@ __all__ = [
 #: Floor of the interpolation guard: a valid fit must reproduce y to within
 #: max(INTERPOLATION_RTOL, n cond eps) * (1 + max|y|) in the sup norm, where
 #: cond is the condition number of the factored full-row-rank block
-#: (:func:`_guard_rtol`).
+#: (:func:`_check_interpolation`).
 INTERPOLATION_RTOL = 1e-8
 
 
@@ -281,21 +281,19 @@ class PartialFit:
     max_interp_residual: float
 
 
-def _guard_rtol(f: Svd) -> float:
-    """``max(INTERPOLATION_RTOL, n cond eps)`` for the kept SVD ``f`` of a full-row-rank block.
-
-    A fit through ``f`` reproduces its right-hand side to about
-    ``cond eps`` relative, so a fixed floor alone would call a well-posed
-    block of cond 1e9 or more rank-marginal although its rank check passed.
-    """
-    return max(INTERPOLATION_RTOL, f.shape[0] * float(f.s[0] / f.s[-1]) * np.finfo(np.float64).eps)
-
-
 def _check_interpolation(residual: np.ndarray, y: np.ndarray, f: Svd, what: str) -> float:
-    """The sup-norm ``residual``; raises when it exceeds the guard for the factored ``f``."""
+    """The sup-norm ``residual``; raises when it exceeds the guard for the factored ``f``.
+
+    The guard is ``max(INTERPOLATION_RTOL, n cond eps) * (1 + max|y|)`` for
+    the kept SVD ``f`` of a full-row-rank block.  A fit through ``f``
+    reproduces its right-hand side to about ``cond eps`` relative, so a
+    fixed floor alone would call a well-posed block of cond 1e9 or more
+    rank-marginal although its rank check passed.
+    """
     gap = float(np.max(np.abs(residual))) if residual.size else 0.0
     scale = 1.0 + (float(np.max(np.abs(y))) if y.size else 0.0)
-    bound = _guard_rtol(f) * scale
+    rtol = f.shape[0] * float(f.s[0] / f.s[-1]) * np.finfo(np.float64).eps
+    bound = max(INTERPOLATION_RTOL, rtol) * scale
     if gap > bound:
         raise RankAssumptionError(
             f"{what} failed to interpolate (sup-norm residual {gap:.3e} > {bound:.3e}); "
@@ -335,11 +333,6 @@ def _split_solve(lt, vt, t, tol: RankTolerance, rhs):
     return lam, tau
 
 
-def _partial_blocks(d: DesignPartition, rhs):
-    """The split fit ``(lambda, tau)``: :func:`_split_solve` with ``lt = L^T``."""
-    return _split_solve(d.ell.T, d.w_svd.vt, d.t, d.tol, rhs)
-
-
 def fit_partial(d: DesignPartition, y) -> PartialFit:
     """Fit the partially regularized interpolator on a split design.
 
@@ -352,15 +345,16 @@ def fit_partial(d: DesignPartition, y) -> PartialFit:
 
     ``y`` may be an n x k matrix of responses, fitted column by column.
     """
-    return _fit_split(d, y, _partial_blocks, "partial fit")
+    return _fit_split(d, y, "direct")
 
 
-def _fit_split(d: DesignPartition, y, blocks, what: str) -> PartialFit:
-    """The checked :class:`PartialFit` of ``(lambda, tau) = blocks(d, y)``; ``y`` may be 2-D."""
+def _fit_split(d: DesignPartition, y, variant: str) -> PartialFit:
+    """The checked :class:`PartialFit` of ``variant``'s ``(lambda, tau)``; ``y`` may be 2-D."""
     y = as_matrix(y, "y") if np.ndim(y) == 2 else as_vector(y, "y")
     if len(y) != d.n:
         raise InvalidInputError(f"y has length {len(y)}, expected {d.n}")
-    lam, tau = blocks(d, y)
+    lam, tau = _VARIANT_FNS[variant](d, y)
+    what = "partial fit" if variant == "direct" else f"partial fit ({variant})"
     gap = _check_interpolation(y - d.w @ lam - d.t @ tau, y, d.w_svd, what)
     return PartialFit(
         lambda_hat=_readonly(lam), tau_hat=_readonly(tau), max_interp_residual=gap
@@ -412,13 +406,15 @@ def _variant_gls(d, y):
 
 
 _VARIANT_FNS = {
+    # the defining form: _split_solve with lt = L^T
+    "direct": lambda d, y: _split_solve(d.ell.T, d.w_svd.vt, d.t, d.tol, y),
     "rowspace": _variant_rowspace,
     "residual": _variant_residual,
     "gls": _variant_gls,
 }
 
 #: Recognized coefficient-expression names; "direct" is the defining form.
-PARTIAL_VARIANTS = ("direct", "rowspace", "residual", "gls")
+PARTIAL_VARIANTS = tuple(_VARIANT_FNS)
 
 
 def fit_partial_variant(d: DesignPartition, y, variant: str) -> PartialFit:
@@ -435,9 +431,7 @@ def fit_partial_variant(d: DesignPartition, y, variant: str) -> PartialFit:
     ``residual`` miss the interpolation guard at cond(W) = 1e6 and
     ``rowspace`` at 1e8, and are refused.
     """
-    if as_choice(variant, PARTIAL_VARIANTS, "variant") == "direct":
-        return fit_partial(d, y)
-    return _fit_split(d, y, _VARIANT_FNS[variant], f"partial fit ({variant})")
+    return _fit_split(d, y, as_choice(variant, PARTIAL_VARIANTS, "variant"))
 
 
 def predict(fit, w_new, t_new=None) -> float | np.ndarray:

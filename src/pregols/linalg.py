@@ -25,7 +25,6 @@ __all__ = [
     "RankTolerance",
     "Svd",
     "pinv",
-    "numeric_rank",
     "read_matrix_csv",
     "write_matrix_csv",
 ]
@@ -133,15 +132,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return view
 
 
-def _rank(s: np.ndarray, shape: tuple[int, int], tol: RankTolerance | None) -> int:
-    """Number of the descending singular values ``s`` above the cutoff."""
-    tol = _DEFAULT_TOL if tol is None else tol
-    if not isinstance(tol, RankTolerance):  # every rank decision comes through here
-        raise InvalidInputError(f"tol must be a RankTolerance or None, got {tol!r}")
-    cut = tol.cutoff(shape, float(s[0]) if s.size else 0.0)
-    return int(np.sum(s > cut))
-
-
 class Svd:
     """Thin SVD ``a = u diag(s) vt`` of one matrix, kept so it is factored once.
 
@@ -205,7 +195,12 @@ class Svd:
         return self.u[:, :r], self.s[:r]
 
     def rank(self, tol: RankTolerance | None = None) -> int:
-        return _rank(self.s, self.shape, tol)
+        """Number of singular values above the cutoff."""
+        tol = _DEFAULT_TOL if tol is None else tol
+        if not isinstance(tol, RankTolerance):  # every rank decision comes through here
+            raise InvalidInputError(f"tol must be a RankTolerance or None, got {tol!r}")
+        cut = tol.cutoff(self.shape, float(self.s[0]) if self.s.size else 0.0)
+        return int(np.sum(self.s > cut))
 
     def pinv(self, tol: RankTolerance | None = None) -> np.ndarray:
         u, s = self.kept(tol)
@@ -331,18 +326,6 @@ def pinv(m, tol: RankTolerance | None = None) -> np.ndarray:
         The pseudoinverse, with shape transposed relative to ``m``.
     """
     return Svd(as_matrix(m)).pinv(tol)
-
-
-def numeric_rank(m, tol: RankTolerance | None = None) -> int:
-    """Number of singular values above the cutoff.
-
-    Computes the singular values alone, which costs about a third of the
-    thin SVD that :class:`Svd` keeps.
-    """
-    a = as_matrix(m)
-    if a.size == 0:
-        return 0
-    return _rank(np.linalg.svd(a, compute_uv=False), a.shape, tol)
 
 
 def read_matrix_csv(path) -> np.ndarray:

@@ -53,32 +53,19 @@ again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .exceptions import InvalidInputError, RankAssumptionError
-from .interpolators import DesignPartition, _guard_rtol, _split_solve, fit_partial
+from .interpolators import DesignPartition, _split_solve, fit_partial
 from .linalg import _readonly, as_int, as_matrix, as_vector, full_row_rank_svd
 
 __all__ = [
-    "LooRecord",
     "PartialLooSolver",
     "loo_fit",
-    "loo_record",
     "loo_residual_partial",
     "gram_downdate",
     "brute_force_refit",
 ]
-
-@dataclass(frozen=True)
-class LooRecord:
-    """Leave-one-out coefficients and prediction residual for one index."""
-
-    index: int
-    lambda_loo: np.ndarray
-    tau_loo: np.ndarray
-    residual: float
 
 
 def _check_index(i: int, n: int) -> int:
@@ -142,25 +129,6 @@ def loo_residual_partial(d: DesignPartition, y, i: int) -> float:
     _check_loo_rows(d, np.array([i]))
     f = d.split_factor()
     return float(f[i] @ (f.T @ y) / (f[i] @ f[i]))
-
-
-def loo_record(d: DesignPartition, y, i: int) -> LooRecord:
-    """Coefficients plus residual for one index, cross-checked for consistency.
-
-    The two closed forms must agree to within
-    ``max(1e-8, n cond(W) eps) * (1 + |y_i|)``, the interpolation guard's scale.
-    """
-    y = as_vector(y, "y")
-    lam_loo, tau_loo = loo_fit(d, y, i)
-    resid = loo_residual_partial(d, y, i)
-    predicted = float(d.w[i] @ lam_loo + d.t[i] @ tau_loo)
-    gap = abs(resid - (y[i] - predicted))
-    if gap > _guard_rtol(d.w_svd) * (1.0 + abs(float(y[i]))):
-        raise RankAssumptionError(
-            f"leave-one-out closed forms disagree at index {i} (gap {gap:.3e}); "
-            "the design is numerically rank-marginal"
-        )
-    return LooRecord(index=i, lambda_loo=lam_loo, tau_loo=tau_loo, residual=resid)
 
 
 def _loo_map(g: np.ndarray) -> tuple[np.ndarray, float]:

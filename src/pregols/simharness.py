@@ -124,32 +124,24 @@ def _variance_design(cfg, rng, n: int, p: int, sigma: float = 1.0, beta0: float 
     return p**-0.5 * w_svd.ones + beta0, sigma, errors, {"w": lambda: w_svd.a}
 
 
-def _treatment_rows(part: DesignPartition, fits=("full", "partial")) -> tuple[np.ndarray, ...]:
-    """Rows mapping ``y`` to the treatment coefficient of each named fit, built in order.
-
-    ``T = [d, 1]``.  The full fit's is row q of ``X^+ = X^T G_X``, that is
-    ``G_X d`` with ``G_X`` from :meth:`DesignPartition.full_gram_inverse`; the
-    split fit's is the first row of :meth:`DesignPartition.tau_map`.
-    """
-    rows = {
-        "full": lambda: part.full_gram_inverse() @ part.t[:, 0],
-        "partial": lambda: part.tau_map()[0],
-    }
-    return tuple(rows[fit]() for fit in fits)
-
-
 def _ate_design(cfg, tau: float, rng):
     """An ``80 x 98`` spiked ``W`` and ``T = [d, 1]``; ``y = W alpha + tau d + 1 + z``.
 
     Every ``alpha`` coordinate is ``(q + 2)^-1/2``; a fit's error is its
     treatment coefficient minus ``tau``, and a non-finite one is refused.
+    The full fit's coefficient is ``y`` times row q of ``X^+ = X^T G_X``,
+    ``G_X d``; the split fit's, times the first row of the ``tau`` map.
+    Only the selected estimators' rows are built.
     """
     n, q = _ATE_N, _ATE_Q
     w_svd, dvec = gen_ate_design(n, q, rng, cfg._tol)
     part = DesignPartition(w_svd, np.column_stack([dvec, np.ones(n)]), tol=cfg._tol)
-    rows = _treatment_rows(part, cfg.estimators)
-    errors = {est: lambda ys, row=row: float(as_vector(ys @ row, "ys").sum()) - len(ys) * tau
-              for est, row in zip(cfg.estimators, rows)}
+    rows = {
+        "full": lambda: part.full_gram_inverse() @ part.t[:, 0],
+        "partial": lambda: part.tau_map()[0],
+    }
+    errors = {est: lambda ys, r=rows[est](): float(as_vector(ys @ r, "ys").sum()) - len(ys) * tau
+              for est in cfg.estimators}
     mean_y = (q + 2) ** -0.5 * w_svd.ones + tau * dvec + 1.0
     return mean_y, 1.0, errors, {"w": lambda: w_svd.a, "d": lambda: dvec.reshape(-1, 1)}
 
@@ -269,6 +261,10 @@ class ExperimentConfig:
             raise InvalidInputError(
                 f"{self.experiment} grid values must be {row.rule}, got {bad}"
             )
+        if len(set(grid)) < len(grid):  # a repeated value would name two cells alike
+            raise InvalidInputError(
+                f"{self.experiment} grid values must be distinct, got {list(grid)}"
+            )
         object.__setattr__(self, "grid", grid)
         for name in ("trials", "draws_per_trial"):
             as_int(getattr(self, name), name)
@@ -280,9 +276,10 @@ class ExperimentConfig:
         if not isinstance(ests, (list, tuple)) or not all(isinstance(e, str) for e in ests):
             raise InvalidInputError(f"estimators must be a list of names, got {ests!r}")
         ests = tuple(ests)
-        if not ests or any(e not in row.estimators for e in ests):
+        if not ests or any(e not in row.estimators for e in ests) or len(set(ests)) < len(ests):
             raise InvalidInputError(
                 f"{self.experiment} estimators must be a nonempty subset of {row.estimators}"
+                f" with no name repeated, got {list(ests)}"
             )
         object.__setattr__(self, "estimators", ests)
         Seed(self.seed)  # validates the root
@@ -474,7 +471,7 @@ def _receive(proc, conn) -> list:
     return payload
 
 
-def _run_forked(trial, tasks) -> list:
+def _run_forked(trial, tasks, fork: bool = True) -> list:
     """Outcomes of ``tasks`` in task order, run by the caller and one forked child per further CPU.
 
     One process per CPU of the affinity mask claims tasks one at a time
@@ -485,13 +482,14 @@ def _run_forked(trial, tasks) -> list:
     for fixed shares, 0.401 s claimed, medians of 40).  ``fork``, not
     ``spawn``: a spawned child would import numpy and scipy again before its
     first trial.  A child inherits ``trial``, so nothing is pickled on the way
-    in, and the caller's pinned BLAS.  Serial where there is one CPU or no
-    ``fork``.  No child outlives the call, whether it returns or raises.
+    in, and the caller's pinned BLAS.  Serial in the caller where there is
+    one CPU, no ``fork`` or ``fork=False``.  No child outlives the call,
+    whether it returns or raises.
     """
     import multiprocessing
 
     try:
-        workers = min(len(os.sched_getaffinity(0)), len(tasks))
+        workers = min(len(os.sched_getaffinity(0)), len(tasks)) if fork else 1
         ctx = multiprocessing.get_context("fork")
     except (AttributeError, ValueError):  # no affinity mask, or no fork, on this platform
         workers = 1
@@ -537,7 +535,7 @@ def _collect_trials(cfg: ExperimentConfig, trial):
     tasks = [(gi, ti) for gi in range(len(cfg.grid)) for ti in range(cfg.trials)]
     blas = _blas_threads()
     if blas is None:
-        outcomes = [_outcome(trial, task) for task in tasks]
+        outcomes = _run_forked(trial, tasks, fork=False)
     else:
         get, put = blas
         saved = get()
@@ -617,14 +615,19 @@ _COLORS = {
 def write_report(reports, out_dir, include_w: bool = False) -> list[str]:
     """Emit ``report.csv`` (plus ``supplementary.csv``) and one SVG per report.
 
+    ``reports`` is one :class:`ExperimentReport` or an iterable of them.
+
     The ``w`` estimator's rows go to ``supplementary.csv`` unless
     ``include_w`` merges them into the main table: its bias is larger by
     orders of magnitude and would dominate any shared axis.  Output is
     byte-identical across reruns of the same seed.
     """
     include_w = as_flag(include_w, "include_w")
-    if isinstance(reports, ExperimentReport):
+    if isinstance(reports, ExperimentReport) or not np.iterable(reports):
         reports = [reports]
+    reports = list(reports)  # read once: an iterator yields its reports only once
+    if bad := [r for r in reports if not isinstance(r, ExperimentReport)]:
+        raise InvalidInputError(f"reports must be ExperimentReport objects, got {bad[0]!r}")
     charts = [f"{r.experiment}_{r.model}.svg" for r in reports]
     if len(set(charts)) < len(charts):
         raise InvalidInputError(f"two reports would write the same chart, in {charts}")

@@ -9,7 +9,6 @@ from pregols import (
     Seed,
     Svd,
     gen_covariates,
-    numeric_rank,
     pinv,
     read_matrix_csv,
     write_matrix_csv,
@@ -126,28 +125,28 @@ def test_gram_inverse_symmetric_positive_diagonal():
     assert np.all(np.diag(g) > 0)
 
 
-def test_numeric_rank_zero_matrix():
-    assert numeric_rank(np.zeros((3, 3))) == 0
+def test_svd_rank_zero_matrix():
+    assert Svd(np.zeros((3, 3))).rank() == 0
 
 
-def test_numeric_rank_identity():
-    assert numeric_rank(np.eye(4)) == 4
+def test_svd_rank_identity():
+    assert Svd(np.eye(4)).rank() == 4
 
 
-def test_numeric_rank_duplicated_row_matches_elimination():
+def test_svd_rank_duplicated_row_matches_elimination():
     rng = np.random.default_rng(8)
     m = rng.standard_normal((3, 5))
     m[2] = m[0]
-    assert numeric_rank(m) == 2
+    assert Svd(m).rank() == 2
     assert elimination_rank(m) == 2
 
 
-def test_numeric_rank_matches_elimination_random():
+def test_svd_rank_matches_elimination_random():
     rng = np.random.default_rng(9)
     for _ in range(20):
         rows, cols, r = 6, 8, int(rng.integers(1, 6))
         m = rng.standard_normal((rows, r)) @ rng.standard_normal((r, cols))
-        assert numeric_rank(m) == elimination_rank(m) == r
+        assert Svd(m).rank() == elimination_rank(m) == r
 
 
 def test_rank_tolerance_must_be_positive():
@@ -167,16 +166,15 @@ def test_rank_tolerance_must_be_positive():
 
 def test_rank_tolerance_controls_rank():
     m = np.diag([1.0, 1e-6])
-    assert numeric_rank(m) == 2
-    assert numeric_rank(m, RankTolerance(relative_cutoff=1e-3)) == 1
+    assert Svd(m).rank() == 2
+    assert Svd(m).rank(RankTolerance(relative_cutoff=1e-3)) == 1
 
 
 def test_a_tolerance_that_is_not_a_rank_tolerance_is_refused():
     # a bare cutoff is not a tolerance: it is refused by every rank decision,
     # a design's and a generator's too, not read as a relative cutoff
     m = np.diag([1.0, 1e-6])
-    calls = [lambda tol: numeric_rank(m, tol), lambda tol: pinv(m, tol),
-             lambda tol: Svd(m).rank(tol),
+    calls = [lambda tol: pinv(m, tol), lambda tol: Svd(m).rank(tol),
              lambda tol: DesignPartition(np.eye(2, 3), np.ones((2, 1)), tol=tol),
              lambda tol: gen_covariates(CovariateConfig("spiked"), 2, 3, Seed(1).rng(0), tol)]
     for call in calls:

@@ -13,7 +13,6 @@ from pregols import (
     full_operator,
     gram_downdate,
     loo_fit,
-    loo_record,
     loo_residual_partial,
     pinv,
     predict,
@@ -45,15 +44,13 @@ def test_loo_fit_response_in_t_span():
 
 
 def test_loo_coefficients_are_readonly():
-    # as the fit records are: the pair loo_fit returns and the record's copy
+    # like a fit's coefficients, the pair loo_fit returns is read-only
     rng = np.random.default_rng(5)
     d = random_partition(rng, 8, 14, 2)
     y = rng.standard_normal(8)
-    rec = loo_record(d, y, 3)
-    for arr in (*loo_fit(d, y, 3), rec.lambda_loo, rec.tau_loo):
+    for arr in loo_fit(d, y, 3):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 99.0
-    assert np.array_equal(rec.lambda_loo, loo_fit(d, y, 3)[0])
 
 
 def test_loo_fit_matches_brute_force():
@@ -103,15 +100,9 @@ def test_loo_residual_consistent_with_loo_fit():
     d = random_partition(rng, 8, 13, 1)
     y = rng.standard_normal(8)
     for i in range(d.n):
-        rec = loo_record(d, y, i)
-        pred = predict(fit_partial_like(rec), d.w[i], d.t[i])
-        assert abs(rec.residual - (y[i] - pred)) <= 1e-8
-
-
-def fit_partial_like(rec):
-    return PartialFit(
-        lambda_hat=rec.lambda_loo, tau_hat=rec.tau_loo, max_interp_residual=0.0
-    )
+        lam, tau = loo_fit(d, y, i)
+        pred = predict(PartialFit(lam, tau, max_interp_residual=0.0), d.w[i], d.t[i])
+        assert abs(loo_residual_partial(d, y, i) - (y[i] - pred)) <= 1e-8
 
 
 def test_solver_matches_per_index_ops():
@@ -364,7 +355,6 @@ def test_loo_index_out_of_range():
 _INDEXED_CALLS = {
     "loo_fit": loo_fit,
     "loo_residual_partial": loo_residual_partial,
-    "loo_record": loo_record,
     "brute_force_refit": brute_force_refit,
     "gram_downdate": lambda d, y, i: gram_downdate(d.stacked(), i),
 }
@@ -424,19 +414,19 @@ def test_brute_force_refit_deterministic():
         ),
     ],
 )
-def test_loo_record_consistency_guard_scales_with_the_condition_of_w(make, cond, seed):
-    # a fixed 1e-8 (1 + |y_i|) bound called the strong-direction designs
-    # rank-marginal; the two closed forms agree to n cond(W) eps, and the
-    # coefficients match a refit to as much
+def test_loo_fit_and_residual_agree_within_the_condition_of_w(make, cond, seed):
+    # the two closed forms agree to n cond(W) eps (1 + |y_i|), where a fixed
+    # 1e-8 (1 + |y_i|) bound called the strong-direction designs
+    # rank-marginal, and the coefficients match a refit to as much
     w, t, y = make(cond, seed)
     d = DesignPartition(w, t)
     bound = d.n * np.linalg.cond(w) * np.finfo(float).eps
     for i in range(d.n):
-        rec = loo_record(d, y, i)
-        gap = abs(rec.residual - (y[i] - d.w[i] @ rec.lambda_loo - d.t[i] @ rec.tau_loo))
+        lam_loo, tau_loo = loo_fit(d, y, i)
+        gap = abs(loo_residual_partial(d, y, i) - (y[i] - d.w[i] @ lam_loo - d.t[i] @ tau_loo))
         assert gap <= bound * (1.0 + abs(y[i]))
         lam = min_norm_refit_partial(w, t, y, i)[0]
-        assert np.max(np.abs(rec.lambda_loo - lam)) <= bound * np.max(np.abs(lam))
+        assert np.max(np.abs(lam_loo - lam)) <= bound * np.max(np.abs(lam))
 
 
 def _marginal_leverage_design():

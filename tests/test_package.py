@@ -52,10 +52,7 @@ PUBLIC_NAMES = {
     "image_gap",
     "InvalidInputError",
     "loo_fit",
-    "loo_record",
     "loo_residual_partial",
-    "LooRecord",
-    "numeric_rank",
     "orthonormal_rows",
     "ovb_decompose",
     "OvbDecomposition",
@@ -87,7 +84,7 @@ PUBLIC_NAMES = {
 
 
 def test_public_names_are_pinned():
-    assert len(pregols.__all__) == len(set(pregols.__all__)) == 59
+    assert len(pregols.__all__) == len(set(pregols.__all__)) == 56
     assert set(pregols.__all__) == PUBLIC_NAMES
     for name in pregols.__all__:
         assert getattr(pregols, name) is not None, name
@@ -184,7 +181,6 @@ _SCALAR_ARGUMENTS = [
      lambda v, rng: pregols.fit_partial_variant(_D, _Y, v)),
     ("RankTolerance", "real or None", 0.5, lambda v, rng: RankTolerance(v)),
     ("loo_fit", "int", 0, lambda v, rng: pregols.loo_fit(_D, _Y, v)),
-    ("loo_record", "int", 0, lambda v, rng: pregols.loo_record(_D, _Y, v)),
     ("loo_residual_partial", "int", 0,
      lambda v, rng: pregols.loo_residual_partial(_D, _Y, v)),
     ("brute_force_refit", "int", 0, lambda v, rng: pregols.brute_force_refit(_D, _Y, v)),
@@ -254,7 +250,7 @@ def test_a_bad_rank_tol_is_refused_by_name(value):
 def test_the_scalar_table_covers_every_public_callable():
     # each public callable or method with a parameter annotated int, float,
     # str or bool is in the table, or is a record the package fills in itself
-    records = {"CochranGaps", "OvbDecomposition", "FullFit", "PartialFit", "LooRecord",
+    records = {"CochranGaps", "OvbDecomposition", "FullFit", "PartialFit",
                "CellResult", "VarianceReport", "ResidualOperator", "RankTolerance.cutoff",
                "ExperimentReport.cell"}
     found = set()

@@ -349,6 +349,11 @@ def test_config_validation():
         ("sim2", (100.7,), "sim2 grid values must be dimensions, integers >= 3, got"),
         ("sim2", (2.0,), "integers >= 3"),
         ("sim3", (-1.0,), "sim3 grid values must be noise levels >= 0"),
+        # report.csv would hold two cells under one grid value, and the SVG
+        # would plot only the first of them
+        ("sim1", (20, 20), r"sim1 grid values must be distinct, got \[20.0, 20.0\]"),
+        ("sim3", (1.0, 5.0, 1), r"sim3 grid values must be distinct, got \[1.0, 5.0, 1.0\]"),
+        ("ate", (0.0, -0.0), r"ate grid values must be distinct, got \[0.0, -0.0\]"),
     ],
 )
 def test_config_rejects_grid_values_outside_the_experiments_rule(experiment, grid, message):
@@ -356,6 +361,19 @@ def test_config_rejects_grid_values_outside_the_experiments_rule(experiment, gri
         ExperimentConfig(experiment=experiment, grid=grid)
     with pytest.raises(InvalidInputError, match=message):
         ExperimentConfig.from_dict({"experiment": experiment, "grid": list(grid)})
+
+
+@pytest.mark.parametrize(
+    "experiment, estimators",
+    [("sim1", ("full", "full")), ("sim3", ("wc", "partial", "wc")), ("ate", ("partial",) * 2)],
+)
+def test_config_rejects_a_repeated_estimator(experiment, estimators):
+    # each of the estimator's rows would be written twice
+    message = r"estimators must be a nonempty subset of .* with no name repeated, got \["
+    with pytest.raises(InvalidInputError, match=message):
+        ExperimentConfig(experiment=experiment, estimators=estimators)
+    with pytest.raises(InvalidInputError, match=message):
+        ExperimentConfig.from_dict({"experiment": experiment, "estimators": list(estimators)})
 
 
 def test_integral_grid_values_are_accepted_as_sizes():
@@ -534,6 +552,27 @@ def test_write_report_byte_identical(tmp_path):
     assert (tmp_path / "a/sim3_spiked.svg").read_bytes() == (
         tmp_path / "b/sim3_spiked.svg"
     ).read_bytes()
+
+
+def test_write_report_reads_a_generator_once(tmp_path):
+    # a generator is read once: a second pass would find it empty and write
+    # a header-only report.csv and no chart
+    rep = run_experiment(tiny_config())
+    write_report(rep, tmp_path / "one")
+    paths = write_report((r for r in [rep]), tmp_path / "gen")
+    assert sorted(os.path.basename(p) for p in paths) == [
+        "report.csv", "sim3_spiked.svg", "supplementary.csv"]
+    for name in ("report.csv", "supplementary.csv", "sim3_spiked.svg"):
+        assert (tmp_path / "gen" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
+def test_write_report_refuses_what_is_not_a_report(tmp_path):
+    rep = run_experiment(tiny_config(trials=2))
+    for reports, bad in ((5, "5"), (None, "None"), ("report", "'r'"), ([rep, 7], "7")):
+        with pytest.raises(InvalidInputError,
+                           match=f"^reports must be ExperimentReport objects, got {bad}$"):
+            write_report(reports, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_write_report_refuses_two_reports_of_one_chart(tmp_path):

@@ -446,8 +446,6 @@ def _weak_direction_design(cond, t="treatment", t_scale=1.0, seed=3):
 def test_full_map_from_kept_factors_when_t_lies_along_the_weakest_direction(
     monkeypatch, cond
 ):
-    from pregols.simharness import _treatment_rows
-
     d = DesignPartition(*_weak_direction_design(cond))
     x = d.stacked()
     bound = 10 * d.n * np.linalg.cond(x) * np.finfo(float).eps
@@ -455,7 +453,8 @@ def test_full_map_from_kept_factors_when_t_lies_along_the_weakest_direction(
     ref_row = np.linalg.pinv(x)[d.q]
     calls = _count_svds(monkeypatch)
     op = residual_operator("full", d)
-    row, _ = _treatment_rows(d)
+    # the ate trial's full row, G_X d, and its split row, which factors L^T T
+    row, _ = d.full_gram_inverse() @ d.t[:, 0], d.tau_map()
     monkeypatch.undo()
     assert calls == [(d.n, 2)]  # L^T T for the split row; [W | T] is not factored
     assert np.max(np.abs(op.matrix - ref_op)) <= bound * np.max(np.abs(ref_op))
@@ -504,8 +503,6 @@ def _spiked_partition(n, q, t, seed=0):
 @pytest.mark.parametrize("t", ["ones", "treatment"])
 @pytest.mark.parametrize("n, q", [(20, 99), (60, 99), (80, 98), (99, 99)])
 def test_spiked_full_map_takes_the_floor_route(monkeypatch, n, q, t):
-    from pregols.simharness import _treatment_rows
-
     d = _spiked_partition(n, q, t)
     x = d.stacked()
     bound = 10 * d.n * np.linalg.cond(x) * np.finfo(float).eps
@@ -513,7 +510,7 @@ def test_spiked_full_map_takes_the_floor_route(monkeypatch, n, q, t):
     ref_row = np.linalg.pinv(x)[d.q]
     qrs = _count_stacked_qrs(monkeypatch, d)
     op = full_operator(d).matrix
-    row = _treatment_rows(d)[0]
+    row = d.full_gram_inverse() @ d.t[:, 0]  # the ate trial's full row
     monkeypatch.undo()
     assert qrs() == []
     assert np.max(np.abs(op - ref_op)) <= bound * np.max(np.abs(ref_op))
@@ -588,8 +585,6 @@ def test_full_gram_inverse_takes_the_qr_route_without_a_repeated_floor(monkeypat
 
 
 def _assert_n_space_matches_q_space(d, bound):
-    from pregols.simharness import _treatment_rows
-
     ys = np.random.default_rng(7).standard_normal((20, d.n))
     wc_map, split_rows = split_qspace(d.w, d.t)
     op = residual_operator("wc", d)
@@ -599,7 +594,7 @@ def _assert_n_space_matches_q_space(d, bound):
     got = np.array([op.estimate(y) for y in ys])
     assert np.max(np.abs(got - want)) <= bound * np.max(want)
     want_row = split_rows[0]
-    row = _treatment_rows(d)[1]
+    row = d.tau_map()[0]  # the ate trial's split row
     assert np.max(np.abs(row - want_row)) <= bound * np.max(np.abs(want_row))
 
 
