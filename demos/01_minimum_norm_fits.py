@@ -15,7 +15,6 @@ from pregols import (
     fit_full,
     fit_partial,
     fit_partial_variant,
-    predict,
 )
 
 rng = np.random.default_rng(7)
@@ -72,5 +71,5 @@ for name in PARTIAL_VARIANTS[1:]:  # the first, "direct", is fit_partial itself
 
 # --- prediction reproduces training rows ------------------------------------
 i = 3
-print(f"\npredict at training row {i}: {predict(fit, w[i], t[i]):.6f} "
-      f"(observed {y[i]:.6f})")
+pred = w[i] @ fit.lambda_hat + t[i] @ fit.tau_hat
+print(f"\nprediction at training row {i}: {pred:.6f} (observed {y[i]:.6f})")

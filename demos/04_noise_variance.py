@@ -21,7 +21,6 @@ from pregols import (
     sigma2,
     standard_normal,
     w_operator,
-    wc_normalizers,
     wc_operator,
 )
 
@@ -62,6 +61,10 @@ for name, op in ops.items():
 # the 'w' estimator's bias scales with the squared signal mean, which is why
 # the experiment reports route it to a supplementary table
 
-projected, sample_space = wc_normalizers(part)
+# the sample-space trace tr(P_T^perp G_W) = ||P_T^perp L||_F^2, with L = U S^{-1}
+# the partition's ell, against the projected-space trace that wc divides by
+ell, ut = part.ell, part.t_svd.u
+rest = ell - ut @ (ut.T @ ell)
+projected, sample_space = ops["wc"].denominator, float(np.sum(rest * rest))
 print(f"\nwc normalizers: projected-space {projected:.4f} vs sample-space {sample_space:.4f}")
 print("(the projected-space trace is the one that matches the exact-bias identity)")

@@ -179,7 +179,8 @@ def build_parser() -> _Parser:
         "--estimator", choices=(*ESTIMATOR_IDS, "all"), default="all"
     )
     p.add_argument("--truth", default=None, help="true coefficients, CSV")
-    p.add_argument("--sigma2", type=float, default=None, help="true noise variance")
+    p.add_argument("--sigma2", type=float, default=None, help="true noise variance, "
+                   "checked positive and finite; the exact bias does not depend on it")
     p.set_defaults(func=_cmd_variance)
 
     p = sub.add_parser("simulate", help="run a bias experiment")

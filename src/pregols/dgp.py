@@ -67,7 +67,13 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MAX_REJECTIONS = 100
 _TOP_UNIFORM = 1.0 - 2.0**-53
 
-COVARIATE_MODELS = ("standard_normal", "spiked", "geometric")
+#: The :class:`CovariateConfig` parameters each model reads; it ignores the others.
+_MODEL_PARAMS = {
+    "standard_normal": (),
+    "spiked": ("sigma_x", "k_spikes", "lambda_range"),
+    "geometric": ("lambda_geo", "rho"),
+}
+COVARIATE_MODELS = tuple(_MODEL_PARAMS)
 
 
 def splitmix64(z: int) -> int:

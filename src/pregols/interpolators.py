@@ -55,7 +55,6 @@ from .linalg import (
     as_matrix,
     as_vector,
     full_row_rank_svd,
-    pinv,
     require_rank,
 )
 
@@ -67,7 +66,6 @@ __all__ = [
     "fit_full",
     "fit_partial",
     "fit_partial_variant",
-    "predict",
 ]
 
 #: Floor of the interpolation guard: a valid fit must reproduce y to within
@@ -372,7 +370,7 @@ def _variant_rowspace(d, y):
     """
     wp = d.w_svd.pinv(d.tol)
     b = wp @ d.t
-    bp = pinv(b, d.tol)
+    bp = Svd(b).pinv(d.tol)
     row_proj = wp @ d.w  # projection onto the row space of W
     lam = row_proj @ ((np.eye(d.q) - b @ bp) @ (wp @ y))
     tau = bp @ (wp @ y)
@@ -400,7 +398,7 @@ def _variant_gls(d, y):
     where ``direct`` moved by at most ``43 * cond(W) * eps``.
     """
     gw = d.w_svd.gram_inverse(d.tol)
-    tau = pinv(d.t.T @ gw @ d.t, d.tol) @ (d.t.T @ (gw @ y))
+    tau = Svd(d.t.T @ gw @ d.t).pinv(d.tol) @ (d.t.T @ (gw @ y))
     lam = d.w.T @ (gw @ (y - d.t @ tau))
     return lam, tau
 
@@ -432,33 +430,3 @@ def fit_partial_variant(d: DesignPartition, y, variant: str) -> PartialFit:
     ``rowspace`` at 1e8, and are refused.
     """
     return _fit_split(d, y, as_choice(variant, PARTIAL_VARIANTS, "variant"))
-
-
-def predict(fit, w_new, t_new=None) -> float | np.ndarray:
-    """Predict at a new observation: ``w_new . lambda_hat + t_new . tau_hat``.
-
-    A float for a fit of one response vector; for a fit of an n x k matrix
-    of responses, the k predictions.  For a :class:`FullFit`, ``w_new``
-    (concatenated with ``t_new`` when given) must match the full
-    coefficient vector.
-    """
-    w_new = as_vector(w_new, "w_new")
-    t_new = np.zeros(0) if t_new is None else as_vector(t_new, "t_new")
-    if isinstance(fit, PartialFit):
-        q, m = fit.lambda_hat.shape[0], fit.tau_hat.shape[0]
-        if w_new.size != q or t_new.size != m:
-            raise InvalidInputError(
-                f"prediction inputs of lengths ({w_new.size}, {t_new.size}) do not "
-                f"match coefficient lengths ({q}, {m})"
-            )
-        out = w_new @ fit.lambda_hat + t_new @ fit.tau_hat
-        return float(out) if out.ndim == 0 else out
-    if isinstance(fit, FullFit):
-        x_new = np.concatenate([w_new, t_new])
-        if x_new.size != fit.beta_hat.size:
-            raise InvalidInputError(
-                f"prediction input of length {x_new.size} does not match "
-                f"coefficient length {fit.beta_hat.size}"
-            )
-        return float(x_new @ fit.beta_hat)
-    raise InvalidInputError(f"unsupported fit object {type(fit).__name__}")

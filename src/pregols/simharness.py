@@ -45,6 +45,7 @@ import numpy as np
 
 from .dgp import (
     COVARIATE_MODELS,
+    _MODEL_PARAMS,
     CovariateConfig,
     Seed,
     gen_ate_design,
@@ -185,8 +186,6 @@ _TABLE: dict[str, _Experiment] = {
 EXPERIMENTS = tuple(_TABLE)
 DEFAULT_GRIDS: dict[str, tuple[float, ...]] = {name: row.grid for name, row in _TABLE.items()}
 
-_COVARIATE_KEYS = tuple(f.name for f in fields(CovariateConfig) if f.name != "model")
-
 
 def _covariate_model(model: str, cov: dict) -> CovariateConfig:
     """The :class:`CovariateConfig` of ``model`` with the parameters ``cov``, checked once."""
@@ -195,9 +194,13 @@ def _covariate_model(model: str, cov: dict) -> CovariateConfig:
         raise InvalidInputError(
             f"covariate may not set {fixed}: the experiment and its grid choose them"
         )
-    unknown = sorted(set(cov) - set(_COVARIATE_KEYS))
-    if unknown:  # a list is never a choice, so this names every unknown key
-        as_choice(unknown, list(_COVARIATE_KEYS), "covariate keys")
+    takes = _MODEL_PARAMS[model]
+    unknown = sorted(set(cov) - set(takes))
+    if unknown:  # a key the model does not read would be silently ignored
+        raise InvalidInputError(
+            f"unknown covariate keys {unknown} for the {model} model, "
+            f"which takes {list(takes) or 'none'}"
+        )
     try:
         return CovariateConfig(model, **cov)
     except InvalidInputError as exc:

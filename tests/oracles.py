@@ -215,6 +215,22 @@ def nullspace_component(m, v, tol=None):
     return w - Svd(a).pinv(tol) @ (a @ w)
 
 
+def wc_normalizers(d):
+    """Both candidate normalizers for ``wc``: (projected-space, sample-space).
+
+    The first is ``tr(P_B^perp (W^T W)^+) = ||F||_F^2``, the denominator of
+    ``pregols.wc_operator``; the second is ``tr(P_T^perp G_W) = ||P_T^perp L||_F^2``
+    with ``L = U S^{-1}`` the partition's ``ell`` and ``P_T`` from the kept
+    SVD of ``T``.  They differ in general.  Both stay in n-space: no ``W^+``, q x q
+    projector or ``(W^T W)^+`` is formed, so neither loses ``cond(W)^2 eps``.
+    """
+    from pregols import wc_operator
+
+    ell, ut = d.ell, d.t_svd.u
+    rest = ell - ut @ (ut.T @ ell)  # P_T^perp L
+    return wc_operator(d).denominator, float(np.sum(rest * rest))
+
+
 def dense_svd(w):
     """The factored route: ``pregols.linalg.Svd`` of ``w``, one LAPACK thin SVD.
 

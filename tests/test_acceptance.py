@@ -158,11 +158,9 @@ def test_criterion_05_loo_oracle_equivalence():
             assert np.max(np.abs(tau - tau_b)) <= 1e-6 * scale
             expected = y[i] - (d.w[i] @ lam_b + d.t[i] @ tau_b)
             assert abs(res[i] - expected) <= 1e-6 * (1.0 + abs(expected))
-            # held-out prediction through the public prediction helper
-            fit = pg.PartialFit(lambda_hat=lam, tau_hat=tau, max_interp_residual=0.0)
-            assert abs(pg.predict(fit, d.w[i], d.t[i]) - (y[i] - res[i])) <= 1e-6 * (
-                1.0 + abs(y[i])
-            )
+            # held-out prediction of the closed-form refit
+            pred = d.w[i] @ lam + d.t[i] @ tau
+            assert abs(pred - (y[i] - res[i])) <= 1e-6 * (1.0 + abs(y[i]))
             pairs += 1
     # unsplit-design variant against its own refit oracle
     for trial in range(10):

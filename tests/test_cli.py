@@ -243,6 +243,17 @@ def test_variance_with_truth(wide_files, capsys):
     assert report["expected_bias"] == 0.0
 
 
+def test_variance_output_does_not_depend_on_sigma2(wide_files, capsys):
+    # the exact bias ||R mu||^2 / ||R||_F^2 has no sigma^2 in it: --sigma2 is
+    # checked to be positive and finite, and no output reads it
+    write_matrix_csv(wide_files / "beta.csv", np.full((15, 1), 0.1))
+    argv = ["variance", *(a for k in "wty" for a in (f"--{k}", str(wide_files / f"{k}.csv"))),
+            "--truth", str(wide_files / "beta.csv")]
+    runs = [run_cli(capsys, *argv, "--sigma2", v) for v in ("1", "100", "1e-300")]
+    assert runs[0][0] == 0 and all(r["expected_bias"] > 0.0 for r in json.loads(runs[0][1]))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
 def test_variance_truth_requires_sigma2(wide_files, capsys):
     write_matrix_csv(wide_files / "beta.csv", np.zeros((15, 1)))
     code, _, err = run_cli(
@@ -425,6 +436,7 @@ def test_simulate_conflicting_selection(tmp_path, capsys, selection):
         {"covariate": {"lambda_range": [0, float("inf")]}},
         {"covariate": {"sigma_x": float("inf")}},
         {"model": "geometric", "covariate": {"lambda_geo": float("inf")}},
+        {"model": "geometric", "covariate": {"sigma_x": 2.0}},
         {"covariate": {"k_spikes": True}},
         {"experiment": "sim1", "grid": "25"},
         {"grid": 5},

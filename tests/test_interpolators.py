@@ -9,7 +9,6 @@ from pregols import (
     fit_full,
     fit_partial,
     fit_partial_variant,
-    predict,
 )
 
 from oracles import (
@@ -334,55 +333,6 @@ def test_unknown_variant_rejected():
     d = random_partition(rng, 5, 9, 1)
     with pytest.raises(InvalidInputError, match="unknown variant"):
         fit_partial_variant(d, rng.standard_normal(5), "qr")
-
-
-# ------------------------------------------------------------------ predict
-
-
-def test_predict_reproduces_training_rows():
-    rng = np.random.default_rng(17)
-    d = random_partition(rng, 6, 11, 2)
-    y = rng.standard_normal(6)
-    fit = fit_partial(d, y)
-    for i in range(d.n):
-        assert abs(predict(fit, d.w[i], d.t[i]) - y[i]) <= 1e-8 * (1 + abs(y[i]))
-
-
-def test_predict_zero_inputs():
-    rng = np.random.default_rng(18)
-    d = random_partition(rng, 5, 9, 1)
-    fit = fit_partial(d, rng.standard_normal(5))
-    assert predict(fit, np.zeros(9), np.zeros(1)) == 0.0
-
-
-def test_predict_full_fit():
-    rng = np.random.default_rng(19)
-    x = rng.standard_normal((4, 7))
-    y = rng.standard_normal(4)
-    fit = fit_full(x, y)
-    assert abs(predict(fit, x[2]) - y[2]) <= 1e-8
-
-
-def test_predict_dimension_mismatch():
-    rng = np.random.default_rng(20)
-    d = random_partition(rng, 5, 9, 1)
-    fit = fit_partial(d, rng.standard_normal(5))
-    with pytest.raises(InvalidInputError):
-        predict(fit, np.zeros(8), np.zeros(1))
-
-
-def test_predict_on_a_fit_of_a_matrix_of_responses():
-    rng = np.random.default_rng(23)
-    d = random_partition(rng, 20, 40, 2)
-    ys = rng.standard_normal((20, 2))
-    fit = fit_partial(d, ys)
-    got = predict(fit, d.w[4], d.t[4])
-    assert got.shape == (2,) and np.all(np.abs(got - ys[4]) <= 1e-8 * (1 + np.abs(ys[4])))
-    one = predict(fit_partial(d, ys[:, :1]), d.w[4], d.t[4])
-    assert one.shape == (1,) and one[0] == pytest.approx(got[0], rel=1e-12)
-    assert isinstance(predict(fit_partial(d, ys[:, 0]), d.w[4], d.t[4]), float)
-    with pytest.raises(InvalidInputError, match=r"lengths \(39, 2\) do not match .* \(40, 2\)"):
-        predict(fit, d.w[4, :39], d.t[4])
 
 
 # ---------------------------------------------------------------- immutability

@@ -4,7 +4,6 @@ import pytest
 from pregols import (
     DesignPartition,
     InvalidInputError,
-    PartialFit,
     PartialLooSolver,
     RankAssumptionError,
     RankTolerance,
@@ -15,7 +14,6 @@ from pregols import (
     loo_fit,
     loo_residual_partial,
     pinv,
-    predict,
 )
 
 from oracles import (
@@ -101,7 +99,7 @@ def test_loo_residual_consistent_with_loo_fit():
     y = rng.standard_normal(8)
     for i in range(d.n):
         lam, tau = loo_fit(d, y, i)
-        pred = predict(PartialFit(lam, tau, max_interp_residual=0.0), d.w[i], d.t[i])
+        pred = d.w[i] @ lam + d.t[i] @ tau
         assert abs(loo_residual_partial(d, y, i) - (y[i] - pred)) <= 1e-8
 
 

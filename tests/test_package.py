@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import pregols
+import pregols.cli
 from pregols import (
     CellResult,
     CochranDesign,
@@ -23,71 +24,93 @@ from pregols import (
     Svd,
 )
 
+# Each public name and the clause of the package-surface rule that keeps it:
+# the CLI ("cli") or the simulation harness ("harness") binds it, it computes
+# a quantity the paper defines ("paper": a fit, a LOO form, a Cochran
+# identity, an estimator or its bias), it is a type a public call takes or
+# returns ("record"), or it is an error the package raises ("error").
 PUBLIC_NAMES = {
-    "brute_force_refit",
-    "CellResult",
-    "cochran_check",
-    "CochranDesign",
-    "CochranGaps",
-    "COVARIATE_MODELS",
-    "CovariateConfig",
-    "DEFAULT_GRIDS",
-    "DesignPartition",
-    "ESTIMATOR_IDS",
-    "expected_bias",
-    "ExperimentAbortedError",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "EXPERIMENTS",
-    "fit_full",
-    "fit_partial",
-    "fit_partial_variant",
-    "full_operator",
-    "FullFit",
-    "GaussMarkovTruth",
-    "gen_ate_dataset",
-    "gen_ate_design",
-    "gen_covariates",
-    "gram_downdate",
-    "image_gap",
-    "InvalidInputError",
-    "loo_fit",
-    "loo_residual_partial",
-    "orthonormal_rows",
-    "ovb_decompose",
-    "OvbDecomposition",
-    "partial_operator",
-    "PARTIAL_VARIANTS",
-    "PartialFit",
-    "PartialLooSolver",
-    "pinv",
-    "predict",
-    "PregolsError",
-    "RankAssumptionError",
-    "RankTolerance",
-    "read_matrix_csv",
-    "residual_operator",
-    "ResidualOperator",
-    "run_experiment",
-    "Seed",
-    "sigma2",
-    "splitmix64",
-    "standard_normal",
-    "Svd",
-    "VarianceReport",
-    "w_operator",
-    "wc_normalizers",
-    "wc_operator",
-    "write_matrix_csv",
-    "write_report",
+    "brute_force_refit": "cli",
+    "CochranDesign": "cli",
+    "DesignPartition": "cli",
+    "ESTIMATOR_IDS": "cli",
+    "ExperimentConfig": "cli",
+    "EXPERIMENTS": "cli",
+    "fit_partial_variant": "cli",
+    "GaussMarkovTruth": "cli",
+    "PARTIAL_VARIANTS": "cli",
+    "PartialLooSolver": "cli",
+    "RankTolerance": "cli",
+    "read_matrix_csv": "cli",
+    "run_experiment": "cli",
+    "sigma2": "cli",
+    "write_report": "cli",
+    "COVARIATE_MODELS": "harness",
+    "CovariateConfig": "harness",
+    "DEFAULT_GRIDS": "harness",
+    "gen_ate_design": "harness",
+    "gen_covariates": "harness",
+    # bound only by the import that perfbench's span table patches: once that
+    # import goes, this entry fails and pinv leaves the surface
+    "pinv": "harness",
+    "residual_operator": "harness",
+    "Seed": "harness",
+    "standard_normal": "harness",
+    "Svd": "harness",
+    "write_matrix_csv": "harness",
+    "cochran_check": "paper",
+    "expected_bias": "paper",
+    "fit_full": "paper",
+    "fit_partial": "paper",
+    "full_operator": "paper",
+    "gram_downdate": "paper",
+    "image_gap": "paper",
+    "loo_fit": "paper",
+    "loo_residual_partial": "paper",
+    "ovb_decompose": "paper",
+    "partial_operator": "paper",
+    "w_operator": "paper",
+    "wc_operator": "paper",
+    # the simulations' generative models, the loosest reading of "paper": the
+    # harness reaches the first two only through Seed and gen_covariates, and
+    # only tests and demos call the third
+    "splitmix64": "paper",
+    "orthonormal_rows": "paper",
+    "gen_ate_dataset": "paper",
+    "CellResult": "record",
+    "CochranGaps": "record",
+    "ExperimentReport": "record",
+    "FullFit": "record",
+    "OvbDecomposition": "record",
+    "PartialFit": "record",
+    "ResidualOperator": "record",
+    "VarianceReport": "record",
+    "ExperimentAbortedError": "error",
+    "InvalidInputError": "error",
+    "PregolsError": "error",
+    "RankAssumptionError": "error",
 }
 
 
 def test_public_names_are_pinned():
-    assert len(pregols.__all__) == len(set(pregols.__all__)) == 56
-    assert set(pregols.__all__) == PUBLIC_NAMES
+    assert len(pregols.__all__) == len(set(pregols.__all__)) == 54
+    assert set(pregols.__all__) == set(PUBLIC_NAMES)
     for name in pregols.__all__:
         assert getattr(pregols, name) is not None, name
+
+
+def test_each_public_name_keeps_its_place_by_one_clause():
+    callers = {"cli": vars(pregols.cli), "harness": vars(pregols.simharness)}
+    for name, clause in PUBLIC_NAMES.items():
+        obj = getattr(pregols, name)
+        if clause in callers:
+            assert callers[clause].get(name) is obj, (name, clause)
+        elif clause == "record":
+            assert isinstance(obj, type) and not issubclass(obj, Exception), name
+        elif clause == "error":
+            assert isinstance(obj, type) and issubclass(obj, pregols.PregolsError), name
+        else:
+            assert clause == "paper" and callable(obj), (name, clause)
 
 
 def _annotations(fn) -> list[str]:

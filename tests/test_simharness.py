@@ -403,32 +403,46 @@ def test_ate_rejects_estimators_it_does_not_have(estimators):
 
 
 @pytest.mark.parametrize(
-    "experiment, covariate, message",
+    "experiment, model, covariate, message",
     [
-        ("sim3", {"bogus": 1}, r"unknown covariate keys \['bogus'\]"),
-        ("sim1", {"n": 5, "q": 9}, r"may not set \['n', 'q'\]"),
-        ("sim2", {"model": "geometric"}, r"may not set \['model'\]"),
-        ("sim3", {"sigma_x": 0}, "sigma_x must be positive"),
-        ("sim4", {"k_spikes": 2.5}, "k_spikes must be a nonnegative integer"),
-        ("sim3", {"lambda_range": [3.0]}, "invalid covariate settings"),
-        ("sim3", {"rho": "high"}, "invalid covariate settings"),
-        ("sim3", {"sigma_x": True}, "sigma_x must be a real number"),
-        ("sim4", {"lambda_range": 3}, "lambda_range must be a pair of real numbers"),
-        ("ate", {"k_spikes": 0, "sigma_x": 5}, "takes no covariate settings"),
-        ("sim3", {"sigma_x": float("inf")}, "sigma_x must be positive and finite"),
-        ("sim3", {"sigma_x": float("nan")}, "sigma_x must be positive and finite"),
-        ("sim4", {"k_spikes": True}, "k_spikes must be a nonnegative integer"),
-        ("sim1", {"lambda_range": [0, float("inf")]}, "lambda_range must be ordered"),
-        ("sim2", {"lambda_range": [float("nan"), 1.0]}, "lambda_range must be ordered"),
-        ("sim3", {"lambda_geo": float("inf")}, "lambda_geo must be positive and finite"),
+        ("sim3", "spiked", {"bogus": 1}, r"unknown covariate keys \['bogus'\]"),
+        ("sim1", "spiked", {"n": 5, "q": 9}, r"may not set \['n', 'q'\]"),
+        ("sim2", "spiked", {"model": "geometric"}, r"may not set \['model'\]"),
+        ("sim3", "spiked", {"sigma_x": 0}, "sigma_x must be positive"),
+        ("sim4", "spiked", {"k_spikes": 2.5}, "k_spikes must be a nonnegative integer"),
+        ("sim3", "spiked", {"lambda_range": [3.0]}, "invalid covariate settings"),
+        ("sim3", "geometric", {"rho": "high"}, "invalid covariate settings"),
+        ("sim3", "spiked", {"sigma_x": True}, "sigma_x must be a real number"),
+        ("sim4", "spiked", {"lambda_range": 3}, "lambda_range must be a pair of real numbers"),
+        ("ate", "spiked", {"k_spikes": 0, "sigma_x": 5}, "takes no covariate settings"),
+        ("sim3", "spiked", {"sigma_x": float("inf")}, "sigma_x must be positive and finite"),
+        ("sim3", "spiked", {"sigma_x": float("nan")}, "sigma_x must be positive and finite"),
+        ("sim4", "spiked", {"k_spikes": True}, "k_spikes must be a nonnegative integer"),
+        ("sim1", "spiked", {"lambda_range": [0, float("inf")]}, "lambda_range must be ordered"),
+        ("sim2", "spiked", {"lambda_range": [float("nan"), 1.0]}, "lambda_range must be ordered"),
+        ("sim3", "geometric", {"lambda_geo": float("inf")},
+         "lambda_geo must be positive and finite"),
+        # a key of another model would be ignored by the draw, so it is refused
+        ("sim3", "spiked", {"rho": 0.5, "lambda_geo": 7.0},
+         r"unknown covariate keys \['lambda_geo', 'rho'\] for the spiked model, which takes "
+         r"\['sigma_x', 'k_spikes', 'lambda_range'\]"),
+        ("sim3", "geometric", {"sigma_x": 9.0, "k_spikes": 0},
+         r"unknown covariate keys \['k_spikes', 'sigma_x'\] for the geometric model, which "
+         r"takes \['lambda_geo', 'rho'\]"),
+        ("sim1", "geometric", {"rho": 0.9, "lambda_range": [1.0, 2.0]},
+         r"unknown covariate keys \['lambda_range'\] for the geometric model"),
+        ("sim3", "standard_normal", {"sigma_x": 9.0},
+         r"unknown covariate keys \['sigma_x'\] for the standard_normal model, which takes none"),
     ],
 )
-def test_config_rejects_bad_covariate_settings(experiment, covariate, message):
+def test_config_rejects_bad_covariate_settings(experiment, model, covariate, message):
     # checked once when the config is built, before any trial runs
     with pytest.raises(InvalidInputError, match=message):
-        ExperimentConfig(experiment=experiment, covariate=covariate)
+        ExperimentConfig(experiment=experiment, model=model, covariate=covariate)
     with pytest.raises(InvalidInputError, match=message):
-        ExperimentConfig.from_dict({"experiment": experiment, "covariate": covariate})
+        ExperimentConfig.from_dict(
+            {"experiment": experiment, "model": model, "covariate": covariate}
+        )
 
 
 @pytest.mark.parametrize(
